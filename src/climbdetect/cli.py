@@ -291,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="leave-one-climb-out cross-validation")
     p.add_argument("--climbs")
-    p.add_argument("--folds", default="leave-one-out",
-                   choices=["leave-one-out"])
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--out")
     _add_grid_options(p)

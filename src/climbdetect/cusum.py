@@ -133,14 +133,6 @@ def _run_cusum(inc, lam0, lam1, state0):
     return states, cp_index[:n_cp], cp_state[:n_cp], cp_onset[:n_cp]
 
 
-try:  # the jitted kernel keeps grid searches fast; the fallback is identical
-    from numba import njit
-
-    _run_cusum_kernel = njit(cache=True)(_run_cusum)
-except ImportError:  # pragma: no cover
-    _run_cusum_kernel = _run_cusum
-
-
 def fused_increments(acc: SignalSeries, ang: SignalSeries,
                      model: SensorModel) -> np.ndarray:
     """Per-sample weighted log-likelihood increments alpha*l_acc + (1-alpha)*l_ang."""
@@ -160,21 +152,17 @@ def detect(acc: SignalSeries, ang: SignalSeries, model: SensorModel,
     held during that segment; `relabel_segments` moves the transitions back
     to the estimated onsets.
     """
-    inc = np.ascontiguousarray(fused_increments(acc, ang, model))
-    states, cp_index, cp_state, cp_onset = _run_cusum_kernel(
-        inc, model.config.lambda0, model.config.lambda1, initial)
-    return BinaryStateSeries(
-        t0=acc.t0, dt=acc.dt, states=states,
-        change_points=[(int(i), int(st)) for i, st in zip(cp_index, cp_state)],
-        onsets=[int(i) for i in cp_onset])
+    return detect_from_increments(fused_increments(acc, ang, model),
+                                  model.config.lambda0, model.config.lambda1,
+                                  initial, acc.t0, acc.dt)
 
 
 def detect_from_increments(inc: np.ndarray, lambda0: float, lambda1: float,
                            initial: int = H0, t0: float = 0.0,
                            dt: float = 1.0) -> BinaryStateSeries:
-    """Detector over precomputed increments; fast path for grid searches."""
-    states, cp_index, cp_state, cp_onset = _run_cusum_kernel(
-        np.ascontiguousarray(inc, dtype=float), lambda0, lambda1, initial)
+    """Detector over precomputed per-sample increments, such as `fused_increments`."""
+    states, cp_index, cp_state, cp_onset = _run_cusum(
+        np.asarray(inc, dtype=float), lambda0, lambda1, initial)
     return BinaryStateSeries(
         t0=t0, dt=dt, states=states,
         change_points=[(int(i), int(st)) for i, st in zip(cp_index, cp_state)],

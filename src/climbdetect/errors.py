@@ -9,6 +9,10 @@ class EmptyRecording(ClimbDetectError):
     """Operation requires a non-empty recording."""
 
 
+class MalformedRecording(ClimbDetectError):
+    """A recording file lacks a column or holds a row that is not all finite numbers."""
+
+
 class InvalidParams(ClimbDetectError):
     """Gamma parameters must be positive and finite."""
 

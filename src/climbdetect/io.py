@@ -7,6 +7,7 @@ inputs always produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 from .classifier import ActivityTimeline, ExplorationReport, FullBodyState, LimbSubState
 from .cusum import (BinaryStateSeries, DetectionConfig, HypothesisModel,
                     SensorModel)
+from .errors import EmptyRecording, MalformedRecording
 from .gamma_model import GammaParams
 from .orientation import ImuRecording
 from .series import (ALL_SITES, LIMBS, AnnotationTrack, SensorSite,
@@ -64,7 +66,20 @@ def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
         site = site_from_filename(path)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        lines = fh.readlines()
+    columns = RECORDING_HEADER.split(",")
+    required = columns if "mx" in header else columns[:7]
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise MalformedRecording(f"{path}: missing column(s) {', '.join(missing)}")
+    if not any(_data_text(line) for line in lines):
+        raise EmptyRecording(f"{path}: no samples after the header")
+    try:
+        data, reason = np.loadtxt(lines, delimiter=",", ndmin=2), None
+    except ValueError as exc:  # a token numpy cannot parse, or a ragged row
+        data, reason = None, f"{path}: {exc}"
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        raise MalformedRecording(_first_bad_row(path, header, lines) or reason)
     cols = {name: i for i, name in enumerate(header)}
     t = data[:, cols["t"]]
     accel = data[:, [cols["ax"], cols["ay"], cols["az"]]]
@@ -91,6 +106,30 @@ def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
         t = t_new
     return ImuRecording(site=site, sample_rate=1.0 / dt, t=t, accel=accel,
                         gyro=gyro, mag=mag, gap_indices=gap_indices)
+
+
+def _data_text(line: str) -> str:
+    """A CSV line as ``np.loadtxt`` reads it: comment cut, whitespace stripped."""
+    return line.split("#", 1)[0].strip()
+
+
+def _first_bad_row(path: Path, header: list[str], lines: list[str]) -> str | None:
+    """``path:line: reason`` for the first row that is ragged or not all finite."""
+    for lineno, line in enumerate(lines, start=2):
+        text = _data_text(line)
+        if not text:
+            continue
+        fields = text.split(",")
+        if len(fields) != len(header):
+            return f"{path}:{lineno}: {len(fields)} values, the header names {len(header)}"
+        for name, token in zip(header, fields):
+            try:
+                value = float(token)
+            except ValueError:
+                return f"{path}:{lineno}: {name} is not a number: {token.strip()!r}"
+            if not math.isfinite(value):
+                return f"{path}:{lineno}: {name} is not finite: {token.strip()!r}"
+    return None
 
 
 def write_annotations_json(path, annotations: dict[SensorSite, AnnotationTrack]) -> None:

@@ -186,19 +186,41 @@ def optimize_thresholds(climbs: list[LabeledClimb], site: SensorSite,
     return best[1], best[2], best[0]
 
 
+def _mode_alphas(mode: str, alpha_grid) -> list[float]:
+    """The fusion weights a mode searches: 1 for acc, 0 for ang, the grid for fused."""
+    if mode in ("acc", "ang"):
+        return [1.0 if mode == "acc" else 0.0]
+    if alpha_grid is None:
+        alpha_grid = default_alpha_grid()
+    return [float(alpha) for alpha in np.asarray(alpha_grid, dtype=float)]
+
+
+def _alpha_planes(climbs: list[LabeledClimb], site: SensorSite,
+                  models: tuple[HypothesisModel, HypothesisModel], alphas,
+                  lambda_grid) -> dict[float, tuple[float, float, float]]:
+    """The best (lambda0, lambda1, c) of each alpha's threshold plane."""
+    return {alpha: optimize_thresholds(climbs, site, models, alpha, lambda_grid)
+            for alpha in alphas}
+
+
+def _best_alpha(planes: dict[float, tuple[float, float, float]], alphas,
+                ) -> tuple[float, float, float, float]:
+    """(alpha, lambda0, lambda1, c) of the first strict maximum of c over alphas."""
+    best = (-np.inf, np.nan, np.nan, np.nan)
+    for alpha in alphas:
+        lam0, lam1, c = planes[alpha]
+        if c > best[0]:
+            best = (c, alpha, lam0, lam1)
+    return best[1], best[2], best[3], best[0]
+
+
 def optimize_alpha(climbs: list[LabeledClimb], site: SensorSite,
                    models: tuple[HypothesisModel, HypothesisModel],
                    alpha_grid=None, lambda_grid=None,
                    ) -> tuple[float, float, float, float]:
     """Nested search over the fusion weight, then the thresholds."""
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid()
-    best = (-np.inf, np.nan, np.nan, np.nan)
-    for alpha in np.asarray(alpha_grid, dtype=float):
-        lam0, lam1, c = optimize_thresholds(climbs, site, models, float(alpha), lambda_grid)
-        if c > best[0]:
-            best = (c, float(alpha), lam0, lam1)
-    return best[1], best[2], best[3], best[0]
+    alphas = _mode_alphas("fused", alpha_grid)
+    return _best_alpha(_alpha_planes(climbs, site, models, alphas, lambda_grid), alphas)
 
 
 @dataclass
@@ -221,28 +243,18 @@ class EvaluationReport:
     entries: dict[tuple[SensorSite, str], ModeResult] = field(default_factory=dict)
 
 
-def _mode_alphas(mode: str) -> np.ndarray | None:
-    if mode == "acc":
-        return np.array([1.0])
-    if mode == "ang":
-        return np.array([0.0])
-    return None  # fused: full alpha grid
-
-
 def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused",
                         alpha_grid=None, lambda_grid=None,
                         sites=None) -> tuple[dict[SensorSite, SensorModel], dict[SensorSite, float]]:
     """Fit models and calibrate thresholds/alpha on all given climbs."""
     if sites is None:
         sites = [s for s in ALL_SITES if all(s in c.channels for c in climbs)]
-    grid = _mode_alphas(mode)
-    if grid is None:
-        grid = default_alpha_grid() if alpha_grid is None else alpha_grid
+    alphas = _mode_alphas(mode, alpha_grid)
     sensor_models: dict[SensorSite, SensorModel] = {}
     scores: dict[SensorSite, float] = {}
     for site in sites:
         models = fit_models(climbs, site)
-        alpha, lam0, lam1, c = optimize_alpha(climbs, site, models, grid, lambda_grid)
+        alpha, lam0, lam1, c = optimize_alpha(climbs, site, models, alphas, lambda_grid)
         sensor_models[site] = SensorModel(
             acc=models[0], ang=models[1],
             config=DetectionConfig(lambda0=lam0, lambda1=lam1, alpha=alpha))
@@ -272,6 +284,9 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None, lambda_grid=None
         raise ValueError("cross-validation needs at least 2 climbs")
     if sites is None:
         sites = [s for s in ALL_SITES if all(s in c.channels for c in climbs)]
+    mode_alphas = {mode: _mode_alphas(mode, alpha_grid) for mode in modes}
+    # every mode's weights are planes of one sweep over their union
+    alphas = sorted({alpha for grid in mode_alphas.values() for alpha in grid})
     report = EvaluationReport()
     for site in sites:
         fold_scores = {mode: [] for mode in modes}
@@ -279,29 +294,22 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None, lambda_grid=None
         for held_idx, held in enumerate(climbs):
             train = [c for i, c in enumerate(climbs) if i != held_idx]
             train_models = fit_models(train, site)
-            held_models = fit_models([held], site)
+            train_planes = _alpha_planes(train, site, train_models, alphas, lambda_grid)
+            held_planes = _alpha_planes([held], site, fit_models([held], site),
+                                        alphas, lambda_grid)
             held_prep_train = _prepare([held], site, train_models)
             for mode in modes:
-                grid = _mode_alphas(mode)
-                if grid is None:
-                    grid = default_alpha_grid() if alpha_grid is None else alpha_grid
-                alpha, lam0, lam1, _ = optimize_alpha(train, site, train_models,
-                                                      grid, lambda_grid)
+                alpha, lam0, lam1, _ = _best_alpha(train_planes, mode_alphas[mode])
                 fold_scores[mode].append(
                     _pooled_score(held_prep_train, alpha, lam0, lam1))
-                _, _, _, c_opt = optimize_alpha([held], site, held_models,
-                                                grid, lambda_grid)
-                fold_optimal[mode].append(c_opt)
+                fold_optimal[mode].append(_best_alpha(held_planes, mode_alphas[mode])[3])
+        if refit_full:
+            full_planes = _alpha_planes(climbs, site, fit_models(climbs, site),
+                                        alphas, lambda_grid)
         for mode in modes:
+            alpha = lam0 = lam1 = float("nan")
             if refit_full:
-                full_models = fit_models(climbs, site)
-                grid = _mode_alphas(mode)
-                if grid is None:
-                    grid = default_alpha_grid() if alpha_grid is None else alpha_grid
-                alpha, lam0, lam1, _ = optimize_alpha(climbs, site, full_models,
-                                                      grid, lambda_grid)
-            else:
-                alpha = lam0 = lam1 = float("nan")
+                alpha, lam0, lam1, _ = _best_alpha(full_planes, mode_alphas[mode])
             report.entries[(site, mode)] = ModeResult(
                 score=float(np.mean(fold_scores[mode])),
                 optimal_score=float(np.mean(fold_optimal[mode])),

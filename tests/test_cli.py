@@ -120,6 +120,21 @@ class TestDetectClassifyReport:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+    def test_malformed_recording_exits_one(self, dataset, model_path, tmp_path, capsys):
+        climb = tmp_path / "climb01"
+        climb.mkdir()
+        for src in (dataset / "climb01").iterdir():
+            (climb / src.name).write_bytes(src.read_bytes())
+        rh = climb / "climb01_rh.csv"
+        lines = rh.read_text().splitlines()
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        rh.write_text("\n".join(lines) + "\n")
+        assert cli.main(["classify", "--model", str(model_path),
+                         "--climb", str(climb),
+                         "--out", str(tmp_path / "timeline.csv")]) == 1
+        assert f"error: {rh}:4: t is not finite" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_summary_written(self, dataset, tmp_path, capsys):
         out = tmp_path / "eval.json"

@@ -5,6 +5,7 @@ from climbdetect import io
 from climbdetect.classifier import ActivityTimeline, ExplorationReport, LimbCounts
 from climbdetect.cusum import (BinaryStateSeries, DetectionConfig,
                                HypothesisModel, SensorModel)
+from climbdetect.errors import ClimbDetectError
 from climbdetect.gamma_model import GammaParams
 from climbdetect.orientation import ImuRecording
 from climbdetect.series import ALL_SITES, LIMBS, AnnotationTrack, SensorSite
@@ -78,6 +79,28 @@ class TestRecordingCsv:
         with pytest.warns(UserWarning, match="gap"):
             back = io.read_recording_csv(path)
         assert back.gap_indices
+
+    @pytest.mark.parametrize("corrupt, message", [
+        # line 6 of the file is lines[5]; its gz value becomes nan
+        (lambda lines: lines[:5] + [lines[5].rsplit(",", 4)[0] + ",nan,0.0,0.0,0.0"]
+         + lines[6:], ":6: gz is not finite: 'nan'"),
+        (lambda lines: lines[:1], "no samples"),
+        (lambda lines: [lines[0].replace("gz", "gyro_z")] + lines[1:],
+         "missing column(s) gz"),
+        (lambda lines: lines[:7] + [lines[7].rsplit(",", 1)[0]] + lines[8:],
+         ":8: 9 values, the header names 10"),
+        # Python's float() reads 1_0, numpy does not: numpy's reason is kept
+        (lambda lines: lines[:3] + ["1_0" + lines[3][lines[3].index(","):]] + lines[4:],
+         "could not convert string '1_0'"),
+    ], ids=["nan", "header-only", "renamed-column", "short-row", "unparsable"])
+    def test_malformed_recording_names_file(self, tmp_path, corrupt, message):
+        path = tmp_path / "c1_rh.csv"
+        io.write_recording_csv(path, make_recording(n=20, mag=False))
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ClimbDetectError) as exc:
+            io.read_recording_csv(path)
+        assert str(exc.value).startswith(str(path))
+        assert message in str(exc.value)
 
 
 class TestAnnotationsJson:

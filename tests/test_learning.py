@@ -4,11 +4,12 @@ import pytest
 from climbdetect.cusum import BinaryStateSeries
 from climbdetect.errors import DegenerateTruth, MissingState
 from climbdetect.gamma_model import GammaParams, HypothesisModel, fit_mle
-from climbdetect.learning import (LabeledClimb, SensorChannels, cross_validate,
-                                  default_alpha_grid, default_lambda_grid,
-                                  fit_models, learn_sensor_models,
-                                  optimize_alpha, optimize_thresholds,
-                                  performance_coefficient, score_climb)
+from climbdetect.learning import (ALPHA_MODES, LabeledClimb, SensorChannels,
+                                  cross_validate, default_alpha_grid,
+                                  default_lambda_grid, fit_models,
+                                  learn_sensor_models, optimize_alpha,
+                                  optimize_thresholds, performance_coefficient,
+                                  score_climb)
 from climbdetect.series import (H0, H1, AnnotationTrack, SensorSite,
                                 SignalSeries, rasterize_track)
 from climbdetect.simulator import default_models, random_plan, simulate
@@ -204,6 +205,20 @@ class TestCrossValidation:
             assert abs(result.score - result.optimal_score) < 0.1
             for fold_score, fold_opt in zip(result.fold_scores, result.fold_optimal):
                 assert fold_opt >= fold_score - 0.02
+
+    def test_modes_share_one_sweep_with_the_full_refit(self):
+        climbs = make_climbs(3, duration=30.0, seed=80)
+        grid = default_lambda_grid(4, 0.1, 3.0)
+        alpha_grid = [0.0, 0.3, 0.6, 0.9]  # no 1.0: acc needs a plane of its own
+        report = cross_validate(climbs, alpha_grid=alpha_grid, lambda_grid=grid,
+                                sites=[SITE], refit_full=True)
+        models = fit_models(climbs, SITE)
+        for mode, alphas in (("acc", [1.0]), ("ang", [0.0]), ("fused", alpha_grid)):
+            result = report.entries[(SITE, mode)]
+            expected = optimize_alpha(climbs, SITE, models, alphas, grid)
+            assert (result.alpha, result.lambda0, result.lambda1) == expected[:3]
+        # fused settles inside its grid, so no mode can pass with another's plane
+        assert len({report.entries[(SITE, m)].alpha for m in ALPHA_MODES}) == 3
 
     def test_requires_two_climbs(self):
         with pytest.raises(ValueError):
