@@ -72,14 +72,7 @@ def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
     missing = [name for name in required if name not in header]
     if missing:
         raise MalformedRecording(f"{path}: missing column(s) {', '.join(missing)}")
-    if not any(_data_text(line) for line in lines):
-        raise EmptyRecording(f"{path}: no samples after the header")
-    try:
-        data, reason = np.loadtxt(lines, delimiter=",", ndmin=2), None
-    except ValueError as exc:  # a token numpy cannot parse, or a ragged row
-        data, reason = None, f"{path}: {exc}"
-    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
-        raise MalformedRecording(_first_bad_row(path, header, lines) or reason)
+    data = _read_rows(path, header, lines)
     cols = {name: i for i, name in enumerate(header)}
     t = data[:, cols["t"]]
     accel = data[:, [cols["ax"], cols["ay"], cols["az"]]]
@@ -108,28 +101,70 @@ def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
                         gyro=gyro, mag=mag, gap_indices=gap_indices)
 
 
+def _read_rows(path: Path, header: list[str], lines: list[str]) -> np.ndarray:
+    """The numeric rows below ``header``: `EmptyRecording` when there are none,
+    `MalformedRecording` naming ``path:line`` for a ragged or non-finite row."""
+    if not any(_data_text(line) for line in lines):
+        raise EmptyRecording(f"{path}: no samples after the header")
+    try:
+        data, reason = np.loadtxt(lines, delimiter=",", ndmin=2), None
+    except ValueError as exc:  # a token numpy cannot parse, or a ragged row
+        data, reason = None, f"{path}: {exc}"
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        numbers = [_number] * len(header)
+        for lineno, line in enumerate(lines, start=2):
+            if text := _data_text(line):
+                _row_values(path, lineno, text.split(","), header, numbers)
+        raise MalformedRecording(reason)
+    return data
+
+
 def _data_text(line: str) -> str:
     """A CSV line as ``np.loadtxt`` reads it: comment cut, whitespace stripped."""
     return line.split("#", 1)[0].strip()
 
 
-def _first_bad_row(path: Path, header: list[str], lines: list[str]) -> str | None:
-    """``path:line: reason`` for the first row that is ragged or not all finite."""
-    for lineno, line in enumerate(lines, start=2):
-        text = _data_text(line)
-        if not text:
-            continue
-        fields = text.split(",")
-        if len(fields) != len(header):
-            return f"{path}:{lineno}: {len(fields)} values, the header names {len(header)}"
-        for name, token in zip(header, fields):
-            try:
-                value = float(token)
-            except ValueError:
-                return f"{path}:{lineno}: {name} is not a number: {token.strip()!r}"
-            if not math.isfinite(value):
-                return f"{path}:{lineno}: {name} is not finite: {token.strip()!r}"
-    return None
+def _row_values(path: Path, lineno: int, fields: list[str], names, parsers,
+                expected: str = "the header names") -> list:
+    """Each field parsed by its parser, or `MalformedRecording` naming
+    ``path:line`` for a wrong field count or the first field that fails."""
+    if len(fields) != len(names):
+        raise MalformedRecording(
+            f"{path}:{lineno}: {len(fields)} values, {expected} {len(names)}")
+    values = []
+    for name, token, parse in zip(names, fields, parsers):
+        token = token.strip()
+        try:
+            values.append(parse(token))
+        except ValueError as exc:
+            raise MalformedRecording(f"{path}:{lineno}: {name} {exc}: {token!r}") from None
+    return values
+
+
+def _number(token: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError("is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError("is not finite")
+    return value
+
+
+def _integer(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("is not an integer") from None
+
+
+def _label(codes: dict[str, int]):
+    """A parser from a label to its code."""
+    def parse(token: str) -> int:
+        if token not in codes:
+            raise ValueError("is not a known label")
+        return codes[token]
+    return parse
 
 
 def write_annotations_json(path, annotations: dict[SensorSite, AnnotationTrack]) -> None:
@@ -201,24 +236,33 @@ def write_detection_csv(path, series: BinaryStateSeries) -> None:
 
 
 def read_detection_csv(path) -> BinaryStateSeries:
+    path = Path(path)
+    state = _label(_LABEL_CODES)
     times, states, change_points, onsets = [], [], [], []
-    with open(path) as fh:
-        next(fh)  # header
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                _, idx, st, onset = line.lstrip("# ").split(",")
-                change_points.append((int(idx), _LABEL_CODES[st]))
-                onsets.append(int(onset))
-            else:
-                ti, st = line.split(",")
-                times.append(float(ti))
-                states.append(_LABEL_CODES[st])
+    for lineno, fields in _text_rows(path):
+        if fields[0].startswith("#"):
+            _, idx, st, onset = _row_values(
+                path, lineno, fields, ("#", "index", "state", "onset"),
+                (str, _integer, state, _integer), expected="a change point has")
+            change_points.append((idx, st))
+            onsets.append(onset)
+        else:
+            ti, st = _row_values(path, lineno, fields, ("t", "state"), (_number, state))
+            times.append(ti)
+            states.append(st)
+    if not times:
+        raise EmptyRecording(f"{path}: no samples after the header")
     dt = times[1] - times[0] if len(times) > 1 else 1.0
     return BinaryStateSeries(t0=times[0], dt=dt, states=np.array(states, np.uint8),
                              change_points=change_points, onsets=onsets)
+
+
+def _text_rows(path: Path) -> list[tuple[int, list[str]]]:
+    """``(line number, comma-separated fields)`` of each non-blank line after the header."""
+    with open(path) as fh:
+        lines = fh.readlines()[1:]
+    return [(lineno, [token.strip() for token in line.split(",")])
+            for lineno, line in enumerate(lines, start=2) if line.strip()]
 
 
 _TIMELINE_SITES = (SensorSite.RIGHT_HAND, SensorSite.LEFT_HAND,
@@ -237,20 +281,20 @@ def write_timeline_csv(path, timeline: ActivityTimeline) -> None:
 
 
 def read_timeline_csv(path) -> ActivityTimeline:
-    fb_codes = {s.name.lower(): int(s) for s in FullBodyState}
-    sub_codes = {s.name.lower(): int(s) for s in LimbSubState}
+    path = Path(path)
+    names = ["t", "full_body", *(site.value for site in _TIMELINE_SITES)]
+    parsers = [_number, _label({s.name.lower(): int(s) for s in FullBodyState})]
+    parsers += [_label({s.name.lower(): int(s) for s in LimbSubState})] * len(_TIMELINE_SITES)
     times, full_body = [], []
     tracks: dict[SensorSite, list[int]] = {s: [] for s in _TIMELINE_SITES}
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 6:
-                continue
-            times.append(float(parts[0]))
-            full_body.append(fb_codes[parts[1]])
-            for site, token in zip(_TIMELINE_SITES, parts[2:]):
-                tracks[site].append(sub_codes[token])
+    for lineno, fields in _text_rows(path):
+        ti, fb, *limbs = _row_values(path, lineno, fields, names, parsers)
+        times.append(ti)
+        full_body.append(fb)
+        for site, code in zip(_TIMELINE_SITES, limbs):
+            tracks[site].append(code)
+    if not times:
+        raise EmptyRecording(f"{path}: no samples after the header")
     dt = times[1] - times[0] if len(times) > 1 else 1.0
     return ActivityTimeline(
         t0=times[0], dt=dt, full_body=np.array(full_body, np.uint8),
@@ -271,9 +315,11 @@ def write_report_json(path, report: ExplorationReport, config: dict | None = Non
 
 
 def read_trajectory_csv(path) -> TrajectorySeries:
+    path = Path(path)
     with open(path) as fh:
-        next(fh)  # header t,x,y
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        header = fh.readline().strip().split(",")  # t,x,y
+        lines = fh.readlines()
+    data = _read_rows(path, header, lines)
     t = data[:, 0]
     dt = float(np.median(np.diff(t))) if len(t) > 1 else 1.0
     return TrajectorySeries(t0=float(t[0]), dt=dt, x=data[:, 1], y=data[:, 2])

@@ -3,7 +3,9 @@
 Per-sensor Gamma hypothesis models are fitted on the concatenated annotated
 signals; detection thresholds and the fusion weight are then grid-searched
 against the performance coefficient c = TP/P - FP/N (twice the ROC distance
-to the chance diagonal).
+to the chance diagonal). Calibration scores every (alpha, lambda0, lambda1)
+cell of a site in one vectorised CUSUM sweep per climb; the per-cell
+detector and relabelling in `_pooled_score` score single cells only.
 """
 
 from __future__ import annotations
@@ -163,6 +165,75 @@ def _pooled_score(prep: list[_SitePrep], alpha: float,
     return tp / p - fp / n
 
 
+def _sweep(prep: list[_SitePrep], alphas, lambda_grid: np.ndarray) -> np.ndarray:
+    """c of every (alpha, lambda1, lambda0) cell, as an array indexed in that order.
+
+    Equals `_pooled_score` at every cell. Each climb is walked once, and the
+    CUSUM of every cell advances with it, one vector element per cell, under
+    the rule of `cusum._run_cusum`. A cell holds its sum negated while in H1,
+    so that both states fire when the sum exceeds its running minimum by the
+    state's threshold; negation is exact, so every comparison is the per-cell
+    detector's. After relabelling, the H1 segments are [o1, o2), [o3, o4), ...
+    for the onsets o1 <= o2 <= ..., so each detection adds +-(truth prefix sum
+    at its onset) to TP and +-onset to the predicted H1 length, and a cell
+    still in H1 at the end of the climb closes its segment there.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    size = len(lambda_grid)
+    rows = (len(alphas), size * size)
+    cells = len(alphas) * size * size
+    lam1_cells = np.tile(np.repeat(lambda_grid, size), len(alphas))
+    lam0_cells = np.tile(lambda_grid, size * len(alphas))
+    # counts summed over climbs, exact in float64 below 2**53
+    tp = np.zeros(cells)
+    predicted_h1 = np.zeros(cells)
+    p = n = 0
+    for item in prep:
+        # row i holds alpha * l_acc[i] + (1 - alpha) * l_ang[i] for every alpha,
+        # the same operations as `_pooled_score`, so every sum is bit-identical
+        inc = alphas * item.l_acc[:, None] + (1.0 - alphas) * item.l_ang[:, None]
+        truth_sum = np.concatenate(([0], np.cumsum(item.truth.astype(bool))))
+        total = len(item.truth)
+        sign = np.ones(cells)  # +1 in H0, -1 in H1
+        lam, lam_other = lam1_cells.copy(), lam0_cells.copy()
+        s = np.zeros(cells)
+        s_min = np.zeros(cells)
+        i_min = np.zeros(cells, np.int64)
+        s_rows, sign_rows = s.reshape(rows), sign.reshape(rows)
+        for i in range(1, total):
+            s_rows += sign_rows * inc[i][:, None]
+            fired = np.flatnonzero(s > s_min + lam)
+            if fired.size:
+                onset = i_min[fired]
+                before = sign[fired]
+                tp[fired] -= before * truth_sum[onset]
+                predicted_h1[fired] -= before * onset
+                sign[fired] = -before
+                lam[fired], lam_other[fired] = lam_other[fired], lam[fired]
+                s[fired] = 0.0
+                s_min[fired] = 0.0
+                i_min[fired] = i
+            lower = s < s_min
+            np.copyto(s_min, s, where=lower)
+            np.copyto(i_min, i, where=lower)
+        in_h1 = sign < 0
+        tp[in_h1] += truth_sum[total]
+        predicted_h1[in_h1] += total
+        p += int(truth_sum[total])
+        n += total - int(truth_sum[total])
+    if p == 0 or n == 0:
+        raise DegenerateTruth("truth must contain both states")
+    return (tp / p - (predicted_h1 - tp) / n).reshape(len(alphas), size, size)
+
+
+def _best_cell(plane: np.ndarray, lambda_grid: np.ndarray) -> tuple[float, float, float]:
+    """(lambda0, lambda1, c) of the last maximum in lambda1-outer, lambda0-inner order."""
+    flat = plane.ravel()
+    k = flat.size - 1 - int(np.argmax(flat[::-1]))
+    lam1_index, lam0_index = divmod(k, len(lambda_grid))
+    return float(lambda_grid[lam0_index]), float(lambda_grid[lam1_index]), float(flat[k])
+
+
 def optimize_thresholds(climbs: list[LabeledClimb], site: SensorSite,
                         models: tuple[HypothesisModel, HypothesisModel],
                         alpha: float, lambda_grid=None,
@@ -171,19 +242,7 @@ def optimize_thresholds(climbs: list[LabeledClimb], site: SensorSite,
 
     Ties prefer the larger lambda1, then the larger lambda0 (fewer alarms).
     """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.size == 0:
-        raise ValueError("empty threshold grid")
-    prep = _prepare(climbs, site, models)
-    best = (-np.inf, np.nan, np.nan)
-    for lam1 in lambda_grid:
-        for lam0 in lambda_grid:
-            c = _pooled_score(prep, alpha, float(lam0), float(lam1))
-            if c >= best[0]:
-                best = (c, float(lam0), float(lam1))
-    return best[1], best[2], best[0]
+    return _alpha_planes(climbs, site, models, [alpha], lambda_grid)[alpha]
 
 
 def _mode_alphas(mode: str, alpha_grid) -> list[float]:
@@ -198,9 +257,14 @@ def _mode_alphas(mode: str, alpha_grid) -> list[float]:
 def _alpha_planes(climbs: list[LabeledClimb], site: SensorSite,
                   models: tuple[HypothesisModel, HypothesisModel], alphas,
                   lambda_grid) -> dict[float, tuple[float, float, float]]:
-    """The best (lambda0, lambda1, c) of each alpha's threshold plane."""
-    return {alpha: optimize_thresholds(climbs, site, models, alpha, lambda_grid)
-            for alpha in alphas}
+    """The best (lambda0, lambda1, c) of each alpha's threshold plane, from one sweep."""
+    if lambda_grid is None:
+        lambda_grid = default_lambda_grid()
+    lambda_grid = np.asarray(lambda_grid, dtype=float)
+    if lambda_grid.size == 0:
+        raise ValueError("empty threshold grid")
+    planes = _sweep(_prepare(climbs, site, models), alphas, lambda_grid)
+    return {alpha: _best_cell(plane, lambda_grid) for alpha, plane in zip(alphas, planes)}
 
 
 def _best_alpha(planes: dict[float, tuple[float, float, float]], alphas,

@@ -134,6 +134,19 @@ class TestDetectClassifyReport:
                          "--out", str(tmp_path / "timeline.csv")]) == 1
         assert f"error: {rh}:4: t is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keep, message", [
+        (1, ": no samples after the header"),
+        (4, ":4: 5 values, the header names 6"),
+    ], ids=["header-only", "short-row"])
+    def test_malformed_timeline_exits_one(self, tmp_path, capsys, keep, message):
+        timeline = tmp_path / "timeline.csv"
+        lines = ["t,full_body,rh,lh,rf,lf"] + [
+            f"{0.02 * i!r},immobility,immobility,immobility,immobility,immobility" for i in range(4)]
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        timeline.write_text("\n".join(lines[:keep]) + "\n")
+        assert cli.main(["report", str(timeline)]) == 1
+        assert f"error: {timeline}{message}" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_summary_written(self, dataset, tmp_path, capsys):
@@ -195,6 +208,19 @@ class TestSync:
         assert reported == pytest.approx(delay, abs=0.1)
         shifted = io.read_annotations_json(out_path)[SensorSite.PELVIS]
         assert shifted.intervals[1][0] == pytest.approx(10.0, abs=0.1)
+
+    @pytest.mark.parametrize("keep, message", [
+        (1, ": no samples after the header"),
+        (None, ":3: x is not finite: 'nan'"),
+    ], ids=["header-only", "nan"])
+    def test_malformed_trajectory_exits_one(self, tmp_path, capsys, keep, message):
+        rec_path, traj_path = self.build_inputs(tmp_path, 0.0)
+        lines = traj_path.read_text().splitlines()
+        lines[2] = "0.04,nan,0"
+        traj_path.write_text("\n".join(lines[:keep]) + "\n")
+        assert cli.main(["sync", "--trajectory", str(traj_path),
+                         "--recording", str(rec_path), "--max-lag", "5"]) == 1
+        assert f"error: {traj_path}{message}" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

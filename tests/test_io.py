@@ -5,7 +5,7 @@ from climbdetect import io
 from climbdetect.classifier import ActivityTimeline, ExplorationReport, LimbCounts
 from climbdetect.cusum import (BinaryStateSeries, DetectionConfig,
                                HypothesisModel, SensorModel)
-from climbdetect.errors import ClimbDetectError
+from climbdetect.errors import ClimbDetectError, EmptyRecording, MalformedRecording
 from climbdetect.gamma_model import GammaParams
 from climbdetect.orientation import ImuRecording
 from climbdetect.series import ALL_SITES, LIMBS, AnnotationTrack, SensorSite
@@ -155,6 +155,24 @@ class TestDetectionCsv:
         assert back.change_points == series.change_points
         assert back.onsets == series.onsets
 
+    @pytest.mark.parametrize("corrupt, error, message", [
+        (lambda lines: lines[:1], EmptyRecording, "no samples"),
+        (lambda lines: lines[:2] + ["0.52,mobile"] + lines[3:], MalformedRecording,
+         ":3: state is not a known label: 'mobile'"),
+        (lambda lines: lines[:-1] + ["# change_point,5,H0"], MalformedRecording,
+         ":9: 3 values, a change point has 4"),
+    ], ids=["header-only", "unknown-state", "short-change-point"])
+    def test_malformed_detection_names_file(self, tmp_path, corrupt, error, message):
+        path = tmp_path / "det.csv"
+        io.write_detection_csv(path, BinaryStateSeries(
+            t0=0.5, dt=0.01, states=np.array([0, 0, 1, 1, 1, 0], np.uint8),
+            change_points=[(2, 1), (5, 0)], onsets=[1, 4]))
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(error) as exc:
+            io.read_detection_csv(path)
+        assert str(exc.value).startswith(str(path))
+        assert message in str(exc.value)
+
 
 class TestTimelineCsv:
     def test_roundtrip(self, tmp_path):
@@ -172,6 +190,27 @@ class TestTimelineCsv:
         for site in LIMBS:
             np.testing.assert_array_equal(back.limb_substates[site],
                                           timeline.limb_substates[site])
+
+    @pytest.mark.parametrize("corrupt, error, message", [
+        (lambda lines: lines[:1], EmptyRecording, "no samples"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+         MalformedRecording, ":4: 5 values, the header names 6"),
+        (lambda lines: lines[:2] + ["0.02,climbing" + lines[2][lines[2].index(",", 5):]]
+         + lines[3:], MalformedRecording, ":3: full_body is not a known label: 'climbing'"),
+        (lambda lines: lines[:4] + ["x" + lines[4]] + lines[5:], MalformedRecording,
+         ":5: t is not a number: 'x0.06'"),
+    ], ids=["header-only", "short-row", "unknown-state", "unparsable-time"])
+    def test_malformed_timeline_names_file(self, tmp_path, corrupt, error, message):
+        timeline = ActivityTimeline(
+            t0=0.0, dt=0.02, full_body=np.zeros(6, np.uint8),
+            limb_substates={site: np.zeros(6, np.uint8) for site in LIMBS})
+        path = tmp_path / "timeline.csv"
+        io.write_timeline_csv(path, timeline)
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(error) as exc:
+            io.read_timeline_csv(path)
+        assert str(exc.value).startswith(str(path))
+        assert message in str(exc.value)
 
 
 class TestReportJson:
@@ -202,3 +241,22 @@ class TestTrajectoryCsv:
         assert back.dt == pytest.approx(0.04)
         np.testing.assert_allclose(back.x, traj.x)
         np.testing.assert_allclose(back.y, traj.y)
+
+    @pytest.mark.parametrize("corrupt, error, message", [
+        (lambda lines: lines[:1], EmptyRecording, "no samples"),
+        (lambda lines: lines[:2] + ["0.04,nan,0.0"] + lines[3:], MalformedRecording,
+         ":3: x is not finite: 'nan'"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+         MalformedRecording, ":4: 2 values, the header names 3"),
+        (lambda lines: lines[:4] + ["0.12,0.5,zero"] + lines[5:], MalformedRecording,
+         ":5: y is not a number: 'zero'"),
+    ], ids=["header-only", "nan", "short-row", "unparsable"])
+    def test_malformed_trajectory_names_file(self, tmp_path, corrupt, error, message):
+        path = tmp_path / "traj.csv"
+        io.write_trajectory_csv(path, TrajectorySeries(
+            t0=0.0, dt=0.04, x=np.linspace(0, 1, 8), y=np.zeros(8)))
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(error) as exc:
+            io.read_trajectory_csv(path)
+        assert str(exc.value).startswith(str(path))
+        assert message in str(exc.value)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from climbdetect.cusum import BinaryStateSeries
 from climbdetect.errors import DegenerateTruth, MissingState
 from climbdetect.gamma_model import GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import (ALPHA_MODES, LabeledClimb, SensorChannels,
+                                  _alpha_planes, _best_cell, _pooled_score,
+                                  _prepare, _SitePrep, _sweep,
                                   cross_validate, default_alpha_grid,
                                   default_lambda_grid, fit_models,
                                   learn_sensor_models, optimize_alpha,
@@ -132,7 +136,6 @@ class TestOptimization:
         lam0, lam1, c = optimize_thresholds(self.climbs, SITE, self.models,
                                             alpha=0.5, lambda_grid=grid)
         # exhaustive re-evaluation of every cell, independent of the search order
-        from climbdetect.learning import _pooled_score, _prepare
         prep = _prepare(self.climbs, SITE, self.models)
         all_cells = [_pooled_score(prep, 0.5, float(g0), float(g1))
                      for g1 in grid for g0 in grid]
@@ -181,6 +184,75 @@ class TestOptimization:
                                         alpha_grid=default_alpha_grid(),
                                         lambda_grid=default_lambda_grid(8, 1, 200))
         assert alpha <= 0.2
+
+
+def exact_prep(increments, truth):
+    """One climb whose increments are exact binary fractions at alpha 0, 0.5 and 1."""
+    inc = np.asarray(increments, dtype=float)
+    return _SitePrep(l_acc=inc, l_ang=inc, truth=np.asarray(truth, np.uint8))
+
+
+class TestSweep:
+    """The one-pass sweep against `_pooled_score`, the per-cell detector."""
+
+    def assert_matches_oracle(self, prep, alphas, grid):
+        grid = np.asarray(grid, dtype=float)
+        planes = _sweep(prep, alphas, grid)
+        assert planes.shape == (len(alphas), len(grid), len(grid))
+        for alpha, plane in zip(alphas, planes):
+            for lam1, row in zip(grid, plane):
+                for lam0, c in zip(grid, row):
+                    assert c == _pooled_score(prep, alpha, float(lam0), float(lam1)), \
+                        (alpha, lam0, lam1)
+        return planes
+
+    def test_unequal_pooled_climbs(self):
+        climbs = [simulate(random_plan(duration, np.random.default_rng(seed)),
+                           seed=seed, climb_id=f"u{seed}")
+                  for seed, duration in ((31, 20.0), (32, 13.0))]
+        prep = _prepare(climbs, SITE, fit_models(climbs, SITE))
+        assert len(prep[0].truth) != len(prep[1].truth)
+        self.assert_matches_oracle(prep, [0.0, 0.35, 1.0],
+                                   default_lambda_grid(6, 0.1, 300.0))
+
+    def test_ties_follow_the_strict_rule(self):
+        # at lambda = 2 the first climb's sum touches lambda1 (sample 2) and the
+        # second's falls to exactly lambda0 below its maximum (sample 2): under
+        # the strict rule neither fires. The third climb's running minimum is
+        # tied at samples 1-3, so its onset is sample 1, the first of the tie.
+        prep = [exact_prep([0, 1, 1, -1, -1, -1, -1, -1], [1, 1, 0, 0, 0, 0, 0, 0]),
+                exact_prep([0, 3, -2, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1]),
+                exact_prep([0, -1, 0, 0, 3, 0, -3, 0], [0, 1, 1, 1, 1, 0, 0, 0])]
+        self.assert_matches_oracle(prep, [0.0, 0.5, 1.0], [1.0, 2.0, 4.0])
+
+    def test_one_point_grid(self):
+        climbs = make_climbs(2, duration=20.0, seed=41)
+        prep = _prepare(climbs, SITE, fit_models(climbs, SITE))
+        self.assert_matches_oracle(prep, [0.3], [12.0])
+
+    def test_plateau_picks_the_last_maximum(self):
+        # increments far above the thresholds below 10 detect each change at
+        # its first sample, so all those cells score the same c
+        truth = np.repeat([0, 1, 0, 1, 0], 20)
+        prep = [exact_prep(np.where(truth == 1, 10.0, -10.0), truth)]
+        grid = np.array([1.0, 2.0, 3.0, 1000.0])
+        plane = self.assert_matches_oracle(prep, [1.0], grid)[0]
+        assert plane[:3, :3].min() == plane.max()
+        assert plane[3].max() < plane.max() and plane[:, 3].max() < plane.max()
+        assert _best_cell(plane, grid) == (3.0, 3.0, plane.max())
+
+    def test_default_grid_memory_is_per_cell(self):
+        climb = make_climbs(1, duration=60.0, seed=7)[0]
+        assert len(climb.channels[SITE].acc) == 6000
+        models = fit_models([climb], SITE)
+        tracemalloc.start()
+        try:
+            _alpha_planes([climb], SITE, models, list(default_alpha_grid()), None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (cells x samples) float64 matrix would take 4,400 * 6,000 * 8 B = 211 MB
+        assert peak < 20e6
 
 
 class TestCrossValidation:
