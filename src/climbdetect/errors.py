@@ -13,6 +13,10 @@ class MalformedRecording(ClimbDetectError):
     """A recording file lacks a column or holds a row that is not all finite numbers."""
 
 
+class MalformedAnnotations(ClimbDetectError):
+    """An annotation file is not valid JSON or holds an entry that is not a site track."""
+
+
 class InvalidParams(ClimbDetectError):
     """Gamma parameters must be positive and finite."""
 

@@ -16,7 +16,7 @@ import numpy as np
 from .classifier import ActivityTimeline, ExplorationReport, FullBodyState, LimbSubState
 from .cusum import (BinaryStateSeries, DetectionConfig, HypothesisModel,
                     SensorModel)
-from .errors import EmptyRecording, MalformedRecording
+from .errors import EmptyRecording, MalformedAnnotations, MalformedRecording
 from .gamma_model import GammaParams
 from .orientation import ImuRecording
 from .series import (ALL_SITES, LIMBS, AnnotationTrack, SensorSite,
@@ -179,14 +179,46 @@ def write_annotations_json(path, annotations: dict[SensorSite, AnnotationTrack])
 
 
 def read_annotations_json(path) -> dict[SensorSite, AnnotationTrack]:
-    doc = json.loads(Path(path).read_text())
+    """Per-site tracks; `MalformedAnnotations` naming the file for invalid JSON
+    or an entry that `_annotation_track` rejects."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
+        raise MalformedAnnotations(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, list):
+        raise MalformedAnnotations(f"{path}: expected a list of site entries")
     out = {}
-    for entry in doc:
-        site = SensorSite(entry["site"])
-        intervals = [(iv["start"], iv["end"], _LABEL_CODES[iv["label"]])
-                     for iv in entry["intervals"]]
-        out[site] = AnnotationTrack(site=site, intervals=intervals)
+    for i, entry in enumerate(doc):
+        try:
+            track = _annotation_track(entry)
+        except (TypeError, ValueError) as exc:
+            raise MalformedAnnotations(f"{path}: entry {i}: {exc}") from None
+        out[track.site] = track
     return out
+
+
+def _annotation_track(entry) -> AnnotationTrack:
+    """One site's track from its JSON entry. A ValueError (a TypeError for an
+    unhashable label) says what is wrong: a missing key, an unknown site or
+    label, a start or end that is not a finite number, or intervals that
+    `AnnotationTrack` refuses."""
+    if not isinstance(entry, dict) or not {"site", "intervals"} <= entry.keys():
+        raise ValueError("needs the keys 'site' and 'intervals'")
+    site = SensorSite(entry["site"])
+    intervals = []
+    for iv in entry["intervals"]:
+        if not isinstance(iv, dict) or not {"start", "end", "label"} <= iv.keys():
+            raise ValueError("an interval needs the keys 'start', 'end' and 'label'")
+        if iv["label"] not in _LABEL_CODES:
+            raise ValueError(f"unknown label {iv['label']!r}")
+        for key in ("start", "end"):
+            value = iv[key]
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{key} is not a finite number: {value!r}")
+        intervals.append((iv["start"], iv["end"], _LABEL_CODES[iv["label"]]))
+    return AnnotationTrack(site=site, intervals=intervals)
 
 
 def _params_dict(p: GammaParams) -> dict:

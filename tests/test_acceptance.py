@@ -20,13 +20,13 @@ from climbdetect.gamma_model import (GammaParams, HypothesisModel,
                                      shape_from_log_gap)
 from climbdetect.learning import performance_coefficient
 from climbdetect.orientation import (ImuRecording, filter_update,
-                                     linear_acceleration, quat_distance,
-                                     quat_from_axis_angle, quat_multiply)
+                                     linear_acceleration)
 from climbdetect.series import (ALL_SITES, H0, H1, AnnotationTrack,
                                 SensorSite, SignalSeries)
 from climbdetect.simulator import MAG_FIELD, default_models, random_plan, simulate
 from climbdetect.sync import estimate_delay
 from climbdetect.learning import cross_validate, default_lambda_grid
+from quaternions import quat_distance, quat_from_axis_angle, quat_multiply
 
 
 def check(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -74,6 +74,20 @@ class TestFit:
                          "--out", str(tmp_path / "m.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_annotation_label_exits_one(self, dataset, tmp_path, capsys):
+        climb = tmp_path / "climbs" / "climb01"
+        climb.mkdir(parents=True)
+        for src in (dataset / "climb01").iterdir():
+            (climb / src.name).write_bytes(src.read_bytes())
+        ann = climb / "climb01_annotations.json"
+        doc = json.loads(ann.read_text())
+        doc[0]["intervals"][0]["label"] = "moving"
+        ann.write_text(json.dumps(doc))
+        assert cli.main(["fit", "--climbs", str(tmp_path / "climbs"),
+                         "--out", str(tmp_path / "m.json")]) == 1
+        assert (f"error: {ann}: entry 0: unknown label 'moving'"
+                in capsys.readouterr().err)
+
     def test_env_var_default(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setenv("CLIMBDETECT_DATA_DIR", str(dataset))
         out = tmp_path / "model.json"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from climbdetect import io
 from climbdetect.classifier import ActivityTimeline, ExplorationReport, LimbCounts
 from climbdetect.cusum import (BinaryStateSeries, DetectionConfig,
                                HypothesisModel, SensorModel)
-from climbdetect.errors import ClimbDetectError, EmptyRecording, MalformedRecording
+from climbdetect.errors import (ClimbDetectError, EmptyRecording, MalformedAnnotations,
+                               MalformedRecording)
 from climbdetect.gamma_model import GammaParams
 from climbdetect.orientation import ImuRecording
 from climbdetect.series import ALL_SITES, LIMBS, AnnotationTrack, SensorSite
@@ -116,6 +119,50 @@ class TestAnnotationsJson:
         assert set(back) == set(ALL_SITES)
         for site in ALL_SITES:
             assert back[site].intervals == annotations[site].intervals
+
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc[1]["intervals"][0].update(label="moving"),
+         "entry 1: unknown label 'moving'"),
+        (lambda doc: doc[0].update(site="head"), "entry 0: 'head' is not a valid SensorSite"),
+        (lambda doc: doc[2]["intervals"][1].pop("end"),
+         "entry 2: an interval needs the keys 'start', 'end' and 'label'"),
+        (lambda doc: doc[3].pop("intervals"),
+         "entry 3: needs the keys 'site' and 'intervals'"),
+        (lambda doc: doc[0]["intervals"][2].update(start="7.25"),
+         "entry 0: start is not a finite number: '7.25'"),
+        (lambda doc: doc[4]["intervals"][0].update(end=float("nan")),
+         "entry 4: end is not a finite number: nan"),
+        (lambda doc: doc[0]["intervals"][0].update(label=["H0"]),
+         "entry 0: unhashable type"),
+        (lambda doc: doc[1]["intervals"][1].update(end=1.0),
+         "entry 1: interval ends before it starts"),
+    ], ids=["unknown-label", "unknown-site", "missing-end", "missing-intervals",
+            "string-start", "nan-end", "list-label", "end-before-start"])
+    def test_malformed_annotations_name_file(self, tmp_path, corrupt, message):
+        path = tmp_path / "c1_annotations.json"
+        io.write_annotations_json(path, {
+            site: AnnotationTrack(site=site, intervals=[(0.0, 2.5, 0), (2.5, 7.25, 1),
+                                                        (7.25, 10.0, 0)])
+            for site in ALL_SITES})
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedAnnotations) as exc:
+            io.read_annotations_json(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ('[{"site": "rh", "intervals": [', "not valid JSON"),
+        ('{"site": "rh", "intervals": []}', "expected a list of site entries"),
+    ], ids=["truncated", "not-a-list"])
+    def test_annotations_document_names_file(self, tmp_path, text, message):
+        path = tmp_path / "c1_annotations.json"
+        path.write_text(text)
+        with pytest.raises(ClimbDetectError, match=message) as exc:
+            io.read_annotations_json(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 class TestModelJson:

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from climbdetect.errors import EmptyRecording
+from climbdetect.errors import EmptyRecording, MalformedRecording
 from climbdetect.orientation import (GRAVITY, ImuRecording,
                                      angular_velocity_norm, earth_acceleration,
                                      estimate_orientation, filter_update,
-                                     initial_orientation, linear_acceleration,
-                                     quat_distance, quat_from_axis_angle,
-                                     quat_rotate)
+                                     initial_orientation, linear_acceleration)
 from climbdetect.series import SensorSite
+from climbdetect.simulator import random_plan, simulate
+from quaternions import filter_update as product_form_update
+from quaternions import quat_distance, quat_from_axis_angle, quat_rotate
 
 MAG_EARTH = np.array([0.5, 0.0, -np.sqrt(3.0) / 2.0])
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -63,6 +66,79 @@ class TestFilterUpdate:
             filter_update(IDENTITY, [0, 0, GRAVITY], [0, 0, 0], None, dt=0.0, beta=0.1)
         with pytest.raises(ValueError):
             filter_update(IDENTITY, [0, 0, GRAVITY], [0, 0, 0], None, dt=0.01, beta=-1.0)
+
+
+def _vectors(scale):
+    return st.lists(st.floats(-scale, scale), min_size=3, max_size=3)
+
+
+class TestClosedFormStep:
+    """The closed-form step against the quaternion-product oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+               lambda v: np.linalg.norm(v) > 0.1),
+           accel=st.one_of(st.just([0.0, 0.0, 0.0]), _vectors(30.0)),
+           gyro=_vectors(20.0),
+           mag=st.one_of(st.none(), st.just([0.0, 0.0, 0.0]), _vectors(2.0)),
+           dt=st.floats(1e-4, 0.5),
+           beta=st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    def test_matches_product_form(self, q, accel, gyro, mag, dt, beta):
+        q = np.array(q) / np.linalg.norm(q)
+        got = filter_update(q, accel, gyro, mag, dt, beta)
+        want = product_form_update(q, accel, gyro, mag, dt, beta)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_simulated_climb_matches_product_form_loop(self):
+        plan = random_plan(60.0, np.random.default_rng(3))
+        rec = simulate(plan, seed=3, triaxial=True).recordings[SensorSite.PELVIS]
+        quats = estimate_orientation(rec, beta=0.1, convergence_window=0.0)
+        want = np.empty_like(quats)
+        want[0] = initial_orientation(rec.accel[0], rec.mag[0])
+        for i in range(1, len(rec)):
+            want[i] = product_form_update(want[i - 1], rec.accel[i], rec.gyro[i],
+                                          rec.mag[i], rec.t[i] - rec.t[i - 1], 0.1)
+        assert len(rec) == 6000
+        assert np.max(np.abs(quats - want)) <= 1e-13
+
+    @pytest.mark.parametrize("mag", [True, False], ids=["marg", "imu-only"])
+    def test_estimate_equals_chained_updates_across_blocks(self, mag):
+        rng = np.random.default_rng(17)
+        n = 2500
+        rec = ImuRecording(site=SensorSite.LEFT_FOOT, sample_rate=100.0,
+                           t=np.cumsum(rng.uniform(0.005, 0.015, n)),
+                           accel=rng.normal([0.0, 0.0, GRAVITY], 2.0, (n, 3)),
+                           gyro=rng.normal(0.0, 1.0, (n, 3)),
+                           mag=rng.normal(MAG_EARTH, 0.1, (n, 3)) if mag else None)
+        quats = estimate_orientation(rec, beta=0.2, convergence_window=0.0)
+        q = initial_orientation(rec.accel[0], rec.mag[0] if mag else None)
+        assert np.array_equal(quats[0], q)
+        for i in range(1, n):
+            q = filter_update(q, rec.accel[i], rec.gyro[i], rec.mag[i] if mag else None,
+                              rec.t[i] - rec.t[i - 1], 0.2)
+            assert np.array_equal(quats[i], q), i
+
+
+class TestRecordingValidation:
+    @pytest.mark.parametrize("name, change, message", [
+        ("accel", lambda v: v[:, :2], "accel is shaped (5, 2), not (5, 3)"),
+        ("gyro", lambda v: v[:4], "gyro is shaped (4, 3), not (5, 3)"),
+        ("mag", lambda v: v.ravel(), "mag is shaped (15,), not (5, 3)"),
+        ("accel", lambda v: np.where(np.arange(15).reshape(5, 3) == 7, np.nan, v),
+         "accel holds a non-finite value"),
+        ("gyro", lambda v: np.where(np.arange(15).reshape(5, 3) == 0, np.inf, v),
+         "gyro holds a non-finite value"),
+        ("mag", lambda v: np.where(np.arange(15).reshape(5, 3) == 14, -np.inf, v),
+         "mag holds a non-finite value"),
+    ], ids=["accel-columns", "gyro-rows", "mag-flat", "accel-nan", "gyro-inf", "mag-inf"])
+    def test_malformed_stream_names_site(self, name, change, message):
+        streams = {"accel": np.tile([0.0, 0.0, GRAVITY], (5, 1)),
+                   "gyro": np.zeros((5, 3)), "mag": np.tile(MAG_EARTH, (5, 1))}
+        streams[name] = change(streams[name])
+        with pytest.raises(MalformedRecording, match=r"^rf: ") as exc:
+            ImuRecording(site=SensorSite.RIGHT_FOOT, sample_rate=100.0,
+                         t=np.arange(5) / 100.0, **streams)
+        assert message in str(exc.value)
 
 
 class TestOrientationEstimation:
