@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
 
 from .errors import DegenerateSample, InvalidParams, TooFewSamples
 
@@ -35,16 +34,6 @@ class GammaParams:
         if self.k <= 0 or self.theta <= 0:
             raise InvalidParams(f"parameters must be positive, got k={self.k}, theta={self.theta}")
 
-    @classmethod
-    def exponential(cls, rate: float) -> "GammaParams":
-        """Exponential(rate) as the k = 1 special case."""
-        return cls(1.0, 1.0 / rate)
-
-    @classmethod
-    def chi_square_3(cls) -> "GammaParams":
-        """Chi-square with 3 degrees of freedom (squared norm of a Gaussian triple)."""
-        return cls(1.5, 2.0)
-
     @property
     def mean(self) -> float:
         return self.k * self.theta
@@ -64,7 +53,7 @@ def log_pdf(x, p: GammaParams):
         raise InvalidParams(f"k={p.k}, theta={p.theta}")
     xf = np.maximum(np.asarray(x, dtype=float), SAMPLE_FLOOR)
     out = (p.k - 1.0) * np.log(xf) - xf / p.theta \
-        - special.gammaln(p.k) - p.k * math.log(p.theta)
+        - math.lgamma(p.k) - p.k * math.log(p.theta)
     if np.isscalar(x) or getattr(x, "ndim", 0) == 0:
         return float(out)
     return out
@@ -92,21 +81,6 @@ def fit_mle(samples) -> GammaParams:
     return GammaParams(k, mean / k)
 
 
-def fit_mle_exact(samples) -> GammaParams:
-    """Iterative MLE solving log(k) - digamma(k) = s; test oracle for fit_mle."""
-    from scipy.optimize import brentq
-
-    x = np.maximum(np.asarray(samples, dtype=float), SAMPLE_FLOOR)
-    if len(x) < MIN_FIT_SAMPLES:
-        raise TooFewSamples(f"need at least {MIN_FIT_SAMPLES} samples, got {x.size}")
-    mean = float(np.mean(x))
-    s = math.log(mean) - float(np.mean(np.log(x)))
-    if s <= 1e-12:
-        raise DegenerateSample("samples have no spread (constant data)")
-    k = brentq(lambda kk: math.log(kk) - special.digamma(kk) - s, 1e-6, 1e6)
-    return GammaParams(k, mean / k)
-
-
 def chi_square_gof(samples, p: GammaParams, bins: int = 20) -> float:
     """p-value of a Pearson chi-square goodness-of-fit test against ``p``.
 
@@ -114,6 +88,8 @@ def chi_square_gof(samples, p: GammaParams, bins: int = 20) -> float:
     reduced so every bin expects at least 5 counts. Degrees of freedom are
     bins - 1 - 2, accounting for the two fitted parameters.
     """
+    from scipy import stats  # here: it loads slower than most commands run
+
     x = np.maximum(np.asarray(samples, dtype=float), SAMPLE_FLOOR)
     n = len(x)
     n_bins = min(int(bins), n // 5)

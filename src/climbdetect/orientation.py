@@ -7,7 +7,9 @@ are (w, x, y, z) and rotate sensor-frame vectors into the Earth frame
 
 A filter step is written in closed form on Python floats (Madgwick 2010):
 the gyro derivative term by term, the gravity and field residuals and their
-gradients from the rotation's Jacobian, so a step builds no arrays.
+gradients from the rotation's Jacobian, so a step builds no arrays. The
+initial attitude (Markley's quaternion from a rotation matrix) and the
+rotation of the accelerations into the Earth frame are closed-form too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import EmptyRecording, MalformedRecording
 from .series import SensorSite, SignalSeries
@@ -37,8 +38,9 @@ class ImuRecording:
     Units: accel m/s^2, gyro rad/s, mag unitless direction. ``mag`` may be
     None (IMU-only mode): heading is then unconstrained but gravity removal
     is unaffected. ``gap_indices`` flags samples preceded by a gap longer
-    than two nominal periods. Streams not shaped (len(t), 3) or holding a
-    non-finite value raise `MalformedRecording` naming the site.
+    than two nominal periods. A non-finite timestamp, or a stream not shaped
+    (len(t), 3) or holding a non-finite value, raises `MalformedRecording`
+    naming the site.
     """
 
     site: SensorSite
@@ -53,6 +55,8 @@ class ImuRecording:
         self.t = np.asarray(self.t, dtype=float)
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        if not np.isfinite(self.t).all():
+            raise MalformedRecording(f"{self.site.value}: t holds a non-finite value")
         if len(self.t) and np.any(np.diff(self.t) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         for name in ("accel", "gyro", "mag"):
@@ -168,9 +172,31 @@ def initial_orientation(accel, mag=None) -> np.ndarray:
         horiz = ref - (ref @ up) * up
         north = horiz / np.linalg.norm(horiz)
     west = np.cross(up, north)
-    r = np.vstack([north, west, up])  # rows: Earth axes in sensor coordinates
-    xyzw = Rotation.from_matrix(r).as_quat()
-    return np.array([xyzw[3], xyzw[0], xyzw[1], xyzw[2]])
+    # Rows: Earth axes in sensor coordinates.
+    return _quat_from_matrix(np.vstack([north, west, up]).tolist())
+
+
+def _quat_from_matrix(r) -> np.ndarray:
+    """Unit (w, x, y, z) of a rotation matrix given as nested lists.
+
+    Markley's method: the branch is the largest of the three diagonal
+    entries and the trace (the first, on a tie), which keeps the pivot
+    component of the quaternion away from zero.
+    """
+    trace = r[0][0] + r[1][1] + r[2][2]
+    choice = int(np.argmax([r[0][0], r[1][1], r[2][2], trace]))
+    if choice == 3:
+        xyzw = [r[2][1] - r[1][2], r[0][2] - r[2][0], r[1][0] - r[0][1], 1.0 + trace]
+    else:
+        i, j, k = choice, (choice + 1) % 3, (choice + 2) % 3
+        xyzw = [0.0] * 4
+        xyzw[i] = 1.0 - trace + 2.0 * r[i][i]
+        xyzw[j] = r[j][i] + r[i][j]
+        xyzw[k] = r[k][i] + r[i][k]
+        xyzw[3] = r[k][j] - r[j][k]
+    x, y, z, w = xyzw
+    n = math.sqrt(x * x + y * y + z * z + w * w)
+    return np.array([w / n, x / n, y / n, z / n])
 
 
 def estimate_orientation(recording: ImuRecording, beta: float = DEFAULT_BETA,
@@ -207,10 +233,28 @@ def earth_acceleration(recording: ImuRecording, beta: float = DEFAULT_BETA,
                        convergence_window: float = DEFAULT_CONVERGENCE_WINDOW) -> np.ndarray:
     """Gravity-free acceleration components (n, 3) in the Earth frame."""
     quats = estimate_orientation(recording, beta, convergence_window)
-    rot = Rotation.from_quat(quats[:, [1, 2, 3, 0]])
-    a_earth = rot.apply(recording.accel)
+    a_earth = _rotate(quats, recording.accel)
     a_earth[:, 2] -= GRAVITY
     return a_earth
+
+
+def _rotate(quats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotate each row of ``v`` (n, 3) by the normalised quaternion of its row.
+
+    The rotation matrix of q, (w² + x² − y² − z², 2(xy − wz), …), applied
+    column by column; quaternions of any nonzero norm are normalised first.
+    """
+    w, x, y, z = quats.T
+    n = np.sqrt(x * x + y * y + z * z + w * w)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    vx, vy, vz = v.T
+    out = np.empty_like(v)
+    out[:, 0] = (x2 - y2 - z2 + w2) * vx + 2 * (xy - zw) * vy + 2 * (xz + yw) * vz
+    out[:, 1] = 2 * (xy + zw) * vx + (-x2 + y2 - z2 + w2) * vy + 2 * (yz - xw) * vz
+    out[:, 2] = 2 * (xz - yw) * vx + 2 * (yz + xw) * vy + (-x2 - y2 + z2 + w2) * vz
+    return out
 
 
 def linear_acceleration(recording: ImuRecording, beta: float = DEFAULT_BETA,

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 from .errors import InsufficientOverlap, TooFewSamples
 from .series import AnnotationTrack, SignalSeries
@@ -54,6 +53,8 @@ def trajectory_to_acceleration(traj: TrajectorySeries,
     under double differentiation) and then differentiated with second-order
     central differences; endpoints use one-sided second differences.
     """
+    from scipy.ndimage import uniform_filter1d  # here, so other commands start without scipy
+
     if len(traj) < 5:
         raise TooFewSamples(f"need at least 5 trajectory samples, got {len(traj)}")
     x, y = traj.x, traj.y

@@ -1,9 +1,14 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import climbdetect
 from climbdetect import cli, io
 from climbdetect.orientation import ImuRecording
 from climbdetect.series import ALL_SITES, AnnotationTrack, SensorSite
@@ -241,3 +246,54 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
+_COLD_RUN = f"""
+import sys
+from climbdetect import cli
+code = cli.main(sys.argv[1:])
+print({_SCIPY_MODULES})
+sys.exit(code)
+"""
+
+
+def _fresh_interpreter(*args) -> str:
+    """Last stdout line of ``python args`` run on this checkout's package."""
+    src = Path(climbdetect.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+class TestColdStart:
+    """The CLI starts and runs its pipeline commands on numpy alone; scipy
+    is loaded only by ``sync`` and ``chi_square_gof``."""
+
+    def test_import_loads_no_scipy(self):
+        assert _fresh_interpreter(
+            "-c", f"import sys, climbdetect.cli; print({_SCIPY_MODULES})") == "[]"
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "detect", "classify",
+                                         "report", "evaluate"])
+    def test_command_loads_no_scipy(self, command, dataset, model_path, tmp_path):
+        climb = str(dataset / "climb01")
+        timeline = tmp_path / "timeline.csv"
+        argv = {
+            "simulate": ["--out", str(tmp_path / "sim"), "--climbs", "1",
+                         "--duration", "5", "--rate", "50"],
+            "fit": ["--climbs", str(dataset), "--out", str(tmp_path / "model.json"),
+                    "--grid-points", "2", "--alpha-step", "1.0"],
+            "detect": ["--model", str(model_path), "--climb", climb,
+                       "--out", str(tmp_path / "det")],
+            "classify": ["--model", str(model_path), "--climb", climb,
+                         "--out", str(timeline)],
+            "report": [str(timeline)],
+            "evaluate": ["--climbs", str(dataset), "--out", str(tmp_path / "eval.json"),
+                         "--grid-points", "2", "--alpha-step", "1.0"],
+        }[command]
+        if command == "report":
+            assert cli.main(["classify", "--model", str(model_path), "--climb", climb,
+                             "--out", str(timeline)]) == 0
+        assert _fresh_interpreter("-c", _COLD_RUN, command, *argv) == "[]"

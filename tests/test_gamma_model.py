@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 from climbdetect.errors import (DegenerateSample, InvalidParams, TooFewSamples)
 from climbdetect.gamma_model import (GammaParams, HypothesisModel,
-                                     chi_square_gof, fit_mle, fit_mle_exact,
-                                     log_pdf, shape_from_log_gap)
+                                     chi_square_gof, fit_mle, log_pdf,
+                                     shape_from_log_gap)
+from gamma_oracles import chi_square_3, exponential, fit_mle_exact
 
 
 class TestLogPdf:
@@ -24,6 +26,13 @@ class TestLogPdf:
         p = GammaParams(2.5, 0.7)
         total, _ = quad(lambda x: math.exp(log_pdf(x, p)), 0, np.inf)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("k, theta", [(0.3, 0.02), (1.0, 1.0), (1.5, 2.0), (2.0, 0.05),
+                                          (2.5, 0.8), (47.5, 0.9)])
+    def test_matches_scipy_logpdf(self, k, theta):
+        xs = np.array([1e-6, 1e-3, 0.05, 0.7, 3.0, 40.0])
+        np.testing.assert_allclose(log_pdf(xs, GammaParams(k, theta)),
+                                   stats.gamma.logpdf(xs, k, scale=theta), rtol=1e-12, atol=0)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(InvalidParams):
@@ -98,11 +107,11 @@ class TestFitMle:
 
 class TestSpecialCases:
     def test_exponential_constructor(self):
-        p = GammaParams.exponential(4.0)
+        p = exponential(4.0)
         assert (p.k, p.theta) == (1.0, 0.25)
 
     def test_chi_square_3_constructor(self):
-        p = GammaParams.chi_square_3()
+        p = chi_square_3()
         assert (p.k, p.theta) == (1.5, 2.0)
         assert p.mean == pytest.approx(3.0)
 

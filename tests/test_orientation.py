@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from climbdetect.errors import EmptyRecording, MalformedRecording
-from climbdetect.orientation import (GRAVITY, ImuRecording,
+from climbdetect.orientation import (GRAVITY, ImuRecording, _rotate,
                                      angular_velocity_norm, earth_acceleration,
                                      estimate_orientation, filter_update,
                                      initial_orientation, linear_acceleration)
@@ -130,15 +130,56 @@ class TestRecordingValidation:
          "gyro holds a non-finite value"),
         ("mag", lambda v: np.where(np.arange(15).reshape(5, 3) == 14, -np.inf, v),
          "mag holds a non-finite value"),
-    ], ids=["accel-columns", "gyro-rows", "mag-flat", "accel-nan", "gyro-inf", "mag-inf"])
+        ("t", lambda v: np.where(np.arange(5) == 1, np.nan, v), "t holds a non-finite value"),
+        ("t", lambda v: np.where(np.arange(5) == 4, np.inf, v), "t holds a non-finite value"),
+        ("t", lambda v: np.where(np.arange(5) == 0, -np.inf, v), "t holds a non-finite value"),
+    ], ids=["accel-columns", "gyro-rows", "mag-flat", "accel-nan", "gyro-inf", "mag-inf",
+            "t-nan", "t-inf", "t-neg-inf"])
     def test_malformed_stream_names_site(self, name, change, message):
-        streams = {"accel": np.tile([0.0, 0.0, GRAVITY], (5, 1)),
+        streams = {"t": np.arange(5) / 100.0, "accel": np.tile([0.0, 0.0, GRAVITY], (5, 1)),
                    "gyro": np.zeros((5, 3)), "mag": np.tile(MAG_EARTH, (5, 1))}
         streams[name] = change(streams[name])
         with pytest.raises(MalformedRecording, match=r"^rf: ") as exc:
-            ImuRecording(site=SensorSite.RIGHT_FOOT, sample_rate=100.0,
-                         t=np.arange(5) / 100.0, **streams)
+            ImuRecording(site=SensorSite.RIGHT_FOOT, sample_rate=100.0, **streams)
         assert message in str(exc.value)
+
+
+class TestScipyRotationOracle:
+    """The closed-form rotations against scipy's ``Rotation``."""
+
+    def test_rotate_matches_apply(self):
+        rng = np.random.default_rng(21)
+        n = 20_000
+        # unit, tiny and large quaternion norms
+        quats = rng.normal(size=(n, 4)) * np.exp(rng.uniform(-8.0, 8.0, (n, 1)))
+        v = rng.normal(0.0, 20.0, (n, 3))
+        want = Rotation.from_quat(quats[:, [1, 2, 3, 0]]).apply(v)
+        assert np.max(np.abs(_rotate(quats, v) - want)) <= 1e-13
+
+    def test_earth_acceleration_matches_apply(self):
+        plan = random_plan(20.0, np.random.default_rng(4))
+        rec = simulate(plan, seed=4, triaxial=True).recordings[SensorSite.LEFT_FOOT]
+        quats = estimate_orientation(rec)
+        want = Rotation.from_quat(quats[:, [1, 2, 3, 0]]).apply(rec.accel)
+        want[:, 2] -= GRAVITY
+        assert np.max(np.abs(earth_acceleration(rec) - want)) <= 1e-13
+
+    # Near the identity and near half turns, where another branch's pivot
+    # component is close to zero and would lose the precision checked here.
+    @pytest.mark.parametrize("attitude, branch", [
+        (Rotation.from_euler("xyz", [1e-3, -2e-3, 3e-3], degrees=True), 3),
+        (Rotation.from_euler("xz", [179.999, 1e-3], degrees=True), 0),
+        (Rotation.from_euler("yx", [179.999, -1e-3], degrees=True), 1),
+        (Rotation.from_euler("zy", [179.999, 1e-3], degrees=True), 2),
+    ], ids=["trace", "x-diagonal", "y-diagonal", "z-diagonal"])
+    def test_initial_orientation_matches_from_matrix(self, attitude, branch):
+        r = attitude.as_matrix()
+        assert np.argmax([r[0, 0], r[1, 1], r[2, 2], np.trace(r)]) == branch
+        got = initial_orientation(r.T @ np.array([0.0, 0.0, GRAVITY]), r.T @ MAG_EARTH)
+        xyzw = Rotation.from_matrix(r).as_quat()
+        want = np.array([xyzw[3], *xyzw[:3]])
+        sign = 1.0 if got @ want >= 0 else -1.0
+        np.testing.assert_allclose(got, sign * want, rtol=0, atol=1e-12)
 
 
 class TestOrientationEstimation:
