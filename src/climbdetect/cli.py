@@ -33,6 +33,16 @@ def _data_dir(args_dir) -> Path:
     return Path(os.environ.get("CLIMBDETECT_DATA_DIR", "."))
 
 
+def _make_parent(out) -> None:
+    """Create the directory of output file ``out`` (if given) before any input is read."""
+    if out:
+        parent = Path(out).parent
+        try:
+            parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ClimbDetectError(f"cannot create output directory {parent}: {exc}") from None
+
+
 def _manifest(command: str, args: dict) -> dict:
     return {"tool": "climbdetect", "version": TOOL_VERSION,
             "command": command, "config": args}
@@ -113,6 +123,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _make_parent(args.out)
     climbs = _load_climbs(_data_dir(args.climbs), args.beta)
     models, scores = learning.learn_sensor_models(
         climbs, mode=args.mode, lambda_grid=_lambda_grid(args),
@@ -150,6 +161,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _make_parent(args.out)
     models = io.read_model_json(args.model)
     climb = _load_climb(Path(args.climb), args.beta, need_annotations=False)
     detections = _detect_climb(climb, models)
@@ -169,6 +181,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _make_parent(args.out)
     timeline = io.read_timeline_csv(args.timeline)
     report = classifier.exploration_report(timeline)
     if args.out:
@@ -184,6 +197,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _make_parent(args.out)
     climbs = _load_climbs(_data_dir(args.climbs), args.beta)
     report = learning.cross_validate(
         climbs, lambda_grid=_lambda_grid(args),
@@ -211,6 +225,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sync(args) -> int:
+    _make_parent(args.out)
     traj = io.read_trajectory_csv(args.trajectory)
     rec = io.read_recording_csv(args.recording, SensorSite.PELVIS)
     lateral, vertical = sync.trajectory_to_acceleration(traj, args.smooth_window)

@@ -4,7 +4,14 @@ The cumulative sum S restarts at 0 on every detection; while in H0 a switch
 to H1 fires at the first sample whose S exceeds the running minimum (which
 includes the reset value 0) by lambda1, and symmetrically the running
 maximum minus lambda0 triggers the switch back. Comparisons are strict, so
-a sum exactly at threshold does not fire.
+a sum exactly at threshold does not fire. The onset of a detection is the
+first sample of that running extremum.
+
+`_run_cusum` holds the sum negated while in H1, so that both states fire
+when the sum exceeds its running minimum by the state's threshold. Negation
+is exact in IEEE arithmetic, fl(-a - b) = -fl(a + b), so -S > fl(-S_max +
+lambda0) exactly when S < fl(S_max - lambda0): every decision and onset is
+that of the rule above. `learning._sweep` runs the same form for many cells.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from .errors import LengthMismatch
 from .gamma_model import HypothesisModel, log_pdf
-from .series import H0, H1, SignalSeries
+from .series import H0, SignalSeries
 
 
 @dataclass(frozen=True)
@@ -27,7 +34,7 @@ class DetectionConfig:
     alpha: float
 
     def __post_init__(self):
-        if self.lambda0 <= 0 or self.lambda1 <= 0:
+        if not (self.lambda0 > 0 and self.lambda1 > 0):  # NaN is refused too
             raise ValueError("thresholds must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
@@ -69,68 +76,37 @@ def log_likelihood_ratio(x, m: HypothesisModel):
 
 
 def _run_cusum(inc, lam0, lam1, state0):
-    """Sequential CUSUM pass over per-sample increments.
+    """Detection indices and onsets of one CUSUM pass over per-sample increments.
 
-    The first sample is the time origin (S = 0, no increment), mirroring the
-    restart performed at every detection. Returns per-sample states plus
-    change-point indices, their new states and the extremum-based onsets.
+    The first sample is the time origin (S = 0, no increment), as is every
+    detection. The sum is held negated in H1, and the threshold pair swaps at
+    each detection, so that both states fire the same way (module docstring).
     """
-    n = inc.shape[0]
-    states = np.empty(n, np.uint8)
-    cp_index = np.empty(n, np.int64)
-    cp_state = np.empty(n, np.uint8)
-    cp_onset = np.empty(n, np.int64)
-    n_cp = 0
-    state = state0
-    s = 0.0
-    s_min = 0.0
-    s_max = 0.0
+    sign, lam, other = (1.0, lam1, lam0) if state0 == H0 else (-1.0, lam0, lam1)
+    s = s_min = 0.0
     i_min = 0
-    i_max = 0
-    seg_start = 0
-    for i in range(1, n):
-        s += inc[i]
-        if state == 0:
-            if s > s_min + lam1:
-                for j in range(seg_start, i):
-                    states[j] = 0
-                cp_index[n_cp] = i
-                cp_state[n_cp] = 1
-                cp_onset[n_cp] = i_min
-                n_cp += 1
-                state = 1
-                seg_start = i
-                s = 0.0
-                s_min = 0.0
-                s_max = 0.0
-                i_min = i
-                i_max = i
-                continue
-        else:
-            if s < s_max - lam0:
-                for j in range(seg_start, i):
-                    states[j] = 1
-                cp_index[n_cp] = i
-                cp_state[n_cp] = 0
-                cp_onset[n_cp] = i_max
-                n_cp += 1
-                state = 0
-                seg_start = i
-                s = 0.0
-                s_min = 0.0
-                s_max = 0.0
-                i_min = i
-                i_max = i
-                continue
-        if s < s_min:
+    index, onsets = [], []
+    for i, x in enumerate(inc.tolist()[1:], 1):
+        s += sign * x
+        if s > s_min + lam:
+            index.append(i)
+            onsets.append(i_min)
+            sign, lam, other = -sign, other, lam
+            s = s_min = 0.0
+            i_min = i
+        elif s < s_min:
             s_min = s
             i_min = i
-        if s > s_max:
-            s_max = s
-            i_max = i
-    for j in range(seg_start, n):
-        states[j] = state
-    return states, cp_index[:n_cp], cp_state[:n_cp], cp_onset[:n_cp]
+    return index, onsets
+
+
+def _states(n, first, bounds) -> np.ndarray:
+    """n states that start in `first` and switch at each index of `bounds`."""
+    states = np.full(n, first, np.uint8)
+    edges = [*bounds, n]
+    for start, stop in zip(edges[::2], edges[1::2]):
+        states[start:stop] = 1 - first
+    return states
 
 
 def fused_increments(acc: SignalSeries, ang: SignalSeries,
@@ -161,26 +137,18 @@ def detect_from_increments(inc: np.ndarray, lambda0: float, lambda1: float,
                            initial: int = H0, t0: float = 0.0,
                            dt: float = 1.0) -> BinaryStateSeries:
     """Detector over precomputed per-sample increments, such as `fused_increments`."""
-    states, cp_index, cp_state, cp_onset = _run_cusum(
-        np.asarray(inc, dtype=float), lambda0, lambda1, initial)
-    return BinaryStateSeries(
-        t0=t0, dt=dt, states=states,
-        change_points=[(int(i), int(st)) for i, st in zip(cp_index, cp_state)],
-        onsets=[int(i) for i in cp_onset])
+    inc = np.asarray(inc, dtype=float)
+    index, onsets = _run_cusum(inc, lambda0, lambda1, initial)
+    # states alternate: detection k (from 0) enters `initial` when k is odd
+    change_points = [(i, (int(initial) + k + 1) % 2) for k, i in enumerate(index)]
+    return BinaryStateSeries(t0=t0, dt=dt, states=_states(len(inc), initial, index),
+                             change_points=change_points, onsets=onsets)
 
 
 def relabel_segments(raw: BinaryStateSeries) -> BinaryStateSeries:
     """Back-date every transition to its running-extremum onset sample."""
     if not raw.change_points:
         return BinaryStateSeries(raw.t0, raw.dt, raw.states.copy(), [], [])
-    n = len(raw.states)
-    states = np.empty(n, np.uint8)
-    pos = 0
-    current = 1 - raw.change_points[0][1]
-    for onset, new_state in zip(raw.onsets, (st for _, st in raw.change_points)):
-        states[pos:onset] = current
-        current = new_state
-        pos = onset
-    states[pos:] = current
+    states = _states(len(raw.states), 1 - raw.change_points[0][1], raw.onsets)
     change_points = [(onset, st) for onset, (_, st) in zip(raw.onsets, raw.change_points)]
     return BinaryStateSeries(raw.t0, raw.dt, states, change_points, list(raw.onsets))

@@ -17,6 +17,10 @@ class MalformedAnnotations(ClimbDetectError):
     """An annotation file is not valid JSON or holds an entry that is not a site track."""
 
 
+class MalformedModel(ClimbDetectError):
+    """A model file is not valid JSON or holds a sensor entry that is not a model."""
+
+
 class InvalidParams(ClimbDetectError):
     """Gamma parameters must be positive and finite."""
 

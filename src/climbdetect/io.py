@@ -16,7 +16,8 @@ import numpy as np
 from .classifier import ActivityTimeline, ExplorationReport, FullBodyState, LimbSubState
 from .cusum import (BinaryStateSeries, DetectionConfig, HypothesisModel,
                     SensorModel)
-from .errors import EmptyRecording, MalformedAnnotations, MalformedRecording
+from .errors import (EmptyRecording, InvalidParams, MalformedAnnotations,
+                     MalformedModel, MalformedRecording)
 from .gamma_model import GammaParams
 from .orientation import ImuRecording
 from .series import (ALL_SITES, LIMBS, AnnotationTrack, SensorSite,
@@ -241,19 +242,37 @@ def write_model_json(path, models: dict[SensorSite, SensorModel],
 
 
 def read_model_json(path) -> dict[SensorSite, SensorModel]:
-    doc = json.loads(Path(path).read_text())
+    """Per-site models; `MalformedModel` naming the file for invalid JSON or no
+    ``sensors`` object, and the site too for an entry `_sensor_model` rejects."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
+        raise MalformedModel(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("sensors"), dict):
+        raise MalformedModel(f"{path}: needs a 'sensors' object")
     out = {}
     for token, entry in doc["sensors"].items():
-        def hyp(channel):
-            return HypothesisModel(
-                h0=GammaParams(channel["h0"]["k"], channel["h0"]["theta"]),
-                h1=GammaParams(channel["h1"]["k"], channel["h1"]["theta"]))
-        out[SensorSite(token)] = SensorModel(
-            acc=hyp(entry["acc"]), ang=hyp(entry["ang"]),
-            config=DetectionConfig(lambda0=entry["lambda0"],
-                                   lambda1=entry["lambda1"],
-                                   alpha=entry["alpha"]))
+        try:
+            out[SensorSite(token)] = _sensor_model(entry)
+        except KeyError as exc:
+            raise MalformedModel(f"{path}: sensor {token!r}: missing key {exc}") from None
+        except (TypeError, ValueError, InvalidParams) as exc:
+            raise MalformedModel(f"{path}: sensor {token!r}: {exc}") from None
     return out
+
+
+def _sensor_model(entry) -> SensorModel:
+    """One site's model from its JSON entry. A KeyError names a missing key; a
+    TypeError, ValueError or `InvalidParams` says which value is refused."""
+    def hyp(channel):
+        return HypothesisModel(
+            h0=GammaParams(channel["h0"]["k"], channel["h0"]["theta"]),
+            h1=GammaParams(channel["h1"]["k"], channel["h1"]["theta"]))
+    return SensorModel(
+        acc=hyp(entry["acc"]), ang=hyp(entry["ang"]),
+        config=DetectionConfig(lambda0=entry["lambda0"], lambda1=entry["lambda1"],
+                               alpha=entry["alpha"]))
 
 
 def write_detection_csv(path, series: BinaryStateSeries) -> None:

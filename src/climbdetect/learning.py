@@ -168,15 +168,12 @@ def _pooled_score(prep: list[_SitePrep], alpha: float,
 def _sweep(prep: list[_SitePrep], alphas, lambda_grid: np.ndarray) -> np.ndarray:
     """c of every (alpha, lambda1, lambda0) cell, as an array indexed in that order.
 
-    Equals `_pooled_score` at every cell. Each climb is walked once, and the
-    CUSUM of every cell advances with it, one vector element per cell, under
-    the rule of `cusum._run_cusum`. A cell holds its sum negated while in H1,
-    so that both states fire when the sum exceeds its running minimum by the
-    state's threshold; negation is exact, so every comparison is the per-cell
-    detector's. After relabelling, the H1 segments are [o1, o2), [o3, o4), ...
-    for the onsets o1 <= o2 <= ..., so each detection adds +-(truth prefix sum
-    at its onset) to TP and +-onset to the predicted H1 length, and a cell
-    still in H1 at the end of the climb closes its segment there.
+    Equals `_pooled_score` at every cell. Each climb is walked once: this is
+    the vector form of `cusum._run_cusum`, one element per cell. After
+    relabelling, the H1 segments are [o1, o2), [o3, o4), ... for the onsets
+    o1 <= o2 <= ..., so each detection adds +-(truth prefix sum at its onset)
+    to TP and +-onset to the predicted H1 length, and a cell still in H1 at
+    the end of the climb closes its segment there.
     """
     alphas = np.asarray(alphas, dtype=float)
     size = len(lambda_grid)
@@ -318,7 +315,8 @@ def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused",
     scores: dict[SensorSite, float] = {}
     for site in sites:
         models = fit_models(climbs, site)
-        alpha, lam0, lam1, c = optimize_alpha(climbs, site, models, alphas, lambda_grid)
+        alpha, lam0, lam1, c = _best_alpha(
+            _alpha_planes(climbs, site, models, alphas, lambda_grid), alphas)
         sensor_models[site] = SensorModel(
             acc=models[0], ang=models[1],
             config=DetectionConfig(lambda0=lam0, lambda1=lam1, alpha=alpha))

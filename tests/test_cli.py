@@ -153,6 +153,17 @@ class TestDetectClassifyReport:
                          "--out", str(tmp_path / "timeline.csv")]) == 1
         assert f"error: {rh}:4: t is not finite" in capsys.readouterr().err
 
+    def test_malformed_model_exits_one(self, dataset, model_path, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        doc = json.loads(model_path.read_text())
+        doc["sensors"]["rh"]["lambda0"] = -1
+        model.write_text(json.dumps(doc))
+        assert cli.main(["classify", "--model", str(model),
+                         "--climb", str(dataset / "climb01"),
+                         "--out", str(tmp_path / "timeline.csv")]) == 1
+        assert (f"error: {model}: sensor 'rh': thresholds must be positive"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("keep, message", [
         (1, ": no samples after the header"),
         (4, ":4: 5 values, the header names 6"),
@@ -182,32 +193,33 @@ class TestEvaluate:
         assert "sensor" in capsys.readouterr().out
 
 
-class TestSync:
-    def build_inputs(self, tmp_path, delay):
-        """Pelvis recording at identity attitude whose earth-frame lateral and
-        vertical accelerations match the trajectory's second derivatives."""
-        rate, duration = 50.0, 30.0
-        t = np.arange(int(duration * rate)) / rate
-        x = 0.5 * np.sin(0.8 * t) + 0.2 * np.sin(2.3 * t + 1.0)
-        y = 0.4 * np.sin(1.1 * t + 0.4) + 0.15 * np.sin(3.1 * t)
-        ax = -0.5 * 0.64 * np.sin(0.8 * t) - 0.2 * 5.29 * np.sin(2.3 * t + 1.0)
-        az = -0.4 * 1.21 * np.sin(1.1 * t + 0.4) - 0.15 * 9.61 * np.sin(3.1 * t)
-        rec = ImuRecording(
-            site=SensorSite.PELVIS, sample_rate=rate, t=t,
-            accel=np.column_stack([ax, np.zeros_like(t), az + 9.81]),
-            gyro=np.zeros((len(t), 3)),
-            mag=np.tile(MAG_FIELD, (len(t), 1)))
-        rec_path = tmp_path / "c1_pelvis.csv"
-        io.write_recording_csv(rec_path, rec)
-        traj_path = tmp_path / "traj.csv"
-        lines = ["t,x,y"] + [f"{float(ti) + delay!r},{float(xi)!r},{float(yi)!r}"
-                             for ti, xi, yi in zip(t, x, y)]
-        traj_path.write_text("\n".join(lines) + "\n")
-        return rec_path, traj_path
+def sync_inputs(tmp_path, delay):
+    """Pelvis recording at identity attitude whose earth-frame lateral and
+    vertical accelerations match the trajectory's second derivatives."""
+    rate, duration = 50.0, 30.0
+    t = np.arange(int(duration * rate)) / rate
+    x = 0.5 * np.sin(0.8 * t) + 0.2 * np.sin(2.3 * t + 1.0)
+    y = 0.4 * np.sin(1.1 * t + 0.4) + 0.15 * np.sin(3.1 * t)
+    ax = -0.5 * 0.64 * np.sin(0.8 * t) - 0.2 * 5.29 * np.sin(2.3 * t + 1.0)
+    az = -0.4 * 1.21 * np.sin(1.1 * t + 0.4) - 0.15 * 9.61 * np.sin(3.1 * t)
+    rec = ImuRecording(
+        site=SensorSite.PELVIS, sample_rate=rate, t=t,
+        accel=np.column_stack([ax, np.zeros_like(t), az + 9.81]),
+        gyro=np.zeros((len(t), 3)),
+        mag=np.tile(MAG_FIELD, (len(t), 1)))
+    rec_path = tmp_path / "c1_pelvis.csv"
+    io.write_recording_csv(rec_path, rec)
+    traj_path = tmp_path / "traj.csv"
+    lines = ["t,x,y"] + [f"{float(ti) + delay!r},{float(xi)!r},{float(yi)!r}"
+                         for ti, xi, yi in zip(t, x, y)]
+    traj_path.write_text("\n".join(lines) + "\n")
+    return rec_path, traj_path
 
+
+class TestSync:
     def test_delay_recovered_and_annotations_shifted(self, tmp_path, capsys):
         delay = 1.0
-        rec_path, traj_path = self.build_inputs(tmp_path, delay)
+        rec_path, traj_path = sync_inputs(tmp_path, delay)
         ann_path = tmp_path / "ann.json"
         io.write_annotations_json(ann_path, {
             SensorSite.PELVIS: AnnotationTrack(
@@ -233,13 +245,45 @@ class TestSync:
         (None, ":3: x is not finite: 'nan'"),
     ], ids=["header-only", "nan"])
     def test_malformed_trajectory_exits_one(self, tmp_path, capsys, keep, message):
-        rec_path, traj_path = self.build_inputs(tmp_path, 0.0)
+        rec_path, traj_path = sync_inputs(tmp_path, 0.0)
         lines = traj_path.read_text().splitlines()
         lines[2] = "0.04,nan,0"
         traj_path.write_text("\n".join(lines[:keep]) + "\n")
         assert cli.main(["sync", "--trajectory", str(traj_path),
                          "--recording", str(rec_path), "--max-lag", "5"]) == 1
         assert f"error: {traj_path}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate", "classify", "report", "sync"])
+def test_out_in_missing_directory_is_created(command, dataset, model_path, tmp_path):
+    climb = str(dataset / "climb01")
+    timeline = tmp_path / "timeline.csv"
+    if command in ("fit", "evaluate"):
+        argv = ["--climbs", str(dataset), "--grid-points", "2", "--alpha-step", "1.0"]
+    elif command == "classify":
+        argv = ["--model", str(model_path), "--climb", climb]
+    elif command == "report":
+        assert cli.main(["classify", "--model", str(model_path), "--climb", climb,
+                         "--out", str(timeline)]) == 0
+        argv = [str(timeline)]
+    else:
+        rec_path, traj_path = sync_inputs(tmp_path, 0.0)
+        ann_path = tmp_path / "ann.json"
+        io.write_annotations_json(ann_path, {SensorSite.PELVIS: AnnotationTrack(
+            site=SensorSite.PELVIS, intervals=[(0.0, 10.0, 0), (10.0, 25.0, 1)])})
+        argv = ["--trajectory", str(traj_path), "--recording", str(rec_path),
+                "--annotations", str(ann_path), "--max-lag", "5"]
+    out = tmp_path / "nd" / "out.json"
+    assert cli.main([command, *argv, "--out", str(out)]) == 0
+    assert out.is_file()
+
+
+def test_out_directory_that_cannot_be_made_exits_one(dataset, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["fit", "--climbs", str(dataset), "--out", str(blocker / "model.json"),
+                     "--grid-points", "2", "--alpha-step", "1.0"]) == 1
+    assert f"error: cannot create output directory {blocker}: " in capsys.readouterr().err
 
 
 def test_help_exits_zero():

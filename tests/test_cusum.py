@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from climbdetect.cusum import (BinaryStateSeries, DetectionConfig, SensorModel,
                                detect, detect_from_increments,
@@ -15,10 +17,15 @@ WIDE = HypothesisModel(h0=GammaParams(1.0, 1.0), h1=GammaParams(1.0, 4.0))
 
 
 def naive_cusum(inc, lam0, lam1, initial=H0):
-    """Direct transcription of the threshold inequalities with O(n^2) rescans."""
+    """Direct transcription of the threshold inequalities with O(n^2) rescans.
+
+    Returns the raw states, the change points and their onsets: the segment
+    start plus the first arg-extremum of the sums since it.
+    """
     n = len(inc)
     states = np.empty(n, np.uint8)
     change_points = []
+    onsets = []
     state = initial
     seg_values = [0.0]  # S at the segment origin
     s = 0.0
@@ -28,16 +35,18 @@ def naive_cusum(inc, lam0, lam1, initial=H0):
         if state == H0 and s > min(seg_values) + lam1:
             states[seg_start:i] = state
             change_points.append((i, H1))
+            onsets.append(seg_start + seg_values.index(min(seg_values)))
             state, s, seg_values, seg_start = H1, 0.0, [0.0], i
             continue
         if state == H1 and s < max(seg_values) - lam0:
             states[seg_start:i] = state
             change_points.append((i, H0))
+            onsets.append(seg_start + seg_values.index(max(seg_values)))
             state, s, seg_values, seg_start = H0, 0.0, [0.0], i
             continue
         seg_values.append(s)
     states[seg_start:] = state
-    return states, change_points
+    return states, change_points, onsets
 
 
 def make_model(alpha=1.0, lam0=10.0, lam1=10.0):
@@ -121,9 +130,27 @@ class TestOracleEquivalence:
         lam0 = float(rng.uniform(2.0, 30.0))
         lam1 = float(rng.uniform(2.0, 30.0))
         out = detect_from_increments(inc, lam0, lam1)
-        ref_states, ref_cps = naive_cusum(inc, lam0, lam1)
+        ref_states, ref_cps, ref_onsets = naive_cusum(inc, lam0, lam1)
         assert out.change_points == ref_cps
+        assert out.onsets == ref_onsets
         np.testing.assert_array_equal(out.states, ref_states)
+
+    @settings(max_examples=500, deadline=None)
+    @given(inc=st.lists(st.integers(-3, 3), max_size=120),
+           lam0=st.integers(1, 6), lam1=st.integers(1, 6),
+           initial=st.sampled_from([H0, H1]))
+    def test_matches_naive_transcription_at_exact_ties(self, inc, lam0, lam1, initial):
+        # integer sums hit the thresholds and tie their running extrema exactly
+        inc = np.asarray(inc, dtype=float)
+        out = detect_from_increments(inc, float(lam0), float(lam1), initial)
+        ref_states, ref_cps, ref_onsets = naive_cusum(inc, lam0, lam1, initial)
+        np.testing.assert_array_equal(out.states, ref_states)
+        assert out.change_points == ref_cps
+        assert out.onsets == ref_onsets
+        backdated = np.full(len(inc), initial, np.uint8)
+        for onset, (_, state) in zip(ref_onsets, ref_cps):
+            backdated[onset:] = state
+        np.testing.assert_array_equal(relabel_segments(out).states, backdated)
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(77)
@@ -174,8 +201,9 @@ def test_running_extrema_match_naive_rescan():
     # crafted sequence with interior extrema
     inc = np.array([0.0, 2.0, -3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     out = detect_from_increments(inc, 100.0, 4.5)
-    ref_states, ref_cps = naive_cusum(inc, 100.0, 4.5)
+    ref_states, ref_cps, ref_onsets = naive_cusum(inc, 100.0, 4.5)
     assert out.change_points == ref_cps
+    assert out.onsets == ref_onsets
     # the running minimum sits at index 2 (S = -1), so onset back-dates there
     assert out.onsets == [2]
 

@@ -8,7 +8,7 @@ from climbdetect.classifier import ActivityTimeline, ExplorationReport, LimbCoun
 from climbdetect.cusum import (BinaryStateSeries, DetectionConfig,
                                HypothesisModel, SensorModel)
 from climbdetect.errors import (ClimbDetectError, EmptyRecording, MalformedAnnotations,
-                               MalformedRecording)
+                               MalformedModel, MalformedRecording)
 from climbdetect.gamma_model import GammaParams
 from climbdetect.orientation import ImuRecording
 from climbdetect.series import ALL_SITES, LIMBS, AnnotationTrack, SensorSite
@@ -185,6 +185,46 @@ class TestModelJson:
         io.write_model_json(a, models)
         io.write_model_json(b, models)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc.pop("sensors"), "needs a 'sensors' object"),
+        (lambda doc: doc.update(sensors=["rh"]), "needs a 'sensors' object"),
+        (lambda doc: doc["sensors"].update(head=doc["sensors"]["rh"]),
+         "sensor 'head': 'head' is not a valid SensorSite"),
+        (lambda doc: doc["sensors"]["lf"].pop("acc"), "sensor 'lf': missing key 'acc'"),
+        (lambda doc: doc["sensors"]["rh"]["ang"]["h1"].pop("theta"),
+         "sensor 'rh': missing key 'theta'"),
+        (lambda doc: doc["sensors"]["lh"].update(lambda0=-1),
+         "sensor 'lh': thresholds must be positive"),
+        (lambda doc: doc["sensors"]["lh"].update(lambda1=float("nan")),
+         "sensor 'lh': thresholds must be positive"),
+        (lambda doc: doc["sensors"]["pelvis"].update(alpha=1.5),
+         "sensor 'pelvis': alpha must lie in [0, 1]"),
+        (lambda doc: doc["sensors"]["rf"]["acc"]["h0"].update(k=0.0),
+         "sensor 'rf': parameters must be positive"),
+        (lambda doc: doc["sensors"]["rf"]["ang"]["h0"].update(theta="0.04"),
+         "sensor 'rf': must be real number"),
+        (lambda doc: doc["sensors"].update(rh=[1, 2]), "sensor 'rh': list indices"),
+    ], ids=["missing-sensors", "sensors-list", "unknown-site", "missing-channel",
+            "missing-theta", "negative-lambda0", "nan-lambda1", "alpha-above-one",
+            "zero-k", "string-theta", "entry-list"])
+    def test_malformed_model_names_file_and_site(self, tmp_path, corrupt, message):
+        path = tmp_path / "model.json"
+        io.write_model_json(path, {site: self.model() for site in ALL_SITES})
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedModel) as exc:
+            io.read_model_json(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert message in str(exc.value)
+
+    def test_invalid_json_names_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"sensors": {"rh": ')
+        with pytest.raises(MalformedModel, match="not valid JSON") as exc:
+            io.read_model_json(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 class TestDetectionCsv:
