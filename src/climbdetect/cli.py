@@ -249,6 +249,14 @@ def cmd_sync(args) -> int:
     return 0
 
 
+def _nonnegative(text: str) -> float:
+    """argparse type: a finite float >= 0; argparse reports a bad value as a usage error."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_grid_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-min", type=float, default=0.1,
                    help="smallest threshold candidate (default 0.1)")
@@ -278,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--climbs", help="directory of climb subdirectories "
                    "(default $CLIMBDETECT_DATA_DIR)")
     p.add_argument("--out", required=True)
-    p.add_argument("--beta", type=float, default=0.1)
+    p.add_argument("--beta", type=_nonnegative, default=0.1)
     p.add_argument("--mode", choices=learning.ALPHA_MODES, default="fused")
     _add_grid_options(p)
     p.set_defaults(func=cmd_fit)
@@ -287,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--climb", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--beta", type=float, default=0.1)
+    p.add_argument("--beta", type=_nonnegative, default=0.1)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("classify", help="produce the activity timeline for one climb")
     p.add_argument("--model", required=True)
     p.add_argument("--climb", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--beta", type=float, default=0.1)
+    p.add_argument("--beta", type=_nonnegative, default=0.1)
     p.add_argument("--min-episode", type=float, default=0.1,
                    help="minimum mobile-episode duration in seconds (default 0.1)")
     p.set_defaults(func=cmd_classify)
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="leave-one-climb-out cross-validation")
     p.add_argument("--climbs")
-    p.add_argument("--beta", type=float, default=0.1)
+    p.add_argument("--beta", type=_nonnegative, default=0.1)
     p.add_argument("--out")
     _add_grid_options(p)
     p.set_defaults(func=cmd_evaluate)
@@ -316,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recording", required=True, help="pelvis recording CSV")
     p.add_argument("--annotations", help="annotation JSON on the video clock")
     p.add_argument("--out", help="where to write shifted annotations")
-    p.add_argument("--max-lag", type=float, default=30.0)
-    p.add_argument("--smooth-window", type=float, default=0.3)
-    p.add_argument("--beta", type=float, default=0.1)
+    p.add_argument("--max-lag", type=_nonnegative, default=30.0)
+    p.add_argument("--smooth-window", type=_nonnegative, default=0.3)
+    p.add_argument("--beta", type=_nonnegative, default=0.1)
     p.set_defaults(func=cmd_sync)
     return parser
 

@@ -11,6 +11,18 @@ from .series import AnnotationTrack, SignalSeries
 
 DEFAULT_SMOOTH_WINDOW = 0.3
 MIN_OVERLAP_SECONDS = 10.0
+_STD_FLOOR = 1e-12  # a window whose std is below this correlates as 0.0
+# Every lag whose fast score is this close to the best one is scored again
+# exactly; the fast scores are trusted to well under this.
+_NEAR_BEST = 1e-9
+# A window's fast std is trusted above the floor only where its variance is
+# at least this share of its channel's mean square, so that prefix-sum
+# rounding stays far below _NEAR_BEST; the share also bounds that rounding
+# when a std is shown to lie below the floor.
+_MIN_VARIANCE_SHARE = 1e-2
+# ... and only where its std is at least this share of the channel's largest
+# magnitude, so that the exact path, which does not centre, is as accurate.
+_MIN_STD_SHARE = 1e-6
 
 
 @dataclass
@@ -44,6 +56,19 @@ def _second_difference(y: np.ndarray, dt: float) -> np.ndarray:
     return a
 
 
+def _moving_average(x: np.ndarray, size: int) -> np.ndarray:
+    """Centred moving average over ``size`` samples, the ends extended with
+    the first and last values.
+
+    The sums are formed in the order ``scipy.ndimage.uniform_filter1d(x,
+    size, mode="nearest")`` forms them (the first window added in sequence,
+    then one entering minus one leaving sample per step, one division at the
+    end), so the result is bit-equal to it.
+    """
+    pad = np.concatenate([np.full(size // 2, x[0]), x, np.full(size - size // 2 - 1, x[-1])])
+    return np.cumsum(np.concatenate([pad[:size], pad[size:] - pad[:-size]]))[size - 1:] / size
+
+
 def trajectory_to_acceleration(traj: TrajectorySeries,
                                smooth_window: float = DEFAULT_SMOOTH_WINDOW,
                                ) -> tuple[SignalSeries, SignalSeries]:
@@ -53,15 +78,13 @@ def trajectory_to_acceleration(traj: TrajectorySeries,
     under double differentiation) and then differentiated with second-order
     central differences; endpoints use one-sided second differences.
     """
-    from scipy.ndimage import uniform_filter1d  # here, so other commands start without scipy
-
     if len(traj) < 5:
         raise TooFewSamples(f"need at least 5 trajectory samples, got {len(traj)}")
     x, y = traj.x, traj.y
     window = int(round(smooth_window / traj.dt))
     if window > 1:
-        x = uniform_filter1d(x, window, mode="nearest")
-        y = uniform_filter1d(y, window, mode="nearest")
+        x = _moving_average(x, window)
+        y = _moving_average(y, window)
     return (SignalSeries(traj.t0, traj.dt, _second_difference(x, traj.dt)),
             SignalSeries(traj.t0, traj.dt, _second_difference(y, traj.dt)))
 
@@ -84,9 +107,52 @@ def _lag_correlation(a: np.ndarray, b: np.ndarray, lag: int) -> float:
     as_ = a[start - lag:stop - lag]
     sa = np.std(as_)
     sb = np.std(bs)
-    if sa < 1e-12 or sb < 1e-12:
+    if sa < _STD_FLOOR or sb < _STD_FLOOR:
         return 0.0
     return float(np.mean((as_ - np.mean(as_)) * (bs - np.mean(bs))) / (sa * sb))
+
+
+def _window_moments(x: np.ndarray, xc: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Mean and std of every window ``xc[lo[j]:hi[j]]`` of the centred
+    ``xc = x - mean(x)`` from prefix sums, and whether ``np.std`` of the same
+    window of ``x`` surely lies above, or surely below, the std floor."""
+    p1 = np.concatenate([[0.0], np.cumsum(xc)])
+    p2 = np.concatenate([[0.0], np.cumsum(xc * xc)])
+    m = hi - lo
+    mean = (p1[hi] - p1[lo]) / m
+    var = np.maximum((p2[hi] - p2[lo]) / m - mean * mean, 0.0)
+    std = np.sqrt(var)
+    slack = _MIN_VARIANCE_SHARE * np.mean(xc * xc)
+    magnitude = np.max(np.abs(x))
+    above = (var >= slack) & (std >= max(2.0 * _STD_FLOOR, _MIN_STD_SHARE * magnitude))
+    # np.std's rounding is at most about log2(len) ulps of the magnitude
+    below = np.sqrt(var + slack) + 32.0 * np.finfo(float).eps * magnitude <= 0.5 * _STD_FLOOR
+    return mean, std, above, below
+
+
+def _fast_scores(a: np.ndarray, b: np.ndarray, lags: np.ndarray):
+    """``_lag_correlation(a, b, k)`` for every k in ``lags`` at once, and
+    whether each score is decided.
+
+    The cross-products of every lag come from one zero-padded FFT of the
+    centred series, the window means and variances from prefix sums
+    (Lewis 1995, *Fast normalized cross-correlation*). A lag is decided
+    where both windows' stds surely lie above the floor (the fast score
+    then stands in for the exact one) or one surely lies below it (the
+    score is 0.0). An undecided score is 0.0 here.
+    """
+    start = np.maximum(0, lags)
+    stop = np.minimum(len(b), len(a) + lags)
+    m = stop - start
+    ac = a - a.mean()
+    bc = b - b.mean()
+    mean_a, std_a, above_a, below_a = _window_moments(a, ac, start - lags, stop - lags)
+    mean_b, std_b, above_b, below_b = _window_moments(b, bc, start, stop)
+    size = 1 << (len(a) + len(b) - 1).bit_length()  # a power of two: no wrap-around, fast
+    cross = np.fft.irfft(np.fft.rfft(bc, size) * np.conj(np.fft.rfft(ac, size)), size)[lags]
+    both = above_a & above_b
+    scores = np.where(both, (cross / m - mean_a * mean_b) / np.where(both, std_a * std_b, 1.0), 0.0)
+    return scores, (m >= 3) & (both | below_a | below_b)
 
 
 def estimate_delay(a, b, max_lag: float) -> tuple[float, float]:
@@ -96,6 +162,11 @@ def estimate_delay(a, b, max_lag: float) -> tuple[float, float]:
     (e.g. lateral and vertical); channel correlations are summed per lag.
     Returns (delay_seconds, peak_correlation) with the peak correlation
     averaged over channels; ties are broken by the smaller |lag|.
+
+    Every lag is scored at once by ``_fast_scores``. The lags it cannot
+    decide, and those within ``_NEAR_BEST`` of its best decided score, are
+    scored again with ``_lag_correlation``; the maximum, its 1e-15 tie band
+    and the returned values are taken from those exact scores.
     """
     a_ch = [a] if isinstance(a, SignalSeries) else list(a)
     b_ch = [b] if isinstance(b, SignalSeries) else list(b)
@@ -109,12 +180,17 @@ def estimate_delay(a, b, max_lag: float) -> tuple[float, float]:
         raise InsufficientOverlap(
             f"{n_min} samples leave under {MIN_OVERLAP_SECONDS} s of overlap at lag {max_lag} s")
     lags = np.arange(-max_k, max_k + 1)
+    fast = np.zeros(len(lags))
+    decided = np.ones(len(lags), dtype=bool)
+    for av, bv in zip(a_ch, b_ch):
+        channel, known = _fast_scores(av.values, bv.values, lags)
+        fast += channel
+        decided &= known
+    top = fast[decided].max(initial=-np.inf)
+    lags = lags[~decided | (fast >= top - _NEAR_BEST)]
     scores = np.zeros(len(lags))
     for av, bv in zip(a_ch, b_ch):
-        values_a = av.values
-        values_b = bv.values
-        for j, k in enumerate(lags):
-            scores[j] += _lag_correlation(values_a, values_b, int(k))
+        scores += [_lag_correlation(av.values, bv.values, int(k)) for k in lags]
     best = scores.max()
     candidates = lags[scores >= best - 1e-15]
     k_best = int(min(candidates, key=lambda k: (abs(k), k)))

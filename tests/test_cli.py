@@ -286,6 +286,28 @@ def test_out_directory_that_cannot_be_made_exits_one(dataset, tmp_path, capsys):
     assert f"error: cannot create output directory {blocker}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--max-lag", "-1"), ("--max-lag", "nan"), ("--max-lag", "inf"),
+    ("--smooth-window", "nan"), ("--beta", "-1"), ("--beta", "nan"),
+])
+def test_bad_numeric_option_is_a_usage_error(option, value, capsys):
+    # refused while parsing, before any input is read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sync", "--trajectory", "traj.csv", "--recording", "pelvis.csv",
+                  option, value])
+    assert exc.value.code == 2
+    assert (f"argument {option}: must be a finite number >= 0, got {value!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["fit", "detect", "classify", "evaluate"])
+def test_every_beta_is_checked(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--beta", "-0.5"])
+    assert exc.value.code == 2
+    assert "argument --beta: must be a finite number >= 0, got '-0.5'" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
@@ -312,15 +334,15 @@ def _fresh_interpreter(*args) -> str:
 
 
 class TestColdStart:
-    """The CLI starts and runs its pipeline commands on numpy alone; scipy
-    is loaded only by ``sync`` and ``chi_square_gof``."""
+    """The CLI starts and runs every command on numpy alone; scipy is loaded
+    only by ``chi_square_gof``."""
 
     def test_import_loads_no_scipy(self):
         assert _fresh_interpreter(
             "-c", f"import sys, climbdetect.cli; print({_SCIPY_MODULES})") == "[]"
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "detect", "classify",
-                                         "report", "evaluate"])
+                                         "report", "evaluate", "sync"])
     def test_command_loads_no_scipy(self, command, dataset, model_path, tmp_path):
         climb = str(dataset / "climb01")
         timeline = tmp_path / "timeline.csv"
@@ -336,7 +358,11 @@ class TestColdStart:
             "report": [str(timeline)],
             "evaluate": ["--climbs", str(dataset), "--out", str(tmp_path / "eval.json"),
                          "--grid-points", "2", "--alpha-step", "1.0"],
+            "sync": ["--trajectory", str(tmp_path / "traj.csv"),
+                     "--recording", str(tmp_path / "c1_pelvis.csv"), "--max-lag", "5"],
         }[command]
+        if command == "sync":
+            sync_inputs(tmp_path, 0.0)
         if command == "report":
             assert cli.main(["classify", "--model", str(model_path), "--climb", climb,
                              "--out", str(timeline)]) == 0

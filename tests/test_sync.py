@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import uniform_filter1d
+from sync_oracle import estimate_delay_all_lags
 
+from climbdetect import sync
 from climbdetect.errors import InsufficientOverlap, TooFewSamples
 from climbdetect.series import H0, H1, AnnotationTrack, SensorSite, SignalSeries
 from climbdetect.sync import (TrajectorySeries, estimate_delay,
@@ -45,6 +50,18 @@ class TestTrajectoryToAcceleration:
         with pytest.raises(TooFewSamples):
             trajectory_to_acceleration(
                 TrajectorySeries(0.0, 0.04, np.zeros(4), np.zeros(4)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 200), size=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e4]), offset=st.sampled_from([0.0, 1e4]),
+           walk=st.booleans())
+    def test_moving_average_is_scipys(self, n, size, seed, scale, offset, walk):
+        # windows longer than the series included
+        x = np.random.default_rng(seed).normal(offset, scale, n)
+        if walk:
+            x = np.cumsum(x)
+        assert np.array_equal(sync._moving_average(x, size),
+                              uniform_filter1d(x, size, mode="nearest"))
 
 
 class TestEstimateDelay:
@@ -97,6 +114,111 @@ class TestEstimateDelay:
         a = smooth_signal(600, seed=9)  # 6 s at 100 Hz
         with pytest.raises(InsufficientOverlap):
             estimate_delay(a, a, max_lag=1.0)
+
+
+DT = 0.1  # the 10 s minimum overlap is 100 samples
+
+
+def _channel(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "integers":  # sums of products tie exactly
+        return rng.integers(-2, 3, n).astype(float)
+    if kind == "periodic":  # ties at every multiple of the period
+        return np.tile(rng.integers(-2, 3, int(rng.integers(2, 7))), n)[:n].astype(float)
+    if kind == "offset":  # at 1e-9 the uncentred np.std's rounding shows
+        return 1e4 + rng.choice([1.0, 1e-9]) * rng.integers(-2, 3, n)
+    if kind == "burst":  # windows in the quiet part hold a tiny share of the variance
+        x = rng.integers(-2, 3, n).astype(float)
+        x[n // 3:] *= 1e-5
+        return x
+    if kind == "zero":
+        return np.zeros(n)
+    return np.full(n, float(rng.choice([0.1, -3.0, 1e4 + 0.1])))  # constant
+
+
+@st.composite
+def delay_problems(draw):
+    """Channels of a and b and a maximum lag up to the overlap limit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["integers", "integers", "periodic", "offset", "burst",
+                             "zero", "constant"])
+    channels = draw(st.integers(1, 2))
+    n_a = draw(st.integers(100, 150))
+    a = [SignalSeries(0.0, DT, _channel(draw(kinds), n_a, rng)) for _ in range(channels)]
+    if draw(st.booleans()):  # b is a turned: periodic channels then tie at many lags
+        turn = draw(st.integers(-20, 20))
+        b = [SignalSeries(0.0, DT, np.roll(s.values, turn)) for s in a]
+    else:
+        n_b = draw(st.one_of(st.just(n_a), st.integers(100, 150)))
+        dt_b = DT * draw(st.sampled_from([1.0, 1.0, 0.5, 0.75, 2.0]))  # else resampled
+        n_b = int(round((n_b - 1) * DT / dt_b)) + 1  # resampled to about n_b samples
+        t0_b = draw(st.sampled_from([0.0, 0.3, -1.25]))
+        b = [SignalSeries(t0_b, dt_b, _channel(draw(kinds), n_b, rng))
+             for _ in range(channels)]
+    n_min = min(n_a, len(sync._resample(b[0], DT)))
+    max_k = draw(st.integers(0, n_min - 100))
+    return a, b, max_k * DT
+
+
+class TestEstimateDelayMatchesAllLags:
+    @settings(max_examples=400, deadline=None)
+    @given(delay_problems())
+    def test_equal_to_scoring_every_lag(self, problem):
+        a, b, max_lag = problem
+        assert estimate_delay(a, b, max_lag) == estimate_delay_all_lags(a, b, max_lag)
+
+    @settings(max_examples=200, deadline=None)
+    @given(delay_problems())
+    def test_decided_fast_scores_are_far_inside_the_band(self, problem):
+        # the near-best band (1e-9) holds every tie only while this holds
+        a, b, max_lag = problem
+        max_k = int(round(max_lag / DT))
+        lags = np.arange(-max_k, max_k + 1)
+        for av, bv in zip(a, b):
+            values_b = sync._resample(bv, DT).values
+            scores, decided = sync._fast_scores(av.values, values_b, lags)
+            exact = np.array([sync._lag_correlation(av.values, values_b, int(k)) for k in lags])
+            assert np.all(np.abs(scores - exact)[decided] <= 1e-12)
+
+    @pytest.mark.parametrize("pattern, n", [([1, -1, 2, 0, -2], 173), ([2, 0, -1], 200)])
+    def test_periodic_ties_go_to_the_smallest_lag(self, pattern, n):
+        # every period's lag correlates within a few ulps of 1; the fast
+        # scores order them differently from the exact ones
+        a = SignalSeries(0.0, DT, np.tile(np.array(pattern, dtype=float), n)[:n])
+        assert estimate_delay(a, a, 5.0) == estimate_delay_all_lags(a, a, 5.0)
+        assert estimate_delay(a, a, 5.0)[0] == 0.0
+
+    def test_a_lag_left_undecided_can_win(self):
+        # at lag -100 both windows hold only the quiet, equal part q: the
+        # exact correlation is 1, but the windows hold under 1e-5 of their
+        # channels' variance, too little for the fast score to be trusted
+        rng = np.random.default_rng(12)
+        q = 1e-3 * rng.normal(0.0, 1.0, 150)
+        a = SignalSeries(0.0, DT, np.concatenate([rng.normal(0.0, 1.0, 100), q]))
+        b = SignalSeries(0.0, DT, np.concatenate([q, rng.normal(0.0, 1.0, 100)]))
+        lags = np.arange(-150, 151)
+        _, decided = sync._fast_scores(a.values, b.values, lags)
+        assert not decided[lags == -100]
+        assert estimate_delay(a, b, 15.0) == estimate_delay_all_lags(a, b, 15.0)
+        assert estimate_delay(a, b, 15.0)[0] == pytest.approx(-10.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_overlap_under_three_samples(self, seed):
+        # at 5 s a sample, the 10 s minimum overlap leaves 2 samples at +-4 lags
+        rng = np.random.default_rng(seed)
+        a, b = (SignalSeries(0.0, 5.0, rng.integers(-2, 3, 6).astype(float)) for _ in "ab")
+        assert estimate_delay(a, b, 20.0) == estimate_delay_all_lags(a, b, 20.0)
+
+    def test_scores_only_the_near_best_lags(self, monkeypatch):
+        calls = []
+        exact = sync._lag_correlation
+        monkeypatch.setattr(sync, "_lag_correlation",
+                            lambda a, b, lag: calls.append(lag) or exact(a, b, lag))
+        vert = smooth_signal(3000, seed=10)
+        lat = SignalSeries(0.0, vert.dt, np.zeros(3000))
+        shifted = SignalSeries(0.0, vert.dt, np.roll(vert.values, 61))
+        problem = ([smooth_signal(3000, seed=11), vert], [lat, shifted], 5.0)
+        assert estimate_delay(*problem) == estimate_delay_all_lags(*problem)
+        assert 0 < len(calls) <= 10  # the oracle makes 2 * 1001, one per lag and channel
 
 
 class TestShiftAnnotations:
