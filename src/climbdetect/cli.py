@@ -227,6 +227,10 @@ def cmd_evaluate(args) -> int:
 def cmd_sync(args) -> int:
     _make_parent(args.out)
     traj = io.read_trajectory_csv(args.trajectory)
+    if np.ptp(traj.x) == 0.0 and np.ptp(traj.y) == 0.0:
+        # every lag would correlate as 0.0: a delay without evidence
+        raise ClimbDetectError(f"{args.trajectory}: the trajectory does not move, "
+                               "so it cannot fix a delay")
     rec = io.read_recording_csv(args.recording, SensorSite.PELVIS)
     lateral, vertical = sync.trajectory_to_acceleration(traj, args.smooth_window)
     a_earth = orientation.earth_acceleration(rec, args.beta)
@@ -249,22 +253,34 @@ def cmd_sync(args) -> int:
     return 0
 
 
-def _nonnegative(text: str) -> float:
-    """argparse type: a finite float >= 0; argparse reports a bad value as a usage error."""
-    value = float(text)
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+def _checked(convert, accept, requirement: str):
+    """argparse type: ``convert(text)`` where ``accept`` holds for it; argparse
+    reports any other value as a usage error that states ``requirement``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+    return parse
+
+
+_nonnegative = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
+_positive = _checked(float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_step = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
 def _add_grid_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-min", type=float, default=0.1,
+    p.add_argument("--grid-min", type=_positive, default=0.1,
                    help="smallest threshold candidate (default 0.1)")
-    p.add_argument("--grid-max", type=float, default=1000.0,
+    p.add_argument("--grid-max", type=_positive, default=1000.0,
                    help="largest threshold candidate (default 1000)")
-    p.add_argument("--grid-points", type=int, default=20,
+    p.add_argument("--grid-points", type=_count, default=20,
                    help="log-spaced candidates per threshold axis (default 20)")
-    p.add_argument("--alpha-step", type=float, default=0.1,
+    p.add_argument("--alpha-step", type=_step, default=0.1,
                    help="fusion-weight grid step (default 0.1)")
 
 
@@ -303,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--climb", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--beta", type=_nonnegative, default=0.1)
-    p.add_argument("--min-episode", type=float, default=0.1,
+    p.add_argument("--min-episode", type=_nonnegative, default=0.1,
                    help="minimum mobile-episode duration in seconds (default 0.1)")
     p.set_defaults(func=cmd_classify)
 

@@ -4,8 +4,12 @@ Per-sensor Gamma hypothesis models are fitted on the concatenated annotated
 signals; detection thresholds and the fusion weight are then grid-searched
 against the performance coefficient c = TP/P - FP/N (twice the ROC distance
 to the chance diagonal). Calibration scores every (alpha, lambda0, lambda1)
-cell of a site in one vectorised CUSUM sweep per climb; the per-cell
-detector and relabelling in `_pooled_score` score single cells only.
+cell in vectorised CUSUM sweeps whose lanes are the climbs of every plane
+being calibrated: one sweep per site of the site's climbs in
+`learn_sensor_models`, and in `cross_validate` every fold's training and
+held-out climbs plus the full refit, swept in groups of whole folds of at
+most `_SWEEP_LANES` lanes. The per-cell detector and relabelling in
+`_pooled_score` score single cells only.
 """
 
 from __future__ import annotations
@@ -165,45 +169,80 @@ def _pooled_score(prep: list[_SitePrep], alpha: float,
     return tp / p - fp / n
 
 
-def _sweep(prep: list[_SitePrep], alphas, lambda_grid: np.ndarray) -> np.ndarray:
-    """c of every (alpha, lambda1, lambda0) cell, as an array indexed in that order.
+# Sample rows of increments built at a time, so that the sweep holds O(cells)
+# per step, not O(samples x lanes x alphas)
+_BLOCK = 256
 
-    Equals `_pooled_score` at every cell. Each climb is walked once: this is
-    the vector form of `cusum._run_cusum`, one element per cell. After
-    relabelling, the H1 segments are [o1, o2), [o3, o4), ... for the onsets
-    o1 <= o2 <= ..., so each detection adds +-(truth prefix sum at its onset)
-    to TP and +-onset to the predicted H1 length, and a cell still in H1 at
-    the end of the climb closes its segment there.
+# Lanes that `cross_validate` sweeps together at most, unless one fold alone
+# has more. Its folds and full refit are n^2 + n lanes for n climbs; swept in
+# groups of whole folds, its peak memory grows linearly in n, not with n^2.
+_SWEEP_LANES = 16
+
+
+def _sweep(problems: list[list[_SitePrep]], alphas, lambda_grid: np.ndarray) -> np.ndarray:
+    """c of every (problem, alpha, lambda1, lambda0) cell, as an array indexed in that order.
+
+    A problem is the list of climbs one plane is pooled over, and each of its
+    planes equals `_pooled_score` at every cell. A lane is one (problem,
+    climb) pair. All lanes advance together, one sample index per step: this
+    is the vector form of `cusum._run_cusum`, one element per cell of every
+    lane. Past its climb's end a lane gets zero increments, which never fire
+    and never lower the running minimum. After relabelling, the H1 segments
+    are [o1, o2), [o3, o4), ... for the onsets o1 <= o2 <= ..., so each
+    detection adds +-(truth prefix sum at its onset) to TP and +-onset to the
+    predicted H1 length, and a cell still in H1 at the end of its climb closes
+    its segment there.
     """
     alphas = np.asarray(alphas, dtype=float)
     size = len(lambda_grid)
-    rows = (len(alphas), size * size)
-    cells = len(alphas) * size * size
-    lam1_cells = np.tile(np.repeat(lambda_grid, size), len(alphas))
-    lam0_cells = np.tile(lambda_grid, size * len(alphas))
-    # counts summed over climbs, exact in float64 below 2**53
+    per_lane = len(alphas) * size * size
+    lanes = [(k, item) for k, prep in enumerate(problems) for item in prep]
+    lengths = [len(item.truth) for _, item in lanes]
+    truth_sums = [np.concatenate(([0], np.cumsum(item.truth.astype(bool))))
+                  for _, item in lanes]
+    p, n = [0] * len(problems), [0] * len(problems)
+    for (k, _), total, truth_sum in zip(lanes, lengths, truth_sums):
+        p[k] += int(truth_sum[-1])
+        n[k] += total - int(truth_sum[-1])
+    if any(pk == 0 or nk == 0 for pk, nk in zip(p, n)):
+        raise DegenerateTruth("truth must contain both states")
+    cells = len(lanes) * per_lane
+    lam = np.tile(np.repeat(lambda_grid, size), len(alphas) * len(lanes))
+    lam_other = np.tile(lambda_grid, size * len(alphas) * len(lanes))
+    # each cell's lane's truth prefix sums start at truth_at[cell] in truth_flat
+    truth_flat = np.concatenate(truth_sums)
+    truth_at = np.repeat(np.cumsum([0] + [len(t) for t in truth_sums[:-1]]), per_lane)
+    # counts summed over each lane's climb, exact in float64 below 2**53
     tp = np.zeros(cells)
     predicted_h1 = np.zeros(cells)
-    p = n = 0
-    for item in prep:
-        # row i holds alpha * l_acc[i] + (1 - alpha) * l_ang[i] for every alpha,
-        # the same operations as `_pooled_score`, so every sum is bit-identical
-        inc = alphas * item.l_acc[:, None] + (1.0 - alphas) * item.l_ang[:, None]
-        truth_sum = np.concatenate(([0], np.cumsum(item.truth.astype(bool))))
-        total = len(item.truth)
-        sign = np.ones(cells)  # +1 in H0, -1 in H1
-        lam, lam_other = lam1_cells.copy(), lam0_cells.copy()
-        s = np.zeros(cells)
-        s_min = np.zeros(cells)
-        i_min = np.zeros(cells, np.int64)
-        s_rows, sign_rows = s.reshape(rows), sign.reshape(rows)
-        for i in range(1, total):
-            s_rows += sign_rows * inc[i][:, None]
-            fired = np.flatnonzero(s > s_min + lam)
+    sign = np.ones(cells)  # +1 in H0, -1 in H1
+    s = np.zeros(cells)
+    s_min = np.zeros(cells)
+    i_min = np.zeros(cells, np.int64)
+    # one row per (lane, alpha), one column per threshold pair; views of s and sign
+    s_rows = s.reshape(len(lanes) * len(alphas), -1)
+    sign_rows = sign.reshape(len(lanes) * len(alphas), -1)
+    longest = max(lengths)
+    for start in range(1, longest, _BLOCK):
+        stop = min(start + _BLOCK, longest)
+        # row i - start, column (lane, alpha) holds alpha * l_acc[i] +
+        # (1 - alpha) * l_ang[i], the same operations as `_pooled_score`, so
+        # every sum is bit-identical
+        block = np.zeros((stop - start, len(lanes), len(alphas)))
+        for j, (_, item) in enumerate(lanes):
+            if lengths[j] <= start:
+                continue
+            rows = slice(start, min(stop, lengths[j]))
+            block[:rows.stop - start, j] = (alphas * item.l_acc[rows, None]
+                                            + (1.0 - alphas) * item.l_ang[rows, None])
+        block = block.reshape(stop - start, -1, 1)
+        for i in range(start, stop):
+            s_rows += sign_rows * block[i - start]
+            fired = (s > s_min + lam).nonzero()[0]
             if fired.size:
                 onset = i_min[fired]
                 before = sign[fired]
-                tp[fired] -= before * truth_sum[onset]
+                tp[fired] -= before * truth_flat[truth_at[fired] + onset]
                 predicted_h1[fired] -= before * onset
                 sign[fired] = -before
                 lam[fired], lam_other[fired] = lam_other[fired], lam[fired]
@@ -213,14 +252,19 @@ def _sweep(prep: list[_SitePrep], alphas, lambda_grid: np.ndarray) -> np.ndarray
             lower = s < s_min
             np.copyto(s_min, s, where=lower)
             np.copyto(i_min, i, where=lower)
-        in_h1 = sign < 0
-        tp[in_h1] += truth_sum[total]
-        predicted_h1[in_h1] += total
-        p += int(truth_sum[total])
-        n += total - int(truth_sum[total])
-    if p == 0 or n == 0:
-        raise DegenerateTruth("truth must contain both states")
-    return (tp / p - (predicted_h1 - tp) / n).reshape(len(alphas), size, size)
+    in_h1 = sign < 0
+    tp[in_h1] += np.repeat([t[-1] for t in truth_sums], per_lane)[in_h1]
+    predicted_h1[in_h1] += np.repeat(lengths, per_lane)[in_h1]
+    # pool each problem's lanes
+    problem_tp = np.zeros((len(problems), per_lane))
+    problem_h1 = np.zeros((len(problems), per_lane))
+    lane_problem = [k for k, _ in lanes]
+    np.add.at(problem_tp, lane_problem, tp.reshape(len(lanes), per_lane))
+    np.add.at(problem_h1, lane_problem, predicted_h1.reshape(len(lanes), per_lane))
+    p_col = np.asarray(p, dtype=float)[:, None]
+    n_col = np.asarray(n, dtype=float)[:, None]
+    c = problem_tp / p_col - (problem_h1 - problem_tp) / n_col
+    return c.reshape(len(problems), len(alphas), size, size)
 
 
 def _best_cell(plane: np.ndarray, lambda_grid: np.ndarray) -> tuple[float, float, float]:
@@ -251,17 +295,25 @@ def _mode_alphas(mode: str, alpha_grid) -> list[float]:
     return [float(alpha) for alpha in np.asarray(alpha_grid, dtype=float)]
 
 
-def _alpha_planes(climbs: list[LabeledClimb], site: SensorSite,
-                  models: tuple[HypothesisModel, HypothesisModel], alphas,
-                  lambda_grid) -> dict[float, tuple[float, float, float]]:
-    """The best (lambda0, lambda1, c) of each alpha's threshold plane, from one sweep."""
+def _best_cells(problems: list[list[_SitePrep]], alphas, lambda_grid,
+                ) -> list[dict[float, tuple[float, float, float]]]:
+    """Per problem, the best (lambda0, lambda1, c) of each alpha's threshold
+    plane, all from one sweep."""
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ValueError("empty threshold grid")
-    planes = _sweep(_prepare(climbs, site, models), alphas, lambda_grid)
-    return {alpha: _best_cell(plane, lambda_grid) for alpha, plane in zip(alphas, planes)}
+    return [{alpha: _best_cell(plane, lambda_grid) for alpha, plane in zip(alphas, planes)}
+            for planes in _sweep(problems, alphas, lambda_grid)]
+
+
+def _alpha_planes(climbs: list[LabeledClimb], site: SensorSite,
+                  models: tuple[HypothesisModel, HypothesisModel], alphas,
+                  lambda_grid) -> dict[float, tuple[float, float, float]]:
+    """The best (lambda0, lambda1, c) of each alpha's threshold plane, the
+    climbs swept together as lanes of one problem."""
+    return _best_cells([_prepare(climbs, site, models)], alphas, lambda_grid)[0]
 
 
 def _best_alpha(planes: dict[float, tuple[float, float, float]], alphas,
@@ -349,25 +401,38 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None, lambda_grid=None
     mode_alphas = {mode: _mode_alphas(mode, alpha_grid) for mode in modes}
     # every mode's weights are planes of one sweep over their union
     alphas = sorted({alpha for grid in mode_alphas.values() for alpha in grid})
+    # each fold, and the full refit, is as many lanes as there are climbs;
+    # at most _SWEEP_LANES lanes are swept together (one fold or refit at least)
+    units = list(range(len(climbs))) + ([None] if refit_full else [])
+    per_sweep = max(1, _SWEEP_LANES // len(climbs))
     report = EvaluationReport()
     for site in sites:
         fold_scores = {mode: [] for mode in modes}
         fold_optimal = {mode: [] for mode in modes}
-        for held_idx, held in enumerate(climbs):
-            train = [c for i, c in enumerate(climbs) if i != held_idx]
-            train_models = fit_models(train, site)
-            train_planes = _alpha_planes(train, site, train_models, alphas, lambda_grid)
-            held_planes = _alpha_planes([held], site, fit_models([held], site),
-                                        alphas, lambda_grid)
-            held_prep_train = _prepare([held], site, train_models)
-            for mode in modes:
-                alpha, lam0, lam1, _ = _best_alpha(train_planes, mode_alphas[mode])
-                fold_scores[mode].append(
-                    _pooled_score(held_prep_train, alpha, lam0, lam1))
-                fold_optimal[mode].append(_best_alpha(held_planes, mode_alphas[mode])[3])
-        if refit_full:
-            full_planes = _alpha_planes(climbs, site, fit_models(climbs, site),
-                                        alphas, lambda_grid)
+        full_planes = None
+        for first in range(0, len(units), per_sweep):
+            problems, held_preps = [], []
+            for held_idx in units[first:first + per_sweep]:
+                if held_idx is None:  # the full refit
+                    problems.append(_prepare(climbs, site, fit_models(climbs, site)))
+                    continue
+                held = climbs[held_idx]
+                train = [c for i, c in enumerate(climbs) if i != held_idx]
+                train_models = fit_models(train, site)
+                problems.append(_prepare(train, site, train_models))
+                problems.append(_prepare([held], site, fit_models([held], site)))
+                held_preps.append(_prepare([held], site, train_models))
+            planes = _best_cells(problems, alphas, lambda_grid)
+            for fold, held_prep_train in enumerate(held_preps):
+                train_planes, held_planes = planes[2 * fold], planes[2 * fold + 1]
+                for mode in modes:
+                    alpha, lam0, lam1, _ = _best_alpha(train_planes, mode_alphas[mode])
+                    fold_scores[mode].append(
+                        _pooled_score(held_prep_train, alpha, lam0, lam1))
+                    fold_optimal[mode].append(
+                        _best_alpha(held_planes, mode_alphas[mode])[3])
+            if len(planes) > 2 * len(held_preps):
+                full_planes = planes[-1]
         for mode in modes:
             alpha = lam0 = lam1 = float("nan")
             if refit_full:

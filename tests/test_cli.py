@@ -253,6 +253,24 @@ class TestSync:
                          "--recording", str(rec_path), "--max-lag", "5"]) == 1
         assert f"error: {traj_path}{message}" in capsys.readouterr().err
 
+    def test_motionless_trajectory_exits_one(self, tmp_path, capsys):
+        # every lag would correlate as 0.0, so any delay would be a guess
+        rec_path, traj_path = sync_inputs(tmp_path, 0.0)
+        lines = traj_path.read_text().splitlines()
+        traj_path.write_text("\n".join(
+            [lines[0]] + [line.split(",")[0] + ",0.5,1.25" for line in lines[1:]]) + "\n")
+        ann_path = tmp_path / "ann.json"
+        io.write_annotations_json(ann_path, {SensorSite.PELVIS: AnnotationTrack(
+            site=SensorSite.PELVIS, intervals=[(0.0, 10.0, 0), (10.0, 25.0, 1)])})
+        out_path = tmp_path / "shifted.json"
+        assert cli.main(["sync", "--trajectory", str(traj_path),
+                         "--recording", str(rec_path), "--annotations", str(ann_path),
+                         "--out", str(out_path), "--max-lag", "5"]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {traj_path}: the trajectory does not move" in captured.err
+        assert "delay=" not in captured.out
+        assert not out_path.exists()
+
 
 @pytest.mark.parametrize("command", ["fit", "evaluate", "classify", "report", "sync"])
 def test_out_in_missing_directory_is_created(command, dataset, model_path, tmp_path):
@@ -298,6 +316,28 @@ def test_bad_numeric_option_is_a_usage_error(option, value, capsys):
     assert exc.value.code == 2
     assert (f"argument {option}: must be a finite number >= 0, got {value!r}"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, option, value, requirement", [
+    ("fit", "--alpha-step", "0", "a number in (0, 1]"),
+    ("fit", "--alpha-step", "nan", "a number in (0, 1]"),
+    ("evaluate", "--alpha-step", "1.5", "a number in (0, 1]"),
+    ("fit", "--grid-min", "-1", "a finite number > 0"),
+    ("evaluate", "--grid-min", "0", "a finite number > 0"),
+    ("fit", "--grid-max", "inf", "a finite number > 0"),
+    ("evaluate", "--grid-max", "nan", "a finite number > 0"),
+    ("fit", "--grid-points", "0", "an integer >= 1"),
+    ("evaluate", "--grid-points", "-2", "an integer >= 1"),
+    ("fit", "--grid-points", "2.5", "an integer >= 1"),
+    ("classify", "--min-episode", "nan", "a finite number >= 0"),
+    ("classify", "--min-episode", "-0.1", "a finite number >= 0"),
+])
+def test_bad_grid_option_is_a_usage_error(command, option, value, requirement, capsys):
+    # refused while parsing, before any input is read or any grid is built
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be {requirement}, got {value!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["fit", "detect", "classify", "evaluate"])

@@ -2,13 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from climbdetect.cusum import BinaryStateSeries
 from climbdetect.errors import DegenerateTruth, MissingState
 from climbdetect.gamma_model import GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import (ALPHA_MODES, LabeledClimb, SensorChannels,
                                   _alpha_planes, _best_cell, _pooled_score,
-                                  _prepare, _SitePrep, _sweep,
+                                  _prepare, _SitePrep, _sweep, _SWEEP_LANES,
                                   cross_validate, default_alpha_grid,
                                   default_lambda_grid, fit_models,
                                   learn_sensor_models, optimize_alpha,
@@ -197,13 +199,23 @@ class TestSweep:
 
     def assert_matches_oracle(self, prep, alphas, grid):
         grid = np.asarray(grid, dtype=float)
-        planes = _sweep(prep, alphas, grid)
+        planes = _sweep([prep], alphas, grid)[0]
         assert planes.shape == (len(alphas), len(grid), len(grid))
         for alpha, plane in zip(alphas, planes):
             for lam1, row in zip(grid, plane):
                 for lam0, c in zip(grid, row):
                     assert c == _pooled_score(prep, alpha, float(lam0), float(lam1)), \
                         (alpha, lam0, lam1)
+        return planes
+
+    def assert_lanes_match(self, problems, alphas, grid):
+        """Every problem's planes, swept with the others as lanes of one pass,
+        equal its planes swept alone."""
+        grid = np.asarray(grid, dtype=float)
+        planes = _sweep(problems, alphas, grid)
+        assert planes.shape == (len(problems), len(alphas), len(grid), len(grid))
+        for prep, plane in zip(problems, planes):
+            assert np.array_equal(plane, _sweep([prep], alphas, grid)[0])
         return planes
 
     def test_unequal_pooled_climbs(self):
@@ -254,6 +266,87 @@ class TestSweep:
         # a (cells x samples) float64 matrix would take 4,400 * 6,000 * 8 B = 211 MB
         assert peak < 20e6
 
+    def test_problems_of_unequal_lanes(self):
+        climbs = [simulate(random_plan(duration, np.random.default_rng(seed)),
+                           seed=seed, climb_id=f"u{seed}")
+                  for seed, duration in ((34, 13.0), (35, 20.0), (36, 16.0))]
+        models = fit_models(climbs, SITE)
+        problems = [_prepare(climbs[:2], SITE, models), _prepare(climbs[2:], SITE, models),
+                    _prepare(climbs[::-1], SITE, fit_models(climbs[1:], SITE))]
+        assert len({len(item.truth) for item in problems[0] + problems[1]}) == 3
+        alphas, grid = [0.0, 0.35, 1.0], default_lambda_grid(5, 0.1, 300.0)
+        planes = self.assert_lanes_match(problems, alphas, grid)
+        for prep, plane in zip(problems, planes):
+            for alpha, alpha_plane in zip(alphas, plane):
+                for lam1, row in zip(grid, alpha_plane):
+                    for lam0, c in zip(grid, row):
+                        assert c == _pooled_score(prep, alpha, float(lam0), float(lam1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(problems=st.lists(st.lists(
+        st.integers(2, 14).flatmap(lambda size: st.tuples(
+            st.lists(st.integers(-3, 3), min_size=size, max_size=size),
+            st.lists(st.integers(-3, 3), min_size=size, max_size=size),
+            st.lists(st.integers(0, 1), min_size=size, max_size=size))),
+        min_size=1, max_size=3), min_size=1, max_size=4),
+        grid=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    def test_integer_lanes_tie_as_the_oracle(self, problems, grid):
+        # integer sums tie exactly with each other and with the thresholds,
+        # within a lane and across lanes
+        problems = [[_SitePrep(l_acc=np.asarray(acc, float), l_ang=np.asarray(ang, float),
+                               truth=np.asarray(truth, np.uint8))
+                     for acc, ang, truth in prep] for prep in problems]
+        for prep in problems:  # both states in every problem
+            prep[0].truth[:2] = (0, 1)
+        alphas, grid = [0.0, 0.5, 1.0], np.asarray(sorted(grid), float)
+        planes = self.assert_lanes_match(problems, alphas, grid)
+        for prep, plane in zip(problems, planes):
+            for alpha, alpha_plane in zip(alphas, plane):
+                for lam1, row in zip(grid, alpha_plane):
+                    for lam0, c in zip(grid, row):
+                        assert c == _pooled_score(prep, alpha, float(lam0), float(lam1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lane_matches_its_own_sweep(self, bad):
+        inc = np.array([0, 1, -2, 3, -1, 2, -3, 1, 1, -1], float)
+        truth = [0, 0, 1, 1, 1, 0, 0, 1, 1, 0]
+        spoiled = inc.copy()
+        spoiled[4] = bad
+        problems = [[exact_prep(inc[:7], truth[:7]), exact_prep(spoiled, truth)],
+                    [exact_prep(inc, truth)], [exact_prep(spoiled[::-1], truth)]]
+        with np.errstate(invalid="ignore"):  # alpha 0 times an infinite increment
+            self.assert_lanes_match(problems, [0.0, 0.5, 1.0], [1.0, 2.0, 4.0])
+
+    def test_cross_validation_memory_is_per_cell(self):
+        climbs = make_climbs(3, duration=60.0, seed=60)
+        tracemalloc.start()
+        try:
+            cross_validate(climbs, sites=[SITE])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 12 lanes (6 training, 3 held-out, 3 full-refit climbs) x 4,400 cells
+        assert peak < 20e6
+
+    def test_cross_validation_memory_is_linear_in_the_climbs(self):
+        # n climbs make n^2 + n lanes: 20 for 4 climbs, 110 for 10. Swept at
+        # once, 10 climbs would peak about five times as high as 4; the peak
+        # may grow at most linearly, so less than 2.5-fold
+        base = make_climbs(3, duration=15.0, seed=60)
+
+        def peak(n):
+            climbs = [LabeledClimb(f"c{i}", base[i % 3].channels, base[i % 3].annotations)
+                      for i in range(n)]
+            tracemalloc.start()
+            try:
+                cross_validate(climbs, alpha_grid=[0.0, 0.5, 1.0],
+                               lambda_grid=default_lambda_grid(5, 1, 200), sites=[SITE])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10) < 2.5 * peak(4)
+
 
 class TestCrossValidation:
     def test_identical_climbs_match_optimal(self):
@@ -292,9 +385,43 @@ class TestCrossValidation:
         # fused settles inside its grid, so no mode can pass with another's plane
         assert len({report.entries[(SITE, m)].alpha for m in ALPHA_MODES}) == 3
 
+    def test_folds_swept_in_groups_score_as_alone(self):
+        # 5 climbs make 30 lanes, more than one sweep takes: folds 0-2 are
+        # swept together, then folds 3-4 with the full refit
+        climbs = make_climbs(5, duration=15.0, seed=60)
+        assert 5 * 6 > _SWEEP_LANES >= 3 * 5
+        alpha_grid, grid = [0.0, 0.5, 1.0], default_lambda_grid(4, 0.1, 3.0)
+        report = cross_validate(climbs, alpha_grid=alpha_grid, lambda_grid=grid,
+                                sites=[SITE])
+        for mode, alphas in (("acc", [1.0]), ("ang", [0.0]), ("fused", alpha_grid)):
+            result = report.entries[(SITE, mode)]
+            for fold, held in enumerate(climbs):
+                train = climbs[:fold] + climbs[fold + 1:]
+                models = fit_models(train, SITE)
+                alpha, lam0, lam1, _ = optimize_alpha(train, SITE, models, alphas, grid)
+                assert result.fold_scores[fold] == _pooled_score(
+                    _prepare([held], SITE, models), alpha, lam0, lam1)
+                assert result.fold_optimal[fold] == optimize_alpha(
+                    [held], SITE, fit_models([held], SITE), alphas, grid)[3]
+            expected = optimize_alpha(climbs, SITE, fit_models(climbs, SITE), alphas, grid)
+            assert (result.alpha, result.lambda0, result.lambda1) == expected[:3]
+
     def test_requires_two_climbs(self):
         with pytest.raises(ValueError):
             cross_validate(make_climbs(1))
+
+    def test_missing_state_is_the_first_fold_fit_to_lack_one(self):
+        climbs = make_climbs(3, duration=30.0, seed=60)
+        # fold 0 pools climbs 1 and 2, so only fold 1's held-out fit lacks H1
+        climbs[1].annotations[SITE] = AnnotationTrack(site=SITE, intervals=[(0.0, 30.0, H0)])
+        climbs[2].annotations[SITE] = AnnotationTrack(site=SITE, intervals=[(0.0, 30.0, H1)])
+        with pytest.raises(MissingState) as expected:
+            fit_models([climbs[1]], SITE)
+        with pytest.raises(MissingState) as raised:
+            cross_validate(climbs, alpha_grid=[0.0, 1.0], lambda_grid=[1.0, 10.0],
+                           sites=[SITE])
+        assert str(raised.value) == str(expected.value)
+        assert "state H1 has 0 samples" in str(raised.value)
 
 
 def test_learn_sensor_models_roundtrip_scoring():
