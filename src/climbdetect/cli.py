@@ -224,6 +224,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# A trajectory whose unsmoothed second differences all lie within this share
+# of its largest |position|, on each axis, has no acceleration beyond
+# rounding (about 1e-15 of that scale).
+_UNIFORM_MOTION_SHARE = 1e-9
+
+
 def cmd_sync(args) -> int:
     _make_parent(args.out)
     traj = io.read_trajectory_csv(args.trajectory)
@@ -233,6 +239,11 @@ def cmd_sync(args) -> int:
                                "so it cannot fix a delay")
     rec = io.read_recording_csv(args.recording, SensorSite.PELVIS)
     lateral, vertical = sync.trajectory_to_acceleration(traj, args.smooth_window)
+    if all(np.abs(np.diff(v, 2)).max() <= _UNIFORM_MOTION_SHARE * np.abs(v).max()
+           for v in (traj.x, traj.y)):
+        # only the smoothing's end padding would bend it: a delay without evidence
+        raise ClimbDetectError(f"{args.trajectory}: the trajectory moves in a straight "
+                               "line at constant speed, so it cannot fix a delay")
     a_earth = orientation.earth_acceleration(rec, args.beta)
     sensor_lateral = SignalSeries(float(rec.t[0]), rec.dt, a_earth[:, 0])
     sensor_vertical = SignalSeries(float(rec.t[0]), rec.dt, a_earth[:, 2])

@@ -30,10 +30,8 @@ RECORDING_HEADER = "t,ax,ay,az,gx,gy,gz,mx,my,mz"
 GYRO_DEGREES_THRESHOLD = 50.0
 
 _LABEL_CODES = {name: code for code, name in STATE_NAMES.items()}
-
-
-def _f(x) -> str:
-    return repr(float(x))
+# Rows a recording writer turns into Python floats at a time.
+_BLOCK_ROWS = 256
 
 
 def site_from_filename(path: Path) -> SensorSite:
@@ -50,13 +48,13 @@ def annotations_path(directory: Path, climb_id: str) -> Path:
 
 
 def write_recording_csv(path, rec: ImuRecording) -> None:
-    path = Path(path)
     mag = rec.mag if rec.mag is not None else np.zeros_like(rec.accel)
+    columns = (rec.t[:, None], rec.accel, rec.gyro, mag)
     lines = [RECORDING_HEADER]
-    for i in range(len(rec)):
-        row = [rec.t[i], *rec.accel[i], *rec.gyro[i], *mag[i]]
-        lines.append(",".join(_f(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    for start in range(0, len(rec), _BLOCK_ROWS):
+        block = np.hstack([c[start:start + _BLOCK_ROWS] for c in columns])
+        lines += [",".join(map(repr, row)) for row in block.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
@@ -277,10 +275,9 @@ def _sensor_model(entry) -> SensorModel:
 
 def write_detection_csv(path, series: BinaryStateSeries) -> None:
     """Per-sample ``t,state`` rows followed by a change-point block."""
-    lines = ["t,state"]
     t = series.t0 + series.dt * np.arange(len(series.states))
-    for ti, st in zip(t, series.states):
-        lines.append(f"{_f(ti)},{STATE_NAMES[int(st)]}")
+    lines = ["t,state", *(f"{ti!r},{STATE_NAMES[st]}"
+                          for ti, st in zip(t.tolist(), series.states.tolist()))]
     for (idx, st), onset in zip(series.change_points, series.onsets):
         lines.append(f"# change_point,{idx},{STATE_NAMES[st]},{onset}")
     Path(path).write_text("\n".join(lines) + "\n")
@@ -320,14 +317,18 @@ _TIMELINE_SITES = (SensorSite.RIGHT_HAND, SensorSite.LEFT_HAND,
                    SensorSite.RIGHT_FOOT, SensorSite.LEFT_FOOT)
 
 
+# Each state's name in the timeline, indexed by its code.
+_FULL_BODY_NAMES = [s.name.lower() for s in FullBodyState]
+_LIMB_NAMES = [s.name.lower() for s in LimbSubState]
+
+
 def write_timeline_csv(path, timeline: ActivityTimeline) -> None:
-    lines = ["t,full_body,rh,lh,rf,lf"]
     t = timeline.t0 + timeline.dt * np.arange(len(timeline.full_body))
-    tracks = [timeline.limb_substates[s] for s in _TIMELINE_SITES]
-    for i, ti in enumerate(t):
-        row = [FullBodyState(timeline.full_body[i]).name.lower()]
-        row += [LimbSubState(track[i]).name.lower() for track in tracks]
-        lines.append(f"{_f(ti)}," + ",".join(row))
+    columns = [map(repr, t.tolist()),
+               map(_FULL_BODY_NAMES.__getitem__, timeline.full_body.tolist())]
+    columns += [map(_LIMB_NAMES.__getitem__, timeline.limb_substates[s].tolist())
+                for s in _TIMELINE_SITES]
+    lines = ["t,full_body,rh,lh,rf,lf", *map(",".join, zip(*columns))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -377,10 +378,9 @@ def read_trajectory_csv(path) -> TrajectorySeries:
 
 
 def write_trajectory_csv(path, traj: TrajectorySeries) -> None:
-    lines = ["t,x,y"]
     t = traj.t0 + traj.dt * np.arange(len(traj))
-    for ti, xi, yi in zip(t, traj.x, traj.y):
-        lines.append(f"{_f(ti)},{_f(xi)},{_f(yi)}")
+    lines = ["t,x,y", *(f"{ti!r},{xi!r},{yi!r}" for ti, xi, yi
+                        in zip(t.tolist(), traj.x.tolist(), traj.y.tolist()))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -5,18 +5,21 @@ integration with accelerometer and magnetometer corrections. Quaternions
 are (w, x, y, z) and rotate sensor-frame vectors into the Earth frame
 (magnetic North, West, vertical up): v_earth = q (0, v_s) q*.
 
-A filter step is written in closed form on Python floats (Madgwick 2010):
+The filter is one loop on Python floats. For each block of samples, numpy
+first builds the inputs that do not depend on the attitude (dt, gyro, accel
+and mag over their norms, and whether each is usable), one packed row per
+sample; the loop then runs each step inlined in closed form (Madgwick 2010):
 the gyro derivative term by term, the gravity and field residuals and their
-gradients from the rotation's Jacobian, so a step builds no arrays. The
-initial attitude (Markley's quaternion from a rotation matrix) and the
-rotation of the accelerations into the Earth frame are closed-form too.
+gradients from the rotation's Jacobian. `filter_update` is the same loop over
+one row. The initial attitude (Markley's quaternion from a rotation matrix)
+and the rotation of the accelerations into the Earth frame are closed-form
+numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -78,61 +81,114 @@ class ImuRecording:
         return 1.0 / self.sample_rate
 
 
-def _field_gradient(w, x, y, z, bx, bz, mx, my, mz):
-    """Gradient J^T f of 0.5*|f|^2, f = conj(q) (0, b) q - m, for b = (bx, 0, bz).
+def _check_beta(beta) -> float:
+    """``beta`` as a float, or ValueError if it is negative or not finite."""
+    beta = float(beta)
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be a finite number >= 0, not {beta!r}")
+    return beta
 
-    J = 2 [[a, d, -c, b], [b, c, d, -a], [c, -b, a, d]] is the Jacobian in
-    (w, x, y, z) of conj(q) (0, b) q, which is quadratic in q and so is J q / 2.
+
+def _rows(dt, accel, gyro, mag, beta: float):
+    """The step's inputs that do not depend on q, one packed tuple per sample:
+    dt, gyro (3), accel over its norm (3), a correction flag, mag over its
+    norm (3) and a mag flag.
+
+    A sample is corrected when beta > 0 and its accel is usable, and uses
+    mag when that is usable too; entries a sample does not use are 0.
     """
-    a = w * bx - y * bz
-    b = x * bz - z * bx
-    c = y * bx + w * bz
-    d = x * bx + z * bz
-    fx = w * a + x * d - y * c + z * b - mx
-    fy = w * b + x * c + y * d - z * a - my
-    fz = w * c - x * b + y * a + z * d - mz
-    return (2.0 * (a * fx + b * fy + c * fz),
-            2.0 * (d * fx + c * fy - b * fz),
-            2.0 * (d * fy - c * fx + a * fz),
-            2.0 * (b * fx - a * fy + d * fz))
-
-
-def _step(q, accel, gyro, mag, dt: float, beta: float) -> tuple:
-    """`filter_update` on Python floats: q is (w, x, y, z), mag may be None."""
-    if dt <= 0:
+    dt = np.asarray(dt, dtype=float)
+    if not (dt > 0.0).all():
         raise ValueError("dt must be positive")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    w, x, y, z = q
-    gx, gy, gz = gyro
-    # q_dot = 0.5 * q (0, gyro)
-    dw = 0.5 * (-x * gx - y * gy - z * gz)
-    dx = 0.5 * (w * gx + y * gz - z * gy)
-    dy = 0.5 * (w * gy - x * gz + z * gx)
-    dz = 0.5 * (w * gz + x * gy - y * gx)
+    columns = np.zeros((12, len(dt)))
+    columns[0] = dt
+    columns[1:4] = np.reshape(gyro, (-1, 3)).T
     if beta > 0.0:
-        ax, ay, az = accel
-        a_norm = math.hypot(ax, ay, az)
-        if a_norm > 1e-9:
-            g = _field_gradient(w, x, y, z, 0.0, 1.0, ax / a_norm, ay / a_norm, az / a_norm)
-            m_norm = 0.0 if mag is None else math.hypot(*mag)
-            if m_norm > 1e-9:
-                mx, my, mz = mag[0] / m_norm, mag[1] / m_norm, mag[2] / m_norm
+        corrected = _unit_rows(accel, columns[4:7].T)
+        columns[7] = corrected
+        if mag is not None:
+            columns[11] = corrected & _unit_rows(mag, columns[8:11].T)
+    return zip(*columns.tolist())
+
+
+def _unit_rows(v, out: np.ndarray) -> np.ndarray:
+    """Write each row of ``v`` over its `math.hypot` norm into ``out`` where the
+    reading is usable (norm > 1e-9), and return where it is."""
+    v = np.asarray(v, dtype=float).reshape(-1, 3)
+    norm = np.array(list(map(math.hypot, *v.T.tolist())))
+    usable = norm > 1e-9
+    np.divide(v, norm[:, None], out=out, where=usable[:, None])
+    return usable
+
+
+def _run(q, rows, beta: float) -> list:
+    """The filter from q = (w, x, y, z) over `_rows`: w, x, y, z of each row in
+    one flat list.
+
+    Each step is closed form on Python floats (Madgwick 2010), inlined: the
+    gyro derivative term by term, then the gradient J^T f of 0.5*|f|^2 for
+    the gravity residual f = conj(q) (0, 0, 0, 1) q - a and, with mag, the
+    field residual f = conj(q) (0, b) q - m, b = (|h_xy|, 0, h_z). For
+    b = (bx, 0, bz), J = 2 [[A, D, -C, B], [B, C, D, -A], [C, -B, A, D]] is
+    the Jacobian in (w, x, y, z) of conj(q) (0, b) q, which is quadratic in
+    q and so is J q / 2. Each sample's arithmetic is fixed, so the result
+    does not depend on how the rows are blocked.
+    """
+    hypot = math.hypot
+    w, x, y, z = q
+    out = []
+    for dt, gx, gy, gz, ax, ay, az, corrected, mx, my, mz, has_mag in rows:
+        # q_dot = 0.5 * q (0, gyro)
+        dw = 0.5 * (-x * gx - y * gy - z * gz)
+        dx = 0.5 * (w * gx + y * gz - z * gy)
+        dy = 0.5 * (w * gy - x * gz + z * gx)
+        dz = 0.5 * (w * gz + x * gy - y * gx)
+        if corrected:
+            # The gravity residual and gradient: the field's for b = (0, 0, 1).
+            # The products by 0.0 stay: without them some zeros in the result
+            # would change sign.
+            a = w * 0.0 - y
+            b = x - z * 0.0
+            c = y * 0.0 + w
+            d = x * 0.0 + z
+            fx = w * a + x * d - y * c + z * b - ax
+            fy = w * b + x * c + y * d - z * a - ay
+            fz = w * c - x * b + y * a + z * d - az
+            g0 = 2.0 * (a * fx + b * fy + c * fz)
+            g1 = 2.0 * (d * fx + c * fy - b * fz)
+            g2 = 2.0 * (d * fy - c * fx + a * fz)
+            g3 = 2.0 * (b * fx - a * fy + d * fz)
+            if has_mag:
                 # h = q (0, m) conj(q); the Earth-frame field reference is its
                 # horizontal magnitude north and its measured vertical component.
                 ww, xx, yy, zz = w * w, x * x, y * y, z * z
-                hx = (ww + xx - yy - zz) * mx + 2.0 * ((x * y - w * z) * my + (x * z + w * y) * mz)
-                hy = (ww - xx + yy - zz) * my + 2.0 * ((x * y + w * z) * mx + (y * z - w * x) * mz)
-                hz = (ww - xx - yy + zz) * mz + 2.0 * ((x * z - w * y) * mx + (y * z + w * x) * my)
-                g = [gi + mi for gi, mi in
-                     zip(g, _field_gradient(w, x, y, z, math.hypot(hx, hy), hz, mx, my, mz))]
-            g_norm = math.hypot(*g)
+                xy, wz, xz, wy, yz, wx = x * y, w * z, x * z, w * y, y * z, w * x
+                hx = (ww + xx - yy - zz) * mx + 2.0 * ((xy - wz) * my + (xz + wy) * mz)
+                hy = (ww - xx + yy - zz) * my + 2.0 * ((xy + wz) * mx + (yz - wx) * mz)
+                hz = (ww - xx - yy + zz) * mz + 2.0 * ((xz - wy) * mx + (yz + wx) * my)
+                bx = hypot(hx, hy)
+                a = w * bx - y * hz
+                b = x * hz - z * bx
+                c = y * bx + w * hz
+                d = x * bx + z * hz
+                fx = w * a + x * d - y * c + z * b - mx
+                fy = w * b + x * c + y * d - z * a - my
+                fz = w * c - x * b + y * a + z * d - mz
+                g0 += 2.0 * (a * fx + b * fy + c * fz)
+                g1 += 2.0 * (d * fx + c * fy - b * fz)
+                g2 += 2.0 * (d * fy - c * fx + a * fz)
+                g3 += 2.0 * (b * fx - a * fy + d * fz)
+            g_norm = hypot(g0, g1, g2, g3)
             if g_norm > 1e-12:
-                dw, dx, dy, dz = (dw - beta * g[0] / g_norm, dx - beta * g[1] / g_norm,
-                                  dy - beta * g[2] / g_norm, dz - beta * g[3] / g_norm)
-    w, x, y, z = w + dw * dt, x + dx * dt, y + dy * dt, z + dz * dt
-    n = math.hypot(w, x, y, z)
-    return w / n, x / n, y / n, z / n
+                dw = dw - beta * g0 / g_norm
+                dx = dx - beta * g1 / g_norm
+                dy = dy - beta * g2 / g_norm
+                dz = dz - beta * g3 / g_norm
+        w, x, y, z = w + dw * dt, x + dx * dt, y + dy * dt, z + dz * dt
+        n = hypot(w, x, y, z)
+        w, x, y, z = w / n, x / n, y / n, z / n
+        out += w, x, y, z
+    return out
 
 
 def filter_update(q, accel, gyro, mag, dt: float, beta: float) -> np.ndarray:
@@ -142,10 +198,12 @@ def filter_update(q, accel, gyro, mag, dt: float, beta: float) -> np.ndarray:
     reading is usable, applies a normalized gradient step of magnitude beta
     toward gravity (and magnetic-field, when given) agreement. Degenerate
     accel falls back to pure gyro propagation. The result is renormalized.
+    A dt that is not positive, or a beta that is negative or not finite,
+    raises ValueError.
     """
-    q, accel, gyro = (np.asarray(v, dtype=float).tolist() for v in (q, accel, gyro))
-    mag = None if mag is None else np.asarray(mag, dtype=float).tolist()
-    return np.array(_step(q, accel, gyro, mag, float(dt), float(beta)))
+    beta = _check_beta(beta)
+    rows = _rows([dt], accel, gyro, mag, beta)
+    return np.array(_run(np.asarray(q, dtype=float).tolist(), rows, beta))
 
 
 def initial_orientation(accel, mag=None) -> np.ndarray:
@@ -206,23 +264,26 @@ def estimate_orientation(recording: ImuRecording, beta: float = DEFAULT_BETA,
     The filter starts from the first sample's accel/mag attitude and runs
     forward; orientations within the initial convergence window are replaced
     by the estimate reached at its end, which prevents startup gravity
-    leakage into the earliest samples.
+    leakage into the earliest samples. A negative or non-finite beta raises
+    ValueError.
     """
     n = len(recording)
     if n == 0:
         raise EmptyRecording("recording has no samples")
     t, accel, gyro, mag = recording.t, recording.accel, recording.gyro, recording.mag
     quats = np.empty((n, 4))
+    beta = _check_beta(beta)
     q = initial_orientation(accel[0], None if mag is None else mag[0]).tolist()
     quats[0] = q
-    # Rows go to the step as Python floats a block at a time: whole arrays
+    # Rows go to the filter as Python floats a block at a time: whole arrays
     # as lists would hold a few MB per site.
     for start in range(1, n, _BLOCK):
         stop = start + _BLOCK
-        rows = zip(np.diff(t[start - 1:stop]).tolist(), accel[start:stop].tolist(),
-                   gyro[start:stop].tolist(),
-                   repeat(None) if mag is None else mag[start:stop].tolist())
-        quats[start:stop] = [q := _step(q, a, g, m, dt, beta) for dt, a, g, m in rows]
+        rows = _rows(np.diff(t[start - 1:stop]), accel[start:stop], gyro[start:stop],
+                     None if mag is None else mag[start:stop], beta)
+        block = _run(q, rows, beta)
+        quats[start:stop] = np.reshape(block, (-1, 4))
+        q = block[-4:]
     if convergence_window > 0:
         w_end = int(np.searchsorted(recording.t, recording.t[0] + convergence_window))
         quats[:w_end] = quats[min(w_end, n - 1)]

@@ -271,6 +271,28 @@ class TestSync:
         assert "delay=" not in captured.out
         assert not out_path.exists()
 
+    def test_straight_line_trajectory_exits_one(self, tmp_path, capsys):
+        # x = 0.1 t, y = 0.05 t has no acceleration; only the smoothing's end
+        # padding would give it some, and that once read as a delay of -1.7 s
+        rec_path, _ = sync_inputs(tmp_path, 0.0)
+        t = np.arange(750) / 25.0
+        traj_path = tmp_path / "line.csv"
+        traj_path.write_text("\n".join(["t,x,y"] + [
+            f"{ti!r},{xi!r},{yi!r}"
+            for ti, xi, yi in zip(t.tolist(), (0.1 * t).tolist(), (0.05 * t).tolist())]) + "\n")
+        ann_path = tmp_path / "ann.json"
+        io.write_annotations_json(ann_path, {SensorSite.PELVIS: AnnotationTrack(
+            site=SensorSite.PELVIS, intervals=[(0.0, 10.0, 0), (10.0, 25.0, 1)])})
+        out_path = tmp_path / "shifted.json"
+        assert cli.main(["sync", "--trajectory", str(traj_path),
+                         "--recording", str(rec_path), "--annotations", str(ann_path),
+                         "--out", str(out_path), "--max-lag", "5"]) == 1
+        captured = capsys.readouterr()
+        assert (f"error: {traj_path}: the trajectory moves in a straight line at constant "
+                "speed" in captured.err)
+        assert "delay=" not in captured.out
+        assert not out_path.exists()
+
 
 @pytest.mark.parametrize("command", ["fit", "evaluate", "classify", "report", "sync"])
 def test_out_in_missing_directory_is_created(command, dataset, model_path, tmp_path):

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import csv_oracles
 from climbdetect import io
 from climbdetect.classifier import ActivityTimeline, ExplorationReport, LimbCounts
 from climbdetect.cusum import (BinaryStateSeries, DetectionConfig,
@@ -347,3 +350,71 @@ class TestTrajectoryCsv:
             io.read_trajectory_csv(path)
         assert str(exc.value).startswith(str(path))
         assert message in str(exc.value)
+
+
+# Finite floats with signed zeros and subnormals drawn often.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072014e-308]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e300, 1e300))
+
+
+def _column(n):
+    return st.lists(_FLOATS, min_size=n, max_size=n).map(np.array)
+
+
+class TestWriterBytes:
+    """Each writer's bytes against its one-element-at-a-time oracle."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.integers(1, 12), mag=st.booleans())
+    def test_recording(self, tmp_path, data, n, mag):
+        t = np.array(sorted(data.draw(st.lists(_FLOATS, min_size=n, max_size=n,
+                                               unique=True))))
+        rec = ImuRecording(
+            site=SensorSite.PELVIS, sample_rate=100.0, t=t,
+            accel=data.draw(_column(3 * n)).reshape(n, 3),
+            gyro=data.draw(_column(3 * n)).reshape(n, 3),
+            mag=data.draw(_column(3 * n)).reshape(n, 3) if mag else None)
+        path = tmp_path / "c1_pelvis.csv"
+        io.write_recording_csv(path, rec)
+        assert path.read_text() == csv_oracles.recording_text(rec)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(t0=_FLOATS, dt=st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e298, 1e298)),
+           states=st.lists(st.integers(0, 1), min_size=1, max_size=12))
+    def test_detection(self, tmp_path, t0, dt, states):
+        change_points = [(i, code) for i, code in enumerate(states)
+                         if i and code != states[i - 1]]
+        series = BinaryStateSeries(t0=t0, dt=dt, states=np.array(states, np.uint8),
+                                   change_points=change_points,
+                                   onsets=[i - 1 for i, _ in change_points])
+        path = tmp_path / "det.csv"
+        io.write_detection_csv(path, series)
+        assert path.read_text() == csv_oracles.detection_text(series)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), t0=_FLOATS,
+           dt=st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e298, 1e298)),
+           n=st.integers(1, 12))
+    def test_timeline(self, tmp_path, data, t0, dt, n):
+        codes = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+            lambda v: np.array(v, np.uint8))
+        timeline = ActivityTimeline(
+            t0=t0, dt=dt, full_body=data.draw(codes),
+            limb_substates={site: data.draw(codes) for site in LIMBS})
+        path = tmp_path / "timeline.csv"
+        io.write_timeline_csv(path, timeline)
+        assert path.read_text() == csv_oracles.timeline_text(timeline)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), t0=_FLOATS,
+           dt=st.one_of(st.sampled_from([5e-324, 1.5e-310]), st.floats(1e-300, 1e298)),
+           n=st.integers(1, 12))
+    def test_trajectory(self, tmp_path, data, t0, dt, n):
+        traj = TrajectorySeries(t0=t0, dt=dt, x=data.draw(_column(n)), y=data.draw(_column(n)))
+        path = tmp_path / "traj.csv"
+        io.write_trajectory_csv(path, traj)
+        assert path.read_text() == csv_oracles.trajectory_text(traj)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from climbdetect.orientation import (GRAVITY, ImuRecording, _rotate,
                                      angular_velocity_norm, earth_acceleration,
                                      estimate_orientation, filter_update,
                                      initial_orientation, linear_acceleration)
-from climbdetect.series import SensorSite
+from climbdetect.series import ALL_SITES, SensorSite
 from climbdetect.simulator import random_plan, simulate
+from quaternions import chained_orientation, closed_form_step
 from quaternions import filter_update as product_form_update
 from quaternions import quat_distance, quat_from_axis_angle, quat_rotate
 
@@ -30,6 +33,22 @@ def stationary_recording(attitude: Rotation, n=500, rate=100.0, mag=True,
     return ImuRecording(site=SensorSite.PELVIS, sample_rate=rate,
                         t=np.arange(n) / rate, accel=accel,
                         gyro=np.zeros((n, 3)), mag=mag_s)
+
+
+def random_recording(n, mag=True, seed=17):
+    """A recording of random rows on a jittered clock."""
+    rng = np.random.default_rng(seed)
+    return ImuRecording(site=SensorSite.LEFT_FOOT, sample_rate=100.0,
+                        t=np.cumsum(rng.uniform(0.005, 0.015, n)),
+                        accel=rng.normal([0.0, 0.0, GRAVITY], 2.0, (n, 3)),
+                        gyro=rng.normal(0.0, 1.0, (n, 3)),
+                        mag=rng.normal(MAG_EARTH, 0.1, (n, 3)) if mag else None)
+
+
+def assert_bit_equal(got, want):
+    """Equal floats, and equal signs on the zeros among them."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestFilterUpdate:
@@ -67,27 +86,61 @@ class TestFilterUpdate:
         with pytest.raises(ValueError):
             filter_update(IDENTITY, [0, 0, GRAVITY], [0, 0, 0], None, dt=0.01, beta=-1.0)
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call", [
+        lambda beta: filter_update(IDENTITY, [0, 0, GRAVITY], [0, 0, 0], None, 0.01, beta),
+        lambda beta: estimate_orientation(stationary_recording(Rotation.identity(), 20), beta),
+        lambda beta: earth_acceleration(stationary_recording(Rotation.identity(), 20), beta),
+        lambda beta: linear_acceleration(stationary_recording(Rotation.identity(), 20), beta),
+    ], ids=["filter_update", "estimate_orientation", "earth_acceleration",
+            "linear_acceleration"])
+    def test_nonfinite_beta_refused(self, call, beta):
+        # nan fails both beta < 0 and beta > 0, and inf gives nan quaternions
+        with pytest.raises(ValueError, match="beta must be a finite number >= 0"):
+            call(beta)
+
 
 def _vectors(scale):
     return st.lists(st.floats(-scale, scale), min_size=3, max_size=3)
+
+
+_STEPS = dict(q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+                 lambda v: np.linalg.norm(v) > 0.1).map(lambda v: np.array(v) / np.linalg.norm(v)),
+              accel=st.one_of(st.just([0.0, 0.0, 0.0]), _vectors(30.0)),
+              gyro=_vectors(20.0),
+              mag=st.one_of(st.none(), st.just([0.0, 0.0, 0.0]), _vectors(2.0)),
+              dt=st.floats(1e-4, 0.5),
+              beta=st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
 
 
 class TestClosedFormStep:
     """The closed-form step against the quaternion-product oracle."""
 
     @settings(max_examples=400, deadline=None)
-    @given(q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
-               lambda v: np.linalg.norm(v) > 0.1),
-           accel=st.one_of(st.just([0.0, 0.0, 0.0]), _vectors(30.0)),
-           gyro=_vectors(20.0),
-           mag=st.one_of(st.none(), st.just([0.0, 0.0, 0.0]), _vectors(2.0)),
-           dt=st.floats(1e-4, 0.5),
-           beta=st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    @given(**_STEPS)
     def test_matches_product_form(self, q, accel, gyro, mag, dt, beta):
-        q = np.array(q) / np.linalg.norm(q)
         got = filter_update(q, accel, gyro, mag, dt, beta)
         want = product_form_update(q, accel, gyro, mag, dt, beta)
         assert np.max(np.abs(got - want)) <= 1e-14
+
+    @settings(max_examples=400, deadline=None)
+    @given(**_STEPS)
+    def test_filter_update_is_the_per_sample_oracle(self, q, accel, gyro, mag, dt, beta):
+        assert_bit_equal(filter_update(q, accel, gyro, mag, dt, beta),
+                         np.array(closed_form_step(q.tolist(), accel, gyro, mag, dt, beta)))
+
+    @pytest.mark.parametrize("mag", [None, (1.0, -0.0, 0.0)], ids=["imu-only", "marg"])
+    def test_signed_zero_grid(self, mag):
+        # Attitudes on the axes and a still sensor give exact zeros in q and
+        # in the gravity gradient; their signs reach the result only in a few
+        # of these cases, which a form that drops the general gradient's
+        # products by 0.0 gets wrong.
+        for q in itertools.product([0.0, -0.0, 1.0], repeat=4):
+            for accel in itertools.product([0.0, -0.0, 1.0, -1.0], repeat=3):
+                if any(q):
+                    assert_bit_equal(
+                        filter_update(q, accel, [0.0, 0.0, 0.0], mag, 0.01, 0.5),
+                        np.array(closed_form_step(q, accel, [0.0, 0.0, 0.0], mag, 0.01, 0.5)))
 
     def test_simulated_climb_matches_product_form_loop(self):
         plan = random_plan(60.0, np.random.default_rng(3))
@@ -103,13 +156,8 @@ class TestClosedFormStep:
 
     @pytest.mark.parametrize("mag", [True, False], ids=["marg", "imu-only"])
     def test_estimate_equals_chained_updates_across_blocks(self, mag):
-        rng = np.random.default_rng(17)
         n = 2500
-        rec = ImuRecording(site=SensorSite.LEFT_FOOT, sample_rate=100.0,
-                           t=np.cumsum(rng.uniform(0.005, 0.015, n)),
-                           accel=rng.normal([0.0, 0.0, GRAVITY], 2.0, (n, 3)),
-                           gyro=rng.normal(0.0, 1.0, (n, 3)),
-                           mag=rng.normal(MAG_EARTH, 0.1, (n, 3)) if mag else None)
+        rec = random_recording(n, mag)
         quats = estimate_orientation(rec, beta=0.2, convergence_window=0.0)
         q = initial_orientation(rec.accel[0], rec.mag[0] if mag else None)
         assert np.array_equal(quats[0], q)
@@ -117,6 +165,63 @@ class TestClosedFormStep:
             q = filter_update(q, rec.accel[i], rec.gyro[i], rec.mag[i] if mag else None,
                               rec.t[i] - rec.t[i - 1], 0.2)
             assert np.array_equal(quats[i], q), i
+
+
+def per_sample_oracle(rec, beta):
+    """`closed_form_step` chained one sample at a time from the first attitude."""
+    q0 = initial_orientation(rec.accel[0], None if rec.mag is None else rec.mag[0])
+    return chained_orientation(q0, rec.t, rec.accel, rec.gyro, rec.mag, beta)
+
+
+_ROW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, GRAVITY, 5e-324, -1.5e-310]),
+                        st.floats(-30.0, 30.0))
+
+
+class TestFusedLoopOracle:
+    """`estimate_orientation`, one loop over packed rows, is bit-equal to the
+    closed-form step called once per sample, signs of zero included."""
+
+    @pytest.fixture(scope="class")
+    def climb(self):
+        return simulate(random_plan(30.0, np.random.default_rng(5)), seed=5, triaxial=True)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("site", ALL_SITES, ids=lambda s: s.value)
+    def test_simulated_sites(self, climb, site, beta):
+        rec = climb.recordings[site]
+        assert rec.mag is not None
+        assert_bit_equal(estimate_orientation(rec, beta, 0.0), per_sample_oracle(rec, beta))
+
+    @pytest.mark.parametrize("mag", [True, False], ids=["marg", "imu-only"])
+    def test_still_sensor_at_identity(self, mag):
+        rec = stationary_recording(Rotation.identity(), n=300, mag=mag)
+        quats = estimate_orientation(rec, 0.1, 0.0)
+        assert (quats[:, 1:] == 0.0).all()
+        assert_bit_equal(quats, per_sample_oracle(rec, 0.1))
+
+    def test_rows_with_zero_accel_or_zero_mag(self):
+        rec = random_recording(600)
+        rec.accel[5::7] = 0.0
+        rec.mag[3::5] = 0.0
+        rec.mag[::11] = -0.0
+        assert_bit_equal(estimate_orientation(rec, 0.3, 0.0), per_sample_oracle(rec, 0.3))
+
+    @pytest.mark.parametrize("n", [1, 2, 1024, 1025, 2500])
+    def test_lengths_around_blocks(self, n):
+        rec = random_recording(n, seed=n)
+        assert_bit_equal(estimate_orientation(rec, 0.2, 0.0), per_sample_oracle(rec, 0.2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30), mag=st.booleans(),
+           beta=st.one_of(st.sampled_from([0.0, 0.1]), st.floats(0.0, 5.0)))
+    def test_random_rows(self, data, n, mag, beta):
+        def stream():
+            return np.reshape(data.draw(st.lists(_ROW_VALUES, min_size=3 * n,
+                                                 max_size=3 * n)), (n, 3))
+        dts = data.draw(st.lists(st.floats(1e-3, 0.1), min_size=n, max_size=n))
+        rec = ImuRecording(site=SensorSite.RIGHT_HAND, sample_rate=100.0, t=np.cumsum(dts),
+                           accel=stream(), gyro=stream(), mag=stream() if mag else None)
+        assert_bit_equal(estimate_orientation(rec, beta, 0.0), per_sample_oracle(rec, beta))
 
 
 class TestRecordingValidation:
