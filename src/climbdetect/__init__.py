@@ -19,7 +19,6 @@ from .gamma_model import (GammaParams, HypothesisModel, chi_square_gof,
                           fit_mle, log_pdf)
 from .learning import (EvaluationReport, LabeledClimb, SensorChannels,
                        cross_validate, fit_models, learn_sensor_models,
-                       optimize_alpha, optimize_thresholds,
                        performance_coefficient)
 from .orientation import (ImuRecording, angular_velocity_norm, filter_update,
                           linear_acceleration)

@@ -20,8 +20,7 @@ from .errors import (EmptyRecording, InvalidParams, MalformedAnnotations,
                      MalformedModel, MalformedRecording)
 from .gamma_model import GammaParams
 from .orientation import ImuRecording
-from .series import (ALL_SITES, LIMBS, AnnotationTrack, SensorSite,
-                     STATE_NAMES)
+from .series import LIMBS, STATE_NAMES, AnnotationTrack, SensorSite
 from .sync import TrajectorySeries
 
 RECORDING_HEADER = "t,ax,ay,az,gx,gy,gz,mx,my,mz"
@@ -58,8 +57,9 @@ def write_recording_csv(path, rec: ImuRecording) -> None:
 
 
 def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
-    """Load a recording; auto-detects gyro units, resamples jittered clocks
-    onto the nominal grid, and flags gaps longer than two sample periods."""
+    """Load a recording; refuses timestamps that do not strictly increase,
+    auto-detects gyro units, resamples jittered clocks onto the nominal grid,
+    and flags gaps longer than two sample periods."""
     path = Path(path)
     if site is None:
         site = site_from_filename(path)
@@ -73,7 +73,7 @@ def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
         raise MalformedRecording(f"{path}: missing column(s) {', '.join(missing)}")
     data = _read_rows(path, header, lines)
     cols = {name: i for i, name in enumerate(header)}
-    t = data[:, cols["t"]]
+    t = _increasing_times(path, lines, data[:, cols["t"]])
     accel = data[:, [cols["ax"], cols["ay"], cols["az"]]]
     gyro = data[:, [cols["gx"], cols["gy"], cols["gz"]]]
     mag = None
@@ -116,6 +116,18 @@ def _read_rows(path: Path, header: list[str], lines: list[str]) -> np.ndarray:
                 _row_values(path, lineno, text.split(","), header, numbers)
         raise MalformedRecording(reason)
     return data
+
+
+def _increasing_times(path: Path, lines: list[str], t: np.ndarray) -> np.ndarray:
+    """``t`` as read from ``lines``, or `MalformedRecording` naming ``path:line``
+    of the first row whose t is not after the previous row's."""
+    late = np.flatnonzero(np.diff(t) <= 0)
+    if late.size:
+        rows = [lineno for lineno, line in enumerate(lines, start=2) if _data_text(line)]
+        i = int(late[0]) + 1
+        raise MalformedRecording(f"{path}:{rows[i]}: t {float(t[i])!r} is not after "
+                                 f"the previous row's {float(t[i - 1])!r}")
+    return t
 
 
 def _data_text(line: str) -> str:
@@ -313,10 +325,6 @@ def _text_rows(path: Path) -> list[tuple[int, list[str]]]:
             for lineno, line in enumerate(lines, start=2) if line.strip()]
 
 
-_TIMELINE_SITES = (SensorSite.RIGHT_HAND, SensorSite.LEFT_HAND,
-                   SensorSite.RIGHT_FOOT, SensorSite.LEFT_FOOT)
-
-
 # Each state's name in the timeline, indexed by its code.
 _FULL_BODY_NAMES = [s.name.lower() for s in FullBodyState]
 _LIMB_NAMES = [s.name.lower() for s in LimbSubState]
@@ -327,23 +335,23 @@ def write_timeline_csv(path, timeline: ActivityTimeline) -> None:
     columns = [map(repr, t.tolist()),
                map(_FULL_BODY_NAMES.__getitem__, timeline.full_body.tolist())]
     columns += [map(_LIMB_NAMES.__getitem__, timeline.limb_substates[s].tolist())
-                for s in _TIMELINE_SITES]
+                for s in LIMBS]
     lines = ["t,full_body,rh,lh,rf,lf", *map(",".join, zip(*columns))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_timeline_csv(path) -> ActivityTimeline:
     path = Path(path)
-    names = ["t", "full_body", *(site.value for site in _TIMELINE_SITES)]
-    parsers = [_number, _label({s.name.lower(): int(s) for s in FullBodyState})]
-    parsers += [_label({s.name.lower(): int(s) for s in LimbSubState})] * len(_TIMELINE_SITES)
+    names = ["t", "full_body", *(site.value for site in LIMBS)]
+    parsers = [_number, _label({name: code for code, name in enumerate(_FULL_BODY_NAMES)})]
+    parsers += [_label({name: code for code, name in enumerate(_LIMB_NAMES)})] * len(LIMBS)
     times, full_body = [], []
-    tracks: dict[SensorSite, list[int]] = {s: [] for s in _TIMELINE_SITES}
+    tracks: dict[SensorSite, list[int]] = {s: [] for s in LIMBS}
     for lineno, fields in _text_rows(path):
         ti, fb, *limbs = _row_values(path, lineno, fields, names, parsers)
         times.append(ti)
         full_body.append(fb)
-        for site, code in zip(_TIMELINE_SITES, limbs):
+        for site, code in zip(LIMBS, limbs):
             tracks[site].append(code)
     if not times:
         raise EmptyRecording(f"{path}: no samples after the header")
@@ -372,7 +380,7 @@ def read_trajectory_csv(path) -> TrajectorySeries:
         header = fh.readline().strip().split(",")  # t,x,y
         lines = fh.readlines()
     data = _read_rows(path, header, lines)
-    t = data[:, 0]
+    t = _increasing_times(path, lines, data[:, 0])
     dt = float(np.median(np.diff(t))) if len(t) > 1 else 1.0
     return TrajectorySeries(t0=float(t[0]), dt=dt, x=data[:, 1], y=data[:, 2])
 

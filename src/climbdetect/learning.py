@@ -3,9 +3,11 @@
 Per-sensor Gamma hypothesis models are fitted on the concatenated annotated
 signals; detection thresholds and the fusion weight are then grid-searched
 against the performance coefficient c = TP/P - FP/N (twice the ROC distance
-to the chance diagonal). Calibration scores every (alpha, lambda0, lambda1)
-cell in vectorised CUSUM sweeps whose lanes are the climbs of every plane
-being calibrated: one sweep per site of the site's climbs in
+to the chance diagonal). The entry points are `learn_sensor_models` (fit and
+calibrate on all climbs) and `cross_validate` (leave-one-climb-out). Both
+calibrate through `_calibrate`, which scores every (alpha, lambda0, lambda1)
+cell in one vectorised CUSUM sweep whose lanes are the climbs of every
+problem being calibrated: one sweep per site of the site's climbs in
 `learn_sensor_models`, and in `cross_validate` every fold's training and
 held-out climbs plus the full refit, swept in groups of whole folds of at
 most `_SWEEP_LANES` lanes. The per-cell detector and relabelling in
@@ -106,14 +108,17 @@ def fit_models(climbs: list[LabeledClimb], site: SensorSite,
     return models[0], models[1]
 
 
-def _confusion(pred: np.ndarray, truth: np.ndarray) -> tuple[int, int, int, int]:
-    """(TP, FP, P, N) with H1 as the positive class."""
+def _coefficient(pred: np.ndarray, truth: np.ndarray) -> float:
+    """c = TP/P - FP/N of binary arrays, with H1 as the positive class."""
     pred = pred.astype(bool)
     truth = truth.astype(bool)
+    p = int(np.count_nonzero(truth))
+    n = len(truth) - p
+    if p == 0 or n == 0:
+        raise DegenerateTruth("truth must contain both states")
     tp = int(np.count_nonzero(pred & truth))
     fp = int(np.count_nonzero(pred & ~truth))
-    p = int(np.count_nonzero(truth))
-    return tp, fp, p, len(truth) - p
+    return tp / p - fp / n
 
 
 def performance_coefficient(pred: BinaryStateSeries, truth) -> float:
@@ -123,10 +128,7 @@ def performance_coefficient(pred: BinaryStateSeries, truth) -> float:
     truth = np.asarray(truth)
     if len(truth) != len(pred.states):
         raise ValueError("prediction and truth must share the sample grid")
-    tp, fp, p, n = _confusion(pred.states, truth)
-    if p == 0 or n == 0:
-        raise DegenerateTruth("truth must contain both states")
-    return tp / p - fp / n
+    return _coefficient(pred.states, truth)
 
 
 @dataclass
@@ -154,19 +156,13 @@ def _prepare(climbs: list[LabeledClimb], site: SensorSite,
 def _pooled_score(prep: list[_SitePrep], alpha: float,
                   lambda0: float, lambda1: float) -> float:
     """c over the concatenated climbs; detections are onset-backdated."""
-    tp = fp = p = n = 0
+    states = []
     for item in prep:
         inc = alpha * item.l_acc + (1.0 - alpha) * item.l_ang
         raw = detect_from_increments(inc, lambda0, lambda1, H0)
-        states = relabel_segments(raw).states
-        dtp, dfp, dp, dn = _confusion(states, item.truth)
-        tp += dtp
-        fp += dfp
-        p += dp
-        n += dn
-    if p == 0 or n == 0:
-        raise DegenerateTruth("truth must contain both states")
-    return tp / p - fp / n
+        states.append(relabel_segments(raw).states)
+    return _coefficient(np.concatenate(states),
+                        np.concatenate([item.truth for item in prep]))
 
 
 # Sample rows of increments built at a time, so that the sweep holds O(cells)
@@ -275,17 +271,6 @@ def _best_cell(plane: np.ndarray, lambda_grid: np.ndarray) -> tuple[float, float
     return float(lambda_grid[lam0_index]), float(lambda_grid[lam1_index]), float(flat[k])
 
 
-def optimize_thresholds(climbs: list[LabeledClimb], site: SensorSite,
-                        models: tuple[HypothesisModel, HypothesisModel],
-                        alpha: float, lambda_grid=None,
-                        ) -> tuple[float, float, float]:
-    """Exhaustive (lambda0, lambda1) search maximizing the pooled coefficient.
-
-    Ties prefer the larger lambda1, then the larger lambda0 (fewer alarms).
-    """
-    return _alpha_planes(climbs, site, models, [alpha], lambda_grid)[alpha]
-
-
 def _mode_alphas(mode: str, alpha_grid) -> list[float]:
     """The fusion weights a mode searches: 1 for acc, 0 for ang, the grid for fused."""
     if mode in ("acc", "ang"):
@@ -295,45 +280,29 @@ def _mode_alphas(mode: str, alpha_grid) -> list[float]:
     return [float(alpha) for alpha in np.asarray(alpha_grid, dtype=float)]
 
 
-def _best_cells(problems: list[list[_SitePrep]], alphas, lambda_grid,
-                ) -> list[dict[float, tuple[float, float, float]]]:
-    """Per problem, the best (lambda0, lambda1, c) of each alpha's threshold
-    plane, all from one sweep."""
+def _calibrate(problems: list[list[_SitePrep]], mode_alphas: dict[str, list[float]],
+               lambda_grid) -> list[dict[str, tuple[float, float, float, float]]]:
+    """Per problem, each mode's calibrated (alpha, lambda0, lambda1, c).
+
+    One sweep scores the planes of the union of the modes' weights. Within a
+    plane the last maximum wins (`_best_cell`: the larger lambda1, then the
+    larger lambda0, so fewer alarms); over a mode's weights, the first.
+    """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.size == 0:
-        raise ValueError("empty threshold grid")
-    return [{alpha: _best_cell(plane, lambda_grid) for alpha, plane in zip(alphas, planes)}
-            for planes in _sweep(problems, alphas, lambda_grid)]
-
-
-def _alpha_planes(climbs: list[LabeledClimb], site: SensorSite,
-                  models: tuple[HypothesisModel, HypothesisModel], alphas,
-                  lambda_grid) -> dict[float, tuple[float, float, float]]:
-    """The best (lambda0, lambda1, c) of each alpha's threshold plane, the
-    climbs swept together as lanes of one problem."""
-    return _best_cells([_prepare(climbs, site, models)], alphas, lambda_grid)[0]
-
-
-def _best_alpha(planes: dict[float, tuple[float, float, float]], alphas,
-                ) -> tuple[float, float, float, float]:
-    """(alpha, lambda0, lambda1, c) of the first strict maximum of c over alphas."""
-    best = (-np.inf, np.nan, np.nan, np.nan)
-    for alpha in alphas:
-        lam0, lam1, c = planes[alpha]
-        if c > best[0]:
-            best = (c, alpha, lam0, lam1)
-    return best[1], best[2], best[3], best[0]
-
-
-def optimize_alpha(climbs: list[LabeledClimb], site: SensorSite,
-                   models: tuple[HypothesisModel, HypothesisModel],
-                   alpha_grid=None, lambda_grid=None,
-                   ) -> tuple[float, float, float, float]:
-    """Nested search over the fusion weight, then the thresholds."""
-    alphas = _mode_alphas("fused", alpha_grid)
-    return _best_alpha(_alpha_planes(climbs, site, models, alphas, lambda_grid), alphas)
+    if lambda_grid.size == 0 or not all(mode_alphas.values()):
+        raise ValueError("empty calibration grid")
+    alphas = sorted({alpha for grid in mode_alphas.values() for alpha in grid})
+    results = []
+    for planes in _sweep(problems, alphas, lambda_grid):
+        cells = {alpha: _best_cell(plane, lambda_grid) for alpha, plane in zip(alphas, planes)}
+        best = {}
+        for mode, grid in mode_alphas.items():
+            alpha = max(grid, key=lambda a: cells[a][2])  # the first maximum
+            best[mode] = (alpha, *cells[alpha])
+        results.append(best)
+    return results
 
 
 @dataclass
@@ -362,13 +331,13 @@ def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused",
     """Fit models and calibrate thresholds/alpha on all given climbs."""
     if sites is None:
         sites = [s for s in ALL_SITES if all(s in c.channels for c in climbs)]
-    alphas = _mode_alphas(mode, alpha_grid)
+    mode_alphas = {mode: _mode_alphas(mode, alpha_grid)}
     sensor_models: dict[SensorSite, SensorModel] = {}
     scores: dict[SensorSite, float] = {}
     for site in sites:
         models = fit_models(climbs, site)
-        alpha, lam0, lam1, c = _best_alpha(
-            _alpha_planes(climbs, site, models, alphas, lambda_grid), alphas)
+        alpha, lam0, lam1, c = _calibrate(
+            [_prepare(climbs, site, models)], mode_alphas, lambda_grid)[0][mode]
         sensor_models[site] = SensorModel(
             acc=models[0], ang=models[1],
             config=DetectionConfig(lambda0=lam0, lambda1=lam1, alpha=alpha))
@@ -376,40 +345,29 @@ def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused",
     return sensor_models, scores
 
 
-def score_climb(climb: LabeledClimb, site: SensorSite, model: SensorModel) -> float:
-    """Apply a learned sensor model to one climb and score it against its annotation."""
-    prep = _prepare([climb], site, (model.acc, model.ang))
-    return _pooled_score(prep, model.config.alpha,
-                         model.config.lambda0, model.config.lambda1)
-
-
 def cross_validate(climbs: list[LabeledClimb], alpha_grid=None, lambda_grid=None,
-                   sites=None, modes=ALPHA_MODES,
-                   refit_full: bool = True) -> EvaluationReport:
+                   sites=None) -> EvaluationReport:
     """Leave-one-climb-out evaluation for every sensor and alpha mode.
 
     For each held-out climb the models and parameters are learned on the
     remaining climbs and scored on the held-out one; the per-fold optimal
     score repeats the learning on the held-out climb itself, bounding what
     the detector could achieve. Reported parameters come from a final fit on
-    all climbs (skipped for speed when ``refit_full`` is false).
+    all climbs.
     """
     if len(climbs) < 2:
         raise ValueError("cross-validation needs at least 2 climbs")
     if sites is None:
         sites = [s for s in ALL_SITES if all(s in c.channels for c in climbs)]
-    mode_alphas = {mode: _mode_alphas(mode, alpha_grid) for mode in modes}
-    # every mode's weights are planes of one sweep over their union
-    alphas = sorted({alpha for grid in mode_alphas.values() for alpha in grid})
+    mode_alphas = {mode: _mode_alphas(mode, alpha_grid) for mode in ALPHA_MODES}
     # each fold, and the full refit, is as many lanes as there are climbs;
     # at most _SWEEP_LANES lanes are swept together (one fold or refit at least)
-    units = list(range(len(climbs))) + ([None] if refit_full else [])
+    units = list(range(len(climbs))) + [None]
     per_sweep = max(1, _SWEEP_LANES // len(climbs))
     report = EvaluationReport()
     for site in sites:
-        fold_scores = {mode: [] for mode in modes}
-        fold_optimal = {mode: [] for mode in modes}
-        full_planes = None
+        fold_scores = {mode: [] for mode in ALPHA_MODES}
+        fold_optimal = {mode: [] for mode in ALPHA_MODES}
         for first in range(0, len(units), per_sweep):
             problems, held_preps = [], []
             for held_idx in units[first:first + per_sweep]:
@@ -422,21 +380,16 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None, lambda_grid=None
                 problems.append(_prepare(train, site, train_models))
                 problems.append(_prepare([held], site, fit_models([held], site)))
                 held_preps.append(_prepare([held], site, train_models))
-            planes = _best_cells(problems, alphas, lambda_grid)
+            best = _calibrate(problems, mode_alphas, lambda_grid)
             for fold, held_prep_train in enumerate(held_preps):
-                train_planes, held_planes = planes[2 * fold], planes[2 * fold + 1]
-                for mode in modes:
-                    alpha, lam0, lam1, _ = _best_alpha(train_planes, mode_alphas[mode])
+                for mode in ALPHA_MODES:
+                    alpha, lam0, lam1, _ = best[2 * fold][mode]
                     fold_scores[mode].append(
                         _pooled_score(held_prep_train, alpha, lam0, lam1))
-                    fold_optimal[mode].append(
-                        _best_alpha(held_planes, mode_alphas[mode])[3])
-            if len(planes) > 2 * len(held_preps):
-                full_planes = planes[-1]
-        for mode in modes:
-            alpha = lam0 = lam1 = float("nan")
-            if refit_full:
-                alpha, lam0, lam1, _ = _best_alpha(full_planes, mode_alphas[mode])
+                    fold_optimal[mode].append(best[2 * fold + 1][mode][3])
+        for mode in ALPHA_MODES:
+            # the full refit is the last problem of the last group
+            alpha, lam0, lam1, _ = best[-1][mode]
             report.entries[(site, mode)] = ModeResult(
                 score=float(np.mean(fold_scores[mode])),
                 optimal_score=float(np.mean(fold_optimal[mode])),

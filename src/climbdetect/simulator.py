@@ -2,7 +2,8 @@
 
 Ground-truth generator for end-to-end tests: per-site binary state plans
 drive Gamma emissions for both detection channels, with annotations that
-mirror the plan exactly. All randomness derives from a single seed through
+mirror the plan exactly; each sample is drawn from the state that
+`series.rasterize_track` gives it under those annotations. All randomness derives from a single seed through
 numpy's PCG64 via spawned SeedSequence substreams, one per (site, purpose),
 so runs are reproducible across platforms.
 """
@@ -18,7 +19,8 @@ from .errors import InvalidPlan
 from .gamma_model import GammaParams, HypothesisModel
 from .learning import LabeledClimb, SensorChannels
 from .orientation import GRAVITY, ImuRecording
-from .series import ALL_SITES, H0, H1, LIMBS, AnnotationTrack, SensorSite, SignalSeries
+from .series import (ALL_SITES, H0, H1, LIMBS, AnnotationTrack, SensorSite,
+                     SignalSeries, rasterize_track)
 from .sync import shift_annotations
 
 # Earth magnetic field direction seen by an identity-orientation sensor
@@ -104,19 +106,6 @@ def plan_from_script(script: list[tuple[float, FullBodyState]],
     return StatePlan(segments=segments)
 
 
-def _raster_states(segs: list[tuple[float, int]], sample_rate: float) -> np.ndarray:
-    total = sum(d for d, _ in segs)
-    n = int(round(total * sample_rate))
-    labels = np.zeros(n, dtype=np.uint8)
-    edge = 0.0
-    for duration, state in segs:
-        i0 = int(round(edge * sample_rate))
-        edge += duration
-        i1 = min(n, int(round(edge * sample_rate)))
-        labels[i0:i1] = state
-    return labels
-
-
 def _intervals(segs: list[tuple[float, int]]) -> list[tuple[float, float, int]]:
     out = []
     edge = 0.0
@@ -151,8 +140,9 @@ def simulate(plan: StatePlan,
     dt = 1.0 / sample_rate
     for site, segs in plan.segments.items():
         rng = np.random.default_rng(site_seeds[site])
-        labels = _raster_states(segs, sample_rate)
-        n = len(labels)
+        annotations[site] = AnnotationTrack(site=site, intervals=_intervals(segs))
+        n = int(round(plan.duration(site) * sample_rate))
+        labels = rasterize_track(annotations[site], 0.0, dt, n)
         acc_model, ang_model = models[site]
         series = {}
         for name, model in (("acc", acc_model), ("ang", ang_model)):
@@ -162,7 +152,6 @@ def simulate(plan: StatePlan,
         channels[site] = SensorChannels(
             acc=SignalSeries(0.0, dt, series["acc"]),
             ang=SignalSeries(0.0, dt, series["ang"]))
-        annotations[site] = AnnotationTrack(site=site, intervals=_intervals(segs))
         if triaxial:
             def random_directions(count):
                 v = rng.normal(size=(count, 3))

@@ -144,8 +144,7 @@ def test_criterion_4_end_to_end_detection_quality():
                        climb_id=f"c{i}")
               for i in range(3)]
     report = cross_validate(climbs, alpha_grid=np.array([0.0, 0.5, 1.0]),
-                            lambda_grid=default_lambda_grid(6, 1.0, 200.0),
-                            modes=("fused",), refit_full=False)
+                            lambda_grid=default_lambda_grid(6, 1.0, 200.0))
     mean_ok = all(report.entries[(site, "fused")].score >= 0.9
                   for site in ALL_SITES)
     fold_ok = all(opt >= score - 0.02

@@ -153,6 +153,27 @@ class TestDetectClassifyReport:
                          "--out", str(tmp_path / "timeline.csv")]) == 1
         assert f"error: {rh}:4: t is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt, line", [
+        (lambda rows: rows[::-1], 3),
+        (lambda rows: rows[:2] + [rows[3], rows[2]] + rows[4:], 5),
+        (lambda rows: rows[:3] + [rows[2]] + rows[4:], 5),
+    ], ids=["reversed", "swapped", "repeated"])
+    def test_times_that_do_not_increase_exit_one(self, dataset, model_path, tmp_path,
+                                                 capsys, corrupt, line):
+        climb = tmp_path / "climb01"
+        climb.mkdir()
+        for src in (dataset / "climb01").iterdir():
+            (climb / src.name).write_bytes(src.read_bytes())
+        rh = climb / "climb01_rh.csv"
+        header, *rows = rh.read_text().splitlines()
+        rh.write_text("\n".join([header] + corrupt(rows)) + "\n")
+        assert cli.main(["classify", "--model", str(model_path),
+                         "--climb", str(climb),
+                         "--out", str(tmp_path / "timeline.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {rh}:{line}: t " in err
+        assert "is not after the previous row's" in err
+
     def test_malformed_model_exits_one(self, dataset, model_path, tmp_path, capsys):
         model = tmp_path / "model.json"
         doc = json.loads(model_path.read_text())
@@ -252,6 +273,20 @@ class TestSync:
         assert cli.main(["sync", "--trajectory", str(traj_path),
                          "--recording", str(rec_path), "--max-lag", "5"]) == 1
         assert f"error: {traj_path}{message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, line", [
+        (lambda rows: rows[::-1], 3),
+        (lambda rows: rows[:2] + [rows[3], rows[2]] + rows[4:], 5),
+    ], ids=["reversed", "swapped"])
+    def test_times_that_do_not_increase_exit_one(self, tmp_path, capsys, corrupt, line):
+        rec_path, traj_path = sync_inputs(tmp_path, 0.0)
+        header, *rows = traj_path.read_text().splitlines()
+        traj_path.write_text("\n".join([header] + corrupt(rows)) + "\n")
+        assert cli.main(["sync", "--trajectory", str(traj_path),
+                         "--recording", str(rec_path), "--max-lag", "5"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {traj_path}:{line}: t " in err
+        assert "is not after the previous row's" in err
 
     def test_motionless_trajectory_exits_one(self, tmp_path, capsys):
         # every lag would correlate as 0.0, so any delay would be a guess

@@ -98,7 +98,18 @@ class TestRecordingCsv:
         # Python's float() reads 1_0, numpy does not: numpy's reason is kept
         (lambda lines: lines[:3] + ["1_0" + lines[3][lines[3].index(","):]] + lines[4:],
          "could not convert string '1_0'"),
-    ], ids=["nan", "header-only", "renamed-column", "short-row", "unparsable"])
+        # t must increase strictly from row to row
+        (lambda lines: lines[:1] + lines[:0:-1],
+         ":3: t 0.18 is not after the previous row's 0.19"),
+        (lambda lines: lines[:4] + [lines[5], lines[4]] + lines[6:],
+         ":6: t 0.03 is not after the previous row's 0.04"),
+        (lambda lines: lines[:5] + [lines[4]] + lines[6:],
+         ":6: t 0.03 is not after the previous row's 0.03"),
+        # blank and comment lines count as lines, not as rows
+        (lambda lines: lines[:3] + ["", "# resumed", lines[4], lines[3]] + lines[5:],
+         ":7: t 0.02 is not after the previous row's 0.03"),
+    ], ids=["nan", "header-only", "renamed-column", "short-row", "unparsable",
+            "reversed-t", "swapped-t", "repeated-t", "comment-then-swapped-t"])
     def test_malformed_recording_names_file(self, tmp_path, corrupt, message):
         path = tmp_path / "c1_rh.csv"
         io.write_recording_csv(path, make_recording(n=20, mag=False))
@@ -340,7 +351,14 @@ class TestTrajectoryCsv:
          MalformedRecording, ":4: 2 values, the header names 3"),
         (lambda lines: lines[:4] + ["0.12,0.5,zero"] + lines[5:], MalformedRecording,
          ":5: y is not a number: 'zero'"),
-    ], ids=["header-only", "nan", "short-row", "unparsable"])
+        (lambda lines: lines[:1] + lines[:0:-1], MalformedRecording,
+         ":3: t 0.24 is not after the previous row's 0.28"),
+        (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], MalformedRecording,
+         ":4: t 0.04 is not after the previous row's 0.08"),
+        (lambda lines: lines[:3] + ["0.04,0.5,0.0"] + lines[4:], MalformedRecording,
+         ":4: t 0.04 is not after the previous row's 0.04"),
+    ], ids=["header-only", "nan", "short-row", "unparsable",
+            "reversed-t", "swapped-t", "repeated-t"])
     def test_malformed_trajectory_names_file(self, tmp_path, corrupt, error, message):
         path = tmp_path / "traj.csv"
         io.write_trajectory_csv(path, TrajectorySeries(

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from climbdetect.cusum import BinaryStateSeries
+from climbdetect.cusum import BinaryStateSeries, detect, relabel_segments
 from climbdetect.errors import DegenerateTruth, MissingState
 from climbdetect.gamma_model import GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import (ALPHA_MODES, LabeledClimb, SensorChannels,
-                                  _alpha_planes, _best_cell, _pooled_score,
+                                  _best_cell, _calibrate, _pooled_score,
                                   _prepare, _SitePrep, _sweep, _SWEEP_LANES,
                                   cross_validate, default_alpha_grid,
                                   default_lambda_grid, fit_models,
-                                  learn_sensor_models, optimize_alpha,
-                                  optimize_thresholds, performance_coefficient,
-                                  score_climb)
+                                  learn_sensor_models, performance_coefficient)
 from climbdetect.series import (H0, H1, AnnotationTrack, SensorSite,
                                 SignalSeries, rasterize_track)
 from climbdetect.simulator import default_models, random_plan, simulate
@@ -30,6 +28,14 @@ def make_climbs(n=3, duration=60.0, seed=0):
 
 def pred_series(states):
     return BinaryStateSeries(0.0, 0.01, np.asarray(states, np.uint8), [], [])
+
+
+def calibrate(climbs, grid, mode="fused", alphas=None):
+    """The (alpha, lambda0, lambda1, c) that `learn_sensor_models` calibrates at SITE."""
+    models, scores = learn_sensor_models(climbs, mode=mode, alpha_grid=alphas,
+                                         lambda_grid=grid, sites=[SITE])
+    config = models[SITE].config
+    return config.alpha, config.lambda0, config.lambda1, scores[SITE]
 
 
 class TestRasterization:
@@ -125,18 +131,17 @@ class TestPerformanceCoefficient:
 class TestOptimization:
     def setup_method(self):
         self.climbs = make_climbs(2, seed=21)
+        # the models `learn_sensor_models` fits on the same climbs
         self.models = fit_models(self.climbs, SITE)
 
     def test_single_point_grid(self):
-        lam0, lam1, c = optimize_thresholds(self.climbs, SITE, self.models,
-                                            alpha=1.0, lambda_grid=[12.0])
-        assert (lam0, lam1) == (12.0, 12.0)
+        alpha, lam0, lam1, c = calibrate(self.climbs, [12.0], alphas=[1.0])
+        assert (alpha, lam0, lam1) == (1.0, 12.0, 12.0)
         assert -1.0 <= c <= 1.0
 
     def test_matches_brute_force_over_grid(self):
         grid = np.array([2.0, 10.0, 50.0])
-        lam0, lam1, c = optimize_thresholds(self.climbs, SITE, self.models,
-                                            alpha=0.5, lambda_grid=grid)
+        _, lam0, lam1, c = calibrate(self.climbs, grid, alphas=[0.5])
         # exhaustive re-evaluation of every cell, independent of the search order
         prep = _prepare(self.climbs, SITE, self.models)
         all_cells = [_pooled_score(prep, 0.5, float(g0), float(g1))
@@ -146,31 +151,28 @@ class TestOptimization:
 
     def test_result_is_grid_member_and_deterministic(self):
         grid = default_lambda_grid(5, 1.0, 100.0)
-        first = optimize_thresholds(self.climbs, SITE, self.models, 0.7, grid)
-        second = optimize_thresholds(self.climbs, SITE, self.models, 0.7, grid)
+        first = calibrate(self.climbs, grid, alphas=[0.7])
+        second = calibrate(self.climbs, grid, alphas=[0.7])
         assert first == second
-        assert first[0] in grid and first[1] in grid
+        assert first[1] in grid and first[2] in grid
 
     def test_good_fit_scores_high(self):
         grid = default_lambda_grid(8, 1.0, 200.0)
-        _, _, c = optimize_thresholds(self.climbs, SITE, self.models, 0.0, grid)
-        assert c >= 0.9
+        assert calibrate(self.climbs, grid, alphas=[0.0])[3] >= 0.9
 
     def test_alpha_singleton_reduces_to_thresholds(self):
         grid = np.array([5.0, 20.0])
-        alpha, lam0, lam1, c = optimize_alpha(self.climbs, SITE, self.models,
-                                              alpha_grid=[0.0], lambda_grid=grid)
+        alpha, lam0, lam1, c = calibrate(self.climbs, grid, alphas=[0.0])
         assert alpha == 0.0
-        assert (lam0, lam1, c) == optimize_thresholds(self.climbs, SITE,
-                                                      self.models, 0.0, grid)
+        plane = _sweep([_prepare(self.climbs, SITE, self.models)], [0.0], grid)[0][0]
+        assert (lam0, lam1, c) == _best_cell(plane, grid)
+        assert (alpha, lam0, lam1, c) == calibrate(self.climbs, grid, mode="ang")
 
     def test_alpha_search_dominates_extremes(self):
         grid = np.array([2.0, 10.0, 50.0])
-        _, _, _, c_best = optimize_alpha(self.climbs, SITE, self.models,
-                                         alpha_grid=[0.0, 0.5, 1.0],
-                                         lambda_grid=grid)
-        c0 = optimize_thresholds(self.climbs, SITE, self.models, 0.0, grid)[2]
-        c1 = optimize_thresholds(self.climbs, SITE, self.models, 1.0, grid)[2]
+        c_best = calibrate(self.climbs, grid, alphas=[0.0, 0.5, 1.0])[3]
+        c0 = calibrate(self.climbs, grid, mode="ang")[3]
+        c1 = calibrate(self.climbs, grid, mode="acc")[3]
         assert c_best >= max(c0, c1)
 
     def test_uninformative_acceleration_pushes_alpha_down(self):
@@ -181,10 +183,8 @@ class TestOptimization:
                            models={s: models.get(s, default_models()[s])
                                    for s in default_models()},
                            seed=40 + i, climb_id=f"f{i}") for i in range(2)]
-        fitted = fit_models(climbs, SITE)
-        alpha, _, _, _ = optimize_alpha(climbs, SITE, fitted,
-                                        alpha_grid=default_alpha_grid(),
-                                        lambda_grid=default_lambda_grid(8, 1, 200))
+        alpha, _, _, _ = calibrate(climbs, default_lambda_grid(8, 1, 200),
+                                   alphas=default_alpha_grid())
         assert alpha <= 0.2
 
 
@@ -259,7 +259,8 @@ class TestSweep:
         models = fit_models([climb], SITE)
         tracemalloc.start()
         try:
-            _alpha_planes([climb], SITE, models, list(default_alpha_grid()), None)
+            _calibrate([_prepare([climb], SITE, models)],
+                       {"fused": list(default_alpha_grid())}, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,7 +356,7 @@ class TestCrossValidation:
                   for i in range(3)]
         report = cross_validate(copies, alpha_grid=[0.0, 1.0],
                                 lambda_grid=default_lambda_grid(5, 1, 100),
-                                sites=[SITE], modes=("ang",), refit_full=False)
+                                sites=[SITE])
         result = report.entries[(SITE, "ang")]
         assert result.score == pytest.approx(result.optimal_score, abs=0.02)
 
@@ -363,7 +364,7 @@ class TestCrossValidation:
         climbs = make_climbs(3, duration=60.0, seed=60)
         report = cross_validate(climbs, alpha_grid=[0.0, 0.5, 1.0],
                                 lambda_grid=default_lambda_grid(5, 1, 200),
-                                sites=[SITE], refit_full=False)
+                                sites=[SITE])
         for mode in ("acc", "ang", "fused"):
             result = report.entries[(SITE, mode)]
             assert -1.0 <= result.score <= 1.0
@@ -376,11 +377,10 @@ class TestCrossValidation:
         grid = default_lambda_grid(4, 0.1, 3.0)
         alpha_grid = [0.0, 0.3, 0.6, 0.9]  # no 1.0: acc needs a plane of its own
         report = cross_validate(climbs, alpha_grid=alpha_grid, lambda_grid=grid,
-                                sites=[SITE], refit_full=True)
-        models = fit_models(climbs, SITE)
-        for mode, alphas in (("acc", [1.0]), ("ang", [0.0]), ("fused", alpha_grid)):
+                                sites=[SITE])
+        for mode in ALPHA_MODES:
             result = report.entries[(SITE, mode)]
-            expected = optimize_alpha(climbs, SITE, models, alphas, grid)
+            expected = calibrate(climbs, grid, mode, alpha_grid)
             assert (result.alpha, result.lambda0, result.lambda1) == expected[:3]
         # fused settles inside its grid, so no mode can pass with another's plane
         assert len({report.entries[(SITE, m)].alpha for m in ALPHA_MODES}) == 3
@@ -393,17 +393,16 @@ class TestCrossValidation:
         alpha_grid, grid = [0.0, 0.5, 1.0], default_lambda_grid(4, 0.1, 3.0)
         report = cross_validate(climbs, alpha_grid=alpha_grid, lambda_grid=grid,
                                 sites=[SITE])
-        for mode, alphas in (("acc", [1.0]), ("ang", [0.0]), ("fused", alpha_grid)):
+        for mode in ALPHA_MODES:
             result = report.entries[(SITE, mode)]
             for fold, held in enumerate(climbs):
                 train = climbs[:fold] + climbs[fold + 1:]
-                models = fit_models(train, SITE)
-                alpha, lam0, lam1, _ = optimize_alpha(train, SITE, models, alphas, grid)
+                alpha, lam0, lam1, _ = calibrate(train, grid, mode, alpha_grid)
                 assert result.fold_scores[fold] == _pooled_score(
-                    _prepare([held], SITE, models), alpha, lam0, lam1)
-                assert result.fold_optimal[fold] == optimize_alpha(
-                    [held], SITE, fit_models([held], SITE), alphas, grid)[3]
-            expected = optimize_alpha(climbs, SITE, fit_models(climbs, SITE), alphas, grid)
+                    _prepare([held], SITE, fit_models(train, SITE)), alpha, lam0, lam1)
+                assert result.fold_optimal[fold] == calibrate([held], grid, mode,
+                                                              alpha_grid)[3]
+            expected = calibrate(climbs, grid, mode, alpha_grid)
             assert (result.alpha, result.lambda0, result.lambda1) == expected[:3]
 
     def test_requires_two_climbs(self):
@@ -431,5 +430,8 @@ def test_learn_sensor_models_roundtrip_scoring():
         sites=[SITE])
     assert scores[SITE] >= 0.9
     held = make_climbs(1, duration=60.0, seed=99)[0]
-    c = score_climb(held, SITE, models[SITE])
+    channels = held.channels[SITE]
+    c = performance_coefficient(
+        relabel_segments(detect(channels.acc, channels.ang, models[SITE])),
+        held.annotations[SITE])
     assert c >= 0.8

@@ -4,7 +4,7 @@ import pytest
 from climbdetect.classifier import FullBodyState
 from climbdetect.cusum import DetectionConfig, SensorModel, detect, relabel_segments
 from climbdetect.errors import InvalidPlan
-from climbdetect.gamma_model import fit_mle
+from climbdetect.gamma_model import GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import performance_coefficient
 from climbdetect.series import ALL_SITES, LIMBS, H0, H1, SensorSite, rasterize_track
 from climbdetect.simulator import (StatePlan, default_models, inject_delay,
@@ -150,6 +150,22 @@ class TestSimulate:
         pred = relabel_segments(detect(ch.acc, ch.ang, sensor))
         c = performance_coefficient(pred, climb.annotations[SensorSite.PELVIS])
         assert c > 0.9
+
+    @pytest.mark.parametrize("rate", [100.0, 50.0, 33.0])
+    def test_emissions_follow_the_rasterized_annotations(self, rate):
+        # H0 draws lie near 2e-3 and H1 draws near 400, so each sample's
+        # state can be read off its value; it must be the state that
+        # `rasterize_track` gives the sample, boundary samples included
+        model = HypothesisModel(h0=GammaParams(2.0, 1e-3), h1=GammaParams(400.0, 1.0))
+        models = {site: (model, model) for site in ALL_SITES}
+        disagree = 0
+        for seed in range(20):
+            climb = simulate(self.plan(seed=seed), models, sample_rate=rate, seed=seed)
+            for site in ALL_SITES:
+                acc = climb.channels[site].acc
+                labels = rasterize_track(climb.annotations[site], acc.t0, acc.dt, len(acc))
+                disagree += int(np.count_nonzero((acc.values > 1.0) != (labels == H1)))
+        assert disagree == 0
 
     def test_triaxial_recordings_norms_match_channels(self):
         climb = simulate(self.plan(duration=10.0), sample_rate=100, seed=21,
