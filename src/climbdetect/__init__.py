@@ -24,7 +24,7 @@ from .orientation import (ImuRecording, angular_velocity_norm, filter_update,
                           linear_acceleration)
 from .series import (ALL_SITES, H0, H1, LIMBS, AnnotationTrack, SensorSite,
                      SignalSeries)
-from .simulator import StatePlan, inject_delay, random_plan, simulate
+from .simulator import StatePlan, random_plan, simulate
 from .sync import (TrajectorySeries, estimate_delay, shift_annotations,
                    trajectory_to_acceleration)
 

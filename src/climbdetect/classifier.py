@@ -71,24 +71,21 @@ class ExplorationReport:
     counts: dict[SensorSite, LimbCounts] = field(default_factory=dict)
 
 
-def full_body_state(limbs, pelvis: int) -> FullBodyState:
-    """Truth table over the four limb states and the pelvis state."""
-    any_limb = any(int(s) == 1 for s in limbs)
-    if pelvis:
-        return FullBodyState.TRACTION if any_limb else FullBodyState.POSTURAL_REGULATION
-    return FullBodyState.HOLD_INTERACTION if any_limb else FullBodyState.IMMOBILITY
+# The full-body state indexed by (any limb mobile, pelvis mobile).
+_FULL_BODY_TABLE = np.array([
+    [FullBodyState.IMMOBILITY, FullBodyState.POSTURAL_REGULATION],
+    [FullBodyState.HOLD_INTERACTION, FullBodyState.TRACTION],
+], dtype=np.uint8)
 
 
-def _full_body_array(limb_states: list[np.ndarray], pelvis: np.ndarray) -> np.ndarray:
+def full_body_state(limbs, pelvis) -> np.ndarray:
+    """Truth table, sample by sample, over the four limb state arrays and the
+    pelvis state array: uint8 `FullBodyState` codes."""
+    pelvis = np.asarray(pelvis).astype(bool)
     any_limb = np.zeros(len(pelvis), dtype=bool)
-    for states in limb_states:
-        any_limb |= states.astype(bool)
-    pelvis = pelvis.astype(bool)
-    out = np.full(len(pelvis), FullBodyState.IMMOBILITY, dtype=np.uint8)
-    out[~any_limb & pelvis] = FullBodyState.POSTURAL_REGULATION
-    out[any_limb & ~pelvis] = FullBodyState.HOLD_INTERACTION
-    out[any_limb & pelvis] = FullBodyState.TRACTION
-    return out
+    for states in limbs:
+        any_limb |= np.asarray(states).astype(bool)
+    return _FULL_BODY_TABLE[any_limb.astype(np.intp), pelvis.astype(np.intp)]
 
 
 def episodes(states: np.ndarray) -> list[tuple[int, int]]:
@@ -168,7 +165,7 @@ def classify(detections: dict[SensorSite, BinaryStateSeries],
         missing = [s.value for s in LIMBS if s not in detections]
         raise LengthMismatch(f"missing limb detections: {missing}")
     pelvis_states = aligned(pelvis)
-    full_body = _full_body_array(list(limb_states.values()), pelvis_states)
+    full_body = full_body_state(limb_states.values(), pelvis_states)
     substates = {site: limb_substates(states, full_body)
                  for site, states in limb_states.items()}
     return ActivityTimeline(t0=pelvis.t0, dt=pelvis.dt,

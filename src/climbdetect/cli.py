@@ -144,8 +144,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    models = io.read_model_json(args.model)
-    climb = _load_climb(Path(args.climb), args.beta, need_annotations=False)
+    models, beta = io.read_model_json(args.model)
+    climb = _load_climb(Path(args.climb), beta, need_annotations=False)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     detections = _detect_climb(climb, models)
@@ -156,21 +156,21 @@ def cmd_detect(args) -> int:
     io.write_manifest(out_dir / f"{climb.climb_id}_detect.manifest.json",
                       _manifest("detect", {"model": str(args.model),
                                            "climb": str(args.climb),
-                                           "beta": args.beta}))
+                                           "beta": beta}))
     return 0
 
 
 def cmd_classify(args) -> int:
     _make_parent(args.out)
-    models = io.read_model_json(args.model)
-    climb = _load_climb(Path(args.climb), args.beta, need_annotations=False)
+    models, beta = io.read_model_json(args.model)
+    climb = _load_climb(Path(args.climb), beta, need_annotations=False)
     detections = _detect_climb(climb, models)
     timeline = classifier.classify(detections, args.min_episode)
     io.write_timeline_csv(args.out, timeline)
     io.write_manifest(str(args.out) + ".manifest.json",
                       _manifest("classify", {"model": str(args.model),
                                              "climb": str(args.climb),
-                                             "beta": args.beta,
+                                             "beta": beta,
                                              "min_episode": args.min_episode}))
     counts = {classifier.FullBodyState(s).name.lower(): int(np.sum(timeline.full_body == s))
               for s in classifier.FullBodyState}
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--climbs", help="directory of climb subdirectories "
                    "(default $CLIMBDETECT_DATA_DIR)")
     p.add_argument("--out", required=True)
-    p.add_argument("--beta", type=_nonnegative, default=0.1)
+    p.add_argument("--beta", type=_nonnegative, default=orientation.DEFAULT_BETA)
     p.add_argument("--mode", choices=learning.ALPHA_MODES, default="fused")
     _add_grid_options(p)
     p.set_defaults(func=cmd_fit)
@@ -322,14 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--climb", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--beta", type=_nonnegative, default=0.1)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("classify", help="produce the activity timeline for one climb")
     p.add_argument("--model", required=True)
     p.add_argument("--climb", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--beta", type=_nonnegative, default=0.1)
     p.add_argument("--min-episode", type=_nonnegative, default=0.1,
                    help="minimum mobile-episode duration in seconds (default 0.1)")
     p.set_defaults(func=cmd_classify)
@@ -341,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="leave-one-climb-out cross-validation")
     p.add_argument("--climbs")
-    p.add_argument("--beta", type=_nonnegative, default=0.1)
+    p.add_argument("--beta", type=_nonnegative, default=orientation.DEFAULT_BETA)
     p.add_argument("--out")
     _add_grid_options(p)
     p.set_defaults(func=cmd_evaluate)
@@ -353,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="where to write shifted annotations")
     p.add_argument("--max-lag", type=_nonnegative, default=30.0)
     p.add_argument("--smooth-window", type=_nonnegative, default=0.3)
-    p.add_argument("--beta", type=_nonnegative, default=0.1)
+    p.add_argument("--beta", type=_nonnegative, default=orientation.DEFAULT_BETA)
     p.set_defaults(func=cmd_sync)
     return parser
 

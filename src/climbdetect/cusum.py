@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import LengthMismatch
 from .gamma_model import HypothesisModel, log_pdf
-from .series import H0, SignalSeries
+from .series import H0, H1, SignalSeries
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,15 @@ def log_likelihood_ratio(x, m: HypothesisModel):
     return log_pdf(x, m.h1) - log_pdf(x, m.h0)
 
 
-def _run_cusum(inc, lam0, lam1, state0):
+def _run_cusum(inc, lam0, lam1):
     """Detection indices and onsets of one CUSUM pass over per-sample increments.
 
-    The first sample is the time origin (S = 0, no increment), as is every
-    detection. The sum is held negated in H1, and the threshold pair swaps at
-    each detection, so that both states fire the same way (module docstring).
+    The pass starts in H0. The first sample is the time origin (S = 0, no
+    increment), as is every detection. The sum is held negated in H1, and the
+    threshold pair swaps at each detection, so that both states fire the same
+    way (module docstring).
     """
-    sign, lam, other = (1.0, lam1, lam0) if state0 == H0 else (-1.0, lam0, lam1)
+    sign, lam, other = 1.0, lam1, lam0
     s = s_min = 0.0
     i_min = 0
     index, onsets = [], []
@@ -120,9 +121,8 @@ def fused_increments(acc: SignalSeries, ang: SignalSeries,
     return alpha * l_acc + (1.0 - alpha) * l_ang
 
 
-def detect(acc: SignalSeries, ang: SignalSeries, model: SensorModel,
-           initial: int = H0) -> BinaryStateSeries:
-    """Run the detector over one sensor's two channel norms.
+def detect(acc: SignalSeries, ang: SignalSeries, model: SensorModel) -> BinaryStateSeries:
+    """Run the detector over one sensor's two channel norms, starting in H0.
 
     Samples between a restart and the following detection carry the state
     held during that segment; `relabel_segments` moves the transitions back
@@ -130,18 +130,17 @@ def detect(acc: SignalSeries, ang: SignalSeries, model: SensorModel,
     """
     return detect_from_increments(fused_increments(acc, ang, model),
                                   model.config.lambda0, model.config.lambda1,
-                                  initial, acc.t0, acc.dt)
+                                  acc.t0, acc.dt)
 
 
 def detect_from_increments(inc: np.ndarray, lambda0: float, lambda1: float,
-                           initial: int = H0, t0: float = 0.0,
-                           dt: float = 1.0) -> BinaryStateSeries:
+                           t0: float = 0.0, dt: float = 1.0) -> BinaryStateSeries:
     """Detector over precomputed per-sample increments, such as `fused_increments`."""
     inc = np.asarray(inc, dtype=float)
-    index, onsets = _run_cusum(inc, lambda0, lambda1, initial)
-    # states alternate: detection k (from 0) enters `initial` when k is odd
-    change_points = [(i, (int(initial) + k + 1) % 2) for k, i in enumerate(index)]
-    return BinaryStateSeries(t0=t0, dt=dt, states=_states(len(inc), initial, index),
+    index, onsets = _run_cusum(inc, lambda0, lambda1)
+    # states alternate from H0: detection k (from 0) enters H1 when k is even
+    change_points = [(i, H1 if k % 2 == 0 else H0) for k, i in enumerate(index)]
+    return BinaryStateSeries(t0=t0, dt=dt, states=_states(len(inc), H0, index),
                              change_points=change_points, onsets=onsets)
 
 

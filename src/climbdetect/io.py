@@ -19,7 +19,7 @@ from .cusum import (BinaryStateSeries, DetectionConfig, HypothesisModel,
 from .errors import (EmptyRecording, InvalidParams, MalformedAnnotations,
                      MalformedModel, MalformedRecording)
 from .gamma_model import GammaParams
-from .orientation import ImuRecording
+from .orientation import DEFAULT_BETA, ImuRecording
 from .series import LIMBS, STATE_NAMES, AnnotationTrack, SensorSite
 from .sync import TrajectorySeries
 
@@ -59,20 +59,14 @@ def write_recording_csv(path, rec: ImuRecording) -> None:
 def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
     """Load a recording; refuses timestamps that do not strictly increase,
     auto-detects gyro units, resamples jittered clocks onto the nominal grid,
-    and flags gaps longer than two sample periods."""
+    and warns of gaps longer than two sample periods."""
     path = Path(path)
     if site is None:
         site = site_from_filename(path)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        lines = fh.readlines()
+    header, lines = _read_lines(path)
     columns = RECORDING_HEADER.split(",")
-    required = columns if "mx" in header else columns[:7]
-    missing = [name for name in required if name not in header]
-    if missing:
-        raise MalformedRecording(f"{path}: missing column(s) {', '.join(missing)}")
+    cols = _column_index(path, header, columns if "mx" in header else columns[:7])
     data = _read_rows(path, header, lines)
-    cols = {name: i for i, name in enumerate(header)}
     t = _increasing_times(path, lines, data[:, cols["t"]])
     accel = data[:, [cols["ax"], cols["ay"], cols["az"]]]
     gyro = data[:, [cols["gx"], cols["gy"], cols["gz"]]]
@@ -86,9 +80,9 @@ def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
         gyro = np.deg2rad(gyro)
     diffs = np.diff(t)
     dt = float(np.median(diffs)) if len(diffs) else 0.01
-    gap_indices = (np.flatnonzero(diffs > 2.0 * dt) + 1).tolist()
-    if gap_indices:
-        warnings.warn(f"{path.name}: {len(gap_indices)} gaps longer than 2 sample periods")
+    gaps = int(np.count_nonzero(diffs > 2.0 * dt))
+    if gaps:
+        warnings.warn(f"{path.name}: {gaps} gaps longer than 2 sample periods")
     if len(diffs) and np.max(np.abs(diffs - dt)) > 0.1 * dt:
         t_new = np.arange(t[0], t[-1] + 0.5 * dt, dt)
         accel = np.column_stack([np.interp(t_new, t, accel[:, j]) for j in range(3)])
@@ -97,7 +91,21 @@ def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
             mag = np.column_stack([np.interp(t_new, t, mag[:, j]) for j in range(3)])
         t = t_new
     return ImuRecording(site=site, sample_rate=1.0 / dt, t=t, accel=accel,
-                        gyro=gyro, mag=mag, gap_indices=gap_indices)
+                        gyro=gyro, mag=mag)
+
+
+def _read_lines(path: Path) -> tuple[list[str], list[str]]:
+    """The header's comma-separated names and the lines below it."""
+    with open(path) as fh:
+        return fh.readline().strip().split(","), fh.readlines()
+
+
+def _column_index(path: Path, header: list[str], required) -> dict[str, int]:
+    """Each header name's column; `MalformedRecording` names any ``required`` one missing."""
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise MalformedRecording(f"{path}: missing column(s) {', '.join(missing)}")
+    return {name: i for i, name in enumerate(header)}
 
 
 def _read_rows(path: Path, header: list[str], lines: list[str]) -> np.ndarray:
@@ -118,7 +126,7 @@ def _read_rows(path: Path, header: list[str], lines: list[str]) -> np.ndarray:
     return data
 
 
-def _increasing_times(path: Path, lines: list[str], t: np.ndarray) -> np.ndarray:
+def _increasing_times(path: Path, lines: list[str], t):
     """``t`` as read from ``lines``, or `MalformedRecording` naming ``path:line``
     of the first row whose t is not after the previous row's."""
     late = np.flatnonzero(np.diff(t) <= 0)
@@ -251,9 +259,11 @@ def write_model_json(path, models: dict[SensorSite, SensorModel],
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_model_json(path) -> dict[SensorSite, SensorModel]:
-    """Per-site models; `MalformedModel` naming the file for invalid JSON or no
-    ``sensors`` object, and the site too for an entry `_sensor_model` rejects."""
+def read_model_json(path) -> tuple[dict[SensorSite, SensorModel], float]:
+    """Per-site models and the filter gain beta they were fitted with: its
+    ``provenance.beta``, or `orientation.DEFAULT_BETA` if it records none.
+    `MalformedModel` names the file for invalid JSON, no ``sensors`` object or
+    a bad ``provenance``, and the site too for an entry `_sensor_model` rejects."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -261,6 +271,13 @@ def read_model_json(path) -> dict[SensorSite, SensorModel]:
         raise MalformedModel(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("sensors"), dict):
         raise MalformedModel(f"{path}: needs a 'sensors' object")
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise MalformedModel(f"{path}: 'provenance' is not an object")
+    beta = provenance.get("beta", DEFAULT_BETA)
+    if (not isinstance(beta, (int, float)) or isinstance(beta, bool)
+            or not 0.0 <= beta < math.inf):
+        raise MalformedModel(f"{path}: provenance beta is not a finite number >= 0: {beta!r}")
     out = {}
     for token, entry in doc["sensors"].items():
         try:
@@ -269,7 +286,7 @@ def read_model_json(path) -> dict[SensorSite, SensorModel]:
             raise MalformedModel(f"{path}: sensor {token!r}: missing key {exc}") from None
         except (TypeError, ValueError, InvalidParams) as exc:
             raise MalformedModel(f"{path}: sensor {token!r}: {exc}") from None
-    return out
+    return out, float(beta)
 
 
 def _sensor_model(entry) -> SensorModel:
@@ -297,9 +314,10 @@ def write_detection_csv(path, series: BinaryStateSeries) -> None:
 
 def read_detection_csv(path) -> BinaryStateSeries:
     path = Path(path)
+    _, lines = _read_lines(path)
     state = _label(_LABEL_CODES)
     times, states, change_points, onsets = [], [], [], []
-    for lineno, fields in _text_rows(path):
+    for lineno, fields in _text_rows(lines):
         if fields[0].startswith("#"):
             _, idx, st, onset = _row_values(
                 path, lineno, fields, ("#", "index", "state", "onset"),
@@ -312,15 +330,14 @@ def read_detection_csv(path) -> BinaryStateSeries:
             states.append(st)
     if not times:
         raise EmptyRecording(f"{path}: no samples after the header")
+    _increasing_times(path, lines, times)  # the change-point rows are comments
     dt = times[1] - times[0] if len(times) > 1 else 1.0
     return BinaryStateSeries(t0=times[0], dt=dt, states=np.array(states, np.uint8),
                              change_points=change_points, onsets=onsets)
 
 
-def _text_rows(path: Path) -> list[tuple[int, list[str]]]:
+def _text_rows(lines: list[str]) -> list[tuple[int, list[str]]]:
     """``(line number, comma-separated fields)`` of each non-blank line after the header."""
-    with open(path) as fh:
-        lines = fh.readlines()[1:]
     return [(lineno, [token.strip() for token in line.split(",")])
             for lineno, line in enumerate(lines, start=2) if line.strip()]
 
@@ -342,12 +359,13 @@ def write_timeline_csv(path, timeline: ActivityTimeline) -> None:
 
 def read_timeline_csv(path) -> ActivityTimeline:
     path = Path(path)
+    _, lines = _read_lines(path)
     names = ["t", "full_body", *(site.value for site in LIMBS)]
     parsers = [_number, _label({name: code for code, name in enumerate(_FULL_BODY_NAMES)})]
     parsers += [_label({name: code for code, name in enumerate(_LIMB_NAMES)})] * len(LIMBS)
     times, full_body = [], []
     tracks: dict[SensorSite, list[int]] = {s: [] for s in LIMBS}
-    for lineno, fields in _text_rows(path):
+    for lineno, fields in _text_rows(lines):
         ti, fb, *limbs = _row_values(path, lineno, fields, names, parsers)
         times.append(ti)
         full_body.append(fb)
@@ -355,6 +373,7 @@ def read_timeline_csv(path) -> ActivityTimeline:
             tracks[site].append(code)
     if not times:
         raise EmptyRecording(f"{path}: no samples after the header")
+    _increasing_times(path, lines, times)
     dt = times[1] - times[0] if len(times) > 1 else 1.0
     return ActivityTimeline(
         t0=times[0], dt=dt, full_body=np.array(full_body, np.uint8),
@@ -375,14 +394,14 @@ def write_report_json(path, report: ExplorationReport, config: dict | None = Non
 
 
 def read_trajectory_csv(path) -> TrajectorySeries:
+    """A trajectory, its ``t``, ``x`` and ``y`` columns found by name."""
     path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")  # t,x,y
-        lines = fh.readlines()
+    header, lines = _read_lines(path)
+    cols = _column_index(path, header, ("t", "x", "y"))
     data = _read_rows(path, header, lines)
-    t = _increasing_times(path, lines, data[:, 0])
+    t = _increasing_times(path, lines, data[:, cols["t"]])
     dt = float(np.median(np.diff(t))) if len(t) > 1 else 1.0
-    return TrajectorySeries(t0=float(t[0]), dt=dt, x=data[:, 1], y=data[:, 2])
+    return TrajectorySeries(t0=float(t[0]), dt=dt, x=data[:, cols["x"]], y=data[:, cols["y"]])
 
 
 def write_trajectory_csv(path, traj: TrajectorySeries) -> None:

@@ -25,7 +25,8 @@ from .cusum import (BinaryStateSeries, DetectionConfig, SensorModel,
                     relabel_segments)
 from .errors import DegenerateTruth, MissingState
 from .gamma_model import HypothesisModel, fit_mle
-from .orientation import ImuRecording, angular_velocity_norm, linear_acceleration
+from .orientation import (DEFAULT_BETA, ImuRecording, angular_velocity_norm,
+                          linear_acceleration)
 from .series import (ALL_SITES, H0, H1, AnnotationTrack, SensorSite,
                      SignalSeries, rasterize_track)
 
@@ -55,7 +56,7 @@ class LabeledClimb:
     def from_recordings(cls, climb_id: str,
                         recordings: dict[SensorSite, ImuRecording],
                         annotations: dict[SensorSite, AnnotationTrack] | None = None,
-                        beta: float = 0.1) -> "LabeledClimb":
+                        beta: float = DEFAULT_BETA) -> "LabeledClimb":
         channels = {
             site: SensorChannels(acc=linear_acceleration(rec, beta),
                                  ang=angular_velocity_norm(rec))
@@ -159,7 +160,7 @@ def _pooled_score(prep: list[_SitePrep], alpha: float,
     states = []
     for item in prep:
         inc = alpha * item.l_acc + (1.0 - alpha) * item.l_ang
-        raw = detect_from_increments(inc, lambda0, lambda1, H0)
+        raw = detect_from_increments(inc, lambda0, lambda1)
         states.append(relabel_segments(raw).states)
     return _coefficient(np.concatenate(states),
                         np.concatenate([item.truth for item in prep]))

@@ -19,7 +19,7 @@ numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .series import SensorSite, SignalSeries
 
 GRAVITY = 9.81
 DEFAULT_BETA = 0.1
-DEFAULT_CONVERGENCE_WINDOW = 3.0
+CONVERGENCE_WINDOW = 3.0  # seconds the filter converges for (`estimate_orientation`)
 
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 _BLOCK = 1024
@@ -40,8 +40,7 @@ class ImuRecording:
 
     Units: accel m/s^2, gyro rad/s, mag unitless direction. ``mag`` may be
     None (IMU-only mode): heading is then unconstrained but gravity removal
-    is unaffected. ``gap_indices`` flags samples preceded by a gap longer
-    than two nominal periods. A non-finite timestamp, or a stream not shaped
+    is unaffected. A non-finite timestamp, or a stream not shaped
     (len(t), 3) or holding a non-finite value, raises `MalformedRecording`
     naming the site.
     """
@@ -52,7 +51,6 @@ class ImuRecording:
     accel: np.ndarray
     gyro: np.ndarray
     mag: np.ndarray | None = None
-    gap_indices: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -257,15 +255,14 @@ def _quat_from_matrix(r) -> np.ndarray:
     return np.array([w / n, x / n, y / n, z / n])
 
 
-def estimate_orientation(recording: ImuRecording, beta: float = DEFAULT_BETA,
-                         convergence_window: float = DEFAULT_CONVERGENCE_WINDOW) -> np.ndarray:
+def estimate_orientation(recording: ImuRecording, beta: float = DEFAULT_BETA) -> np.ndarray:
     """Per-sample orientation quaternions (n, 4) for a recording.
 
     The filter starts from the first sample's accel/mag attitude and runs
-    forward; orientations within the initial convergence window are replaced
-    by the estimate reached at its end, which prevents startup gravity
-    leakage into the earliest samples. A negative or non-finite beta raises
-    ValueError.
+    forward; orientations within the first `CONVERGENCE_WINDOW` seconds are
+    replaced by the estimate reached at its end, which prevents startup
+    gravity leakage into the earliest samples. A negative or non-finite beta
+    raises ValueError.
     """
     n = len(recording)
     if n == 0:
@@ -284,16 +281,14 @@ def estimate_orientation(recording: ImuRecording, beta: float = DEFAULT_BETA,
         block = _run(q, rows, beta)
         quats[start:stop] = np.reshape(block, (-1, 4))
         q = block[-4:]
-    if convergence_window > 0:
-        w_end = int(np.searchsorted(recording.t, recording.t[0] + convergence_window))
-        quats[:w_end] = quats[min(w_end, n - 1)]
+    w_end = int(np.searchsorted(t, t[0] + CONVERGENCE_WINDOW))
+    quats[:w_end] = quats[min(w_end, n - 1)]
     return quats
 
 
-def earth_acceleration(recording: ImuRecording, beta: float = DEFAULT_BETA,
-                       convergence_window: float = DEFAULT_CONVERGENCE_WINDOW) -> np.ndarray:
+def earth_acceleration(recording: ImuRecording, beta: float = DEFAULT_BETA) -> np.ndarray:
     """Gravity-free acceleration components (n, 3) in the Earth frame."""
-    quats = estimate_orientation(recording, beta, convergence_window)
+    quats = estimate_orientation(recording, beta)
     a_earth = _rotate(quats, recording.accel)
     a_earth[:, 2] -= GRAVITY
     return a_earth
@@ -318,10 +313,9 @@ def _rotate(quats: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def linear_acceleration(recording: ImuRecording, beta: float = DEFAULT_BETA,
-                        convergence_window: float = DEFAULT_CONVERGENCE_WINDOW) -> SignalSeries:
+def linear_acceleration(recording: ImuRecording, beta: float = DEFAULT_BETA) -> SignalSeries:
     """Norm of the Earth-frame acceleration after removing gravity."""
-    a_earth = earth_acceleration(recording, beta, convergence_window)
+    a_earth = earth_acceleration(recording, beta)
     return SignalSeries(t0=float(recording.t[0]), dt=recording.dt,
                         values=np.linalg.norm(a_earth, axis=1))
 

@@ -21,7 +21,6 @@ from .learning import LabeledClimb, SensorChannels
 from .orientation import GRAVITY, ImuRecording
 from .series import (ALL_SITES, H0, H1, LIMBS, AnnotationTrack, SensorSite,
                      SignalSeries, rasterize_track)
-from .sync import shift_annotations
 
 # Earth magnetic field direction seen by an identity-orientation sensor
 # (north component with downward dip).
@@ -166,13 +165,3 @@ def simulate(plan: StatePlan,
     return LabeledClimb(climb_id=climb_id, channels=channels,
                         annotations=annotations, recordings=recordings)
 
-
-def inject_delay(climb: LabeledClimb, delay: float) -> LabeledClimb:
-    """Shift annotations off the sensor clock by ``delay`` seconds."""
-    durations = [len(ch.acc) * ch.acc.dt for ch in climb.channels.values()]
-    if durations and abs(delay) >= min(durations) / 2:
-        raise ValueError(f"delay {delay} too large for recording duration")
-    annotations = {site: shift_annotations(ann, delay)
-                   for site, ann in climb.annotations.items()}
-    return LabeledClimb(climb_id=climb.climb_id, channels=climb.channels,
-                        annotations=annotations, recordings=climb.recordings)

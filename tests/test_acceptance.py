@@ -226,9 +226,11 @@ def test_criterion_8_classifier_truth_table():
         (0, 0, 0, 0, 0): FullBodyState.IMMOBILITY,
         (0, 0, 0, 0, 1): FullBodyState.POSTURAL_REGULATION,
     }
-    table_ok = True
-    for combo in itertools.product((0, 1), repeat=5):
-        got = full_body_state(combo[:4], combo[4])
+    # all 32 combinations at once, one per sample, through the table classify runs
+    combos = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
+    states = full_body_state(list(combos[:, :4].T), combos[:, 4])
+    table_ok = states.shape == (32,)
+    for combo, got in zip(map(tuple, combos.tolist()), states.tolist()):
         counts[got] += 1
         want = expected.get(combo)
         if want is None:

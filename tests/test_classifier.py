@@ -49,15 +49,17 @@ def naive_substates(limb, full_body):
 
 class TestFullBodyState:
     def test_paper_cases(self):
-        assert full_body_state((0, 0, 0, 0), 0) == FullBodyState.IMMOBILITY
-        assert full_body_state((0, 0, 0, 0), 1) == FullBodyState.POSTURAL_REGULATION
-        assert full_body_state((1, 0, 0, 0), 0) == FullBodyState.HOLD_INTERACTION
-        assert full_body_state((1, 0, 0, 0), 1) == FullBodyState.TRACTION
+        # one sample per case; only the first limb ever moves
+        limbs = [np.array([0, 0, 1, 1]), np.zeros(4), np.zeros(4), np.zeros(4)]
+        got = full_body_state(limbs, np.array([0, 1, 0, 1]))
+        assert got.tolist() == [FullBodyState.IMMOBILITY, FullBodyState.POSTURAL_REGULATION,
+                                FullBodyState.HOLD_INTERACTION, FullBodyState.TRACTION]
 
     def test_exhaustive_partition(self):
-        counts = {state: 0 for state in FullBodyState}
-        for combo in itertools.product((0, 1), repeat=5):
-            counts[full_body_state(combo[:4], combo[4])] += 1
+        combos = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
+        got = full_body_state(list(combos[:, :4].T), combos[:, 4])
+        assert got.shape == (32,) and got.dtype == np.uint8
+        counts = {state: int(np.count_nonzero(got == state)) for state in FullBodyState}
         assert counts[FullBodyState.IMMOBILITY] == 1
         assert counts[FullBodyState.POSTURAL_REGULATION] == 1
         assert counts[FullBodyState.HOLD_INTERACTION] == 15

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import climbdetect
-from climbdetect import cli, io
+from climbdetect import classifier, cli, cusum, io, learning
 from climbdetect.orientation import ImuRecording
 from climbdetect.series import ALL_SITES, AnnotationTrack, SensorSite
 from climbdetect.simulator import MAG_FIELD
@@ -56,7 +56,8 @@ class TestSimulate:
 
 class TestFit:
     def test_model_file(self, model_path):
-        models = io.read_model_json(model_path)
+        models, beta = io.read_model_json(model_path)
+        assert beta == 0.1  # fit's default, recorded in the model's provenance
         assert set(models) == set(ALL_SITES)
         for model in models.values():
             assert 0.0 <= model.config.alpha <= 1.0
@@ -185,6 +186,72 @@ class TestDetectClassifyReport:
         assert (f"error: {model}: sensor 'rh': thresholds must be positive"
                 in capsys.readouterr().err)
 
+    def test_beta_comes_from_the_model(self, dataset, tmp_path):
+        # the model was fitted on signals filtered with beta = 0.02, so
+        # detection filters its climb with 0.02 too; acc mode (alpha = 1)
+        # makes every site's detection depend on the filter
+        model = tmp_path / "model.json"
+        assert cli.main(["fit", "--climbs", str(dataset), "--out", str(model),
+                         "--beta", "0.02", "--mode", "acc", "--grid-points", "4",
+                         "--grid-min", "1", "--grid-max", "100"]) == 0
+        timeline_path = tmp_path / "timeline.csv"
+        assert cli.main(["classify", "--model", str(model), "--climb",
+                         str(dataset / "climb01"), "--out", str(timeline_path)]) == 0
+        manifest = json.loads((tmp_path / "timeline.csv.manifest.json").read_text())
+        assert manifest["config"]["beta"] == 0.02
+
+        models, _ = io.read_model_json(model)
+        recordings = {site: io.read_recording_csv(
+            dataset / "climb01" / f"climb01_{site.value}.csv", site) for site in ALL_SITES}
+        written = {}
+        for beta in (0.02, 0.1):
+            climb = learning.LabeledClimb.from_recordings("climb01", recordings, beta=beta)
+            detections = {
+                site: cusum.relabel_segments(cusum.detect(ch.acc, ch.ang, models[site]))
+                for site, ch in climb.channels.items()}
+            written[beta] = tmp_path / f"beta{beta}.csv"
+            io.write_timeline_csv(written[beta], classifier.classify(detections))
+        assert timeline_path.read_bytes() == written[0.02].read_bytes()
+        # and the gain matters here: the default one gives another timeline
+        assert timeline_path.read_bytes() != written[0.1].read_bytes()
+
+    @pytest.mark.parametrize("command", ["detect", "classify"])
+    def test_beta_is_not_an_option(self, command, dataset, model_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--model", str(model_path), "--climb", str(dataset / "climb01"),
+                      "--out", str(tmp_path / "out"), "--beta", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --beta 0.1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "classify"])
+    def test_malformed_model_beta_exits_one(self, command, dataset, model_path, tmp_path,
+                                            capsys):
+        model = tmp_path / "model.json"
+        doc = json.loads(model_path.read_text())
+        doc["provenance"]["beta"] = "0.02"
+        model.write_text(json.dumps(doc))
+        assert cli.main([command, "--model", str(model), "--climb", str(dataset / "climb01"),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert (f"error: {model}: provenance beta is not a finite number >= 0: '0.02'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("corrupt, line", [
+        (lambda rows: rows[::-1], 3),
+        (lambda rows: rows[:2] + [rows[3], rows[2]] + rows[4:], 5),
+        (lambda rows: rows[:3] + [rows[2]] + rows[4:], 5),
+    ], ids=["reversed", "swapped", "repeated"])
+    def test_timeline_times_that_do_not_increase_exit_one(self, dataset, model_path,
+                                                          tmp_path, capsys, corrupt, line):
+        timeline = tmp_path / "timeline.csv"
+        assert cli.main(["classify", "--model", str(model_path), "--climb",
+                         str(dataset / "climb01"), "--out", str(timeline)]) == 0
+        header, *rows = timeline.read_text().splitlines()
+        timeline.write_text("\n".join([header] + corrupt(rows)) + "\n")
+        assert cli.main(["report", str(timeline)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {timeline}:{line}: t " in err
+        assert "is not after the previous row's" in err
+
     @pytest.mark.parametrize("keep, message", [
         (1, ": no samples after the header"),
         (4, ":4: 5 values, the header names 6"),
@@ -287,6 +354,31 @@ class TestSync:
         err = capsys.readouterr().err
         assert f"error: {traj_path}:{line}: t " in err
         assert "is not after the previous row's" in err
+
+    @pytest.mark.parametrize("order", ["t,y,x", "y,t,x"])
+    def test_trajectory_columns_found_by_name(self, tmp_path, capsys, order):
+        # the same numbers under another column order give the same delay
+        rec_path, traj_path = sync_inputs(tmp_path, 1.3)
+        argv = ["sync", "--trajectory", str(traj_path), "--recording", str(rec_path),
+                "--max-lag", "5", "--beta", "0.02"]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        assert float(printed.split("delay=")[1].split()[0]) == pytest.approx(1.3, abs=0.1)
+        header, *rows = traj_path.read_text().splitlines()
+        index = [header.split(",").index(name) for name in order.split(",")]
+        traj_path.write_text("\n".join([order] + [
+            ",".join(row.split(",")[i] for i in index) for row in rows]) + "\n")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == printed
+
+    def test_unnamed_trajectory_columns_exit_one(self, tmp_path, capsys):
+        rec_path, traj_path = sync_inputs(tmp_path, 0.0)
+        lines = traj_path.read_text().splitlines()
+        traj_path.write_text("\n".join(["time,a,b"] + lines[1:]) + "\n")
+        assert cli.main(["sync", "--trajectory", str(traj_path),
+                         "--recording", str(rec_path), "--max-lag", "5"]) == 1
+        assert (f"error: {traj_path}: missing column(s) t, x, y"
+                in capsys.readouterr().err)
 
     def test_motionless_trajectory_exits_one(self, tmp_path, capsys):
         # every lag would correlate as 0.0, so any delay would be a guess
@@ -397,7 +489,7 @@ def test_bad_grid_option_is_a_usage_error(command, option, value, requirement, c
     assert f"argument {option}: must be {requirement}, got {value!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["fit", "detect", "classify", "evaluate"])
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
 def test_every_beta_is_checked(command, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--beta", "-0.5"])

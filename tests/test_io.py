@@ -13,7 +13,7 @@ from climbdetect.cusum import (BinaryStateSeries, DetectionConfig,
 from climbdetect.errors import (ClimbDetectError, EmptyRecording, MalformedAnnotations,
                                MalformedModel, MalformedRecording)
 from climbdetect.gamma_model import GammaParams
-from climbdetect.orientation import ImuRecording
+from climbdetect.orientation import DEFAULT_BETA, ImuRecording
 from climbdetect.series import ALL_SITES, LIMBS, AnnotationTrack, SensorSite
 from climbdetect.sync import TrajectorySeries
 
@@ -83,8 +83,7 @@ class TestRecordingCsv:
         path = tmp_path / "c1_rh.csv"
         io.write_recording_csv(path, gappy)
         with pytest.warns(UserWarning, match="gap"):
-            back = io.read_recording_csv(path)
-        assert back.gap_indices
+            io.read_recording_csv(path)
 
     @pytest.mark.parametrize("corrupt, message", [
         # line 6 of the file is lines[5]; its gz value becomes nan
@@ -190,8 +189,17 @@ class TestModelJson:
         models = {site: self.model() for site in ALL_SITES}
         path = tmp_path / "model.json"
         io.write_model_json(path, models, provenance={"climbs": ["c1"]})
-        back = io.read_model_json(path)
+        back, beta = io.read_model_json(path)
         assert back == models
+        assert beta == DEFAULT_BETA  # the model does not record its beta
+
+    @pytest.mark.parametrize("beta", [0.02, 0, 3.5])
+    def test_beta_from_provenance(self, tmp_path, beta):
+        path = tmp_path / "model.json"
+        io.write_model_json(path, {SensorSite.PELVIS: self.model()},
+                            provenance={"beta": beta, "climbs": ["c1"]})
+        _, back = io.read_model_json(path)
+        assert back == beta and type(back) is float
 
     def test_deterministic_bytes(self, tmp_path):
         models = {site: self.model() for site in ALL_SITES}
@@ -219,9 +227,25 @@ class TestModelJson:
         (lambda doc: doc["sensors"]["rf"]["ang"]["h0"].update(theta="0.04"),
          "sensor 'rf': must be real number"),
         (lambda doc: doc["sensors"].update(rh=[1, 2]), "sensor 'rh': list indices"),
+        (lambda doc: doc.update(provenance=[0.1]), "'provenance' is not an object"),
+        (lambda doc: doc.update(provenance="beta=0.1"), "'provenance' is not an object"),
+        (lambda doc: doc["provenance"].update(beta=-0.1),
+         "provenance beta is not a finite number >= 0: -0.1"),
+        (lambda doc: doc["provenance"].update(beta=float("nan")),
+         "provenance beta is not a finite number >= 0: nan"),
+        (lambda doc: doc["provenance"].update(beta=float("inf")),
+         "provenance beta is not a finite number >= 0: inf"),
+        (lambda doc: doc["provenance"].update(beta="0.1"),
+         "provenance beta is not a finite number >= 0: '0.1'"),
+        (lambda doc: doc["provenance"].update(beta=True),
+         "provenance beta is not a finite number >= 0: True"),
+        (lambda doc: doc["provenance"].update(beta=None),
+         "provenance beta is not a finite number >= 0: None"),
     ], ids=["missing-sensors", "sensors-list", "unknown-site", "missing-channel",
             "missing-theta", "negative-lambda0", "nan-lambda1", "alpha-above-one",
-            "zero-k", "string-theta", "entry-list"])
+            "zero-k", "string-theta", "entry-list", "provenance-list",
+            "provenance-string", "negative-beta", "nan-beta", "infinite-beta",
+            "string-beta", "bool-beta", "null-beta"])
     def test_malformed_model_names_file_and_site(self, tmp_path, corrupt, message):
         path = tmp_path / "model.json"
         io.write_model_json(path, {site: self.model() for site in ALL_SITES})
@@ -262,7 +286,18 @@ class TestDetectionCsv:
          ":3: state is not a known label: 'mobile'"),
         (lambda lines: lines[:-1] + ["# change_point,5,H0"], MalformedRecording,
          ":9: 3 values, a change point has 4"),
-    ], ids=["header-only", "unknown-state", "short-change-point"])
+        # t must increase strictly from sample row to sample row
+        (lambda lines: lines[:1] + lines[6:0:-1] + lines[7:], MalformedRecording,
+         ":3: t 0.54 is not after the previous row's 0.55"),
+        (lambda lines: lines[:3] + [lines[4], lines[3]] + lines[5:], MalformedRecording,
+         ":5: t 0.52 is not after the previous row's 0.53"),
+        (lambda lines: lines[:4] + [lines[3]] + lines[5:], MalformedRecording,
+         ":5: t 0.52 is not after the previous row's 0.52"),
+        # change-point rows count as lines, not as sample rows
+        (lambda lines: lines[:3] + [lines[8], lines[2]] + lines[3:8], MalformedRecording,
+         ":5: t 0.51 is not after the previous row's 0.51"),
+    ], ids=["header-only", "unknown-state", "short-change-point", "reversed-t",
+            "swapped-t", "repeated-t", "change-point-then-repeated-t"])
     def test_malformed_detection_names_file(self, tmp_path, corrupt, error, message):
         path = tmp_path / "det.csv"
         io.write_detection_csv(path, BinaryStateSeries(
@@ -300,7 +335,18 @@ class TestTimelineCsv:
          + lines[3:], MalformedRecording, ":3: full_body is not a known label: 'climbing'"),
         (lambda lines: lines[:4] + ["x" + lines[4]] + lines[5:], MalformedRecording,
          ":5: t is not a number: 'x0.06'"),
-    ], ids=["header-only", "short-row", "unknown-state", "unparsable-time"])
+        # t must increase strictly from row to row
+        (lambda lines: lines[:1] + lines[:0:-1], MalformedRecording,
+         ":3: t 0.08 is not after the previous row's 0.1"),
+        (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], MalformedRecording,
+         ":4: t 0.02 is not after the previous row's 0.04"),
+        (lambda lines: lines[:6] + [lines[5]], MalformedRecording,
+         ":7: t 0.08 is not after the previous row's 0.08"),
+        # blank lines count as lines, not as rows
+        (lambda lines: lines[:3] + ["", lines[2]] + lines[4:], MalformedRecording,
+         ":5: t 0.02 is not after the previous row's 0.02"),
+    ], ids=["header-only", "short-row", "unknown-state", "unparsable-time",
+            "reversed-t", "swapped-t", "repeated-t", "blank-then-repeated-t"])
     def test_malformed_timeline_names_file(self, tmp_path, corrupt, error, message):
         timeline = ActivityTimeline(
             t0=0.0, dt=0.02, full_body=np.zeros(6, np.uint8),
@@ -343,6 +389,22 @@ class TestTrajectoryCsv:
         np.testing.assert_allclose(back.x, traj.x)
         np.testing.assert_allclose(back.y, traj.y)
 
+    @pytest.mark.parametrize("order", ["t,y,x", "y,x,t", "x,t,y"])
+    def test_columns_found_by_name(self, tmp_path, order):
+        rng = np.random.default_rng(4)
+        traj = TrajectorySeries(t0=1.0, dt=0.04, x=rng.normal(0, 1, 20),
+                                y=rng.normal(0, 1, 20))
+        columns = {"t": traj.t0 + traj.dt * np.arange(20), "x": traj.x, "y": traj.y}
+        names = order.split(",")
+        path = tmp_path / "traj.csv"
+        path.write_text("\n".join([order] + [",".join(map(repr, row)) for row in zip(
+            *(columns[name].tolist() for name in names))]) + "\n")
+        back = io.read_trajectory_csv(path)
+        assert back.t0 == 1.0
+        assert back.dt == pytest.approx(0.04)
+        np.testing.assert_array_equal(back.x, traj.x)
+        np.testing.assert_array_equal(back.y, traj.y)
+
     @pytest.mark.parametrize("corrupt, error, message", [
         (lambda lines: lines[:1], EmptyRecording, "no samples"),
         (lambda lines: lines[:2] + ["0.04,nan,0.0"] + lines[3:], MalformedRecording,
@@ -357,8 +419,11 @@ class TestTrajectoryCsv:
          ":4: t 0.04 is not after the previous row's 0.08"),
         (lambda lines: lines[:3] + ["0.04,0.5,0.0"] + lines[4:], MalformedRecording,
          ":4: t 0.04 is not after the previous row's 0.04"),
+        (lambda lines: ["time,a,b"] + lines[1:], MalformedRecording,
+         ": missing column(s) t, x, y"),
+        (lambda lines: ["t,x,z"] + lines[1:], MalformedRecording, ": missing column(s) y"),
     ], ids=["header-only", "nan", "short-row", "unparsable",
-            "reversed-t", "swapped-t", "repeated-t"])
+            "reversed-t", "swapped-t", "repeated-t", "unnamed-columns", "no-y-column"])
     def test_malformed_trajectory_names_file(self, tmp_path, corrupt, error, message):
         path = tmp_path / "traj.csv"
         io.write_trajectory_csv(path, TrajectorySeries(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from climbdetect.errors import EmptyRecording, MalformedRecording
-from climbdetect.orientation import (GRAVITY, ImuRecording, _rotate,
+from climbdetect.orientation import (CONVERGENCE_WINDOW, GRAVITY, ImuRecording, _rotate,
                                      angular_velocity_norm, earth_acceleration,
                                      estimate_orientation, filter_update,
                                      initial_orientation, linear_acceleration)
@@ -43,6 +43,17 @@ def random_recording(n, mag=True, seed=17):
                         accel=rng.normal([0.0, 0.0, GRAVITY], 2.0, (n, 3)),
                         gyro=rng.normal(0.0, 1.0, (n, 3)),
                         mag=rng.normal(MAG_EARTH, 0.1, (n, 3)) if mag else None)
+
+
+def converged(rec, quats):
+    """``quats`` as `estimate_orientation` returns them: the attitudes of the
+    first `CONVERGENCE_WINDOW` seconds replaced by the one at its end. Every
+    attitude before it feeds that one, so every step still reaches a
+    compared value."""
+    w_end = min(int(np.searchsorted(rec.t, rec.t[0] + CONVERGENCE_WINDOW)), len(rec) - 1)
+    out = quats.copy()
+    out[:w_end] = quats[w_end]
+    return out
 
 
 def assert_bit_equal(got, want):
@@ -145,32 +156,33 @@ class TestClosedFormStep:
     def test_simulated_climb_matches_product_form_loop(self):
         plan = random_plan(60.0, np.random.default_rng(3))
         rec = simulate(plan, seed=3, triaxial=True).recordings[SensorSite.PELVIS]
-        quats = estimate_orientation(rec, beta=0.1, convergence_window=0.0)
+        quats = estimate_orientation(rec, beta=0.1)
         want = np.empty_like(quats)
         want[0] = initial_orientation(rec.accel[0], rec.mag[0])
         for i in range(1, len(rec)):
             want[i] = product_form_update(want[i - 1], rec.accel[i], rec.gyro[i],
                                           rec.mag[i], rec.t[i] - rec.t[i - 1], 0.1)
         assert len(rec) == 6000
-        assert np.max(np.abs(quats - want)) <= 1e-13
+        assert np.max(np.abs(quats - converged(rec, want))) <= 1e-13
 
     @pytest.mark.parametrize("mag", [True, False], ids=["marg", "imu-only"])
     def test_estimate_equals_chained_updates_across_blocks(self, mag):
         n = 2500
         rec = random_recording(n, mag)
-        quats = estimate_orientation(rec, beta=0.2, convergence_window=0.0)
-        q = initial_orientation(rec.accel[0], rec.mag[0] if mag else None)
-        assert np.array_equal(quats[0], q)
+        quats = estimate_orientation(rec, beta=0.2)
+        want = np.empty_like(quats)
+        want[0] = initial_orientation(rec.accel[0], rec.mag[0] if mag else None)
         for i in range(1, n):
-            q = filter_update(q, rec.accel[i], rec.gyro[i], rec.mag[i] if mag else None,
-                              rec.t[i] - rec.t[i - 1], 0.2)
-            assert np.array_equal(quats[i], q), i
+            want[i] = filter_update(want[i - 1], rec.accel[i], rec.gyro[i],
+                                    rec.mag[i] if mag else None, rec.t[i] - rec.t[i - 1], 0.2)
+        assert np.array_equal(quats, converged(rec, want))
 
 
 def per_sample_oracle(rec, beta):
-    """`closed_form_step` chained one sample at a time from the first attitude."""
+    """`closed_form_step` chained one sample at a time from the first attitude,
+    through the same convergence window."""
     q0 = initial_orientation(rec.accel[0], None if rec.mag is None else rec.mag[0])
-    return chained_orientation(q0, rec.t, rec.accel, rec.gyro, rec.mag, beta)
+    return converged(rec, chained_orientation(q0, rec.t, rec.accel, rec.gyro, rec.mag, beta))
 
 
 _ROW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, GRAVITY, 5e-324, -1.5e-310]),
@@ -190,12 +202,12 @@ class TestFusedLoopOracle:
     def test_simulated_sites(self, climb, site, beta):
         rec = climb.recordings[site]
         assert rec.mag is not None
-        assert_bit_equal(estimate_orientation(rec, beta, 0.0), per_sample_oracle(rec, beta))
+        assert_bit_equal(estimate_orientation(rec, beta), per_sample_oracle(rec, beta))
 
     @pytest.mark.parametrize("mag", [True, False], ids=["marg", "imu-only"])
     def test_still_sensor_at_identity(self, mag):
         rec = stationary_recording(Rotation.identity(), n=300, mag=mag)
-        quats = estimate_orientation(rec, 0.1, 0.0)
+        quats = estimate_orientation(rec, 0.1)
         assert (quats[:, 1:] == 0.0).all()
         assert_bit_equal(quats, per_sample_oracle(rec, 0.1))
 
@@ -204,12 +216,12 @@ class TestFusedLoopOracle:
         rec.accel[5::7] = 0.0
         rec.mag[3::5] = 0.0
         rec.mag[::11] = -0.0
-        assert_bit_equal(estimate_orientation(rec, 0.3, 0.0), per_sample_oracle(rec, 0.3))
+        assert_bit_equal(estimate_orientation(rec, 0.3), per_sample_oracle(rec, 0.3))
 
     @pytest.mark.parametrize("n", [1, 2, 1024, 1025, 2500])
     def test_lengths_around_blocks(self, n):
         rec = random_recording(n, seed=n)
-        assert_bit_equal(estimate_orientation(rec, 0.2, 0.0), per_sample_oracle(rec, 0.2))
+        assert_bit_equal(estimate_orientation(rec, 0.2), per_sample_oracle(rec, 0.2))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 30), mag=st.booleans(),
@@ -221,7 +233,7 @@ class TestFusedLoopOracle:
         dts = data.draw(st.lists(st.floats(1e-3, 0.1), min_size=n, max_size=n))
         rec = ImuRecording(site=SensorSite.RIGHT_HAND, sample_rate=100.0, t=np.cumsum(dts),
                            accel=stream(), gyro=stream(), mag=stream() if mag else None)
-        assert_bit_equal(estimate_orientation(rec, beta, 0.0), per_sample_oracle(rec, beta))
+        assert_bit_equal(estimate_orientation(rec, beta), per_sample_oracle(rec, beta))
 
 
 class TestRecordingValidation:
@@ -312,7 +324,7 @@ class TestOrientationEstimation:
         rec = ImuRecording(site=SensorSite.LEFT_HAND, sample_rate=100.0,
                            t=np.arange(n) / 100.0, accel=np.zeros((n, 3)),
                            gyro=np.zeros((n, 3)))
-        out = linear_acceleration(rec, beta=0.1, convergence_window=0.0)
+        out = linear_acceleration(rec, beta=0.1)
         np.testing.assert_allclose(out.values, GRAVITY, atol=1e-9)
 
     def test_mounting_rotation_invariance(self):

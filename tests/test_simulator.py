@@ -7,8 +7,8 @@ from climbdetect.errors import InvalidPlan
 from climbdetect.gamma_model import GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import performance_coefficient
 from climbdetect.series import ALL_SITES, LIMBS, H0, H1, SensorSite, rasterize_track
-from climbdetect.simulator import (StatePlan, default_models, inject_delay,
-                                   plan_from_script, random_plan, simulate)
+from climbdetect.simulator import (StatePlan, default_models, plan_from_script,
+                                   random_plan, simulate)
 
 RH = SensorSite.RIGHT_HAND
 
@@ -234,32 +234,3 @@ class TestPlanFromScript:
         with pytest.raises(InvalidPlan):
             plan_from_script([(0.0, FullBodyState.IMMOBILITY)])
 
-
-class TestInjectDelay:
-    def climb(self):
-        plan = random_plan(60.0, np.random.default_rng(10))
-        return simulate(plan, sample_rate=50, seed=13)
-
-    def test_annotations_shifted_channels_untouched(self):
-        climb = self.climb()
-        delayed = inject_delay(climb, 1.47)
-        for site in ALL_SITES:
-            for (a0, a1, s0), (b0, b1, s1) in zip(climb.annotations[site].intervals,
-                                                  delayed.annotations[site].intervals):
-                assert (b0 - a0, b1 - a1, s1) == (pytest.approx(1.47),
-                                                  pytest.approx(1.47), s0)
-            np.testing.assert_array_equal(climb.channels[site].acc.values,
-                                          delayed.channels[site].acc.values)
-
-    def test_shift_roundtrip_restores_labels(self):
-        climb = self.climb()
-        delayed = inject_delay(climb, 1.47)
-        restored = inject_delay(delayed, -1.47)
-        for site in ALL_SITES:
-            a = rasterize_track(climb.annotations[site], 0.0, 0.02, 3000)
-            b = rasterize_track(restored.annotations[site], 0.0, 0.02, 3000)
-            assert np.mean(a == b) >= 0.99
-
-    def test_rejects_oversized_delay(self):
-        with pytest.raises(ValueError):
-            inject_delay(self.climb(), 40.0)
