@@ -10,9 +10,9 @@ the same inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,16 @@ from . import classifier, cusum, io, learning, orientation, simulator, sync
 from .errors import ClimbDetectError
 from .series import ALL_SITES, SensorSite, SignalSeries
 
-try:
-    TOOL_VERSION = version("climbdetect")
-except PackageNotFoundError:  # pragma: no cover
-    TOOL_VERSION = "unknown"
+
+@functools.cache
+def _tool_version() -> str:
+    """The installed package version, looked up when an output first records
+    it: importing importlib.metadata costs every start-up about 30 ms."""
+    from importlib.metadata import PackageNotFoundError, version
+    try:
+        return version("climbdetect")
+    except PackageNotFoundError:  # pragma: no cover
+        return "unknown"
 
 
 def _data_dir(args_dir) -> Path:
@@ -44,7 +50,7 @@ def _make_parent(out) -> None:
 
 
 def _manifest(command: str, args: dict) -> dict:
-    return {"tool": "climbdetect", "version": TOOL_VERSION,
+    return {"tool": "climbdetect", "version": _tool_version(),
             "command": command, "config": args}
 
 
@@ -132,7 +138,7 @@ def cmd_fit(args) -> int:
                   "mode": args.mode,
                   "grid": {"min": args.grid_min, "max": args.grid_max,
                            "points": args.grid_points},
-                  "alpha_step": args.alpha_step, "version": TOOL_VERSION}
+                  "alpha_step": args.alpha_step, "version": _tool_version()}
     io.write_model_json(args.out, models, provenance)
     io.write_manifest(str(args.out) + ".manifest.json",
                       _manifest("fit", provenance))

@@ -1,17 +1,21 @@
 """Online two-state CUSUM detector over fused log-likelihood increments.
 
-The cumulative sum S restarts at 0 on every detection; while in H0 a switch
-to H1 fires at the first sample whose S exceeds the running minimum (which
-includes the reset value 0) by lambda1, and symmetrically the running
-maximum minus lambda0 triggers the switch back. Comparisons are strict, so
-a sum exactly at threshold does not fire. The onset of a detection is the
-first sample of that running extremum.
+The detector runs in Page's drawup form on the cumulative sum C of the
+increments, which is never restarted. While in H0 a switch to H1 fires at
+the first sample whose C exceeds the running minimum of C since the last
+detection (or since the first sample) by more than lambda1; symmetrically, a
+switch back fires when C falls more than lambda0 below its running maximum
+since the detection. Comparisons are strict, so a rise exactly at threshold
+does not fire. The onset of a detection is the first sample of that running
+extremum.
 
-`_run_cusum` holds the sum negated while in H1, so that both states fire
-when the sum exceeds its running minimum by the state's threshold. Negation
-is exact in IEEE arithmetic, fl(-a - b) = -fl(a + b), so -S > fl(-S_max +
-lambda0) exactly when S < fl(S_max - lambda0): every decision and onset is
-that of the rule above. `learning._sweep` runs the same form for many cells.
+`_run_cusum` holds s = C in H0 and s = -C in H1, so that both states fire
+when s rises more than the state's threshold above its running minimum:
+fl(s - s_min) > lambda. Negation is exact in IEEE arithmetic, fl(-a - (-b))
+= fl(b - a), so every decision and onset is that of the rule above. The
+decisions compare fl(C - min C), not a sum restarted at 0 at each detection,
+so they can differ from that older form at rounding level. `learning._sweep`
+runs the same rule for many cells, a block of samples at a time.
 """
 
 from __future__ import annotations
@@ -78,10 +82,12 @@ def log_likelihood_ratio(x, m: HypothesisModel):
 def _run_cusum(inc, lam0, lam1):
     """Detection indices and onsets of one CUSUM pass over per-sample increments.
 
-    The pass starts in H0. The first sample is the time origin (S = 0, no
-    increment), as is every detection. The sum is held negated in H1, and the
-    threshold pair swaps at each detection, so that both states fire the same
-    way (module docstring).
+    The pass starts in H0. The first sample is the time origin: it adds no
+    increment, so C = 0 there. `s` holds C in H0 and -C in H1: it is never
+    restarted, only negated at each detection (sign * x adds to -C exactly
+    what x adds to C, negated), and the threshold pair swaps, so that both
+    states fire the same way (module docstring). A detection starts the new
+    state's running minimum at its own sample.
     """
     sign, lam, other = 1.0, lam1, lam0
     s = s_min = 0.0
@@ -89,11 +95,11 @@ def _run_cusum(inc, lam0, lam1):
     index, onsets = [], []
     for i, x in enumerate(inc.tolist()[1:], 1):
         s += sign * x
-        if s > s_min + lam:
+        if s - s_min > lam:
             index.append(i)
             onsets.append(i_min)
             sign, lam, other = -sign, other, lam
-            s = s_min = 0.0
+            s = s_min = -s
             i_min = i
         elif s < s_min:
             s_min = s
@@ -124,7 +130,7 @@ def fused_increments(acc: SignalSeries, ang: SignalSeries,
 def detect(acc: SignalSeries, ang: SignalSeries, model: SensorModel) -> BinaryStateSeries:
     """Run the detector over one sensor's two channel norms, starting in H0.
 
-    Samples between a restart and the following detection carry the state
+    Samples between a detection and the following one carry the state
     held during that segment; `relabel_segments` moves the transitions back
     to the estimated onsets.
     """

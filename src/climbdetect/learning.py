@@ -6,11 +6,14 @@ against the performance coefficient c = TP/P - FP/N (twice the ROC distance
 to the chance diagonal). The entry points are `learn_sensor_models` (fit and
 calibrate on all climbs) and `cross_validate` (leave-one-climb-out). Both
 calibrate through `_calibrate`, which scores every (alpha, lambda0, lambda1)
-cell in one vectorised CUSUM sweep whose lanes are the climbs of every
-problem being calibrated: one sweep per site of the site's climbs in
+cell in one CUSUM sweep whose lanes are the climbs of every problem being
+calibrated: one sweep per site of the site's climbs in
 `learn_sensor_models`, and in `cross_validate` every fold's training and
 held-out climbs plus the full refit, swept in groups of whole folds of at
-most `_SWEEP_LANES` lanes. The per-cell detector and relabelling in
+most `_SWEEP_LANES` lanes. The sweep runs the drawup rule of
+`cusum._run_cusum` a block of `_BLOCK` samples at a time: every cell is
+screened once per block, and only the cells that detect in it step through
+it sample by sample. The per-cell detector and relabelling in
 `_pooled_score` score single cells only.
 """
 
@@ -166,9 +169,10 @@ def _pooled_score(prep: list[_SitePrep], alpha: float,
                         np.concatenate([item.truth for item in prep]))
 
 
-# Sample rows of increments built at a time, so that the sweep holds O(cells)
-# per step, not O(samples x lanes x alphas)
-_BLOCK = 256
+# Samples per block of the calibration sweep: the sums of every row are built
+# a block at a time, so that the sweep holds O(cells) memory, and every cell
+# is screened once per block
+_BLOCK = 64
 
 # Lanes that `cross_validate` sweeps together at most, unless one fold alone
 # has more. Its folds and full refit are n^2 + n lanes for n climbs; swept in
@@ -181,87 +185,211 @@ def _sweep(problems: list[list[_SitePrep]], alphas, lambda_grid: np.ndarray) -> 
 
     A problem is the list of climbs one plane is pooled over, and each of its
     planes equals `_pooled_score` at every cell. A lane is one (problem,
-    climb) pair. All lanes advance together, one sample index per step: this
-    is the vector form of `cusum._run_cusum`, one element per cell of every
-    lane. Past its climb's end a lane gets zero increments, which never fire
-    and never lower the running minimum. After relabelling, the H1 segments
-    are [o1, o2), [o3, o4), ... for the onsets o1 <= o2 <= ..., so each
-    detection adds +-(truth prefix sum at its onset) to TP and +-onset to the
-    predicted H1 length, and a cell still in H1 at the end of its climb closes
-    its segment there.
+    climb) pair and a row one (lane, alpha) pair, whose cells share the
+    never-restarted sum C of the row's fused increments. Every cell runs the
+    rule of `cusum._run_cusum`, on C in H0 and on -C in H1, a block of
+    `_BLOCK` samples at a time (`_Cells.advance`). Past its climb's end a
+    lane gets zero increments, which never fire and never lower a running
+    minimum.
     """
     alphas = np.asarray(alphas, dtype=float)
     size = len(lambda_grid)
     per_lane = len(alphas) * size * size
     lanes = [(k, item) for k, prep in enumerate(problems) for item in prep]
     lengths = [len(item.truth) for _, item in lanes]
-    truth_sums = [np.concatenate(([0], np.cumsum(item.truth.astype(bool))))
-                  for _, item in lanes]
+    # lane j's truth prefix sums, from 0 at sample 0, start at truth_at[j]
+    truth_at = np.cumsum([0] + lengths[:-1]) + np.arange(len(lanes))
+    truth_sums = np.zeros(sum(lengths) + len(lanes), np.int32)
+    for at, length, (_, item) in zip(truth_at, lengths, lanes):
+        np.cumsum(item.truth.astype(bool), dtype=np.int32,
+                  out=truth_sums[at + 1:at + 1 + length])
+    positives = [int(truth_sums[at + length]) for at, length in zip(truth_at, lengths)]
     p, n = [0] * len(problems), [0] * len(problems)
-    for (k, _), total, truth_sum in zip(lanes, lengths, truth_sums):
-        p[k] += int(truth_sum[-1])
-        n[k] += total - int(truth_sum[-1])
+    for (k, _), total, positive in zip(lanes, lengths, positives):
+        p[k] += positive
+        n[k] += total - positive
     if any(pk == 0 or nk == 0 for pk, nk in zip(p, n)):
         raise DegenerateTruth("truth must contain both states")
-    cells = len(lanes) * per_lane
-    lam = np.tile(np.repeat(lambda_grid, size), len(alphas) * len(lanes))
-    lam_other = np.tile(lambda_grid, size * len(alphas) * len(lanes))
-    # each cell's lane's truth prefix sums start at truth_at[cell] in truth_flat
-    truth_flat = np.concatenate(truth_sums)
-    truth_at = np.repeat(np.cumsum([0] + [len(t) for t in truth_sums[:-1]]), per_lane)
-    # counts summed over each lane's climb, exact in float64 below 2**53
-    tp = np.zeros(cells)
-    predicted_h1 = np.zeros(cells)
-    sign = np.ones(cells)  # +1 in H0, -1 in H1
-    s = np.zeros(cells)
-    s_min = np.zeros(cells)
-    i_min = np.zeros(cells, np.int64)
-    # one row per (lane, alpha), one column per threshold pair; views of s and sign
-    s_rows = s.reshape(len(lanes) * len(alphas), -1)
-    sign_rows = sign.reshape(len(lanes) * len(alphas), -1)
-    longest = max(lengths)
-    for start in range(1, longest, _BLOCK):
-        stop = min(start + _BLOCK, longest)
-        # row i - start, column (lane, alpha) holds alpha * l_acc[i] +
-        # (1 - alpha) * l_ang[i], the same operations as `_pooled_score`, so
-        # every sum is bit-identical
-        block = np.zeros((stop - start, len(lanes), len(alphas)))
-        for j, (_, item) in enumerate(lanes):
-            if lengths[j] <= start:
-                continue
-            rows = slice(start, min(stop, lengths[j]))
-            block[:rows.stop - start, j] = (alphas * item.l_acc[rows, None]
-                                            + (1.0 - alphas) * item.l_ang[rows, None])
-        block = block.reshape(stop - start, -1, 1)
-        for i in range(start, stop):
-            s_rows += sign_rows * block[i - start]
-            fired = (s > s_min + lam).nonzero()[0]
-            if fired.size:
-                onset = i_min[fired]
-                before = sign[fired]
-                tp[fired] -= before * truth_flat[truth_at[fired] + onset]
-                predicted_h1[fired] -= before * onset
-                sign[fired] = -before
-                lam[fired], lam_other[fired] = lam_other[fired], lam[fired]
-                s[fired] = 0.0
-                s_min[fired] = 0.0
-                i_min[fired] = i
-            lower = s < s_min
-            np.copyto(s_min, s, where=lower)
-            np.copyto(i_min, i, where=lower)
-    in_h1 = sign < 0
-    tp[in_h1] += np.repeat([t[-1] for t in truth_sums], per_lane)[in_h1]
-    predicted_h1[in_h1] += np.repeat(lengths, per_lane)[in_h1]
-    # pool each problem's lanes
+    cells = _Cells(lambda_grid, truth_sums, np.repeat(truth_at, len(alphas)))
+    carry = np.zeros(len(lanes) * len(alphas))
+    for start in range(1, max(lengths), _BLOCK):
+        block = _block_sums(lanes, lengths, alphas, start, carry)
+        carry = block[-1, ::2].copy()
+        cells.advance(block, start)
+    # a cell still in H1 at the end of its climb closes its segment there;
+    # then each problem's lanes are pooled
+    in_h1 = cells.in_h1.reshape(len(lanes), per_lane)
+    tp = cells.tp.reshape(len(lanes), per_lane)
+    predicted_h1 = cells.predicted_h1.reshape(len(lanes), per_lane)
     problem_tp = np.zeros((len(problems), per_lane))
     problem_h1 = np.zeros((len(problems), per_lane))
-    lane_problem = [k for k, _ in lanes]
-    np.add.at(problem_tp, lane_problem, tp.reshape(len(lanes), per_lane))
-    np.add.at(problem_h1, lane_problem, predicted_h1.reshape(len(lanes), per_lane))
+    for j, (k, _) in enumerate(lanes):
+        problem_tp[k] += tp[j] + in_h1[j] * positives[j]
+        problem_h1[k] += predicted_h1[j] + in_h1[j] * lengths[j]
     p_col = np.asarray(p, dtype=float)[:, None]
     n_col = np.asarray(n, dtype=float)[:, None]
     c = problem_tp / p_col - (problem_h1 - problem_tp) / n_col
     return c.reshape(len(problems), len(alphas), size, size)
+
+
+def _block_sums(lanes, lengths, alphas, start, carry) -> np.ndarray:
+    """The sums C of every row at samples start, start + 1, ..., next to -C.
+
+    Row i - start, column 2 * r holds C[i] of row r = (lane, alpha): the
+    carried sum plus the increments alpha * l_acc + (1 - alpha) * l_ang up
+    to sample i. Column 2 * r + 1 holds -C[i]. The increments take the same
+    operations as `_pooled_score`, and cumsum adds them in the order of
+    `cusum._run_cusum`, so every sum is bit-identical to that pass.
+    """
+    stop = min(start + _BLOCK, max(lengths))
+    inc = np.zeros((stop - start + 1, len(lanes), len(alphas)))
+    inc[0] = carry.reshape(len(lanes), len(alphas))
+    for j, (_, item) in enumerate(lanes):
+        if lengths[j] > start:
+            steps = slice(start, min(stop, lengths[j]))
+            inc[1:steps.stop - start + 1, j] = (alphas * item.l_acc[steps, None]
+                                                + (1.0 - alphas) * item.l_ang[steps, None])
+    sums = np.cumsum(inc.reshape(len(inc), -1), axis=0)[1:]
+    block = np.empty((len(sums), sums.shape[1], 2))
+    block[:, :, 0] = sums
+    np.negative(sums, out=block[:, :, 1])
+    return block.reshape(len(sums), -1)
+
+
+class _Cells:
+    """The detector state of every cell of a sweep, in (row, lambda1 * lambda0) arrays.
+
+    `e` is the running minimum of the cell's sum (C in H0, -C in H1) since
+    its last detection and `i_min` the first sample of it. After
+    relabelling, the H1 segments are [o1, o2), [o3, o4), ... for the onsets
+    o1 <= o2 <= ..., so each detection adds +-(truth prefix sum at its
+    onset) to `tp` and +-onset to `predicted_h1`.
+    """
+
+    def __init__(self, lambda_grid, truth_sums, truth_at):
+        """`truth_sums[truth_at[r]:]` are the truth prefix sums of row r."""
+        size = len(lambda_grid)
+        shape = (len(truth_at), size * size)
+        self.lam1 = np.repeat(lambda_grid, size)  # the H0 threshold, by column
+        self.lam0 = np.tile(lambda_grid, size)    # the H1 threshold
+        self.in_h1 = np.zeros(shape, bool)
+        self.e = np.zeros(shape)
+        self.i_min = np.zeros(shape, np.int32)
+        self.tp = np.zeros(shape, np.int32)
+        self.predicted_h1 = np.zeros(shape, np.int32)
+        self.truth_sums, self.truth_at = truth_sums, truth_at
+
+    def advance(self, block, start):
+        """Advance every cell through `block`, whose row i is sample start + i."""
+        firing = self._screen(block, start)
+        if firing.size:
+            # at most half the cells step at a time, so that their stepping
+            # state stays smaller than the state of all cells
+            for part in np.array_split(firing, -(-2 * firing.size // self.e.size)):
+                self._step(block, start, part)
+
+    def _pick(self, out, stat):
+        """out = the statistic of each cell's block column: stat[row, in_h1]."""
+        np.copyto(out, stat[:, :1])
+        np.copyto(out, stat[:, 1:], where=self.in_h1)
+        return out
+
+    def _exceeds(self, values, out):
+        """out = values above the threshold of each cell's state."""
+        np.greater(values, self.lam1, out=out)
+        np.greater(values, self.lam0, out=out, where=self.in_h1)
+        return out
+
+    def _screen(self, block, start):
+        """The flat indices of the cells that detect in `block`; every other
+        cell is advanced through it.
+
+        A cell's first detection in the block is at the first sample that
+        rises more than its threshold above the smaller of `e` and the
+        block's running minimum before it. As fl(a - m) is monotone in a and
+        in m, a cell fires in the block exactly when the block maximum minus
+        `e`, or the largest rise within the block, exceeds its threshold. A
+        cell that does not fire only takes the block minimum, and its first
+        sample, when it lies below `e`.
+        """
+        shape = (len(self.e), 2)  # a row's C column, then its -C column
+        # per column, NaN ignored: a sum that turns NaN stays NaN and never fires
+        top = np.fmax.reduce(block, axis=0).reshape(shape)
+        rise = np.fmin.accumulate(block, axis=0)
+        rise = np.fmax.reduce(np.subtract(block, rise, out=rise), axis=0).reshape(shape)
+        bottom = np.fmin.reduce(block, axis=0)
+        bottom_at = (start + (block == bottom).argmax(axis=0)).reshape(shape)
+        # allocated per block, so that they are freed before the firing cells step
+        values = np.empty(self.e.shape)
+        fire, lower = np.empty(self.e.shape, bool), np.empty(self.e.shape, bool)
+        np.subtract(self._pick(values, top), self.e, out=values)
+        self._exceeds(values, fire)
+        np.logical_or(fire, self._exceeds(self._pick(values, rise), lower), out=fire)
+        firing = np.flatnonzero(fire)
+        np.less(self._pick(values, bottom.reshape(shape)), self.e, out=lower)
+        np.logical_and(lower, np.logical_not(fire, out=fire), out=lower)
+        np.copyto(self.e, values, where=lower)
+        np.copyto(self.i_min, bottom_at[:, :1], where=lower)
+        np.copyto(self.i_min, bottom_at[:, 1:], where=np.logical_and(lower, self.in_h1, out=fire))
+        return firing
+
+    def _step(self, block, start, firing):
+        """Step the cells at the flat indices `firing` through the block
+        sample by sample, in the rule of `cusum._run_cusum`."""
+        e, i_min = self.e.ravel()[firing], self.i_min.ravel()[firing]
+        h1 = self.in_h1.ravel()[firing]
+        # the thresholds of the cell's state and of the other; "wrap" takes
+        # the entry of the cell's position in its row
+        lam, other = self.lam1.take(firing, mode="wrap"), self.lam0.take(firing, mode="wrap")
+        lam[h1], other[h1] = other[h1], lam[h1]
+        column = firing // self.lam1.size  # the cell's block column
+        column *= 2
+        column += h1
+        rise, below, fired = np.empty(len(e)), np.empty(len(e), bool), np.empty(len(e), bool)
+        # detections not yet booked: at most about one per two cells
+        hits, onsets, columns, unbooked = [], [], [], 0
+        for i, block_i in enumerate(block, start):
+            v = block_i.take(column)
+            np.subtract(v, e, out=rise)
+            np.less(v, e, out=below)
+            np.fmin(e, v, out=e)
+            np.putmask(i_min, below, i)
+            np.greater(rise, lam, out=fired)
+            hit = fired.nonzero()[0]
+            if hit.size:
+                hits.append(hit)
+                onsets.append(i_min[hit])
+                columns.append(column[hit])
+                column[hit] = flipped = columns[-1] ^ 1
+                e[hit] = block_i.take(flipped)  # -v, the new state's sum
+                i_min[hit] = i
+                lam_hit = lam[hit]
+                lam[hit] = other[hit]
+                other[hit] = lam_hit
+                unbooked += hit.size
+                if 2 * unbooked >= self.e.size:
+                    self._book(firing, hits, onsets, columns)
+                    unbooked = 0
+        self.e.ravel()[firing] = e
+        self.i_min.ravel()[firing] = i_min
+        self.in_h1.ravel()[firing] = column & 1
+        if hits:
+            self._book(firing, hits, onsets, columns)
+
+    def _book(self, firing, hits, onsets, columns):
+        """Add detections to `tp` and `predicted_h1`, and empty the lists:
+        per detection, the position of its cell in `firing`, its onset and
+        its cell's block column before it."""
+        hit = firing[np.concatenate(hits)]
+        onset = np.concatenate(onsets)
+        # entering H1 (from an even column) opens a segment at its onset,
+        # leaving H1 closes one
+        sign = 2 * (np.concatenate(columns) & 1).astype(np.int32) - 1
+        del hits[:], onsets[:], columns[:]
+        np.add.at(self.predicted_h1.ravel(), hit, sign * onset)
+        at = self.truth_at[hit // self.lam1.size]
+        at += onset
+        np.add.at(self.tp.ravel(), hit, sign * self.truth_sums[at])
 
 
 def _best_cell(plane: np.ndarray, lambda_grid: np.ndarray) -> tuple[float, float, float]:

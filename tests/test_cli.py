@@ -530,6 +530,21 @@ class TestColdStart:
         assert _fresh_interpreter(
             "-c", f"import sys, climbdetect.cli; print({_SCIPY_MODULES})") == "[]"
 
+    def test_import_loads_no_package_metadata(self):
+        # the version is looked up when an output first records it
+        modules = ("importlib.metadata", "email", "socket", "csv")
+        assert _fresh_interpreter(
+            "-c", f"import sys, climbdetect.cli; "
+                  f"print([m for m in {modules!r} if m in sys.modules])") == "[]"
+
+    def test_recorded_version_is_the_package_version(self):
+        from importlib.metadata import PackageNotFoundError, version
+        try:
+            expected = version("climbdetect")
+        except PackageNotFoundError:
+            expected = "unknown"
+        assert cli._manifest("fit", {})["version"] == expected
+
     @pytest.mark.parametrize("command", ["simulate", "fit", "detect", "classify",
                                          "report", "evaluate", "sync"])
     def test_command_loads_no_scipy(self, command, dataset, model_path, tmp_path):

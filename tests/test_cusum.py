@@ -17,11 +17,45 @@ WIDE = HypothesisModel(h0=GammaParams(1.0, 1.0), h1=GammaParams(1.0, 4.0))
 
 
 def naive_cusum(inc, lam0, lam1):
-    """Direct transcription of the threshold inequalities with O(n^2) rescans,
-    starting in H0.
+    """Page's drawup rule transcribed with O(n^2) rescans, starting in H0.
 
-    Returns the raw states, the change points and their onsets: the segment
-    start plus the first arg-extremum of the sums since it.
+    C is the never-restarted sum of the increments after the first sample.
+    In H0 a detection fires at the first sample whose C exceeds the minimum
+    of C since the last detection by more than lambda1, in H1 at the first
+    sample whose C falls more than lambda0 below the maximum since it.
+    Returns the raw states, the change points and their onsets: the first
+    sample of that extremum.
+    """
+    n = len(inc)
+    states = np.empty(n, np.uint8)
+    change_points = []
+    onsets = []
+    state = H0
+    sums = [0.0]  # C at every sample so far
+    seg_start = 0
+    for i in range(1, n):
+        sums.append(sums[-1] + inc[i])
+        segment = sums[seg_start:i]
+        if state == H0 and sums[i] - min(segment) > lam1:
+            extremum = min(segment)
+        elif state == H1 and max(segment) - sums[i] > lam0:
+            extremum = max(segment)
+        else:
+            continue
+        states[seg_start:i] = state
+        change_points.append((i, 1 - state))
+        onsets.append(seg_start + segment.index(extremum))
+        state, seg_start = 1 - state, i
+    states[seg_start:] = state
+    return states, change_points, onsets
+
+
+def naive_restarted_cusum(inc, lam0, lam1):
+    """The threshold inequalities on a sum restarted at 0 at every detection,
+    transcribed with O(n^2) rescans, starting in H0.
+
+    On exact (integer) sums this is the drawup rule of `naive_cusum`; they
+    part only where rounding differs. Returns what `naive_cusum` does.
     """
     n = len(inc)
     states = np.empty(n, np.uint8)
@@ -147,10 +181,26 @@ class TestOracleEquivalence:
         np.testing.assert_array_equal(out.states, ref_states)
         assert out.change_points == ref_cps
         assert out.onsets == ref_onsets
+        # exact sums: the restarted-sum rule decides the same
+        restarted_states, restarted_cps, restarted_onsets = naive_restarted_cusum(inc, lam0, lam1)
+        np.testing.assert_array_equal(restarted_states, ref_states)
+        assert restarted_cps == ref_cps
+        assert restarted_onsets == ref_onsets
         backdated = np.full(len(inc), H0, np.uint8)
         for onset, (_, state) in zip(ref_onsets, ref_cps):
             backdated[onset:] = state
         np.testing.assert_array_equal(relabel_segments(out).states, backdated)
+
+    def test_rounding_follows_the_drawup(self):
+        # C = 0, -2.1, -1.6, -0.9000000000000001, -1.3000000000000003: in H1
+        # from sample 3, fl(C[3] - C[4]) = 0.40000000000000013 exceeds lambda0,
+        # so the drawup fires at sample 4, while a sum restarted at sample 3
+        # reaches -0.4, exactly lambda0 below its maximum, and does not
+        inc = np.array([0.0, -2.1, 0.5, 0.7, -0.4, 0.3])
+        out = detect_from_increments(inc, 0.4, 0.5)
+        assert out.change_points == [(3, H1), (4, H0)]
+        assert naive_cusum(inc, 0.4, 0.5)[1] == out.change_points
+        assert naive_restarted_cusum(inc, 0.4, 0.5)[1] == [(3, H1)]
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(77)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from climbdetect.cusum import BinaryStateSeries, detect, relabel_segments
+from climbdetect import learning
+from climbdetect.cusum import (BinaryStateSeries, detect, detect_from_increments,
+                               relabel_segments)
 from climbdetect.errors import DegenerateTruth, MissingState
 from climbdetect.gamma_model import GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import (ALPHA_MODES, LabeledClimb, SensorChannels,
@@ -267,6 +269,22 @@ class TestSweep:
         # a (cells x samples) float64 matrix would take 4,400 * 6,000 * 8 B = 211 MB
         assert peak < 20e6
 
+    def test_memory_does_not_grow_with_the_climb(self):
+        # the sums are built a block at a time; of the climb's length, the
+        # sweep holds only the truth prefix sums, 4 B per sample
+        def peak(duration):
+            climb = make_climbs(1, duration=duration, seed=7)[0]
+            prep = _prepare([climb], SITE, fit_models([climb], SITE))
+            tracemalloc.start()
+            try:
+                _sweep([prep], default_alpha_grid(), default_lambda_grid())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(30.0), peak(120.0)
+        assert max(short, long) <= 1.1 * min(short, long)
+
     def test_problems_of_unequal_lanes(self):
         climbs = [simulate(random_plan(duration, np.random.default_rng(seed)),
                            seed=seed, climb_id=f"u{seed}")
@@ -347,6 +365,53 @@ class TestSweep:
                 tracemalloc.stop()
 
         assert peak(10) < 2.5 * peak(4)
+
+
+class TestSweepBlocks:
+    """The sweep's planes do not depend on its block size."""
+
+    BLOCKS = (1, 2, 7, 64)
+
+    def assert_blocks_match_oracle(self, monkeypatch, problems, alphas, grid):
+        grid = np.asarray(grid, dtype=float)
+        by_block = []
+        for block in self.BLOCKS:
+            monkeypatch.setattr(learning, "_BLOCK", block)
+            by_block.append(_sweep(problems, alphas, grid))
+        for planes in by_block[1:]:
+            assert np.array_equal(planes, by_block[0])
+        for prep, plane in zip(problems, by_block[0]):
+            for alpha, alpha_plane in zip(alphas, plane):
+                for lam1, row in zip(grid, alpha_plane):
+                    for lam0, c in zip(grid, row):
+                        assert c == _pooled_score(prep, alpha, float(lam0), float(lam1))
+
+    def test_simulated_lanes_ending_mid_block(self, monkeypatch):
+        climbs = [simulate(random_plan(duration, np.random.default_rng(seed)),
+                           seed=seed, climb_id=f"b{seed}")
+                  for seed, duration in ((51, 13.0), (52, 9.5), (53, 7.3))]
+        models = fit_models(climbs, SITE)
+        problems = [_prepare(climbs, SITE, models), _prepare(climbs[1:], SITE, models)]
+        # every lane ends inside a block of each size above 1
+        assert all((len(item.truth) - 1) % block for item in problems[0] for block in (2, 7, 64))
+        self.assert_blocks_match_oracle(monkeypatch, problems, [0.0, 0.35, 1.0],
+                                        default_lambda_grid(5, 0.1, 300.0))
+
+    def test_integer_detections_at_block_edges(self, monkeypatch):
+        # at lambda 2 every step of +-3 detects: at samples 8 and 14, the first
+        # and last of the second 7-sample block, at 65 and 128, the first and
+        # last of the second 64-sample block, and five times in samples 30-34
+        steps = {8: 3, 14: -3, 30: 3, 31: -3, 32: 3, 33: -3, 34: 3, 65: -3, 128: 3}
+        inc = np.zeros(140)
+        inc[list(steps)] = list(steps.values())
+        assert [i for i, _ in detect_from_increments(inc, 2.0, 2.0).change_points] == list(steps)
+        truth = np.zeros(140, np.uint8)
+        truth[8:14] = truth[30:70] = 1
+        noise = np.random.default_rng(3).integers(-3, 4, 150)
+        problems = [[exact_prep(inc, truth)],
+                    [exact_prep(noise, np.arange(150) % 40 < 15),
+                     exact_prep(inc[:100], truth[:100])]]
+        self.assert_blocks_match_oracle(monkeypatch, problems, [0.0, 0.5, 1.0], [1.0, 2.0, 4.0])
 
 
 class TestCrossValidation:
