@@ -28,4 +28,4 @@ from .simulator import StatePlan, random_plan, simulate
 from .sync import (TrajectorySeries, estimate_delay, shift_annotations,
                    trajectory_to_acceleration)
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # the one place it is set: pyproject.toml reads it

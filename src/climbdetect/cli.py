@@ -10,27 +10,15 @@ the same inputs and seed.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import classifier, cusum, io, learning, orientation, simulator, sync
+from . import __version__, classifier, cusum, io, learning, orientation, simulator, sync
 from .errors import ClimbDetectError
 from .series import ALL_SITES, SensorSite, SignalSeries
-
-
-@functools.cache
-def _tool_version() -> str:
-    """The installed package version, looked up when an output first records
-    it: importing importlib.metadata costs every start-up about 30 ms."""
-    from importlib.metadata import PackageNotFoundError, version
-    try:
-        return version("climbdetect")
-    except PackageNotFoundError:  # pragma: no cover
-        return "unknown"
 
 
 def _data_dir(args_dir) -> Path:
@@ -50,7 +38,7 @@ def _make_parent(out) -> None:
 
 
 def _manifest(command: str, args: dict) -> dict:
-    return {"tool": "climbdetect", "version": _tool_version(),
+    return {"tool": "climbdetect", "version": __version__,
             "command": command, "config": args}
 
 
@@ -138,7 +126,7 @@ def cmd_fit(args) -> int:
                   "mode": args.mode,
                   "grid": {"min": args.grid_min, "max": args.grid_max,
                            "points": args.grid_points},
-                  "alpha_step": args.alpha_step, "version": _tool_version()}
+                  "alpha_step": args.alpha_step, "version": __version__}
     io.write_model_json(args.out, models, provenance)
     io.write_manifest(str(args.out) + ".manifest.json",
                       _manifest("fit", provenance))
@@ -230,31 +218,24 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# A trajectory whose unsmoothed second differences all lie within this share
-# of its largest |position|, on each axis, has no acceleration beyond
-# rounding (about 1e-15 of that scale).
+# A trajectory whose unsmoothed vertical second differences all lie within
+# this share of its largest |y| has no vertical acceleration beyond rounding
+# (about 1e-15 of that scale).
 _UNIFORM_MOTION_SHARE = 1e-9
 
 
 def cmd_sync(args) -> int:
     _make_parent(args.out)
     traj = io.read_trajectory_csv(args.trajectory)
-    if np.ptp(traj.x) == 0.0 and np.ptp(traj.y) == 0.0:
-        # every lag would correlate as 0.0: a delay without evidence
-        raise ClimbDetectError(f"{args.trajectory}: the trajectory does not move, "
-                               "so it cannot fix a delay")
+    vertical = sync.trajectory_to_acceleration(traj, args.smooth_window)
+    if np.abs(np.diff(traj.y, 2)).max() <= _UNIFORM_MOTION_SHARE * np.abs(traj.y).max():
+        # every lag would correlate rounding or nothing: a delay without evidence
+        raise ClimbDetectError(f"{args.trajectory}: the trajectory has no vertical "
+                               "acceleration, so it cannot fix a delay")
     rec = io.read_recording_csv(args.recording, SensorSite.PELVIS)
-    lateral, vertical = sync.trajectory_to_acceleration(traj, args.smooth_window)
-    if all(np.abs(np.diff(v, 2)).max() <= _UNIFORM_MOTION_SHARE * np.abs(v).max()
-           for v in (traj.x, traj.y)):
-        # only the smoothing's end padding would bend it: a delay without evidence
-        raise ClimbDetectError(f"{args.trajectory}: the trajectory moves in a straight "
-                               "line at constant speed, so it cannot fix a delay")
     a_earth = orientation.earth_acceleration(rec, args.beta)
-    sensor_lateral = SignalSeries(float(rec.t[0]), rec.dt, a_earth[:, 0])
     sensor_vertical = SignalSeries(float(rec.t[0]), rec.dt, a_earth[:, 2])
-    delay, corr = sync.estimate_delay([sensor_lateral, sensor_vertical],
-                                      [lateral, vertical], args.max_lag)
+    delay, corr = sync.estimate_delay(sensor_vertical, vertical, args.max_lag)
     print(f"delay={delay:.3f} s peak_correlation={corr:.3f}")
     if args.annotations and args.out:
         annotations = io.read_annotations_json(args.annotations)
@@ -291,14 +272,14 @@ _step = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
 def _add_grid_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-min", type=_positive, default=0.1,
-                   help="smallest threshold candidate (default 0.1)")
-    p.add_argument("--grid-max", type=_positive, default=1000.0,
-                   help="largest threshold candidate (default 1000)")
-    p.add_argument("--grid-points", type=_count, default=20,
-                   help="log-spaced candidates per threshold axis (default 20)")
-    p.add_argument("--alpha-step", type=_step, default=0.1,
-                   help="fusion-weight grid step (default 0.1)")
+    p.add_argument("--grid-min", type=_positive, default=learning.DEFAULT_GRID_MIN,
+                   help="smallest threshold candidate (default %(default)s)")
+    p.add_argument("--grid-max", type=_positive, default=learning.DEFAULT_GRID_MAX,
+                   help="largest threshold candidate (default %(default)s)")
+    p.add_argument("--grid-points", type=_count, default=learning.DEFAULT_GRID_POINTS,
+                   help="log-spaced candidates per threshold axis (default %(default)s)")
+    p.add_argument("--alpha-step", type=_step, default=learning.DEFAULT_ALPHA_STEP,
+                   help="fusion-weight grid step (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--climb", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-episode", type=_nonnegative, default=0.1,
-                   help="minimum mobile-episode duration in seconds (default 0.1)")
+    p.add_argument("--min-episode", type=_nonnegative,
+                   default=classifier.DEFAULT_MIN_EPISODE_SECONDS,
+                   help="minimum mobile-episode duration in seconds (default %(default)s)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("report", help="exploratory/performatory counts from a timeline")
@@ -356,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", help="annotation JSON on the video clock")
     p.add_argument("--out", help="where to write shifted annotations")
     p.add_argument("--max-lag", type=_nonnegative, default=30.0)
-    p.add_argument("--smooth-window", type=_nonnegative, default=0.3)
+    p.add_argument("--smooth-window", type=_nonnegative, default=sync.DEFAULT_SMOOTH_WINDOW)
     p.add_argument("--beta", type=_nonnegative, default=orientation.DEFAULT_BETA)
     p.set_defaults(func=cmd_sync)
     return parser

@@ -37,6 +37,13 @@ MIN_STATE_SAMPLES = 30
 
 ALPHA_MODES = ("acc", "ang", "fused")
 
+# The default calibration grid, also the CLI's: log-spaced thresholds on each
+# lambda axis, and alpha from 0 to 1 in steps.
+DEFAULT_GRID_POINTS = 20
+DEFAULT_GRID_MIN = 0.1
+DEFAULT_GRID_MAX = 1000.0
+DEFAULT_ALPHA_STEP = 0.1
+
 
 @dataclass
 class SensorChannels:
@@ -69,12 +76,13 @@ class LabeledClimb:
                    annotations=dict(annotations or {}), recordings=dict(recordings))
 
 
-def default_lambda_grid(n: int = 20, low: float = 0.1, high: float = 1000.0) -> np.ndarray:
+def default_lambda_grid(n: int = DEFAULT_GRID_POINTS, low: float = DEFAULT_GRID_MIN,
+                        high: float = DEFAULT_GRID_MAX) -> np.ndarray:
     """Log-spaced threshold candidates, used for both lambda axes."""
     return np.geomspace(low, high, n)
 
 
-def default_alpha_grid(step: float = 0.1) -> np.ndarray:
+def default_alpha_grid(step: float = DEFAULT_ALPHA_STEP) -> np.ndarray:
     return np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
 
 

@@ -48,45 +48,40 @@ class TrajectorySeries:
         return len(self.x)
 
 
-def _second_difference(y: np.ndarray, dt: float) -> np.ndarray:
-    a = np.empty_like(y)
-    a[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dt**2
-    a[0] = (y[2] - 2.0 * y[1] + y[0]) / dt**2
-    a[-1] = (y[-1] - 2.0 * y[-2] + y[-3]) / dt**2
-    return a
-
-
 def _moving_average(x: np.ndarray, size: int) -> np.ndarray:
-    """Centred moving average over ``size`` samples, the ends extended with
-    the first and last values.
+    """Mean of every window of ``size`` samples that lies wholly inside
+    ``x``: ``len(x) - size + 1`` values, the first centred on sample
+    ``size // 2`` as ``scipy.ndimage.uniform_filter1d`` centres it.
 
-    The sums are formed in the order ``scipy.ndimage.uniform_filter1d(x,
-    size, mode="nearest")`` forms them (the first window added in sequence,
+    The sums are formed in the order ``uniform_filter1d(x, size,
+    origin=-(size // 2))`` forms them (the first window added in sequence,
     then one entering minus one leaving sample per step, one division at the
-    end), so the result is bit-equal to it.
+    end), so the result is bit-equal to its first ``len(x) - size + 1``
+    values.
     """
-    pad = np.concatenate([np.full(size // 2, x[0]), x, np.full(size - size // 2 - 1, x[-1])])
-    return np.cumsum(np.concatenate([pad[:size], pad[size:] - pad[:-size]]))[size - 1:] / size
+    return np.cumsum(np.concatenate([x[:size], x[size:] - x[:-size]]))[size - 1:] / size
 
 
 def trajectory_to_acceleration(traj: TrajectorySeries,
-                               smooth_window: float = DEFAULT_SMOOTH_WINDOW,
-                               ) -> tuple[SignalSeries, SignalSeries]:
-    """Lateral and vertical acceleration from a tracked trajectory.
+                               smooth_window: float = DEFAULT_SMOOTH_WINDOW) -> SignalSeries:
+    """Vertical acceleration from a tracked trajectory.
 
     Positions are moving-average smoothed (tracking noise amplifies badly
     under double differentiation) and then differentiated with second-order
-    central differences; endpoints use one-sided second differences.
+    central differences. Only samples whose smoothing window and difference
+    stencil lie wholly inside the trajectory are kept, so the series starts
+    ``window // 2 + 1`` samples after the trajectory does.
     """
-    if len(traj) < 5:
-        raise TooFewSamples(f"need at least 5 trajectory samples, got {len(traj)}")
-    x, y = traj.x, traj.y
-    window = int(round(smooth_window / traj.dt))
+    window = max(int(round(smooth_window / traj.dt)), 1)
+    if len(traj) < window + 4:
+        raise TooFewSamples(f"need at least {window + 4} trajectory samples for a "
+                            f"{window}-sample smoothing window, got {len(traj)}")
+    y = traj.y
+    start = 1
     if window > 1:
-        x = _moving_average(x, window)
         y = _moving_average(y, window)
-    return (SignalSeries(traj.t0, traj.dt, _second_difference(x, traj.dt)),
-            SignalSeries(traj.t0, traj.dt, _second_difference(y, traj.dt)))
+        start += window // 2
+    return SignalSeries(traj.t0 + start * traj.dt, traj.dt, np.diff(y, 2) / traj.dt**2)
 
 
 def _resample(series: SignalSeries, dt: float) -> SignalSeries:
@@ -155,48 +150,34 @@ def _fast_scores(a: np.ndarray, b: np.ndarray, lags: np.ndarray):
     return scores, (m >= 3) & (both | below_a | below_b)
 
 
-def estimate_delay(a, b, max_lag: float) -> tuple[float, float]:
+def estimate_delay(a: SignalSeries, b: SignalSeries, max_lag: float) -> tuple[float, float]:
     """Delay of ``b`` relative to ``a`` maximizing normalized cross-correlation.
 
-    ``a`` and ``b`` are SignalSeries or matched sequences of channels
-    (e.g. lateral and vertical); channel correlations are summed per lag.
-    Returns (delay_seconds, peak_correlation) with the peak correlation
-    averaged over channels; ties are broken by the smaller |lag|.
+    Returns (delay_seconds, peak_correlation); ties are broken by the
+    smaller |lag|.
 
     Every lag is scored at once by ``_fast_scores``. The lags it cannot
     decide, and those within ``_NEAR_BEST`` of its best decided score, are
     scored again with ``_lag_correlation``; the maximum, its 1e-15 tie band
     and the returned values are taken from those exact scores.
     """
-    a_ch = [a] if isinstance(a, SignalSeries) else list(a)
-    b_ch = [b] if isinstance(b, SignalSeries) else list(b)
-    if len(a_ch) != len(b_ch):
-        raise ValueError("channel counts must match")
-    dt = a_ch[0].dt
-    b_ch = [_resample(s, dt) for s in b_ch]
+    dt = a.dt
+    b = _resample(b, dt)
     max_k = int(round(max_lag / dt))
-    n_min = min(min(len(s) for s in a_ch), min(len(s) for s in b_ch))
+    n_min = min(len(a), len(b))
     if (n_min - max_k) * dt < MIN_OVERLAP_SECONDS:
         raise InsufficientOverlap(
             f"{n_min} samples leave under {MIN_OVERLAP_SECONDS} s of overlap at lag {max_lag} s")
     lags = np.arange(-max_k, max_k + 1)
-    fast = np.zeros(len(lags))
-    decided = np.ones(len(lags), dtype=bool)
-    for av, bv in zip(a_ch, b_ch):
-        channel, known = _fast_scores(av.values, bv.values, lags)
-        fast += channel
-        decided &= known
+    fast, decided = _fast_scores(a.values, b.values, lags)
     top = fast[decided].max(initial=-np.inf)
     lags = lags[~decided | (fast >= top - _NEAR_BEST)]
-    scores = np.zeros(len(lags))
-    for av, bv in zip(a_ch, b_ch):
-        scores += [_lag_correlation(av.values, bv.values, int(k)) for k in lags]
+    scores = np.array([_lag_correlation(a.values, b.values, int(k)) for k in lags])
     best = scores.max()
     candidates = lags[scores >= best - 1e-15]
     k_best = int(min(candidates, key=lambda k: (abs(k), k)))
     j_best = int(np.where(lags == k_best)[0][0])
-    delay = k_best * dt + (b_ch[0].t0 - a_ch[0].t0)
-    return delay, scores[j_best] / len(a_ch)
+    return k_best * dt + (b.t0 - a.t0), float(scores[j_best])
 
 
 def shift_annotations(ann: AnnotationTrack, delay: float,

@@ -21,11 +21,12 @@ from climbdetect.gamma_model import (GammaParams, HypothesisModel,
 from climbdetect.learning import performance_coefficient
 from climbdetect.orientation import (ImuRecording, filter_update,
                                      linear_acceleration)
-from climbdetect.series import (ALL_SITES, H0, H1, AnnotationTrack,
+from climbdetect.series import (ALL_SITES, H1, AnnotationTrack,
                                 SensorSite, SignalSeries)
 from climbdetect.simulator import MAG_FIELD, default_models, random_plan, simulate
 from climbdetect.sync import estimate_delay
 from climbdetect.learning import cross_validate, default_lambda_grid
+from cusum_oracle import naive_cusum
 from quaternions import quat_distance, quat_from_axis_angle, quat_multiply
 
 
@@ -34,27 +35,6 @@ def check(number: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"[{status}] criterion {number}: {name}{suffix}")
     assert ok, f"criterion {number}: {name}{suffix}"
-
-
-def naive_cusum(inc, lam0, lam1, initial=H0):
-    """Direct O(n^2)-style transcription of the switching inequalities."""
-    n = len(inc)
-    change_points = []
-    state = initial
-    seg_values = [0.0]
-    s = 0.0
-    for i in range(1, n):
-        s += inc[i]
-        if state == H0 and s > min(seg_values) + lam1:
-            change_points.append((i, H1))
-            state, s, seg_values = H1, 0.0, [0.0]
-            continue
-        if state == H1 and s < max(seg_values) - lam0:
-            change_points.append((i, H0))
-            state, s, seg_values = H0, 0.0, [0.0]
-            continue
-        seg_values.append(s)
-    return change_points
 
 
 def naive_substates(limb, full_body):
@@ -108,14 +88,18 @@ def test_criterion_1_gamma_mle_recovery():
 
 def test_criterion_2_cusum_oracle_equivalence():
     t_start = time.perf_counter()
-    mismatches = 0
+    # where fl(C - min C) and a sum restarted at each detection round apart:
+    # the drawup fires at samples 3 and 4, the restarted sum only at 3
+    problems = [(np.array([0.0, -2.1, 0.5, 0.7, -0.4, 0.3]), 0.4, 0.5)]
     for seed in range(100):
         rng = np.random.default_rng(seed)
         inc = rng.normal(-0.3 if seed % 2 else 0.3, 2.0, 10_000)
         inc += np.where(np.sin(np.arange(10_000) / 500.0) > 0, 0.6, -0.6)
-        lam0, lam1 = 5.0 + (seed % 7), 5.0 + (seed % 5)
+        problems.append((inc, 5.0 + (seed % 7), 5.0 + (seed % 5)))
+    mismatches = 0
+    for inc, lam0, lam1 in problems:
         got = detect_from_increments(inc, lam0, lam1).change_points
-        if got != naive_cusum(inc, lam0, lam1):
+        if got != naive_cusum(inc, lam0, lam1)[1]:
             mismatches += 1
     elapsed = time.perf_counter() - t_start
     check(2, "CUSUM oracle equivalence", mismatches == 0 and elapsed < 30.0,

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import climbdetect
-from climbdetect import classifier, cli, cusum, io, learning
-from climbdetect.orientation import ImuRecording
+from climbdetect import classifier, cli, cusum, io, learning, orientation, sync
+from climbdetect.orientation import GRAVITY, ImuRecording
 from climbdetect.series import ALL_SITES, AnnotationTrack, SensorSite
 from climbdetect.simulator import MAG_FIELD
+from climbdetect.sync import TrajectorySeries
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +305,46 @@ def sync_inputs(tmp_path, delay):
     return rec_path, traj_path
 
 
+def _sinusoids(rng: np.random.Generator):
+    """Six (acceleration amplitude m/s^2, frequency Hz, phase) terms of
+    smooth wall-plane motion, about 1 m/s^2 RMS as a climber's pelvis."""
+    return [(float(rng.uniform(0.2, 0.6)), float(rng.uniform(0.1, 1.0)),
+             float(rng.uniform(0, 2 * np.pi))) for _ in range(6)]
+
+
+def lateral_sync_inputs(tmp_path, seed, heading):
+    """A 60 s, 100 Hz pelvis recording at identity attitude that feels the
+    vertical and lateral accelerations of a 50 s, 25 Hz trajectory, the wall
+    ``heading`` degrees from Earth x, and the delay (uniform in +-12 s) by
+    which the video clock runs ahead of the sensor clock."""
+    rng = np.random.default_rng(seed)
+    delay = float(rng.uniform(-12.0, 12.0))
+    vertical, lateral = _sinusoids(rng), _sinusoids(rng)
+    t = np.arange(6000) / 100.0
+    noise = rng.normal(0.0, 0.05, (len(t), 3))
+
+    def acceleration(terms, t):
+        return sum(a * np.sin(2 * np.pi * f * t + p) for a, f, p in terms)
+
+    def position(terms, t):
+        return sum(-a / (2 * np.pi * f) ** 2 * np.sin(2 * np.pi * f * t + p) for a, f, p in terms)
+
+    across = acceleration(lateral, t)
+    rec = ImuRecording(
+        site=SensorSite.PELVIS, sample_rate=100.0, t=t,
+        accel=noise + np.column_stack([np.cos(np.radians(heading)) * across,
+                                       np.sin(np.radians(heading)) * across,
+                                       acceleration(vertical, t) + GRAVITY]),
+        gyro=np.zeros((len(t), 3)), mag=np.tile(MAG_FIELD, (len(t), 1)))
+    rec_path = tmp_path / "pelvis.csv"
+    io.write_recording_csv(rec_path, rec)
+    tv = np.arange(1250) / 25.0 - delay  # the sensor time each frame shows
+    traj_path = tmp_path / "trajectory.csv"
+    io.write_trajectory_csv(traj_path, TrajectorySeries(
+        t0=0.0, dt=0.04, x=position(lateral, tv), y=position(vertical, tv)))
+    return rec_path, traj_path, delay
+
+
 class TestSync:
     def test_delay_recovered_and_annotations_shifted(self, tmp_path, capsys):
         delay = 1.0
@@ -380,12 +421,16 @@ class TestSync:
         assert (f"error: {traj_path}: missing column(s) t, x, y"
                 in capsys.readouterr().err)
 
-    def test_motionless_trajectory_exits_one(self, tmp_path, capsys):
-        # every lag would correlate as 0.0, so any delay would be a guess
-        rec_path, traj_path = sync_inputs(tmp_path, 0.0)
-        lines = traj_path.read_text().splitlines()
-        traj_path.write_text("\n".join(
-            [lines[0]] + [line.split(",")[0] + ",0.5,1.25" for line in lines[1:]]) + "\n")
+    @staticmethod
+    def refused(tmp_path, capsys, x, y):
+        """Run sync on a 30 s, 25 Hz trajectory ``x(t), y(t)``: it must exit
+        1 naming the trajectory, print no delay and write no --out."""
+        rec_path, _ = sync_inputs(tmp_path, 0.0)
+        t = np.arange(750) / 25.0
+        traj_path = tmp_path / "refused.csv"
+        traj_path.write_text("\n".join(["t,x,y"] + [
+            f"{ti!r},{xi!r},{yi!r}"
+            for ti, xi, yi in zip(t.tolist(), x(t).tolist(), y(t).tolist())]) + "\n")
         ann_path = tmp_path / "ann.json"
         io.write_annotations_json(ann_path, {SensorSite.PELVIS: AnnotationTrack(
             site=SensorSite.PELVIS, intervals=[(0.0, 10.0, 0), (10.0, 25.0, 1)])})
@@ -394,31 +439,39 @@ class TestSync:
                          "--recording", str(rec_path), "--annotations", str(ann_path),
                          "--out", str(out_path), "--max-lag", "5"]) == 1
         captured = capsys.readouterr()
-        assert f"error: {traj_path}: the trajectory does not move" in captured.err
+        assert (f"error: {traj_path}: the trajectory has no vertical acceleration, "
+                "so it cannot fix a delay" in captured.err)
         assert "delay=" not in captured.out
         assert not out_path.exists()
 
+    def test_motionless_trajectory_exits_one(self, tmp_path, capsys):
+        # every lag would correlate as 0.0, so any delay would be a guess
+        self.refused(tmp_path, capsys, lambda t: np.full_like(t, 0.5),
+                     lambda t: np.full_like(t, 1.25))
+
     def test_straight_line_trajectory_exits_one(self, tmp_path, capsys):
-        # x = 0.1 t, y = 0.05 t has no acceleration; only the smoothing's end
-        # padding would give it some, and that once read as a delay of -1.7 s
-        rec_path, _ = sync_inputs(tmp_path, 0.0)
-        t = np.arange(750) / 25.0
-        traj_path = tmp_path / "line.csv"
-        traj_path.write_text("\n".join(["t,x,y"] + [
-            f"{ti!r},{xi!r},{yi!r}"
-            for ti, xi, yi in zip(t.tolist(), (0.1 * t).tolist(), (0.05 * t).tolist())]) + "\n")
-        ann_path = tmp_path / "ann.json"
-        io.write_annotations_json(ann_path, {SensorSite.PELVIS: AnnotationTrack(
-            site=SensorSite.PELVIS, intervals=[(0.0, 10.0, 0), (10.0, 25.0, 1)])})
-        out_path = tmp_path / "shifted.json"
+        # x = 0.1 t, y = 0.05 t has no acceleration; only padding the
+        # smoothing's ends would give it some, and that reads as a delay
+        self.refused(tmp_path, capsys, lambda t: 0.1 * t, lambda t: 0.05 * t)
+
+    def test_lateral_only_trajectory_exits_one(self, tmp_path, capsys):
+        # the sensor's Earth frame does not know the wall's heading, and its
+        # filter tilts to absorb slow lateral acceleration: only vertical
+        # motion can fix a delay
+        self.refused(tmp_path, capsys,
+                     lambda t: 0.5 * np.sin(0.8 * t) + 0.2 * np.sin(2.3 * t + 1.0),
+                     lambda t: np.full_like(t, 1.25))
+
+    @pytest.mark.parametrize("heading", [0.0, 90.0])
+    @pytest.mark.parametrize("seed", [4, 7, 8, 13, 14, 17, 20])
+    def test_delay_found_beside_lateral_motion(self, tmp_path, capsys, seed, heading):
+        # the wall at 0 or 90 degrees from Earth x (magnetic north); on these
+        # seeds a lateral channel scores a wrong lag above the true one
+        rec_path, traj_path, delay = lateral_sync_inputs(tmp_path, seed, heading)
         assert cli.main(["sync", "--trajectory", str(traj_path),
-                         "--recording", str(rec_path), "--annotations", str(ann_path),
-                         "--out", str(out_path), "--max-lag", "5"]) == 1
-        captured = capsys.readouterr()
-        assert (f"error: {traj_path}: the trajectory moves in a straight line at constant "
-                "speed" in captured.err)
-        assert "delay=" not in captured.out
-        assert not out_path.exists()
+                         "--recording", str(rec_path)]) == 0
+        printed = capsys.readouterr().out
+        assert float(printed.split("delay=")[1].split()[0]) == pytest.approx(delay, abs=0.1)
 
 
 @pytest.mark.parametrize("command", ["fit", "evaluate", "classify", "report", "sync"])
@@ -497,6 +550,22 @@ def test_every_beta_is_checked(command, capsys):
     assert "argument --beta: must be a finite number >= 0, got '-0.5'" in capsys.readouterr().err
 
 
+def test_option_defaults_are_the_library_constants():
+    parse = cli.build_parser().parse_args
+    for command in ("fit", "evaluate"):
+        args = parse([command, "--out", "out.json"])
+        assert (args.grid_min, args.grid_max, args.grid_points, args.alpha_step) == (
+            learning.DEFAULT_GRID_MIN, learning.DEFAULT_GRID_MAX,
+            learning.DEFAULT_GRID_POINTS, learning.DEFAULT_ALPHA_STEP)
+        assert np.array_equal(cli._lambda_grid(args), learning.default_lambda_grid())
+        assert args.beta == orientation.DEFAULT_BETA
+    args = parse(["classify", "--model", "m.json", "--climb", "c", "--out", "t.csv"])
+    assert args.min_episode == classifier.DEFAULT_MIN_EPISODE_SECONDS
+    args = parse(["sync", "--trajectory", "t.csv", "--recording", "p.csv"])
+    assert (args.smooth_window, args.beta) == (sync.DEFAULT_SMOOTH_WINDOW,
+                                               orientation.DEFAULT_BETA)
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
@@ -504,11 +573,15 @@ def test_help_exits_zero():
 
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
-_COLD_RUN = f"""
+
+
+def _cold_run(probe: str) -> str:
+    """A script that runs ``cli.main`` on its arguments and prints ``probe``."""
+    return f"""
 import sys
 from climbdetect import cli
 code = cli.main(sys.argv[1:])
-print({_SCIPY_MODULES})
+print({probe})
 sys.exit(code)
 """
 
@@ -531,19 +604,25 @@ class TestColdStart:
             "-c", f"import sys, climbdetect.cli; print({_SCIPY_MODULES})") == "[]"
 
     def test_import_loads_no_package_metadata(self):
-        # the version is looked up when an output first records it
         modules = ("importlib.metadata", "email", "socket", "csv")
         assert _fresh_interpreter(
             "-c", f"import sys, climbdetect.cli; "
                   f"print([m for m in {modules!r} if m in sys.modules])") == "[]"
 
+    def test_fit_loads_no_package_metadata(self, dataset, tmp_path):
+        # model.json and its manifest record climbdetect.__version__
+        assert _fresh_interpreter(
+            "-c", _cold_run("'importlib.metadata' in sys.modules"), "fit",
+            "--climbs", str(dataset), "--out", str(tmp_path / "model.json"),
+            "--grid-points", "2", "--alpha-step", "1.0") == "False"
+
     def test_recorded_version_is_the_package_version(self):
         from importlib.metadata import PackageNotFoundError, version
-        try:
-            expected = version("climbdetect")
+        assert cli._manifest("fit", {})["version"] == climbdetect.__version__
+        try:  # pyproject.toml takes the version from the same attribute
+            assert version("climbdetect") == climbdetect.__version__
         except PackageNotFoundError:
-            expected = "unknown"
-        assert cli._manifest("fit", {})["version"] == expected
+            pass
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "detect", "classify",
                                          "report", "evaluate", "sync"])
@@ -570,4 +649,4 @@ class TestColdStart:
         if command == "report":
             assert cli.main(["classify", "--model", str(model_path), "--climb", climb,
                              "--out", str(timeline)]) == 0
-        assert _fresh_interpreter("-c", _COLD_RUN, command, *argv) == "[]"
+        assert _fresh_interpreter("-c", _cold_run(_SCIPY_MODULES), command, *argv) == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from cusum_oracle import naive_cusum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,40 +15,6 @@ from climbdetect.gamma_model import GammaParams, HypothesisModel
 from climbdetect.series import H0, H1, SignalSeries
 
 WIDE = HypothesisModel(h0=GammaParams(1.0, 1.0), h1=GammaParams(1.0, 4.0))
-
-
-def naive_cusum(inc, lam0, lam1):
-    """Page's drawup rule transcribed with O(n^2) rescans, starting in H0.
-
-    C is the never-restarted sum of the increments after the first sample.
-    In H0 a detection fires at the first sample whose C exceeds the minimum
-    of C since the last detection by more than lambda1, in H1 at the first
-    sample whose C falls more than lambda0 below the maximum since it.
-    Returns the raw states, the change points and their onsets: the first
-    sample of that extremum.
-    """
-    n = len(inc)
-    states = np.empty(n, np.uint8)
-    change_points = []
-    onsets = []
-    state = H0
-    sums = [0.0]  # C at every sample so far
-    seg_start = 0
-    for i in range(1, n):
-        sums.append(sums[-1] + inc[i])
-        segment = sums[seg_start:i]
-        if state == H0 and sums[i] - min(segment) > lam1:
-            extremum = min(segment)
-        elif state == H1 and max(segment) - sums[i] > lam0:
-            extremum = max(segment)
-        else:
-            continue
-        states[seg_start:i] = state
-        change_points.append((i, 1 - state))
-        onsets.append(seg_start + segment.index(extremum))
-        state, seg_start = 1 - state, i
-    states[seg_start:] = state
-    return states, change_points, onsets
 
 
 def naive_restarted_cusum(inc, lam0, lam1):
