@@ -58,46 +58,47 @@ def write_recording_csv(path, rec: ImuRecording) -> None:
 
 def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
     """Load a recording; refuses timestamps that do not strictly increase,
-    auto-detects gyro units, resamples jittered clocks onto the nominal grid,
-    and warns of gaps longer than two sample periods."""
+    auto-detects gyro units, and puts the samples on `_uniform_clock`."""
     path = Path(path)
     if site is None:
         site = site_from_filename(path)
     header, lines = _read_lines(path)
     columns = RECORDING_HEADER.split(",")
     cols = _column_index(path, header, columns if "mx" in header else columns[:7])
-    data = _read_rows(path, header, lines)
+    data = _read_rows(path, header, lines, {})
     t = _increasing_times(path, lines, data[:, cols["t"]])
-    accel = data[:, [cols["ax"], cols["ay"], cols["az"]]]
-    gyro = data[:, [cols["gx"], cols["gy"], cols["gz"]]]
-    mag = None
-    if "mx" in cols:
-        mag = data[:, [cols["mx"], cols["my"], cols["mz"]]]
-        if not np.any(np.abs(mag) > 1e-12):
-            mag = None
-    gyro_p99 = float(np.percentile(np.linalg.norm(gyro, axis=1), 99)) if len(gyro) else 0.0
+    accel, gyro, mag = ([cols[name] for name in columns[i:i + 3] if name in cols]
+                        for i in (1, 4, 7))
+    if not np.any(np.abs(data[:, mag]) > 1e-12):  # no mx, my, mz, or all of them 0
+        mag = None
+    gyro_p99 = float(np.percentile(np.linalg.norm(data[:, gyro], axis=1), 99))
     if gyro_p99 > GYRO_DEGREES_THRESHOLD:
-        gyro = np.deg2rad(gyro)
+        data[:, gyro] = np.deg2rad(data[:, gyro])
+    t, dt, data = _uniform_clock(path, t, data, lone_dt=0.01)
+    return ImuRecording(site=site, sample_rate=1.0 / dt, t=t, accel=data[:, accel],
+                        gyro=data[:, gyro], mag=None if mag is None else data[:, mag])
+
+
+def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
+    """``(t, dt, data)`` of a measured series: ``dt`` is the median step (``lone_dt``
+    for one sample), a gap over two steps is warned of, and if any step is off ``dt``
+    by over a tenth, ``t`` and each column of ``data`` go linearly onto ``t[0] + k*dt``."""
     diffs = np.diff(t)
-    dt = float(np.median(diffs)) if len(diffs) else 0.01
+    dt = float(np.median(diffs)) if len(diffs) else lone_dt
     gaps = int(np.count_nonzero(diffs > 2.0 * dt))
     if gaps:
         warnings.warn(f"{path.name}: {gaps} gaps longer than 2 sample periods")
     if len(diffs) and np.max(np.abs(diffs - dt)) > 0.1 * dt:
         t_new = np.arange(t[0], t[-1] + 0.5 * dt, dt)
-        accel = np.column_stack([np.interp(t_new, t, accel[:, j]) for j in range(3)])
-        gyro = np.column_stack([np.interp(t_new, t, gyro[:, j]) for j in range(3)])
-        if mag is not None:
-            mag = np.column_stack([np.interp(t_new, t, mag[:, j]) for j in range(3)])
+        data = np.column_stack([np.interp(t_new, t, column) for column in data.T])
         t = t_new
-    return ImuRecording(site=site, sample_rate=1.0 / dt, t=t, accel=accel,
-                        gyro=gyro, mag=mag)
+    return t, dt, data
 
 
 def _read_lines(path: Path) -> tuple[list[str], list[str]]:
-    """The header's comma-separated names and the lines below it."""
+    """The header's comma-separated names, each stripped, and the lines below it."""
     with open(path) as fh:
-        return fh.readline().strip().split(","), fh.readlines()
+        return [name.strip() for name in fh.readline().split(",")], fh.readlines()
 
 
 def _column_index(path: Path, header: list[str], required) -> dict[str, int]:
@@ -108,20 +109,23 @@ def _column_index(path: Path, header: list[str], required) -> dict[str, int]:
     return {name: i for i, name in enumerate(header)}
 
 
-def _read_rows(path: Path, header: list[str], lines: list[str]) -> np.ndarray:
-    """The numeric rows below ``header``: `EmptyRecording` when there are none,
-    `MalformedRecording` naming ``path:line`` for a ragged or non-finite row."""
+def _read_rows(path: Path, header: list[str], lines: list[str], parsers: dict) -> np.ndarray:
+    """The rows below ``header``, a column ``parsers`` names read by its parser, any
+    other as a number: `EmptyRecording` when there are none, `MalformedRecording`
+    naming ``path:line`` for a ragged row or the first field that fails."""
     if not any(_data_text(line) for line in lines):
         raise EmptyRecording(f"{path}: no samples after the header")
+    converters = {i: parsers[name] for i, name in enumerate(header) if name in parsers}
     try:
-        data, reason = np.loadtxt(lines, delimiter=",", ndmin=2), None
-    except ValueError as exc:  # a token numpy cannot parse, or a ragged row
+        data, reason = np.loadtxt(lines, delimiter=",", ndmin=2,
+                                  converters=converters or None), None
+    except ValueError as exc:  # a token that cannot be parsed, or a ragged row
         data, reason = None, f"{path}: {exc}"
     if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
-        numbers = [_number] * len(header)
+        columns = [parsers.get(name, _number) for name in header]
         for lineno, line in enumerate(lines, start=2):
             if text := _data_text(line):
-                _row_values(path, lineno, text.split(","), header, numbers)
+                _row_values(path, lineno, text.split(","), header, columns)
         raise MalformedRecording(reason)
     return data
 
@@ -136,6 +140,11 @@ def _increasing_times(path: Path, lines: list[str], t):
         raise MalformedRecording(f"{path}:{rows[i]}: t {float(t[i])!r} is not after "
                                  f"the previous row's {float(t[i - 1])!r}")
     return t
+
+
+def _first_step(t) -> float:
+    """A label file's step: its first, as a label code cannot be interpolated."""
+    return float(t[1] - t[0]) if len(t) > 1 else 1.0
 
 
 def _data_text(line: str) -> str:
@@ -177,13 +186,28 @@ def _integer(token: str) -> int:
         raise ValueError("is not an integer") from None
 
 
-def _label(codes: dict[str, int]):
-    """A parser from a label to its code."""
+def _label(names: dict[int, str]):
+    """A parser from a label in ``names``, whitespace stripped, to its code."""
+    codes = {name: code for code, name in names.items()}
+
     def parse(token: str) -> int:
+        token = token.strip()
         if token not in codes:
             raise ValueError("is not a known label")
         return codes[token]
     return parse
+
+
+def _read_json(path: Path, error):
+    """The document in ``path``; ``error`` naming the file when it is not valid JSON."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
+        raise error(f"{path}: not valid JSON: {exc}") from None
+
+
+def _write_json(path, doc) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_annotations_json(path, annotations: dict[SensorSite, AnnotationTrack]) -> None:
@@ -194,17 +218,14 @@ def write_annotations_json(path, annotations: dict[SensorSite, AnnotationTrack])
                        for s, e, lab in annotations[site].intervals]}
         for site in sorted(annotations, key=lambda s: s.value)
     ]
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, doc)
 
 
 def read_annotations_json(path) -> dict[SensorSite, AnnotationTrack]:
     """Per-site tracks; `MalformedAnnotations` naming the file for invalid JSON
     or an entry that `_annotation_track` rejects."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
-        raise MalformedAnnotations(f"{path}: not valid JSON: {exc}") from None
+    doc = _read_json(path, MalformedAnnotations)
     if not isinstance(doc, list):
         raise MalformedAnnotations(f"{path}: expected a list of site entries")
     out = {}
@@ -256,7 +277,7 @@ def write_model_json(path, models: dict[SensorSite, SensorModel],
             "lambda0": m.config.lambda0,
             "lambda1": m.config.lambda1,
         }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, doc)
 
 
 def read_model_json(path) -> tuple[dict[SensorSite, SensorModel], float]:
@@ -265,10 +286,7 @@ def read_model_json(path) -> tuple[dict[SensorSite, SensorModel], float]:
     `MalformedModel` names the file for invalid JSON, no ``sensors`` object or
     a bad ``provenance``, and the site too for an entry `_sensor_model` rejects."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
-        raise MalformedModel(f"{path}: not valid JSON: {exc}") from None
+    doc = _read_json(path, MalformedModel)
     if not isinstance(doc, dict) or not isinstance(doc.get("sensors"), dict):
         raise MalformedModel(f"{path}: needs a 'sensors' object")
     provenance = doc.get("provenance", {})
@@ -313,38 +331,29 @@ def write_detection_csv(path, series: BinaryStateSeries) -> None:
 
 
 def read_detection_csv(path) -> BinaryStateSeries:
+    """Per-sample states, ``t`` and ``state`` found by name, and ``# change_point`` lines."""
     path = Path(path)
-    _, lines = _read_lines(path)
-    state = _label(_LABEL_CODES)
-    times, states, change_points, onsets = [], [], [], []
-    for lineno, fields in _text_rows(lines):
-        if fields[0].startswith("#"):
-            _, idx, st, onset = _row_values(
-                path, lineno, fields, ("#", "index", "state", "onset"),
-                (str, _integer, state, _integer), expected="a change point has")
-            change_points.append((idx, st))
-            onsets.append(onset)
-        else:
-            ti, st = _row_values(path, lineno, fields, ("t", "state"), (_number, state))
-            times.append(ti)
-            states.append(st)
-    if not times:
-        raise EmptyRecording(f"{path}: no samples after the header")
-    _increasing_times(path, lines, times)  # the change-point rows are comments
-    dt = times[1] - times[0] if len(times) > 1 else 1.0
-    return BinaryStateSeries(t0=times[0], dt=dt, states=np.array(states, np.uint8),
-                             change_points=change_points, onsets=onsets)
-
-
-def _text_rows(lines: list[str]) -> list[tuple[int, list[str]]]:
-    """``(line number, comma-separated fields)`` of each non-blank line after the header."""
-    return [(lineno, [token.strip() for token in line.split(",")])
-            for lineno, line in enumerate(lines, start=2) if line.strip()]
+    header, lines = _read_lines(path)
+    cols = _column_index(path, header, ("t", "state"))
+    state = _label(STATE_NAMES)
+    data = _read_rows(path, header, lines, {"state": state})
+    t = _increasing_times(path, lines, data[:, cols["t"]])
+    points = [_row_values(path, lineno, line.split(","), ("#", "index", "state", "onset"),
+                          (str, _integer, state, _integer), expected="a change point has")
+              for lineno, line in enumerate(lines, start=2)
+              if line.split(",", 1)[0].strip() == "# change_point"]
+    return BinaryStateSeries(t0=float(t[0]), dt=_first_step(t),
+                             states=data[:, cols["state"]].astype(np.uint8),
+                             change_points=[(idx, st) for _, idx, st, _ in points],
+                             onsets=[onset for *_, onset in points])
 
 
 # Each state's name in the timeline, indexed by its code.
-_FULL_BODY_NAMES = [s.name.lower() for s in FullBodyState]
-_LIMB_NAMES = [s.name.lower() for s in LimbSubState]
+_FULL_BODY_NAMES = {s.value: s.name.lower() for s in FullBodyState}
+_LIMB_NAMES = {s.value: s.name.lower() for s in LimbSubState}
+_TIMELINE_COLUMNS = ["t", "full_body", *(site.value for site in LIMBS)]
+_TIMELINE_PARSERS = {"full_body": _label(_FULL_BODY_NAMES),
+                     **dict.fromkeys(_TIMELINE_COLUMNS[2:], _label(_LIMB_NAMES))}
 
 
 def write_timeline_csv(path, timeline: ActivityTimeline) -> None:
@@ -353,31 +362,21 @@ def write_timeline_csv(path, timeline: ActivityTimeline) -> None:
                map(_FULL_BODY_NAMES.__getitem__, timeline.full_body.tolist())]
     columns += [map(_LIMB_NAMES.__getitem__, timeline.limb_substates[s].tolist())
                 for s in LIMBS]
-    lines = ["t,full_body,rh,lh,rf,lf", *map(",".join, zip(*columns))]
+    lines = [",".join(_TIMELINE_COLUMNS), *map(",".join, zip(*columns))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_timeline_csv(path) -> ActivityTimeline:
+    """A timeline, its columns found by name."""
     path = Path(path)
-    _, lines = _read_lines(path)
-    names = ["t", "full_body", *(site.value for site in LIMBS)]
-    parsers = [_number, _label({name: code for code, name in enumerate(_FULL_BODY_NAMES)})]
-    parsers += [_label({name: code for code, name in enumerate(_LIMB_NAMES)})] * len(LIMBS)
-    times, full_body = [], []
-    tracks: dict[SensorSite, list[int]] = {s: [] for s in LIMBS}
-    for lineno, fields in _text_rows(lines):
-        ti, fb, *limbs = _row_values(path, lineno, fields, names, parsers)
-        times.append(ti)
-        full_body.append(fb)
-        for site, code in zip(LIMBS, limbs):
-            tracks[site].append(code)
-    if not times:
-        raise EmptyRecording(f"{path}: no samples after the header")
-    _increasing_times(path, lines, times)
-    dt = times[1] - times[0] if len(times) > 1 else 1.0
+    header, lines = _read_lines(path)
+    cols = _column_index(path, header, _TIMELINE_COLUMNS)
+    data = _read_rows(path, header, lines, _TIMELINE_PARSERS)
+    t = _increasing_times(path, lines, data[:, cols["t"]])
     return ActivityTimeline(
-        t0=times[0], dt=dt, full_body=np.array(full_body, np.uint8),
-        limb_substates={s: np.array(v, np.uint8) for s, v in tracks.items()})
+        t0=float(t[0]), dt=_first_step(t),
+        full_body=data[:, cols["full_body"]].astype(np.uint8),
+        limb_substates={s: data[:, cols[s.value]].astype(np.uint8) for s in LIMBS})
 
 
 def write_report_json(path, report: ExplorationReport, config: dict | None = None) -> None:
@@ -390,17 +389,17 @@ def write_report_json(path, report: ExplorationReport, config: dict | None = Non
             "performatory": counts.performatory,
             "ratio": ratio if np.isfinite(ratio) else None,
         }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, doc)
 
 
 def read_trajectory_csv(path) -> TrajectorySeries:
-    """A trajectory, its ``t``, ``x`` and ``y`` columns found by name."""
+    """A trajectory, its ``t``, ``x`` and ``y`` columns found by name, on `_uniform_clock`."""
     path = Path(path)
     header, lines = _read_lines(path)
     cols = _column_index(path, header, ("t", "x", "y"))
-    data = _read_rows(path, header, lines)
+    data = _read_rows(path, header, lines, {})
     t = _increasing_times(path, lines, data[:, cols["t"]])
-    dt = float(np.median(np.diff(t))) if len(t) > 1 else 1.0
+    t, dt, data = _uniform_clock(path, t, data, lone_dt=1.0)
     return TrajectorySeries(t0=float(t[0]), dt=dt, x=data[:, cols["x"]], y=data[:, cols["y"]])
 
 
@@ -412,4 +411,4 @@ def write_trajectory_csv(path, traj: TrajectorySeries) -> None:
 
 
 def write_manifest(path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(path, manifest)

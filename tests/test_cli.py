@@ -266,6 +266,25 @@ class TestDetectClassifyReport:
         assert cli.main(["report", str(timeline)]) == 1
         assert f"error: {timeline}{message}" in capsys.readouterr().err
 
+    def test_timeline_columns_found_by_name(self, tmp_path, capsys):
+        # lh's column comes before rh's: rh's exploration episode stays rh's
+        rh = ["use", "use", "exploration", "exploration", "use", "use"]
+        timeline = tmp_path / "timeline.csv"
+        timeline.write_text("\n".join(["t,full_body,lh,rh,rf,lf"] + [
+            f"{0.02 * i!r},immobility,immobility,{state},immobility,immobility"
+            for i, state in enumerate(rh)]) + "\n")
+        assert cli.main(["report", str(timeline)]) == 0
+        out = capsys.readouterr().out
+        assert "rh: exploratory=1 performatory=2 ratio=0.50" in out
+        assert "lh: exploratory=0 performatory=0 ratio=undefined" in out
+
+    def test_unnamed_timeline_columns_exit_one(self, tmp_path, capsys):
+        timeline = tmp_path / "timeline.csv"
+        timeline.write_text("a,b,c,d,e,f\n0.0,immobility,use,use,use,use\n")
+        assert cli.main(["report", str(timeline)]) == 1
+        assert (f"error: {timeline}: missing column(s) t, full_body, rh, lh, rf, lf"
+                in capsys.readouterr().err)
+
 
 class TestEvaluate:
     def test_summary_written(self, dataset, tmp_path, capsys):
@@ -411,6 +430,23 @@ class TestSync:
             ",".join(row.split(",")[i] for i in index) for row in rows]) + "\n")
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == printed
+
+    def test_dropped_frames_keep_the_delay(self, tmp_path, capsys):
+        # a tenth of the video frames lost, their timestamps kept: the reader
+        # resamples the trajectory onto its median step, as it does a recording
+        rec_path, traj_path = sync_inputs(tmp_path, 1.3)
+        argv = ["sync", "--trajectory", str(traj_path), "--recording", str(rec_path),
+                "--max-lag", "5", "--beta", "0.02"]
+        assert cli.main(argv) == 0
+        full = float(capsys.readouterr().out.split("delay=")[1].split()[0])
+        header, *rows = traj_path.read_text().splitlines()
+        kept = np.random.default_rng(0).random(len(rows)) >= 0.1
+        traj_path.write_text("\n".join([header] + [row for row, keep in zip(rows, kept)
+                                                   if keep]) + "\n")
+        with pytest.warns(UserWarning, match="gaps longer than 2 sample periods"):
+            assert cli.main(argv) == 0
+        dropped = float(capsys.readouterr().out.split("delay=")[1].split()[0])
+        assert dropped == pytest.approx(full, abs=0.05)
 
     def test_unnamed_trajectory_columns_exit_one(self, tmp_path, capsys):
         rec_path, traj_path = sync_inputs(tmp_path, 0.0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import csv_oracles
 from climbdetect import io
-from climbdetect.classifier import ActivityTimeline, ExplorationReport, LimbCounts
+from climbdetect.classifier import (ActivityTimeline, ExplorationReport, FullBodyState,
+                                    LimbCounts, LimbSubState)
 from climbdetect.cusum import (BinaryStateSeries, DetectionConfig,
                                HypothesisModel, SensorModel)
 from climbdetect.errors import (ClimbDetectError, EmptyRecording, MalformedAnnotations,
@@ -280,8 +282,18 @@ class TestDetectionCsv:
         assert back.change_points == series.change_points
         assert back.onsets == series.onsets
 
+    def test_columns_found_by_name(self, tmp_path):
+        path = tmp_path / "det.csv"
+        path.write_text("state,t\nH0,0.5\nH1,0.51\nH1,0.52\n# change_point,1,H1,0\n")
+        back = io.read_detection_csv(path)
+        assert (back.t0, back.dt) == (0.5, 0.51 - 0.5)
+        np.testing.assert_array_equal(back.states, [0, 1, 1])
+        assert (back.change_points, back.onsets) == ([(1, 1)], [0])
+
     @pytest.mark.parametrize("corrupt, error, message", [
         (lambda lines: lines[:1], EmptyRecording, "no samples"),
+        (lambda lines: ["time,label"] + lines[1:], MalformedRecording,
+         ": missing column(s) t, state"),
         (lambda lines: lines[:2] + ["0.52,mobile"] + lines[3:], MalformedRecording,
          ":3: state is not a known label: 'mobile'"),
         (lambda lines: lines[:-1] + ["# change_point,5,H0"], MalformedRecording,
@@ -296,7 +308,7 @@ class TestDetectionCsv:
         # change-point rows count as lines, not as sample rows
         (lambda lines: lines[:3] + [lines[8], lines[2]] + lines[3:8], MalformedRecording,
          ":5: t 0.51 is not after the previous row's 0.51"),
-    ], ids=["header-only", "unknown-state", "short-change-point", "reversed-t",
+    ], ids=["header-only", "unnamed-columns", "unknown-state", "short-change-point", "reversed-t",
             "swapped-t", "repeated-t", "change-point-then-repeated-t"])
     def test_malformed_detection_names_file(self, tmp_path, corrupt, error, message):
         path = tmp_path / "det.csv"
@@ -327,8 +339,32 @@ class TestTimelineCsv:
             np.testing.assert_array_equal(back.limb_substates[site],
                                           timeline.limb_substates[site])
 
+    def test_columns_found_by_name(self, tmp_path):
+        # lh's column before rh's, as the header says
+        path = tmp_path / "timeline.csv"
+        path.write_text("t,full_body,lh,rh,rf,lf\n"
+                        "0.0,traction,use,exploration,change,immobility\n")
+        back = io.read_timeline_csv(path)
+        assert back.full_body.tolist() == [FullBodyState.TRACTION]
+        assert {site.value: track.tolist() for site, track in back.limb_substates.items()} == {
+            "lh": [LimbSubState.USE], "rh": [LimbSubState.EXPLORATION],
+            "rf": [LimbSubState.CHANGE], "lf": [LimbSubState.IMMOBILITY]}
+
+    def test_spaces_around_fields(self, tmp_path):
+        path = tmp_path / "timeline.csv"
+        path.write_text("t,full_body,rh,lh,rf,lf\n"
+                        "0.0, immobility,use ,immobility, change , exploration\r\n"
+                        " 0.02 ,traction,use,use,use,use\n")
+        back = io.read_timeline_csv(path)
+        assert (back.t0, back.dt) == (0.0, 0.02)
+        assert back.full_body.tolist() == [FullBodyState.IMMOBILITY, FullBodyState.TRACTION]
+        assert back.limb_substates[SensorSite.LEFT_FOOT].tolist() == [
+            LimbSubState.EXPLORATION, LimbSubState.USE]
+
     @pytest.mark.parametrize("corrupt, error, message", [
         (lambda lines: lines[:1], EmptyRecording, "no samples"),
+        (lambda lines: ["a,b,c,d,e,f"] + lines[1:], MalformedRecording,
+         ": missing column(s) t, full_body, rh, lh, rf, lf"),
         (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
          MalformedRecording, ":4: 5 values, the header names 6"),
         (lambda lines: lines[:2] + ["0.02,climbing" + lines[2][lines[2].index(",", 5):]]
@@ -345,7 +381,7 @@ class TestTimelineCsv:
         # blank lines count as lines, not as rows
         (lambda lines: lines[:3] + ["", lines[2]] + lines[4:], MalformedRecording,
          ":5: t 0.02 is not after the previous row's 0.02"),
-    ], ids=["header-only", "short-row", "unknown-state", "unparsable-time",
+    ], ids=["header-only", "unnamed-columns", "short-row", "unknown-state", "unparsable-time",
             "reversed-t", "swapped-t", "repeated-t", "blank-then-repeated-t"])
     def test_malformed_timeline_names_file(self, tmp_path, corrupt, error, message):
         timeline = ActivityTimeline(
@@ -404,6 +440,36 @@ class TestTrajectoryCsv:
         assert back.dt == pytest.approx(0.04)
         np.testing.assert_array_equal(back.x, traj.x)
         np.testing.assert_array_equal(back.y, traj.y)
+
+    def test_jittered_clock_resampled(self, tmp_path):
+        rng = np.random.default_rng(5)
+        t = 1.0 + 0.04 * np.arange(100)
+        jitter = rng.uniform(-0.008, 0.008, len(t))
+        jitter[0] = jitter[-1] = 0.0
+        x, y = np.sin(t), np.cos(t)
+        path = tmp_path / "traj.csv"
+        path.write_text("\n".join(["t,x,y"] + [f"{ti!r},{xi!r},{yi!r}" for ti, xi, yi in zip(
+            (t + jitter).tolist(), x.tolist(), y.tolist())]) + "\n")
+        back = io.read_trajectory_csv(path)
+        assert back.t0 == 1.0
+        assert back.dt == pytest.approx(0.04, rel=0.1)
+        assert len(back) == round((t[-1] - t[0]) / back.dt) + 1
+        # linear interpolation between the jittered samples, at the uniform times
+        np.testing.assert_array_equal(
+            back.y, np.interp(back.t0 + back.dt * np.arange(len(back)), t + jitter, y))
+
+    def test_gap_flagged_with_warning(self, tmp_path):
+        t = 0.04 * np.arange(100)
+        t[50:] += 0.2  # five frames lost
+        path = tmp_path / "traj.csv"
+        path.write_text("\n".join(["t,x,y"] + [f"{ti!r},0.0,{math.sin(ti)!r}"
+                                               for ti in t.tolist()]) + "\n")
+        with pytest.warns(UserWarning, match="traj.csv: 1 gaps longer than 2 sample periods"):
+            back = io.read_trajectory_csv(path)
+        assert back.dt == pytest.approx(0.04)
+        assert len(back) == 105  # the gap filled by linear interpolation
+        np.testing.assert_allclose(back.y[[0, 49, 55, 104]], np.sin(t[[0, 49, 50, 99]]),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("corrupt, error, message", [
         (lambda lines: lines[:1], EmptyRecording, "no samples"),
@@ -501,3 +567,68 @@ class TestWriterBytes:
         path = tmp_path / "traj.csv"
         io.write_trajectory_csv(path, traj)
         assert path.read_text() == csv_oracles.trajectory_text(traj)
+
+
+# Clocks whose written times strictly increase and whose steps stay within
+# rounding of dt, so that every reader keeps the samples as written.
+_T0 = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+_DT = st.floats(1e-3, 10.0)
+
+
+class TestRoundTrips:
+    """Each reader gives back what its writer wrote."""
+
+    @staticmethod
+    def same_clock(back, t0, dt, n):
+        assert back.t0 == t0
+        # a label file's step is its first; a measured series' is the median
+        assert back.dt == (pytest.approx(dt, rel=1e-6) if n > 1 else 1.0)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(t0=_T0, dt=_DT, states=st.lists(st.integers(0, 1), min_size=1, max_size=30))
+    def test_detection(self, tmp_path, t0, dt, states):
+        change_points = [(i, code) for i, code in enumerate(states)
+                         if i and code != states[i - 1]]
+        series = BinaryStateSeries(t0=t0, dt=dt, states=np.array(states, np.uint8),
+                                   change_points=change_points,
+                                   onsets=[max(i - 2, 0) for i, _ in change_points])
+        path = tmp_path / "det.csv"
+        io.write_detection_csv(path, series)
+        back = io.read_detection_csv(path)
+        self.same_clock(back, t0, dt, len(states))
+        assert back.states.dtype == np.uint8
+        np.testing.assert_array_equal(back.states, series.states)
+        assert back.change_points == series.change_points
+        assert back.onsets == series.onsets
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), t0=_T0, dt=_DT, n=st.integers(1, 30))
+    def test_timeline(self, tmp_path, data, t0, dt, n):
+        codes = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+            lambda v: np.array(v, np.uint8))
+        timeline = ActivityTimeline(
+            t0=t0, dt=dt, full_body=data.draw(codes),
+            limb_substates={site: data.draw(codes) for site in LIMBS})
+        path = tmp_path / "timeline.csv"
+        io.write_timeline_csv(path, timeline)
+        back = io.read_timeline_csv(path)
+        self.same_clock(back, t0, dt, n)
+        np.testing.assert_array_equal(back.full_body, timeline.full_body)
+        assert back.limb_substates.keys() == timeline.limb_substates.keys()
+        for site in LIMBS:
+            np.testing.assert_array_equal(back.limb_substates[site],
+                                          timeline.limb_substates[site])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), t0=_T0, dt=_DT, n=st.integers(1, 30))
+    def test_trajectory(self, tmp_path, data, t0, dt, n):
+        traj = TrajectorySeries(t0=t0, dt=dt, x=data.draw(_column(n)), y=data.draw(_column(n)))
+        path = tmp_path / "traj.csv"
+        io.write_trajectory_csv(path, traj)
+        back = io.read_trajectory_csv(path)
+        self.same_clock(back, t0, dt, n)
+        np.testing.assert_array_equal(back.x, traj.x)
+        np.testing.assert_array_equal(back.y, traj.y)
