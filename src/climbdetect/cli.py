@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -347,11 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ClimbDetectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # a warning shown, such as a reader's gap warning, is one `warning:` line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                          file=sys.stderr)
+        try:
+            return args.func(args)
+        except ClimbDetectError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -87,7 +87,7 @@ def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
     dt = float(np.median(diffs)) if len(diffs) else lone_dt
     gaps = int(np.count_nonzero(diffs > 2.0 * dt))
     if gaps:
-        warnings.warn(f"{path.name}: {gaps} gaps longer than 2 sample periods")
+        warnings.warn(f"{path}: {gaps} gaps longer than 2 sample periods")
     if len(diffs) and np.max(np.abs(diffs - dt)) > 0.1 * dt:
         t_new = np.arange(t[0], t[-1] + 0.5 * dt, dt)
         data = np.column_stack([np.interp(t_new, t, column) for column in data.T])

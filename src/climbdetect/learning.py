@@ -13,8 +13,9 @@ held-out climbs plus the full refit, swept in groups of whole folds of at
 most `_SWEEP_LANES` lanes. The sweep runs the drawup rule of
 `cusum._run_cusum` a block of `_BLOCK` samples at a time: every cell is
 screened once per block, and only the cells that detect in it step through
-it sample by sample. The per-cell detector and relabelling in
-`_pooled_score` score single cells only.
+it sample by sample. `cross_validate` scores each held-out climb with the
+fold's `SensorModel` through `cusum.detect` and `cusum.relabel_segments`,
+the calls `climbdetect detect` and `classify` make.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cusum import (BinaryStateSeries, DetectionConfig, SensorModel,
-                    detect_from_increments, log_likelihood_ratio,
-                    relabel_segments)
+from .cusum import (BinaryStateSeries, DetectionConfig, SensorModel, detect,
+                    log_likelihood_ratio, relabel_segments)
 from .errors import DegenerateTruth, MissingState
 from .gamma_model import HypothesisModel, fit_mle
 from .orientation import (DEFAULT_BETA, ImuRecording, angular_velocity_norm,
@@ -55,7 +55,8 @@ class SensorChannels:
 
 @dataclass
 class LabeledClimb:
-    """One climb's per-sensor signals with synchronized annotations."""
+    """One climb's per-sensor signals with synchronized annotations; only
+    `simulator.simulate(..., triaxial=True)` fills the raw `recordings`."""
 
     climb_id: str
     channels: dict[SensorSite, SensorChannels]
@@ -73,7 +74,7 @@ class LabeledClimb:
             for site, rec in recordings.items()
         }
         return cls(climb_id=climb_id, channels=channels,
-                   annotations=dict(annotations or {}), recordings=dict(recordings))
+                   annotations=dict(annotations or {}))
 
 
 def default_lambda_grid(n: int = DEFAULT_GRID_POINTS, low: float = DEFAULT_GRID_MIN,
@@ -120,27 +121,22 @@ def fit_models(climbs: list[LabeledClimb], site: SensorSite,
     return models[0], models[1]
 
 
-def _coefficient(pred: np.ndarray, truth: np.ndarray) -> float:
-    """c = TP/P - FP/N of binary arrays, with H1 as the positive class."""
-    pred = pred.astype(bool)
-    truth = truth.astype(bool)
+def performance_coefficient(pred: BinaryStateSeries, truth) -> float:
+    """c = TP/P - FP/N in [-1, 1], with H1 as the positive class; truth is an
+    AnnotationTrack or label array."""
+    if isinstance(truth, AnnotationTrack):
+        truth = rasterize_track(truth, pred.t0, pred.dt, len(pred.states))
+    truth = np.asarray(truth).astype(bool)
+    if len(truth) != len(pred.states):
+        raise ValueError("prediction and truth must share the sample grid")
+    predicted = pred.states.astype(bool)
     p = int(np.count_nonzero(truth))
     n = len(truth) - p
     if p == 0 or n == 0:
         raise DegenerateTruth("truth must contain both states")
-    tp = int(np.count_nonzero(pred & truth))
-    fp = int(np.count_nonzero(pred & ~truth))
+    tp = int(np.count_nonzero(predicted & truth))
+    fp = int(np.count_nonzero(predicted & ~truth))
     return tp / p - fp / n
-
-
-def performance_coefficient(pred: BinaryStateSeries, truth) -> float:
-    """c = TP/P - FP/N in [-1, 1]; truth is an AnnotationTrack or label array."""
-    if isinstance(truth, AnnotationTrack):
-        truth = rasterize_track(truth, pred.t0, pred.dt, len(pred.states))
-    truth = np.asarray(truth)
-    if len(truth) != len(pred.states):
-        raise ValueError("prediction and truth must share the sample grid")
-    return _coefficient(pred.states, truth)
 
 
 @dataclass
@@ -165,18 +161,6 @@ def _prepare(climbs: list[LabeledClimb], site: SensorSite,
     return prep
 
 
-def _pooled_score(prep: list[_SitePrep], alpha: float,
-                  lambda0: float, lambda1: float) -> float:
-    """c over the concatenated climbs; detections are onset-backdated."""
-    states = []
-    for item in prep:
-        inc = alpha * item.l_acc + (1.0 - alpha) * item.l_ang
-        raw = detect_from_increments(inc, lambda0, lambda1)
-        states.append(relabel_segments(raw).states)
-    return _coefficient(np.concatenate(states),
-                        np.concatenate([item.truth for item in prep]))
-
-
 # Samples per block of the calibration sweep: the sums of every row are built
 # a block at a time, so that the sweep holds O(cells) memory, and every cell
 # is screened once per block
@@ -191,11 +175,11 @@ _SWEEP_LANES = 16
 def _sweep(problems: list[list[_SitePrep]], alphas, lambda_grid: np.ndarray) -> np.ndarray:
     """c of every (problem, alpha, lambda1, lambda0) cell, as an array indexed in that order.
 
-    A problem is the list of climbs one plane is pooled over, and each of its
-    planes equals `_pooled_score` at every cell. A lane is one (problem,
-    climb) pair and a row one (lane, alpha) pair, whose cells share the
-    never-restarted sum C of the row's fused increments. Every cell runs the
-    rule of `cusum._run_cusum`, on C in H0 and on -C in H1, a block of
+    A problem is the list of climbs one plane is pooled over: each cell holds
+    c of the climbs' relabelled `cusum.detect` passes pooled. A lane is one
+    (problem, climb) pair and a row one (lane, alpha) pair, whose cells share
+    the never-restarted sum C of the row's fused increments. Every cell runs
+    the rule of `cusum._run_cusum`, on C in H0 and on -C in H1, a block of
     `_BLOCK` samples at a time (`_Cells.advance`). Past its climb's end a
     lane gets zero increments, which never fire and never lower a running
     minimum.
@@ -246,8 +230,8 @@ def _block_sums(lanes, lengths, alphas, start, carry) -> np.ndarray:
     Row i - start, column 2 * r holds C[i] of row r = (lane, alpha): the
     carried sum plus the increments alpha * l_acc + (1 - alpha) * l_ang up
     to sample i. Column 2 * r + 1 holds -C[i]. The increments take the same
-    operations as `_pooled_score`, and cumsum adds them in the order of
-    `cusum._run_cusum`, so every sum is bit-identical to that pass.
+    operations as `cusum.fused_increments`, and cumsum adds them in the order
+    of `cusum._run_cusum`, so every sum is bit-identical to that pass.
     """
     stop = min(start + _BLOCK, max(lengths))
     inc = np.zeros((stop - start + 1, len(lanes), len(alphas)))
@@ -418,8 +402,8 @@ def _mode_alphas(mode: str, alpha_grid) -> list[float]:
 
 
 def _calibrate(problems: list[list[_SitePrep]], mode_alphas: dict[str, list[float]],
-               lambda_grid) -> list[dict[str, tuple[float, float, float, float]]]:
-    """Per problem, each mode's calibrated (alpha, lambda0, lambda1, c).
+               lambda_grid) -> list[dict[str, tuple[DetectionConfig, float]]]:
+    """Per problem, each mode's calibrated `DetectionConfig` and its c.
 
     One sweep scores the planes of the union of the modes' weights. Within a
     plane the last maximum wins (`_best_cell`: the larger lambda1, then the
@@ -437,7 +421,8 @@ def _calibrate(problems: list[list[_SitePrep]], mode_alphas: dict[str, list[floa
         best = {}
         for mode, grid in mode_alphas.items():
             alpha = max(grid, key=lambda a: cells[a][2])  # the first maximum
-            best[mode] = (alpha, *cells[alpha])
+            lambda0, lambda1, c = cells[alpha]
+            best[mode] = DetectionConfig(lambda0=lambda0, lambda1=lambda1, alpha=alpha), c
         results.append(best)
     return results
 
@@ -472,13 +457,10 @@ def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused",
     sensor_models: dict[SensorSite, SensorModel] = {}
     scores: dict[SensorSite, float] = {}
     for site in sites:
-        models = fit_models(climbs, site)
-        alpha, lam0, lam1, c = _calibrate(
-            [_prepare(climbs, site, models)], mode_alphas, lambda_grid)[0][mode]
-        sensor_models[site] = SensorModel(
-            acc=models[0], ang=models[1],
-            config=DetectionConfig(lambda0=lam0, lambda1=lam1, alpha=alpha))
-        scores[site] = c
+        acc, ang = fit_models(climbs, site)
+        config, scores[site] = _calibrate(
+            [_prepare(climbs, site, (acc, ang))], mode_alphas, lambda_grid)[0][mode]
+        sensor_models[site] = SensorModel(acc=acc, ang=ang, config=config)
     return sensor_models, scores
 
 
@@ -487,10 +469,10 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None, lambda_grid=None
     """Leave-one-climb-out evaluation for every sensor and alpha mode.
 
     For each held-out climb the models and parameters are learned on the
-    remaining climbs and scored on the held-out one; the per-fold optimal
-    score repeats the learning on the held-out climb itself, bounding what
-    the detector could achieve. Reported parameters come from a final fit on
-    all climbs.
+    remaining climbs, and the held-out climb is scored with that
+    `SensorModel` as `classify` runs it; the per-fold optimal score repeats
+    the learning on the held-out climb itself, bounding what the detector
+    could achieve. Reported parameters come from a final fit on all climbs.
     """
     if len(climbs) < 2:
         raise ValueError("cross-validation needs at least 2 climbs")
@@ -506,7 +488,7 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None, lambda_grid=None
         fold_scores = {mode: [] for mode in ALPHA_MODES}
         fold_optimal = {mode: [] for mode in ALPHA_MODES}
         for first in range(0, len(units), per_sweep):
-            problems, held_preps = [], []
+            problems, folds = [], []
             for held_idx in units[first:first + per_sweep]:
                 if held_idx is None:  # the full refit
                     problems.append(_prepare(climbs, site, fit_models(climbs, site)))
@@ -516,21 +498,24 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None, lambda_grid=None
                 train_models = fit_models(train, site)
                 problems.append(_prepare(train, site, train_models))
                 problems.append(_prepare([held], site, fit_models([held], site)))
-                held_preps.append(_prepare([held], site, train_models))
+                folds.append((held, train_models))
             best = _calibrate(problems, mode_alphas, lambda_grid)
-            for fold, held_prep_train in enumerate(held_preps):
+            for fold, (held, (acc, ang)) in enumerate(folds):
+                ch = held.channels[site]
                 for mode in ALPHA_MODES:
-                    alpha, lam0, lam1, _ = best[2 * fold][mode]
+                    config, _ = best[2 * fold][mode]
+                    model = SensorModel(acc=acc, ang=ang, config=config)
+                    pred = relabel_segments(detect(ch.acc, ch.ang, model))
                     fold_scores[mode].append(
-                        _pooled_score(held_prep_train, alpha, lam0, lam1))
-                    fold_optimal[mode].append(best[2 * fold + 1][mode][3])
+                        performance_coefficient(pred, held.annotations[site]))
+                    fold_optimal[mode].append(best[2 * fold + 1][mode][1])
         for mode in ALPHA_MODES:
             # the full refit is the last problem of the last group
-            alpha, lam0, lam1, _ = best[-1][mode]
+            config, _ = best[-1][mode]
             report.entries[(site, mode)] = ModeResult(
                 score=float(np.mean(fold_scores[mode])),
                 optimal_score=float(np.mean(fold_optimal[mode])),
-                lambda0=lam0, lambda1=lam1, alpha=alpha,
+                lambda0=config.lambda0, lambda1=config.lambda1, alpha=config.alpha,
                 fold_scores=fold_scores[mode],
                 fold_optimal=fold_optimal[mode])
     return report

@@ -1,8 +1,11 @@
 import filecmp
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +303,50 @@ class TestEvaluate:
             assert len(entry["fold_scores"]) == 2
         assert "sensor" in capsys.readouterr().out
 
+    def test_fold_scores_are_what_detect_writes(self, tmp_path):
+        # fold 0 learns on climbs 2 and 3 and scores climb 1: `fit` on those two
+        # climbs with the same grid and mode, then `detect` on climb 1, writes
+        # the detection whose c evaluate reports
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--out", str(sim), "--seed", "5", "--climbs", "3",
+                         "--duration", "20", "--rate", "50"]) == 0
+        grid = ["--grid-points", "4", "--grid-min", "1", "--grid-max", "100",
+                "--alpha-step", "0.5"]
+        out = tmp_path / "eval.json"
+        assert cli.main(["evaluate", "--climbs", str(sim), "--out", str(out), *grid]) == 0
+        results = json.loads(out.read_text())["results"]
+        train = tmp_path / "train"
+        train.mkdir()
+        for climb_id in ("climb02", "climb03"):
+            (train / climb_id).symlink_to(sim / climb_id)
+        annotations = io.read_annotations_json(sim / "climb01" / "climb01_annotations.json")
+        for mode in learning.ALPHA_MODES:
+            model, det = tmp_path / f"{mode}.json", tmp_path / f"det_{mode}"
+            assert cli.main(["fit", "--climbs", str(train), "--out", str(model),
+                             "--mode", mode, *grid]) == 0
+            assert cli.main(["detect", "--model", str(model),
+                             "--climb", str(sim / "climb01"), "--out", str(det)]) == 0
+            for site in ALL_SITES:
+                pred = io.read_detection_csv(det / f"climb01_{site.value}_detection.csv")
+                c = learning.performance_coefficient(pred, annotations[site])
+                assert c == results[f"{site.value}/{mode}"]["fold_scores"][0], (site, mode)
+
+
+def test_loaded_climb_keeps_no_recordings(dataset, monkeypatch):
+    # a command needs only a climb's channels, so its recordings are let go
+    read, refs = io.read_recording_csv, []
+
+    def tracked(*args, **kwargs):
+        rec = read(*args, **kwargs)
+        refs.append(weakref.ref(rec))
+        return rec
+
+    monkeypatch.setattr(io, "read_recording_csv", tracked)
+    climb = cli._load_climb(dataset / "climb01", 0.1, need_annotations=True)
+    gc.collect()
+    assert set(climb.channels) == set(ALL_SITES) and len(refs) == len(ALL_SITES)
+    assert [ref() for ref in refs] == [None] * len(ALL_SITES)
+
 
 def sync_inputs(tmp_path, delay):
     """Pelvis recording at identity attitude whose earth-frame lateral and
@@ -431,6 +478,7 @@ class TestSync:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == printed
 
+    @pytest.mark.filterwarnings("default::UserWarning")  # the gap warning expected here
     def test_dropped_frames_keep_the_delay(self, tmp_path, capsys):
         # a tenth of the video frames lost, their timestamps kept: the reader
         # resamples the trajectory onto its median step, as it does a recording
@@ -438,14 +486,19 @@ class TestSync:
         argv = ["sync", "--trajectory", str(traj_path), "--recording", str(rec_path),
                 "--max-lag", "5", "--beta", "0.02"]
         assert cli.main(argv) == 0
-        full = float(capsys.readouterr().out.split("delay=")[1].split()[0])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        full = float(captured.out.split("delay=")[1].split()[0])
         header, *rows = traj_path.read_text().splitlines()
         kept = np.random.default_rng(0).random(len(rows)) >= 0.1
         traj_path.write_text("\n".join([header] + [row for row, keep in zip(rows, kept)
                                                    if keep]) + "\n")
-        with pytest.warns(UserWarning, match="gaps longer than 2 sample periods"):
-            assert cli.main(argv) == 0
-        dropped = float(capsys.readouterr().out.split("delay=")[1].split()[0])
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        # the reader's gap warning is one line naming the file, with no source line
+        assert re.fullmatch(f"warning: {re.escape(str(traj_path))}: "
+                            "[1-9][0-9]* gaps longer than 2 sample periods\n", captured.err)
+        dropped = float(captured.out.split("delay=")[1].split()[0])
         assert dropped == pytest.approx(full, abs=0.05)
 
     def test_unnamed_trajectory_columns_exit_one(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweep_oracle import pooled_score
 
 from climbdetect import learning
 from climbdetect.cusum import (BinaryStateSeries, detect, detect_from_increments,
@@ -11,11 +12,11 @@ from climbdetect.cusum import (BinaryStateSeries, detect, detect_from_increments
 from climbdetect.errors import DegenerateTruth, MissingState
 from climbdetect.gamma_model import GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import (ALPHA_MODES, LabeledClimb, SensorChannels,
-                                  _best_cell, _calibrate, _pooled_score,
-                                  _prepare, _SitePrep, _sweep, _SWEEP_LANES,
-                                  cross_validate, default_alpha_grid,
-                                  default_lambda_grid, fit_models,
-                                  learn_sensor_models, performance_coefficient)
+                                  _best_cell, _calibrate, _prepare, _SitePrep,
+                                  _sweep, _SWEEP_LANES, cross_validate,
+                                  default_alpha_grid, default_lambda_grid,
+                                  fit_models, learn_sensor_models,
+                                  performance_coefficient)
 from climbdetect.series import (H0, H1, AnnotationTrack, SensorSite,
                                 SignalSeries, rasterize_track)
 from climbdetect.simulator import default_models, random_plan, simulate
@@ -146,10 +147,10 @@ class TestOptimization:
         _, lam0, lam1, c = calibrate(self.climbs, grid, alphas=[0.5])
         # exhaustive re-evaluation of every cell, independent of the search order
         prep = _prepare(self.climbs, SITE, self.models)
-        all_cells = [_pooled_score(prep, 0.5, float(g0), float(g1))
+        all_cells = [pooled_score(prep, 0.5, float(g0), float(g1))
                      for g1 in grid for g0 in grid]
         assert c == max(all_cells)
-        assert _pooled_score(prep, 0.5, lam0, lam1) == c
+        assert pooled_score(prep, 0.5, lam0, lam1) == c
 
     def test_result_is_grid_member_and_deterministic(self):
         grid = default_lambda_grid(5, 1.0, 100.0)
@@ -197,7 +198,7 @@ def exact_prep(increments, truth):
 
 
 class TestSweep:
-    """The one-pass sweep against `_pooled_score`, the per-cell detector."""
+    """The one-pass sweep against `pooled_score`, the per-cell detector."""
 
     def assert_matches_oracle(self, prep, alphas, grid):
         grid = np.asarray(grid, dtype=float)
@@ -206,7 +207,7 @@ class TestSweep:
         for alpha, plane in zip(alphas, planes):
             for lam1, row in zip(grid, plane):
                 for lam0, c in zip(grid, row):
-                    assert c == _pooled_score(prep, alpha, float(lam0), float(lam1)), \
+                    assert c == pooled_score(prep, alpha, float(lam0), float(lam1)), \
                         (alpha, lam0, lam1)
         return planes
 
@@ -299,7 +300,7 @@ class TestSweep:
             for alpha, alpha_plane in zip(alphas, plane):
                 for lam1, row in zip(grid, alpha_plane):
                     for lam0, c in zip(grid, row):
-                        assert c == _pooled_score(prep, alpha, float(lam0), float(lam1))
+                        assert c == pooled_score(prep, alpha, float(lam0), float(lam1))
 
     @settings(max_examples=150, deadline=None)
     @given(problems=st.lists(st.lists(
@@ -323,7 +324,7 @@ class TestSweep:
             for alpha, alpha_plane in zip(alphas, plane):
                 for lam1, row in zip(grid, alpha_plane):
                     for lam0, c in zip(grid, row):
-                        assert c == _pooled_score(prep, alpha, float(lam0), float(lam1))
+                        assert c == pooled_score(prep, alpha, float(lam0), float(lam1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_lane_matches_its_own_sweep(self, bad):
@@ -384,7 +385,7 @@ class TestSweepBlocks:
             for alpha, alpha_plane in zip(alphas, plane):
                 for lam1, row in zip(grid, alpha_plane):
                     for lam0, c in zip(grid, row):
-                        assert c == _pooled_score(prep, alpha, float(lam0), float(lam1))
+                        assert c == pooled_score(prep, alpha, float(lam0), float(lam1))
 
     def test_simulated_lanes_ending_mid_block(self, monkeypatch):
         climbs = [simulate(random_plan(duration, np.random.default_rng(seed)),
@@ -463,7 +464,7 @@ class TestCrossValidation:
             for fold, held in enumerate(climbs):
                 train = climbs[:fold] + climbs[fold + 1:]
                 alpha, lam0, lam1, _ = calibrate(train, grid, mode, alpha_grid)
-                assert result.fold_scores[fold] == _pooled_score(
+                assert result.fold_scores[fold] == pooled_score(
                     _prepare([held], SITE, fit_models(train, SITE)), alpha, lam0, lam1)
                 assert result.fold_optimal[fold] == calibrate([held], grid, mode,
                                                               alpha_grid)[3]
