@@ -54,14 +54,18 @@ def _climb_id(climb_dir: Path) -> str:
 
 
 def _load_climb(climb_dir: Path, beta: float, need_annotations: bool) -> learning.LabeledClimb:
-    climb_dir = Path(climb_dir)
+    """A climb's norms, filtered with gain ``beta``, and annotations: each
+    recording is dropped before the next is read."""
     climb_id = _climb_id(climb_dir)
-    recordings = {}
+    channels = {}
     for site in ALL_SITES:
         path = io.recording_path(climb_dir, climb_id, site)
         if path.exists():
-            recordings[site] = io.read_recording_csv(path, site)
-    if not recordings:
+            rec = io.read_recording_csv(path, site)
+            channels[site] = learning.SensorChannels(
+                orientation.linear_acceleration(rec, beta), orientation.angular_velocity_norm(rec))
+            del rec
+    if not channels:
         raise ClimbDetectError(f"no recordings found in {climb_dir}")
     annotations = {}
     ann_path = io.annotations_path(climb_dir, climb_id)
@@ -69,7 +73,7 @@ def _load_climb(climb_dir: Path, beta: float, need_annotations: bool) -> learnin
         annotations = io.read_annotations_json(ann_path)
     elif need_annotations:
         raise ClimbDetectError(f"missing annotation file {ann_path}")
-    return learning.LabeledClimb.from_recordings(climb_id, recordings, annotations, beta)
+    return learning.LabeledClimb(climb_id, channels, annotations)
 
 
 def _load_climbs(climbs_dir: Path, beta: float, need_annotations: bool = True):

@@ -20,7 +20,7 @@ from .errors import (EmptyRecording, InvalidParams, MalformedAnnotations,
                      MalformedModel, MalformedRecording)
 from .gamma_model import GammaParams
 from .orientation import DEFAULT_BETA, ImuRecording
-from .series import LIMBS, STATE_NAMES, AnnotationTrack, SensorSite
+from .series import LIMBS, STATE_NAMES, AnnotationTrack, SensorSite, resample_linear
 from .sync import TrajectorySeries
 
 RECORDING_HEADER = "t,ax,ay,az,gx,gy,gz,mx,my,mz"
@@ -89,9 +89,7 @@ def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
     if gaps:
         warnings.warn(f"{path}: {gaps} gaps longer than 2 sample periods")
     if len(diffs) and np.max(np.abs(diffs - dt)) > 0.1 * dt:
-        t_new = np.arange(t[0], t[-1] + 0.5 * dt, dt)
-        data = np.column_stack([np.interp(t_new, t, column) for column in data.T])
-        t = t_new
+        t, data = resample_linear(t, data, dt)
     return t, dt, data
 
 

@@ -1,11 +1,11 @@
-"""Model fitting, threshold calibration and cross-validation.
+"""Model fitting, threshold calibration and cross-validation, from signal norms.
 
 Per-sensor Gamma hypothesis models are fitted on the concatenated annotated
 signals; detection thresholds and the fusion weight are then grid-searched
 against the performance coefficient c = TP/P - FP/N (twice the ROC distance
 to the chance diagonal). The entry points are `learn_sensor_models` (fit and
-calibrate on all climbs) and `cross_validate` (leave-one-climb-out). Both
-calibrate through `_calibrate`, which scores every (alpha, lambda0, lambda1)
+calibrate on all climbs) and `cross_validate` (leave-one-climb-out). Both run
+at the sites of the climbs, which every climb must have, and calibrate through `_calibrate`, which scores every (alpha, lambda0, lambda1)
 cell in one CUSUM sweep whose lanes are the climbs of every problem being
 calibrated: one sweep per site of the site's climbs in
 `learn_sensor_models`, and in `cross_validate` every fold's training and
@@ -28,8 +28,6 @@ from .cusum import (BinaryStateSeries, DetectionConfig, SensorModel, detect,
                     log_likelihood_ratio, relabel_segments)
 from .errors import DegenerateTruth, MissingState
 from .gamma_model import HypothesisModel, fit_mle
-from .orientation import (DEFAULT_BETA, ImuRecording, angular_velocity_norm,
-                          linear_acceleration)
 from .series import (ALL_SITES, H0, H1, AnnotationTrack, SensorSite,
                      SignalSeries, rasterize_track)
 
@@ -55,26 +53,12 @@ class SensorChannels:
 
 @dataclass
 class LabeledClimb:
-    """One climb's per-sensor signals with synchronized annotations; only
-    `simulator.simulate(..., triaxial=True)` fills the raw `recordings`."""
+    """One climb's per-sensor signal norms with synchronized annotations, and
+    no raw recording: `simulator.SimulatedClimb` adds the simulator's."""
 
     climb_id: str
     channels: dict[SensorSite, SensorChannels]
     annotations: dict[SensorSite, AnnotationTrack] = field(default_factory=dict)
-    recordings: dict[SensorSite, ImuRecording] = field(default_factory=dict)
-
-    @classmethod
-    def from_recordings(cls, climb_id: str,
-                        recordings: dict[SensorSite, ImuRecording],
-                        annotations: dict[SensorSite, AnnotationTrack] | None = None,
-                        beta: float = DEFAULT_BETA) -> "LabeledClimb":
-        channels = {
-            site: SensorChannels(acc=linear_acceleration(rec, beta),
-                                 ang=angular_velocity_norm(rec))
-            for site, rec in recordings.items()
-        }
-        return cls(climb_id=climb_id, channels=channels,
-                   annotations=dict(annotations or {}))
 
 
 def default_lambda_grid(n: int = DEFAULT_GRID_POINTS, low: float = DEFAULT_GRID_MIN,
@@ -85,6 +69,16 @@ def default_lambda_grid(n: int = DEFAULT_GRID_POINTS, low: float = DEFAULT_GRID_
 
 def default_alpha_grid(step: float = DEFAULT_ALPHA_STEP) -> np.ndarray:
     return np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
+
+
+def _sites(climbs: list[LabeledClimb]) -> list[SensorSite]:
+    """The sites of the climbs, in `ALL_SITES` order; every climb must have each."""
+    sites = [s for s in ALL_SITES if any(s in c.channels for c in climbs)]
+    for climb in climbs:
+        for site in sites:
+            if site not in climb.channels:
+                raise MissingState(f"no signals for site {site.value} in climb {climb.climb_id}")
+    return sites
 
 
 def _state_labels(climb: LabeledClimb, site: SensorSite) -> np.ndarray:
@@ -151,14 +145,9 @@ class _SitePrep:
 def _prepare(climbs: list[LabeledClimb], site: SensorSite,
              models: tuple[HypothesisModel, HypothesisModel]) -> list[_SitePrep]:
     acc_model, ang_model = models
-    prep = []
-    for climb in climbs:
-        ch = climb.channels[site]
-        prep.append(_SitePrep(
-            l_acc=log_likelihood_ratio(ch.acc.values, acc_model),
-            l_ang=log_likelihood_ratio(ch.ang.values, ang_model),
-            truth=_state_labels(climb, site)))
-    return prep
+    return [_SitePrep(l_acc=log_likelihood_ratio(climb.channels[site].acc.values, acc_model),
+                      l_ang=log_likelihood_ratio(climb.channels[site].ang.values, ang_model),
+                      truth=_state_labels(climb, site)) for climb in climbs]
 
 
 # Samples per block of the calibration sweep: the sums of every row are built
@@ -447,12 +436,11 @@ class EvaluationReport:
     entries: dict[tuple[SensorSite, str], ModeResult] = field(default_factory=dict)
 
 
-def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused",
-                        alpha_grid=None, lambda_grid=None,
-                        sites=None) -> tuple[dict[SensorSite, SensorModel], dict[SensorSite, float]]:
-    """Fit models and calibrate thresholds/alpha on all given climbs."""
-    if sites is None:
-        sites = [s for s in ALL_SITES if all(s in c.channels for c in climbs)]
+def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused", alpha_grid=None,
+                        lambda_grid=None) -> tuple[dict[SensorSite, SensorModel],
+                                                   dict[SensorSite, float]]:
+    """Fit models and calibrate thresholds/alpha at every site of the climbs."""
+    sites = _sites(climbs)
     mode_alphas = {mode: _mode_alphas(mode, alpha_grid)}
     sensor_models: dict[SensorSite, SensorModel] = {}
     scores: dict[SensorSite, float] = {}
@@ -464,9 +452,9 @@ def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused",
     return sensor_models, scores
 
 
-def cross_validate(climbs: list[LabeledClimb], alpha_grid=None, lambda_grid=None,
-                   sites=None) -> EvaluationReport:
-    """Leave-one-climb-out evaluation for every sensor and alpha mode.
+def cross_validate(climbs: list[LabeledClimb], alpha_grid=None,
+                   lambda_grid=None) -> EvaluationReport:
+    """Leave-one-climb-out evaluation for every site of the climbs and alpha mode.
 
     For each held-out climb the models and parameters are learned on the
     remaining climbs, and the held-out climb is scored with that
@@ -476,8 +464,7 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None, lambda_grid=None
     """
     if len(climbs) < 2:
         raise ValueError("cross-validation needs at least 2 climbs")
-    if sites is None:
-        sites = [s for s in ALL_SITES if all(s in c.channels for c in climbs)]
+    sites = _sites(climbs)
     mode_alphas = {mode: _mode_alphas(mode, alpha_grid) for mode in ALPHA_MODES}
     # each fold, and the full refit, is as many lanes as there are climbs;
     # at most _SWEEP_LANES lanes are swept together (one fold or refit at least)

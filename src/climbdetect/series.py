@@ -100,3 +100,10 @@ def rasterize_track(track: AnnotationTrack, t0: float, dt: float, n: int) -> np.
     idx = np.searchsorted(ends, t, side="left")
     idx = np.clip(idx, 0, len(track.intervals) - 1)
     return labels[idx]
+
+
+def resample_linear(t: np.ndarray, columns: np.ndarray, dt: float):
+    """``(t_new, resampled)``: each column of ``columns``, sampled at times ``t``, taken
+    linearly onto ``t_new = t[0] + k*dt``, which ends within half a step of ``t[-1]``."""
+    t_new = np.arange(t[0], t[-1] + 0.5 * dt, dt)
+    return t_new, np.column_stack([np.interp(t_new, t, column) for column in columns.T])

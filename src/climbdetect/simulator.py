@@ -11,6 +11,7 @@ so runs are reproducible across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,6 +26,11 @@ from .series import (ALL_SITES, H0, H1, LIMBS, AnnotationTrack, SensorSite,
 # Earth magnetic field direction seen by an identity-orientation sensor
 # (north component with downward dip).
 MAG_FIELD = np.array([0.5, 0.0, -np.sqrt(3.0) / 2.0])
+
+# `random_plan` dwells: exponential with these means (s) in H0 and H1, and at
+# least MIN_DWELL s, except the last
+MEAN_DWELL = (6.0, 4.0)
+MIN_DWELL = 1.0
 
 
 @dataclass
@@ -56,18 +62,15 @@ def default_models() -> dict[SensorSite, tuple[HypothesisModel, HypothesisModel]
     return {site: (acc, ang) for site in ALL_SITES}
 
 
-def random_plan(duration: float, rng: np.random.Generator,
-                mean_dwell: tuple[float, float] = (6.0, 4.0),
-                min_dwell: float = 1.0,
-                sites=ALL_SITES) -> StatePlan:
-    """Independent alternating H0/H1 schedules with exponential dwell times."""
+def random_plan(duration: float, rng: np.random.Generator) -> StatePlan:
+    """Independent alternating H0/H1 schedules at every site, with exponential dwells."""
     segments = {}
-    for site in sites:
+    for site in ALL_SITES:
         segs = []
         remaining = duration
         state = H0
         while remaining > 0:
-            dwell = max(min_dwell, float(rng.exponential(mean_dwell[state])))
+            dwell = max(MIN_DWELL, float(rng.exponential(MEAN_DWELL[state])))
             dwell = min(dwell, remaining)
             segs.append((dwell, state))
             remaining -= dwell
@@ -105,19 +108,17 @@ def plan_from_script(script: list[tuple[float, FullBodyState]],
     return StatePlan(segments=segments)
 
 
-def _intervals(segs: list[tuple[float, int]]) -> list[tuple[float, float, int]]:
-    out = []
-    edge = 0.0
-    for duration, state in segs:
-        out.append((edge, edge + duration, state))
-        edge += duration
-    return out
+@dataclass
+class SimulatedClimb(LabeledClimb):
+    """A simulated climb and the recordings ``simulate(..., triaxial=True)`` draws."""
+
+    recordings: dict[SensorSite, ImuRecording] = field(default_factory=dict)
 
 
 def simulate(plan: StatePlan,
              models: dict[SensorSite, tuple[HypothesisModel, HypothesisModel]] | None = None,
              sample_rate: float = 100.0, seed: int = 0,
-             climb_id: str = "sim", triaxial: bool = False) -> LabeledClimb:
+             climb_id: str = "sim", triaxial: bool = False) -> SimulatedClimb:
     """Draw a labeled climb from the plan's scheduled Gamma emissions.
 
     With ``triaxial`` set, matching IMU recordings are generated as well:
@@ -139,7 +140,9 @@ def simulate(plan: StatePlan,
     dt = 1.0 / sample_rate
     for site, segs in plan.segments.items():
         rng = np.random.default_rng(site_seeds[site])
-        annotations[site] = AnnotationTrack(site=site, intervals=_intervals(segs))
+        edges = list(accumulate((duration for duration, _ in segs), initial=0.0))
+        annotations[site] = AnnotationTrack(site=site, intervals=[
+            (start, end, state) for start, end, (_, state) in zip(edges, edges[1:], segs)])
         n = int(round(plan.duration(site) * sample_rate))
         labels = rasterize_track(annotations[site], 0.0, dt, n)
         acc_model, ang_model = models[site]
@@ -162,6 +165,6 @@ def simulate(plan: StatePlan,
             recordings[site] = ImuRecording(
                 site=site, sample_rate=sample_rate, t=dt * np.arange(n),
                 accel=accel, gyro=gyro, mag=np.tile(MAG_FIELD, (n, 1)))
-    return LabeledClimb(climb_id=climb_id, channels=channels,
-                        annotations=annotations, recordings=recordings)
+    return SimulatedClimb(climb_id=climb_id, channels=channels,
+                          annotations=annotations, recordings=recordings)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientOverlap, TooFewSamples
-from .series import AnnotationTrack, SignalSeries
+from .series import AnnotationTrack, SignalSeries, resample_linear
 
 DEFAULT_SMOOTH_WINDOW = 0.3
 MIN_OVERLAP_SECONDS = 10.0
@@ -87,9 +87,8 @@ def trajectory_to_acceleration(traj: TrajectorySeries,
 def _resample(series: SignalSeries, dt: float) -> SignalSeries:
     if np.isclose(series.dt, dt):
         return series
-    t_old = series.times()
-    t_new = np.arange(t_old[0], t_old[-1] + 0.5 * dt, dt)
-    return SignalSeries(series.t0, dt, np.interp(t_new, t_old, series.values))
+    _, values = resample_linear(series.times(), series.values[:, None], dt)
+    return SignalSeries(series.t0, dt, values[:, 0])
 
 
 def _lag_correlation(a: np.ndarray, b: np.ndarray, lag: int) -> float:

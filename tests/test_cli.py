@@ -205,11 +205,9 @@ class TestDetectClassifyReport:
         assert manifest["config"]["beta"] == 0.02
 
         models, _ = io.read_model_json(model)
-        recordings = {site: io.read_recording_csv(
-            dataset / "climb01" / f"climb01_{site.value}.csv", site) for site in ALL_SITES}
         written = {}
         for beta in (0.02, 0.1):
-            climb = learning.LabeledClimb.from_recordings("climb01", recordings, beta=beta)
+            climb = cli._load_climb(dataset / "climb01", beta, need_annotations=False)
             detections = {
                 site: cusum.relabel_segments(cusum.detect(ch.acc, ch.ang, models[site]))
                 for site, ch in climb.channels.items()}
@@ -333,10 +331,12 @@ class TestEvaluate:
 
 
 def test_loaded_climb_keeps_no_recordings(dataset, monkeypatch):
-    # a command needs only a climb's channels, so its recordings are let go
-    read, refs = io.read_recording_csv, []
+    # a command needs only a climb's channels, so each recording is let go
+    # before the next is read
+    read, refs, alive = io.read_recording_csv, [], []
 
     def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
         rec = read(*args, **kwargs)
         refs.append(weakref.ref(rec))
         return rec
@@ -346,6 +346,23 @@ def test_loaded_climb_keeps_no_recordings(dataset, monkeypatch):
     gc.collect()
     assert set(climb.channels) == set(ALL_SITES) and len(refs) == len(ALL_SITES)
     assert [ref() for ref in refs] == [None] * len(ALL_SITES)
+    assert alive == [0] * len(ALL_SITES)
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_a_climb_missing_a_site_exits_one(command, dataset, tmp_path, capsys):
+    # learning runs at the sites of the climbs, so every climb must have each
+    climbs = tmp_path / "climbs"
+    for climb_id in ("climb01", "climb02"):
+        (climbs / climb_id).mkdir(parents=True)
+        for src in (dataset / climb_id).iterdir():
+            if src.name != "climb02_lf.csv":
+                (climbs / climb_id / src.name).write_bytes(src.read_bytes())
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--climbs", str(climbs), "--out", str(out),
+                     "--grid-points", "2", "--alpha-step", "1.0"]) == 1
+    assert "error: no signals for site lf in climb climb02" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def sync_inputs(tmp_path, delay):

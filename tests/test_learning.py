@@ -24,9 +24,16 @@ from climbdetect.simulator import default_models, random_plan, simulate
 SITE = SensorSite.LEFT_FOOT
 
 
+def at_site(climb):
+    """The climb's channels and annotations at SITE alone."""
+    return LabeledClimb(climb.climb_id, {SITE: climb.channels[SITE]},
+                        {SITE: climb.annotations[SITE]})
+
+
 def make_climbs(n=3, duration=60.0, seed=0):
-    return [simulate(random_plan(duration, np.random.default_rng(seed + 10 * i)),
-                     seed=seed + i, climb_id=f"c{i}") for i in range(n)]
+    # drawn at every site, then restricted, so that SITE's draws are a full climb's
+    return [at_site(simulate(random_plan(duration, np.random.default_rng(seed + 10 * i)),
+                             seed=seed + i, climb_id=f"c{i}")) for i in range(n)]
 
 
 def pred_series(states):
@@ -36,7 +43,7 @@ def pred_series(states):
 def calibrate(climbs, grid, mode="fused", alphas=None):
     """The (alpha, lambda0, lambda1, c) that `learn_sensor_models` calibrates at SITE."""
     models, scores = learn_sensor_models(climbs, mode=mode, alpha_grid=alphas,
-                                         lambda_grid=grid, sites=[SITE])
+                                         lambda_grid=grid)
     config = models[SITE].config
     return config.alpha, config.lambda0, config.lambda1, scores[SITE]
 
@@ -182,10 +189,10 @@ class TestOptimization:
         # flat acceleration models, informative angular channel
         flat = HypothesisModel(h0=GammaParams(2.0, 0.5), h1=GammaParams(2.0, 0.5))
         models = {SITE: (flat, default_models()[SITE][1])}
-        climbs = [simulate(random_plan(90.0, np.random.default_rng(33 + i)),
-                           models={s: models.get(s, default_models()[s])
-                                   for s in default_models()},
-                           seed=40 + i, climb_id=f"f{i}") for i in range(2)]
+        climbs = [at_site(simulate(random_plan(90.0, np.random.default_rng(33 + i)),
+                                   models={s: models.get(s, default_models()[s])
+                                           for s in default_models()},
+                                   seed=40 + i, climb_id=f"f{i}")) for i in range(2)]
         alpha, _, _, _ = calibrate(climbs, default_lambda_grid(8, 1, 200),
                                    alphas=default_alpha_grid())
         assert alpha <= 0.2
@@ -341,7 +348,7 @@ class TestSweep:
         climbs = make_climbs(3, duration=60.0, seed=60)
         tracemalloc.start()
         try:
-            cross_validate(climbs, sites=[SITE])
+            cross_validate(climbs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -360,7 +367,7 @@ class TestSweep:
             tracemalloc.start()
             try:
                 cross_validate(climbs, alpha_grid=[0.0, 0.5, 1.0],
-                               lambda_grid=default_lambda_grid(5, 1, 200), sites=[SITE])
+                               lambda_grid=default_lambda_grid(5, 1, 200))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -421,16 +428,14 @@ class TestCrossValidation:
         copies = [LabeledClimb(f"copy{i}", base.channels, base.annotations)
                   for i in range(3)]
         report = cross_validate(copies, alpha_grid=[0.0, 1.0],
-                                lambda_grid=default_lambda_grid(5, 1, 100),
-                                sites=[SITE])
+                                lambda_grid=default_lambda_grid(5, 1, 100))
         result = report.entries[(SITE, "ang")]
         assert result.score == pytest.approx(result.optimal_score, abs=0.02)
 
     def test_scores_and_bounds(self):
         climbs = make_climbs(3, duration=60.0, seed=60)
         report = cross_validate(climbs, alpha_grid=[0.0, 0.5, 1.0],
-                                lambda_grid=default_lambda_grid(5, 1, 200),
-                                sites=[SITE])
+                                lambda_grid=default_lambda_grid(5, 1, 200))
         for mode in ("acc", "ang", "fused"):
             result = report.entries[(SITE, mode)]
             assert -1.0 <= result.score <= 1.0
@@ -442,8 +447,7 @@ class TestCrossValidation:
         climbs = make_climbs(3, duration=30.0, seed=80)
         grid = default_lambda_grid(4, 0.1, 3.0)
         alpha_grid = [0.0, 0.3, 0.6, 0.9]  # no 1.0: acc needs a plane of its own
-        report = cross_validate(climbs, alpha_grid=alpha_grid, lambda_grid=grid,
-                                sites=[SITE])
+        report = cross_validate(climbs, alpha_grid=alpha_grid, lambda_grid=grid)
         for mode in ALPHA_MODES:
             result = report.entries[(SITE, mode)]
             expected = calibrate(climbs, grid, mode, alpha_grid)
@@ -457,8 +461,7 @@ class TestCrossValidation:
         climbs = make_climbs(5, duration=15.0, seed=60)
         assert 5 * 6 > _SWEEP_LANES >= 3 * 5
         alpha_grid, grid = [0.0, 0.5, 1.0], default_lambda_grid(4, 0.1, 3.0)
-        report = cross_validate(climbs, alpha_grid=alpha_grid, lambda_grid=grid,
-                                sites=[SITE])
+        report = cross_validate(climbs, alpha_grid=alpha_grid, lambda_grid=grid)
         for mode in ALPHA_MODES:
             result = report.entries[(SITE, mode)]
             for fold, held in enumerate(climbs):
@@ -483,17 +486,27 @@ class TestCrossValidation:
         with pytest.raises(MissingState) as expected:
             fit_models([climbs[1]], SITE)
         with pytest.raises(MissingState) as raised:
-            cross_validate(climbs, alpha_grid=[0.0, 1.0], lambda_grid=[1.0, 10.0],
-                           sites=[SITE])
+            cross_validate(climbs, alpha_grid=[0.0, 1.0], lambda_grid=[1.0, 10.0])
         assert str(raised.value) == str(expected.value)
         assert "state H1 has 0 samples" in str(raised.value)
+
+
+@pytest.mark.parametrize("learn", [
+    lambda climbs: learn_sensor_models(climbs, lambda_grid=[1.0]),
+    lambda climbs: cross_validate(climbs, alpha_grid=[0.0], lambda_grid=[1.0])])
+def test_a_climb_without_a_site_of_another_raises(learn):
+    # learning runs at the sites of the climbs, which every climb must have
+    climbs = make_climbs(2, duration=10.0, seed=3)
+    climbs[0].channels[SensorSite.PELVIS] = climbs[0].channels[SITE]
+    climbs[0].annotations[SensorSite.PELVIS] = climbs[0].annotations[SITE]
+    with pytest.raises(MissingState, match="no signals for site pelvis in climb c1"):
+        learn(climbs)
 
 
 def test_learn_sensor_models_roundtrip_scoring():
     climbs = make_climbs(2, duration=60.0, seed=70)
     models, scores = learn_sensor_models(
-        climbs, mode="ang", lambda_grid=default_lambda_grid(5, 1, 200),
-        sites=[SITE])
+        climbs, mode="ang", lambda_grid=default_lambda_grid(5, 1, 200))
     assert scores[SITE] >= 0.9
     held = make_climbs(1, duration=60.0, seed=99)[0]
     channels = held.channels[SITE]

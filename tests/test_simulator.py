@@ -54,11 +54,12 @@ class TestRandomPlan:
             assert all(x != y for x, y in zip(labels, labels[1:]))
 
     def test_minimum_dwell(self):
-        plan = random_plan(300.0, np.random.default_rng(2),
-                           mean_dwell=(1.2, 1.2))
+        plan = random_plan(300.0, np.random.default_rng(2))
         for segs in plan.segments.values():
             # only the final truncated segment may undercut the minimum
             assert all(d >= 1.0 - 1e-9 for d, _ in segs[:-1])
+        # and draws below it are raised to it
+        assert any(d == 1.0 for segs in plan.segments.values() for d, _ in segs[:-1])
 
     def test_seed_determinism(self):
         a = random_plan(90.0, np.random.default_rng(42))
