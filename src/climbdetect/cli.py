@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, classifier, cusum, io, learning, orientation, simulator, sync
+from . import (__version__, classifier, cusum, io, learning, orientation, parallel,
+               simulator, sync)
 from .errors import ClimbDetectError
 from .series import ALL_SITES, SensorSite, SignalSeries
 
@@ -53,19 +54,18 @@ def _climb_id(climb_dir: Path) -> str:
     return recs[0].stem.rsplit("_", 1)[0]
 
 
-def _load_climb(climb_dir: Path, beta: float, need_annotations: bool) -> learning.LabeledClimb:
-    """A climb's norms, filtered with gain ``beta``, and annotations: each
-    recording is dropped before the next is read."""
+# Bytes per row of a recording as `io.write_recording_csv` writes it, about
+# 155 with the magnetometer columns: `fork_map` weighs each recording by its
+# file size over this, so that no recording is parsed twice.
+_RECORDING_ROW_BYTES = 150
+
+
+def _climb_files(climb_dir: Path, need_annotations: bool):
+    """(climb id, recording path of each site present, annotations) of a climb directory."""
     climb_id = _climb_id(climb_dir)
-    channels = {}
-    for site in ALL_SITES:
-        path = io.recording_path(climb_dir, climb_id, site)
-        if path.exists():
-            rec = io.read_recording_csv(path, site)
-            channels[site] = learning.SensorChannels(
-                orientation.linear_acceleration(rec, beta), orientation.angular_velocity_norm(rec))
-            del rec
-    if not channels:
+    paths = {site: path for site in ALL_SITES
+             if (path := io.recording_path(climb_dir, climb_id, site)).exists()}
+    if not paths:
         raise ClimbDetectError(f"no recordings found in {climb_dir}")
     annotations = {}
     ann_path = io.annotations_path(climb_dir, climb_id)
@@ -73,14 +73,36 @@ def _load_climb(climb_dir: Path, beta: float, need_annotations: bool) -> learnin
         annotations = io.read_annotations_json(ann_path)
     elif need_annotations:
         raise ClimbDetectError(f"missing annotation file {ann_path}")
-    return learning.LabeledClimb(climb_id, channels, annotations)
+    return climb_id, paths, annotations
+
+
+def _channels(path: Path, site: SensorSite, beta: float) -> learning.SensorChannels:
+    """A recording's norms, filtered with gain ``beta``; the recording itself is dropped."""
+    rec = io.read_recording_csv(path, site)
+    return learning.SensorChannels(orientation.linear_acceleration(rec, beta),
+                                   orientation.angular_velocity_norm(rec))
+
+
+def _load_climbs_in(climb_dirs, beta: float, need_annotations: bool):
+    """The climbs' norms and annotations. Every annotation file is read before
+    any recording, and the recordings are read and filtered by `parallel.fork_map`."""
+    files = [_climb_files(climb_dir, need_annotations) for climb_dir in climb_dirs]
+    jobs = [(path, site, beta) for _, paths, _ in files for site, path in paths.items()]
+    channels = iter(parallel.fork_map(
+        _channels, jobs, [path.stat().st_size // _RECORDING_ROW_BYTES for path, _, _ in jobs]))
+    return [learning.LabeledClimb(climb_id, {site: next(channels) for site in paths}, annotations)
+            for climb_id, paths, annotations in files]
+
+
+def _load_climb(climb_dir: Path, beta: float, need_annotations: bool) -> learning.LabeledClimb:
+    return _load_climbs_in([climb_dir], beta, need_annotations)[0]
 
 
 def _load_climbs(climbs_dir: Path, beta: float, need_annotations: bool = True):
     subdirs = sorted(p for p in Path(climbs_dir).iterdir() if p.is_dir())
     if not subdirs:
         raise ClimbDetectError(f"no climb subdirectories in {climbs_dir}")
-    return [_load_climb(p, beta, need_annotations) for p in subdirs]
+    return _load_climbs_in(subdirs, beta, need_annotations)
 
 
 def _lambda_grid(args) -> np.ndarray:

@@ -28,6 +28,7 @@ from .cusum import (BinaryStateSeries, DetectionConfig, SensorModel, detect,
                     log_likelihood_ratio, relabel_segments)
 from .errors import DegenerateTruth, MissingState
 from .gamma_model import HypothesisModel, fit_mle
+from .parallel import fork_map
 from .series import (ALL_SITES, H0, H1, AnnotationTrack, SensorSite,
                      SignalSeries, rasterize_track)
 
@@ -436,20 +437,31 @@ class EvaluationReport:
     entries: dict[tuple[SensorSite, str], ModeResult] = field(default_factory=dict)
 
 
+def _site_size(climbs: list[LabeledClimb], site: SensorSite) -> int:
+    """The samples of a site over the climbs, its work for `fork_map`."""
+    return sum(len(climb.channels[site].acc) for climb in climbs)
+
+
 def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused", alpha_grid=None,
                         lambda_grid=None) -> tuple[dict[SensorSite, SensorModel],
                                                    dict[SensorSite, float]]:
-    """Fit models and calibrate thresholds/alpha at every site of the climbs."""
+    """Fit models and calibrate thresholds/alpha at every site of the climbs,
+    the sites shared among the CPUs by `fork_map`."""
     sites = _sites(climbs)
     mode_alphas = {mode: _mode_alphas(mode, alpha_grid)}
-    sensor_models: dict[SensorSite, SensorModel] = {}
-    scores: dict[SensorSite, float] = {}
-    for site in sites:
-        acc, ang = fit_models(climbs, site)
-        config, scores[site] = _calibrate(
-            [_prepare(climbs, site, (acc, ang))], mode_alphas, lambda_grid)[0][mode]
-        sensor_models[site] = SensorModel(acc=acc, ang=ang, config=config)
+    learnt = fork_map(_learn_site, [(climbs, site, mode, mode_alphas, lambda_grid)
+                                    for site in sites],
+                      [_site_size(climbs, site) for site in sites])
+    sensor_models = {site: model for site, (model, _) in zip(sites, learnt)}
+    scores = {site: score for site, (_, score) in zip(sites, learnt)}
     return sensor_models, scores
+
+
+def _learn_site(climbs, site, mode, mode_alphas, lambda_grid) -> tuple[SensorModel, float]:
+    acc, ang = fit_models(climbs, site)
+    config, score = _calibrate(
+        [_prepare(climbs, site, (acc, ang))], mode_alphas, lambda_grid)[0][mode]
+    return SensorModel(acc=acc, ang=ang, config=config), score
 
 
 def cross_validate(climbs: list[LabeledClimb], alpha_grid=None,
@@ -461,48 +473,57 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None,
     `SensorModel` as `classify` runs it; the per-fold optimal score repeats
     the learning on the held-out climb itself, bounding what the detector
     could achieve. Reported parameters come from a final fit on all climbs.
+    The sites are shared among the CPUs by `fork_map`.
     """
     if len(climbs) < 2:
         raise ValueError("cross-validation needs at least 2 climbs")
     sites = _sites(climbs)
     mode_alphas = {mode: _mode_alphas(mode, alpha_grid) for mode in ALPHA_MODES}
+    evaluated = fork_map(_cross_validate_site,
+                         [(climbs, site, mode_alphas, lambda_grid) for site in sites],
+                         [_site_size(climbs, site) for site in sites])
+    return EvaluationReport({(site, mode): result for site, entries in zip(sites, evaluated)
+                             for mode, result in entries.items()})
+
+
+def _cross_validate_site(climbs, site, mode_alphas, lambda_grid) -> dict[str, ModeResult]:
+    """Each mode's `ModeResult` at one site."""
     # each fold, and the full refit, is as many lanes as there are climbs;
     # at most _SWEEP_LANES lanes are swept together (one fold or refit at least)
     units = list(range(len(climbs))) + [None]
     per_sweep = max(1, _SWEEP_LANES // len(climbs))
-    report = EvaluationReport()
-    for site in sites:
-        fold_scores = {mode: [] for mode in ALPHA_MODES}
-        fold_optimal = {mode: [] for mode in ALPHA_MODES}
-        for first in range(0, len(units), per_sweep):
-            problems, folds = [], []
-            for held_idx in units[first:first + per_sweep]:
-                if held_idx is None:  # the full refit
-                    problems.append(_prepare(climbs, site, fit_models(climbs, site)))
-                    continue
-                held = climbs[held_idx]
-                train = [c for i, c in enumerate(climbs) if i != held_idx]
-                train_models = fit_models(train, site)
-                problems.append(_prepare(train, site, train_models))
-                problems.append(_prepare([held], site, fit_models([held], site)))
-                folds.append((held, train_models))
-            best = _calibrate(problems, mode_alphas, lambda_grid)
-            for fold, (held, (acc, ang)) in enumerate(folds):
-                ch = held.channels[site]
-                for mode in ALPHA_MODES:
-                    config, _ = best[2 * fold][mode]
-                    model = SensorModel(acc=acc, ang=ang, config=config)
-                    pred = relabel_segments(detect(ch.acc, ch.ang, model))
-                    fold_scores[mode].append(
-                        performance_coefficient(pred, held.annotations[site]))
-                    fold_optimal[mode].append(best[2 * fold + 1][mode][1])
-        for mode in ALPHA_MODES:
-            # the full refit is the last problem of the last group
-            config, _ = best[-1][mode]
-            report.entries[(site, mode)] = ModeResult(
-                score=float(np.mean(fold_scores[mode])),
-                optimal_score=float(np.mean(fold_optimal[mode])),
-                lambda0=config.lambda0, lambda1=config.lambda1, alpha=config.alpha,
-                fold_scores=fold_scores[mode],
-                fold_optimal=fold_optimal[mode])
-    return report
+    fold_scores = {mode: [] for mode in ALPHA_MODES}
+    fold_optimal = {mode: [] for mode in ALPHA_MODES}
+    for first in range(0, len(units), per_sweep):
+        problems, folds = [], []
+        for held_idx in units[first:first + per_sweep]:
+            if held_idx is None:  # the full refit
+                problems.append(_prepare(climbs, site, fit_models(climbs, site)))
+                continue
+            held = climbs[held_idx]
+            train = [c for i, c in enumerate(climbs) if i != held_idx]
+            train_models = fit_models(train, site)
+            problems.append(_prepare(train, site, train_models))
+            problems.append(_prepare([held], site, fit_models([held], site)))
+            folds.append((held, train_models))
+        best = _calibrate(problems, mode_alphas, lambda_grid)
+        for fold, (held, (acc, ang)) in enumerate(folds):
+            ch = held.channels[site]
+            for mode in ALPHA_MODES:
+                config, _ = best[2 * fold][mode]
+                model = SensorModel(acc=acc, ang=ang, config=config)
+                pred = relabel_segments(detect(ch.acc, ch.ang, model))
+                fold_scores[mode].append(
+                    performance_coefficient(pred, held.annotations[site]))
+                fold_optimal[mode].append(best[2 * fold + 1][mode][1])
+    entries = {}
+    for mode in ALPHA_MODES:
+        # the full refit is the last problem of the last group
+        config, _ = best[-1][mode]
+        entries[mode] = ModeResult(
+            score=float(np.mean(fold_scores[mode])),
+            optimal_score=float(np.mean(fold_optimal[mode])),
+            lambda0=config.lambda0, lambda1=config.lambda1, alpha=config.alpha,
+            fold_scores=fold_scores[mode],
+            fold_optimal=fold_optimal[mode])
+    return entries

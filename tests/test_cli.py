@@ -332,7 +332,8 @@ class TestEvaluate:
 
 def test_loaded_climb_keeps_no_recordings(dataset, monkeypatch):
     # a command needs only a climb's channels, so each recording is let go
-    # before the next is read
+    # before the next is read; one CPU, so that every read is in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     read, refs, alive = io.read_recording_csv, [], []
 
     def tracked(*args, **kwargs):
@@ -347,6 +348,80 @@ def test_loaded_climb_keeps_no_recordings(dataset, monkeypatch):
     assert set(climb.channels) == set(ALL_SITES) and len(refs) == len(ALL_SITES)
     assert [ref() for ref in refs] == [None] * len(ALL_SITES)
     assert alive == [0] * len(ALL_SITES)
+
+
+def test_each_process_holds_one_recording_at_most(dataset, forking, monkeypatch):
+    # the check runs in whichever process reads, and a worker's failure is
+    # raised in the caller
+    read, refs = io.read_recording_csv, []
+
+    def tracked(*args, **kwargs):
+        alive = sum(ref() is not None for ref in refs)
+        if alive:
+            raise AssertionError(f"{alive} recordings alive in process {os.getpid()}")
+        rec = read(*args, **kwargs)
+        refs.append(weakref.ref(rec))
+        return rec
+
+    monkeypatch.setattr(io, "read_recording_csv", tracked)
+    climbs = cli._load_climbs(dataset, 0.1)
+    assert [set(climb.channels) for climb in climbs] == [set(ALL_SITES)] * 2
+    assert len(forking) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.filterwarnings("default::UserWarning")  # the gap warnings expected here
+def test_gap_warnings_in_site_order(dataset, model_path, forking, tmp_path, monkeypatch,
+                                    capsys):
+    # two recordings with a gap: forked or not, each gives its `warning:` line
+    # in site order, and the detections are the same bytes
+    climb = tmp_path / "climb01"
+    climb.mkdir()
+    for src in (dataset / "climb01").iterdir():
+        (climb / src.name).write_bytes(src.read_bytes())
+    for site in (SensorSite.LEFT_HAND, SensorSite.PELVIS):
+        path = io.recording_path(climb, "climb01", site)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:100] + lines[200:]))
+    runs = []
+    for cpus in ({0, 1, 2}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / f"det{len(cpus)}"
+        assert cli.main(["detect", "--model", str(model_path), "--climb", str(climb),
+                         "--out", str(out)]) == 0
+        runs.append((capsys.readouterr().err,
+                     [p.read_bytes() for p in sorted(out.glob("*_detection.csv"))]))
+    assert len(forking) == 2  # both in the first run
+    assert runs[0] == runs[1]
+    assert runs[0][1] and runs[0][0] == "".join(
+        f"warning: {io.recording_path(climb, 'climb01', site)}: 1 gaps longer than "
+        "2 sample periods\n" for site in (SensorSite.LEFT_HAND, SensorSite.PELVIS))
+
+
+@pytest.mark.parametrize("annotations", ["missing", "not JSON"])
+def test_annotations_are_read_before_any_recording_is_filtered(dataset, tmp_path,
+                                                               monkeypatch, capsys,
+                                                               annotations):
+    climbs = tmp_path / "climbs"
+    for climb_id in ("climb01", "climb02"):
+        (climbs / climb_id).mkdir(parents=True)
+        for src in (dataset / climb_id).iterdir():
+            (climbs / climb_id / src.name).write_bytes(src.read_bytes())
+    ann = climbs / "climb02" / "climb02_annotations.json"
+    if annotations == "missing":
+        ann.unlink()
+        expected = f"error: missing annotation file {ann}\n"
+    else:
+        ann.write_text("{")
+        expected = f"error: {ann}: "
+
+    def never(*args):
+        raise AssertionError("a recording was filtered")
+
+    monkeypatch.setattr(orientation, "linear_acceleration", never)
+    assert cli.main(["fit", "--climbs", str(climbs), "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err.startswith(expected)
 
 
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
