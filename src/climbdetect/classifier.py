@@ -16,7 +16,7 @@ import numpy as np
 
 from .cusum import BinaryStateSeries
 from .errors import LengthMismatch
-from .series import LIMBS, SensorSite
+from .series import ALL_SITES, LIMBS, SensorSite
 
 DEFAULT_MIN_EPISODE_SECONDS = 0.1
 
@@ -144,12 +144,16 @@ def limb_substates(limb: np.ndarray, full_body: np.ndarray) -> np.ndarray:
 
 def classify(detections: dict[SensorSite, BinaryStateSeries],
              min_episode_duration: float = DEFAULT_MIN_EPISODE_SECONDS) -> ActivityTimeline:
-    """Build the activity timeline from the five per-sensor detections.
+    """Build the activity timeline from the five per-sensor detections;
+    `LengthMismatch` names every site without one.
 
     All series are aligned to the pelvis grid by nearest-sample lookup and
     de-chattered before the full-body pass; the minimum episode duration
     affects episode counts and is echoed in report provenance.
     """
+    missing = [site.value for site in ALL_SITES if site not in detections]
+    if missing:
+        raise LengthMismatch(f"missing detections: {missing}")
     pelvis = detections[SensorSite.PELVIS]
     n = len(pelvis.states)
     t_grid = pelvis.t0 + pelvis.dt * np.arange(n)
@@ -160,10 +164,7 @@ def classify(detections: dict[SensorSite, BinaryStateSeries],
         idx = np.clip(idx, 0, len(series.states) - 1)
         return suppress_short_episodes(series.states[idx], min_samples)
 
-    limb_states = {site: aligned(detections[site]) for site in LIMBS if site in detections}
-    if len(limb_states) != len(LIMBS):
-        missing = [s.value for s in LIMBS if s not in detections]
-        raise LengthMismatch(f"missing limb detections: {missing}")
+    limb_states = {site: aligned(detections[site]) for site in LIMBS}
     pelvis_states = aligned(pelvis)
     full_body = full_body_state(limb_states.values(), pelvis_states)
     substates = {site: limb_substates(states, full_body)

@@ -10,6 +10,7 @@ the same inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import warnings
@@ -61,18 +62,19 @@ _RECORDING_ROW_BYTES = 150
 
 
 def _climb_files(climb_dir: Path, need_annotations: bool):
-    """(climb id, recording path of each site present, annotations) of a climb directory."""
+    """(climb id, recording path of each site present, annotations) of a climb
+    directory; the annotation file is read only when needed, else they are empty."""
     climb_id = _climb_id(climb_dir)
     paths = {site: path for site in ALL_SITES
              if (path := io.recording_path(climb_dir, climb_id, site)).exists()}
     if not paths:
         raise ClimbDetectError(f"no recordings found in {climb_dir}")
     annotations = {}
-    ann_path = io.annotations_path(climb_dir, climb_id)
-    if ann_path.exists():
+    if need_annotations:
+        ann_path = io.annotations_path(climb_dir, climb_id)
+        if not ann_path.exists():
+            raise ClimbDetectError(f"missing annotation file {ann_path}")
         annotations = io.read_annotations_json(ann_path)
-    elif need_annotations:
-        raise ClimbDetectError(f"missing annotation file {ann_path}")
     return climb_id, paths, annotations
 
 
@@ -84,8 +86,9 @@ def _channels(path: Path, site: SensorSite, beta: float) -> learning.SensorChann
 
 
 def _load_climbs_in(climb_dirs, beta: float, need_annotations: bool):
-    """The climbs' norms and annotations. Every annotation file is read before
-    any recording, and the recordings are read and filtered by `parallel.fork_map`."""
+    """The climbs' norms, and their annotations if needed. Every annotation file is
+    read before any recording, and the recordings are read and filtered by
+    `parallel.fork_map`."""
     files = [_climb_files(climb_dir, need_annotations) for climb_dir in climb_dirs]
     jobs = [(path, site, beta) for _, paths, _ in files for site, path in paths.items()]
     channels = iter(parallel.fork_map(
@@ -107,6 +110,11 @@ def _load_climbs(climbs_dir: Path, beta: float, need_annotations: bool = True):
 
 def _lambda_grid(args) -> np.ndarray:
     return learning.default_lambda_grid(args.grid_points, args.grid_min, args.grid_max)
+
+
+def _grid(args) -> dict:
+    """The threshold grid options, as `fit` and `evaluate` record them."""
+    return {"min": args.grid_min, "max": args.grid_max, "points": args.grid_points}
 
 
 def _detect_climb(climb: learning.LabeledClimb,
@@ -150,9 +158,7 @@ def cmd_fit(args) -> int:
         climbs, mode=args.mode, lambda_grid=_lambda_grid(args),
         alpha_grid=learning.default_alpha_grid(args.alpha_step))
     provenance = {"climbs": [c.climb_id for c in climbs], "beta": args.beta,
-                  "mode": args.mode,
-                  "grid": {"min": args.grid_min, "max": args.grid_max,
-                           "points": args.grid_points},
+                  "mode": args.mode, "grid": _grid(args),
                   "alpha_step": args.alpha_step, "version": __version__}
     io.write_model_json(args.out, models, provenance)
     io.write_manifest(str(args.out) + ".manifest.json",
@@ -231,16 +237,11 @@ def cmd_evaluate(args) -> int:
         r = report.entries[(site, mode)]
         print(f"{site.value:8s} {mode:6s} {r.score:6.3f} {r.optimal_score:6.3f} "
               f"{r.alpha:6.2f} {r.lambda0:8.3g} {r.lambda1:8.3g}")
-        doc["results"][f"{site.value}/{mode}"] = {
-            "score": r.score, "optimal_score": r.optimal_score,
-            "alpha": r.alpha, "lambda0": r.lambda0, "lambda1": r.lambda1,
-            "fold_scores": r.fold_scores, "fold_optimal": r.fold_optimal}
+        doc["results"][f"{site.value}/{mode}"] = dataclasses.asdict(r)
     if args.out:
         io.write_manifest(args.out, doc)
         io.write_manifest(str(args.out) + ".manifest.json", _manifest("evaluate", {
-            "climbs": str(args.climbs), "beta": args.beta,
-            "grid": {"min": args.grid_min, "max": args.grid_max,
-                     "points": args.grid_points},
+            "climbs": str(args.climbs), "beta": args.beta, "grid": _grid(args),
             "alpha_step": args.alpha_step}))
     return 0
 

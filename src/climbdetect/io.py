@@ -33,11 +33,6 @@ _LABEL_CODES = {name: code for code, name in STATE_NAMES.items()}
 _BLOCK_ROWS = 256
 
 
-def site_from_filename(path: Path) -> SensorSite:
-    token = path.stem.rsplit("_", 1)[-1]
-    return SensorSite(token)
-
-
 def recording_path(directory: Path, climb_id: str, site: SensorSite) -> Path:
     return Path(directory) / f"{climb_id}_{site.value}.csv"
 
@@ -56,12 +51,10 @@ def write_recording_csv(path, rec: ImuRecording) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_recording_csv(path, site: SensorSite | None = None) -> ImuRecording:
-    """Load a recording; refuses timestamps that do not strictly increase,
-    auto-detects gyro units, and puts the samples on `_uniform_clock`."""
+def read_recording_csv(path, site: SensorSite) -> ImuRecording:
+    """Load the recording of `site`; refuses timestamps that do not strictly
+    increase, auto-detects gyro units, and puts the samples on `_uniform_clock`."""
     path = Path(path)
-    if site is None:
-        site = site_from_filename(path)
     header, lines = _read_lines(path)
     columns = RECORDING_HEADER.split(",")
     cols = _column_index(path, header, columns if "mx" in header else columns[:7])

@@ -4,18 +4,20 @@ Per-sensor Gamma hypothesis models are fitted on the concatenated annotated
 signals; detection thresholds and the fusion weight are then grid-searched
 against the performance coefficient c = TP/P - FP/N (twice the ROC distance
 to the chance diagonal). The entry points are `learn_sensor_models` (fit and
-calibrate on all climbs) and `cross_validate` (leave-one-climb-out). Both run
-at the sites of the climbs, which every climb must have, and calibrate through `_calibrate`, which scores every (alpha, lambda0, lambda1)
-cell in one CUSUM sweep whose lanes are the climbs of every problem being
-calibrated: one sweep per site of the site's climbs in
-`learn_sensor_models`, and in `cross_validate` every fold's training and
-held-out climbs plus the full refit, swept in groups of whole folds of at
-most `_SWEEP_LANES` lanes. The sweep runs the drawup rule of
-`cusum._run_cusum` a block of `_BLOCK` samples at a time: every cell is
-screened once per block, and only the cells that detect in it step through
-it sample by sample. `cross_validate` scores each held-out climb with the
-fold's `SensorModel` through `cusum.detect` and `cusum.relabel_segments`,
-the calls `climbdetect detect` and `classify` make.
+calibrate on all climbs) and `cross_validate` (leave-one-climb-out). Both map
+a per-site body over the sites of the climbs, which every climb must have,
+through `_map_sites`. Each site is calibrated by one `_calibrate` of a flat
+list of problems, each a list of climbs with its fitted models: the site's
+climbs in `learn_sensor_models`; in `cross_validate` every fold's training
+and held-out climbs, then the full refit. `_calibrate` scores every (alpha,
+lambda0, lambda1) cell of a problem in one CUSUM sweep whose lanes are its
+climbs, consecutive problems sharing a sweep of at most `_SWEEP_LANES`
+lanes. The sweep runs the drawup rule of `cusum._run_cusum` a block of
+`_BLOCK` samples at a time: every cell is screened once per block, and only
+the cells that detect in it step through it sample by sample.
+`cross_validate` scores each held-out climb with the fold's `SensorModel`
+through `cusum.detect` and `cusum.relabel_segments`, the calls
+`climbdetect detect` and `classify` make.
 """
 
 from __future__ import annotations
@@ -156,9 +158,10 @@ def _prepare(climbs: list[LabeledClimb], site: SensorSite,
 # is screened once per block
 _BLOCK = 64
 
-# Lanes that `cross_validate` sweeps together at most, unless one fold alone
-# has more. Its folds and full refit are n^2 + n lanes for n climbs; swept in
-# groups of whole folds, its peak memory grows linearly in n, not with n^2.
+# Lanes that `_calibrate` sweeps together at most, unless one problem alone
+# has more. The folds and full refit of `cross_validate` are n^2 + n lanes
+# for n climbs; swept in groups, its peak memory grows linearly in n, not
+# with n^2.
 _SWEEP_LANES = 16
 
 
@@ -391,13 +394,18 @@ def _mode_alphas(mode: str, alpha_grid) -> list[float]:
     return [float(alpha) for alpha in np.asarray(alpha_grid, dtype=float)]
 
 
-def _calibrate(problems: list[list[_SitePrep]], mode_alphas: dict[str, list[float]],
+def _calibrate(site: SensorSite, problems, mode_alphas: dict[str, list[float]],
                lambda_grid) -> list[dict[str, tuple[DetectionConfig, float]]]:
-    """Per problem, each mode's calibrated `DetectionConfig` and its c.
+    """Per problem, each mode's calibrated `DetectionConfig` and its c, in input order.
 
-    One sweep scores the planes of the union of the modes' weights. Within a
-    plane the last maximum wins (`_best_cell`: the larger lambda1, then the
-    larger lambda0, so fewer alarms); over a mode's weights, the first.
+    A problem is a (climbs, (acc model, ang model)) pair, calibrated at
+    `site`. Consecutive problems are swept together, at most `_SWEEP_LANES`
+    lanes at a time (a larger problem alone), and each group's likelihood
+    ratios live only for its sweep, so that the peak memory of many problems
+    is that of one group. A sweep scores the planes of the union of the
+    modes' weights. Within a plane the last maximum wins (`_best_cell`: the
+    larger lambda1, then the larger lambda0, so fewer alarms); over a mode's
+    weights, the first.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
@@ -405,15 +413,24 @@ def _calibrate(problems: list[list[_SitePrep]], mode_alphas: dict[str, list[floa
     if lambda_grid.size == 0 or not all(mode_alphas.values()):
         raise ValueError("empty calibration grid")
     alphas = sorted({alpha for grid in mode_alphas.values() for alpha in grid})
+    groups, lanes = [], 0
+    for climbs, models in problems:
+        if not groups or lanes + len(climbs) > _SWEEP_LANES:
+            groups.append([])
+            lanes = 0
+        groups[-1].append((climbs, models))
+        lanes += len(climbs)
     results = []
-    for planes in _sweep(problems, alphas, lambda_grid):
-        cells = {alpha: _best_cell(plane, lambda_grid) for alpha, plane in zip(alphas, planes)}
-        best = {}
-        for mode, grid in mode_alphas.items():
-            alpha = max(grid, key=lambda a: cells[a][2])  # the first maximum
-            lambda0, lambda1, c = cells[alpha]
-            best[mode] = DetectionConfig(lambda0=lambda0, lambda1=lambda1, alpha=alpha), c
-        results.append(best)
+    for group in groups:
+        for planes in _sweep([_prepare(climbs, site, models) for climbs, models in group],
+                             alphas, lambda_grid):
+            cells = {alpha: _best_cell(plane, lambda_grid) for alpha, plane in zip(alphas, planes)}
+            best = {}
+            for mode, grid in mode_alphas.items():
+                alpha = max(grid, key=lambda a: cells[a][2])  # the first maximum
+                lambda0, lambda1, c = cells[alpha]
+                best[mode] = DetectionConfig(lambda0=lambda0, lambda1=lambda1, alpha=alpha), c
+            results.append(best)
     return results
 
 
@@ -437,30 +454,28 @@ class EvaluationReport:
     entries: dict[tuple[SensorSite, str], ModeResult] = field(default_factory=dict)
 
 
-def _site_size(climbs: list[LabeledClimb], site: SensorSite) -> int:
-    """The samples of a site over the climbs, its work for `fork_map`."""
-    return sum(len(climb.channels[site].acc) for climb in climbs)
+def _map_sites(fn, climbs: list[LabeledClimb], *args) -> dict:
+    """fn(climbs, site, *args) by site, at every site of the climbs; the sites
+    are shared among the CPUs by `fork_map`, each weighed by its samples."""
+    sites = _sites(climbs)
+    return dict(zip(sites, fork_map(
+        fn, [(climbs, site, *args) for site in sites],
+        [sum(len(climb.channels[site].acc) for climb in climbs) for site in sites])))
 
 
 def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused", alpha_grid=None,
                         lambda_grid=None) -> tuple[dict[SensorSite, SensorModel],
                                                    dict[SensorSite, float]]:
-    """Fit models and calibrate thresholds/alpha at every site of the climbs,
-    the sites shared among the CPUs by `fork_map`."""
-    sites = _sites(climbs)
-    mode_alphas = {mode: _mode_alphas(mode, alpha_grid)}
-    learnt = fork_map(_learn_site, [(climbs, site, mode, mode_alphas, lambda_grid)
-                                    for site in sites],
-                      [_site_size(climbs, site) for site in sites])
-    sensor_models = {site: model for site, (model, _) in zip(sites, learnt)}
-    scores = {site: score for site, (_, score) in zip(sites, learnt)}
-    return sensor_models, scores
+    """Fit models and calibrate thresholds/alpha at every site of the climbs."""
+    learnt = _map_sites(_learn_site, climbs, mode, {mode: _mode_alphas(mode, alpha_grid)},
+                        lambda_grid)
+    return ({site: model for site, (model, _) in learnt.items()},
+            {site: score for site, (_, score) in learnt.items()})
 
 
 def _learn_site(climbs, site, mode, mode_alphas, lambda_grid) -> tuple[SensorModel, float]:
-    acc, ang = fit_models(climbs, site)
-    config, score = _calibrate(
-        [_prepare(climbs, site, (acc, ang))], mode_alphas, lambda_grid)[0][mode]
+    acc, ang = models = fit_models(climbs, site)
+    config, score = _calibrate(site, [(climbs, models)], mode_alphas, lambda_grid)[0][mode]
     return SensorModel(acc=acc, ang=ang, config=config), score
 
 
@@ -473,57 +488,39 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None,
     `SensorModel` as `classify` runs it; the per-fold optimal score repeats
     the learning on the held-out climb itself, bounding what the detector
     could achieve. Reported parameters come from a final fit on all climbs.
-    The sites are shared among the CPUs by `fork_map`.
     """
     if len(climbs) < 2:
         raise ValueError("cross-validation needs at least 2 climbs")
-    sites = _sites(climbs)
     mode_alphas = {mode: _mode_alphas(mode, alpha_grid) for mode in ALPHA_MODES}
-    evaluated = fork_map(_cross_validate_site,
-                         [(climbs, site, mode_alphas, lambda_grid) for site in sites],
-                         [_site_size(climbs, site) for site in sites])
-    return EvaluationReport({(site, mode): result for site, entries in zip(sites, evaluated)
+    evaluated = _map_sites(_cross_validate_site, climbs, mode_alphas, lambda_grid)
+    return EvaluationReport({(site, mode): result for site, entries in evaluated.items()
                              for mode, result in entries.items()})
 
 
 def _cross_validate_site(climbs, site, mode_alphas, lambda_grid) -> dict[str, ModeResult]:
-    """Each mode's `ModeResult` at one site."""
-    # each fold, and the full refit, is as many lanes as there are climbs;
-    # at most _SWEEP_LANES lanes are swept together (one fold or refit at least)
-    units = list(range(len(climbs))) + [None]
-    per_sweep = max(1, _SWEEP_LANES // len(climbs))
+    """Each mode's `ModeResult` at one site, from one `_calibrate` of the
+    problems train_0, held_0, ..., train_n-1, held_n-1 and the full refit."""
+    problems = []
+    for fold, held in enumerate(climbs):
+        train = climbs[:fold] + climbs[fold + 1:]
+        problems += [(train, fit_models(train, site)), ([held], fit_models([held], site))]
+    problems.append((climbs, fit_models(climbs, site)))
+    best = _calibrate(site, problems, mode_alphas, lambda_grid)
     fold_scores = {mode: [] for mode in ALPHA_MODES}
-    fold_optimal = {mode: [] for mode in ALPHA_MODES}
-    for first in range(0, len(units), per_sweep):
-        problems, folds = [], []
-        for held_idx in units[first:first + per_sweep]:
-            if held_idx is None:  # the full refit
-                problems.append(_prepare(climbs, site, fit_models(climbs, site)))
-                continue
-            held = climbs[held_idx]
-            train = [c for i, c in enumerate(climbs) if i != held_idx]
-            train_models = fit_models(train, site)
-            problems.append(_prepare(train, site, train_models))
-            problems.append(_prepare([held], site, fit_models([held], site)))
-            folds.append((held, train_models))
-        best = _calibrate(problems, mode_alphas, lambda_grid)
-        for fold, (held, (acc, ang)) in enumerate(folds):
-            ch = held.channels[site]
-            for mode in ALPHA_MODES:
-                config, _ = best[2 * fold][mode]
-                model = SensorModel(acc=acc, ang=ang, config=config)
-                pred = relabel_segments(detect(ch.acc, ch.ang, model))
-                fold_scores[mode].append(
-                    performance_coefficient(pred, held.annotations[site]))
-                fold_optimal[mode].append(best[2 * fold + 1][mode][1])
+    # zip stops at the last fold, before the full refit
+    for held, (_, (acc, ang)), configs in zip(climbs, problems[0::2], best[0::2]):
+        ch = held.channels[site]
+        for mode in ALPHA_MODES:
+            model = SensorModel(acc=acc, ang=ang, config=configs[mode][0])
+            pred = relabel_segments(detect(ch.acc, ch.ang, model))
+            fold_scores[mode].append(performance_coefficient(pred, held.annotations[site]))
     entries = {}
     for mode in ALPHA_MODES:
-        # the full refit is the last problem of the last group
+        fold_optimal = [optimum[mode][1] for optimum in best[1::2]]
         config, _ = best[-1][mode]
         entries[mode] = ModeResult(
             score=float(np.mean(fold_scores[mode])),
-            optimal_score=float(np.mean(fold_optimal[mode])),
+            optimal_score=float(np.mean(fold_optimal)),
             lambda0=config.lambda0, lambda1=config.lambda1, alpha=config.alpha,
-            fold_scores=fold_scores[mode],
-            fold_optimal=fold_optimal[mode])
+            fold_scores=fold_scores[mode], fold_optimal=fold_optimal)
     return entries

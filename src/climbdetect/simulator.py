@@ -3,9 +3,10 @@
 Ground-truth generator for end-to-end tests: per-site binary state plans
 drive Gamma emissions for both detection channels, with annotations that
 mirror the plan exactly; each sample is drawn from the state that
-`series.rasterize_track` gives it under those annotations. All randomness derives from a single seed through
-numpy's PCG64 via spawned SeedSequence substreams, one per (site, purpose),
-so runs are reproducible across platforms.
+`series.rasterize_track` gives it under those annotations. All randomness
+derives from a single seed through numpy's PCG64 via spawned SeedSequence
+substreams, one per (site, purpose), so runs are reproducible across
+platforms.
 """
 
 from __future__ import annotations

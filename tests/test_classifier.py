@@ -191,6 +191,14 @@ class TestClassify:
         with pytest.raises(LengthMismatch):
             classify(detections)
 
+    def test_missing_sites_are_named_before_alignment(self):
+        # without the pelvis there is no grid to align to: every missing
+        # site is named, not a KeyError raised
+        detections = {SensorSite.LEFT_HAND: self.binary(np.zeros(10))}
+        with pytest.raises(LengthMismatch) as raised:
+            classify(detections)
+        assert str(raised.value) == "missing detections: ['rh', 'rf', 'lf', 'pelvis']"
+
     def test_nearest_sample_alignment(self):
         # limb sampled at half the pelvis rate still aligns
         pelvis = self.binary(np.zeros(100), dt=0.01)

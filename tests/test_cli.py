@@ -179,6 +179,47 @@ class TestDetectClassifyReport:
         assert f"error: {rh}:{line}: t " in err
         assert "is not after the previous row's" in err
 
+    @pytest.mark.parametrize("command, out", [("detect", "out"),
+                                              ("classify", "out/timeline.csv")])
+    def test_annotation_file_is_not_read(self, command, out, dataset, model_path, tmp_path,
+                                         monkeypatch, capsys):
+        # neither command uses annotations: a malformed file writes the bytes
+        # and stdout that no file does
+        written = {}
+        for annotations in ("absent", "not json"):
+            (tmp_path / annotations).mkdir()
+            monkeypatch.chdir(tmp_path / annotations)
+            Path("climb01").mkdir()
+            for src in (dataset / "climb01").iterdir():
+                if src.name != "climb01_annotations.json":
+                    Path("climb01", src.name).write_bytes(src.read_bytes())
+            if annotations == "not json":
+                Path("climb01", "climb01_annotations.json").write_text("not json")
+            assert cli.main([command, "--model", str(model_path), "--climb", "climb01",
+                             "--out", out]) == 0
+            written[annotations] = capsys.readouterr(), {
+                path: path.read_bytes() for path in Path(".").rglob("*")
+                if path.is_file() and path.parts[0] != "climb01"}
+        assert written["absent"][0].err == ""
+        assert written["absent"] == written["not json"]
+
+    @pytest.mark.parametrize("lacking", ["model", "climb"])
+    def test_classify_without_pelvis_exits_one(self, lacking, dataset, model_path, tmp_path,
+                                               capsys):
+        model, climb = model_path, tmp_path / "climb01"
+        climb.mkdir()
+        for src in (dataset / "climb01").iterdir():
+            if lacking == "model" or src.name != "climb01_pelvis.csv":
+                (climb / src.name).write_bytes(src.read_bytes())
+        if lacking == "model":
+            model = tmp_path / "model.json"
+            doc = json.loads(model_path.read_text())
+            del doc["sensors"]["pelvis"]
+            model.write_text(json.dumps(doc))
+        assert cli.main(["classify", "--model", str(model), "--climb", str(climb),
+                         "--out", str(tmp_path / "timeline.csv")]) == 1
+        assert capsys.readouterr().err == "error: missing detections: ['pelvis']\n"
+
     def test_malformed_model_exits_one(self, dataset, model_path, tmp_path, capsys):
         model = tmp_path / "model.json"
         doc = json.loads(model_path.read_text())

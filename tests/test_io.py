@@ -35,24 +35,18 @@ class TestRecordingCsv:
         rec = make_recording()
         path = tmp_path / "c1_rh.csv"
         io.write_recording_csv(path, rec)
-        back = io.read_recording_csv(path)
+        back = io.read_recording_csv(path, SensorSite.RIGHT_HAND)
         assert back.site == SensorSite.RIGHT_HAND
         np.testing.assert_allclose(back.t, rec.t, atol=1e-12)
         np.testing.assert_allclose(back.accel, rec.accel)
         np.testing.assert_allclose(back.gyro, rec.gyro)
         np.testing.assert_allclose(back.mag, rec.mag)
 
-    def test_site_from_filename(self, tmp_path):
-        for site in ALL_SITES:
-            path = tmp_path / f"climb-03_{site.value}.csv"
-            io.write_recording_csv(path, make_recording(n=10, site=site))
-            assert io.read_recording_csv(path).site == site
-
     def test_zero_mag_treated_as_absent(self, tmp_path):
         rec = make_recording(mag=False)
         path = tmp_path / "c1_lh.csv"
         io.write_recording_csv(path, rec)
-        assert io.read_recording_csv(path).mag is None
+        assert io.read_recording_csv(path, SensorSite.LEFT_HAND).mag is None
 
     def test_gyro_degrees_autoconverted(self, tmp_path):
         rec = make_recording()
@@ -61,7 +55,7 @@ class TestRecordingCsv:
                            mag=rec.mag)
         path = tmp_path / "c1_rh.csv"
         io.write_recording_csv(path, deg)
-        back = io.read_recording_csv(path)
+        back = io.read_recording_csv(path, SensorSite.RIGHT_HAND)
         np.testing.assert_allclose(back.gyro, rec.gyro, atol=1e-10)
 
     def test_jittered_clock_resampled(self, tmp_path):
@@ -73,7 +67,7 @@ class TestRecordingCsv:
                               gyro=rec.gyro, mag=rec.mag)
         path = tmp_path / "c1_rh.csv"
         io.write_recording_csv(path, wobbly)
-        back = io.read_recording_csv(path)
+        back = io.read_recording_csv(path, SensorSite.RIGHT_HAND)
         np.testing.assert_allclose(np.diff(back.t), np.diff(back.t)[0], atol=1e-9)
 
     def test_gap_flagged_with_warning(self, tmp_path):
@@ -85,7 +79,7 @@ class TestRecordingCsv:
         path = tmp_path / "c1_rh.csv"
         io.write_recording_csv(path, gappy)
         with pytest.warns(UserWarning, match="gap"):
-            io.read_recording_csv(path)
+            io.read_recording_csv(path, SensorSite.RIGHT_HAND)
 
     @pytest.mark.parametrize("corrupt, message", [
         # line 6 of the file is lines[5]; its gz value becomes nan
@@ -116,7 +110,7 @@ class TestRecordingCsv:
         io.write_recording_csv(path, make_recording(n=20, mag=False))
         path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
         with pytest.raises(ClimbDetectError) as exc:
-            io.read_recording_csv(path)
+            io.read_recording_csv(path, SensorSite.RIGHT_HAND)
         assert str(exc.value).startswith(str(path))
         assert message in str(exc.value)
 

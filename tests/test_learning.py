@@ -269,13 +269,33 @@ class TestSweep:
         models = fit_models([climb], SITE)
         tracemalloc.start()
         try:
-            _calibrate([_prepare([climb], SITE, models)],
-                       {"fused": list(default_alpha_grid())}, None)
+            _calibrate(SITE, [([climb], models)], {"fused": list(default_alpha_grid())}, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # a (cells x samples) float64 matrix would take 4,400 * 6,000 * 8 B = 211 MB
         assert peak < 20e6
+
+    def test_calibrate_groups_at_the_cap(self, monkeypatch):
+        # problems of 17, 1, 15, 1 and 16 lanes: the first is swept alone, as
+        # it exceeds the cap, the next two fill one sweep to the cap, and the
+        # last two would exceed it together
+        base = make_climbs(3, duration=10.0, seed=21)
+        problems = [([base[(i + k) % 3] for i in range(k)], fit_models(base[k % 3:], SITE))
+                    for k in (17, 1, 15, 1, 16)]
+        assert 17 > _SWEEP_LANES == 16
+        mode_alphas = {"acc": [1.0], "ang": [0.0], "fused": [0.0, 0.5, 1.0]}
+        grid = default_lambda_grid(3, 0.1, 3.0)
+        alone = [_calibrate(SITE, [problem], mode_alphas, grid)[0] for problem in problems]
+        swept, sweep = [], learning._sweep
+
+        def counted(preps, *args):
+            swept.append([len(prep) for prep in preps])
+            return sweep(preps, *args)
+
+        monkeypatch.setattr(learning, "_sweep", counted)
+        assert _calibrate(SITE, problems, mode_alphas, grid) == alone
+        assert swept == [[17], [1, 15], [1], [16]]
 
     def test_memory_does_not_grow_with_the_climb(self):
         # the sums are built a block at a time; of the climb's length, the
