@@ -55,7 +55,7 @@ samples_per_state = {
 print("full-body samples:", samples_per_state)
 
 report = classifier.exploration_report(timeline)
-for site, counts in report.counts.items():
+for site, counts in report.items():
     ratio = f"{counts.ratio:.2f}" if np.isfinite(counts.ratio) else "undefined"
     print(f"  {site.value:6s} exploratory={counts.exploratory} "
           f"performatory={counts.performatory} ratio={ratio}")

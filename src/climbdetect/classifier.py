@@ -66,11 +66,6 @@ class LimbCounts:
         return self.exploratory / self.performatory
 
 
-@dataclass
-class ExplorationReport:
-    counts: dict[SensorSite, LimbCounts] = field(default_factory=dict)
-
-
 # The full-body state indexed by (any limb mobile, pelvis mobile).
 _FULL_BODY_TABLE = np.array([
     [FullBodyState.IMMOBILITY, FullBodyState.POSTURAL_REGULATION],
@@ -173,13 +168,12 @@ def classify(detections: dict[SensorSite, BinaryStateSeries],
                             full_body=full_body, limb_substates=substates)
 
 
-def exploration_report(timeline: ActivityTimeline) -> ExplorationReport:
+def exploration_report(timeline: ActivityTimeline) -> dict[SensorSite, LimbCounts]:
     """Episode counts per limb: Exploration + Change versus Use."""
-    report = ExplorationReport()
+    report = {}
     for site, track in timeline.limb_substates.items():
         exploratory = len(episodes(track == LimbSubState.EXPLORATION)) \
             + len(episodes(track == LimbSubState.CHANGE))
         performatory = len(episodes(track == LimbSubState.USE))
-        report.counts[site] = LimbCounts(exploratory=exploratory,
-                                         performatory=performatory)
+        report[site] = LimbCounts(exploratory=exploratory, performatory=performatory)
     return report

@@ -46,12 +46,10 @@ def _manifest(command: str, args: dict) -> dict:
 
 
 def _climb_id(climb_dir: Path) -> str:
-    ann = sorted(climb_dir.glob("*_annotations.json"))
-    if ann:
-        return ann[0].name[: -len("_annotations.json")]
-    recs = sorted(climb_dir.glob("*_*.csv"))
+    """The climb id, from the name of the first ``<climb>_<site>.csv`` recording."""
+    recs = sorted(p for site in ALL_SITES for p in climb_dir.glob(f"*_{site.value}.csv"))
     if not recs:
-        raise ClimbDetectError(f"no climb files in {climb_dir}")
+        raise ClimbDetectError(f"no recordings found in {climb_dir}")
     return recs[0].stem.rsplit("_", 1)[0]
 
 
@@ -67,8 +65,6 @@ def _climb_files(climb_dir: Path, need_annotations: bool):
     climb_id = _climb_id(climb_dir)
     paths = {site: path for site in ALL_SITES
              if (path := io.recording_path(climb_dir, climb_id, site)).exists()}
-    if not paths:
-        raise ClimbDetectError(f"no recordings found in {climb_dir}")
     annotations = {}
     if need_annotations:
         ann_path = io.annotations_path(climb_dir, climb_id)
@@ -95,10 +91,6 @@ def _load_climbs_in(climb_dirs, beta: float, need_annotations: bool):
         _channels, jobs, [path.stat().st_size // _RECORDING_ROW_BYTES for path, _, _ in jobs]))
     return [learning.LabeledClimb(climb_id, {site: next(channels) for site in paths}, annotations)
             for climb_id, paths, annotations in files]
-
-
-def _load_climb(climb_dir: Path, beta: float, need_annotations: bool) -> learning.LabeledClimb:
-    return _load_climbs_in([climb_dir], beta, need_annotations)[0]
 
 
 def _load_climbs(climbs_dir: Path, beta: float, need_annotations: bool = True):
@@ -172,7 +164,7 @@ def cmd_fit(args) -> int:
 
 def cmd_detect(args) -> int:
     models, beta = io.read_model_json(args.model)
-    climb = _load_climb(Path(args.climb), beta, need_annotations=False)
+    [climb] = _load_climbs_in([Path(args.climb)], beta, need_annotations=False)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     detections = _detect_climb(climb, models)
@@ -190,7 +182,7 @@ def cmd_detect(args) -> int:
 def cmd_classify(args) -> int:
     _make_parent(args.out)
     models, beta = io.read_model_json(args.model)
-    climb = _load_climb(Path(args.climb), beta, need_annotations=False)
+    [climb] = _load_climbs_in([Path(args.climb)], beta, need_annotations=False)
     detections = _detect_climb(climb, models)
     timeline = classifier.classify(detections, args.min_episode)
     io.write_timeline_csv(args.out, timeline)
@@ -214,8 +206,8 @@ def cmd_report(args) -> int:
     if args.out:
         io.write_report_json(args.out, report,
                              config={"timeline": str(args.timeline)})
-    for site in sorted(report.counts, key=lambda s: s.value):
-        counts = report.counts[site]
+    for site in sorted(report, key=lambda s: s.value):
+        counts = report[site]
         ratio = counts.ratio
         ratio_txt = f"{ratio:.2f}" if np.isfinite(ratio) else "undefined"
         print(f"{site.value}: exploratory={counts.exploratory} "
@@ -233,8 +225,8 @@ def cmd_evaluate(args) -> int:
            "results": {}}
     print(f"{'sensor':8s} {'mode':6s} {'score':>6s} {'opt':>6s} "
           f"{'alpha':>6s} {'lambda0':>8s} {'lambda1':>8s}")
-    for (site, mode) in sorted(report.entries, key=lambda k: (k[0].value, k[1])):
-        r = report.entries[(site, mode)]
+    for (site, mode) in sorted(report, key=lambda k: (k[0].value, k[1])):
+        r = report[(site, mode)]
         print(f"{site.value:8s} {mode:6s} {r.score:6.3f} {r.optimal_score:6.3f} "
               f"{r.alpha:6.2f} {r.lambda0:8.3g} {r.lambda1:8.3g}")
         doc["results"][f"{site.value}/{mode}"] = dataclasses.asdict(r)

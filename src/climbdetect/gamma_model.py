@@ -34,10 +34,6 @@ class GammaParams:
         if self.k <= 0 or self.theta <= 0:
             raise InvalidParams(f"parameters must be positive, got k={self.k}, theta={self.theta}")
 
-    @property
-    def mean(self) -> float:
-        return self.k * self.theta
-
 
 @dataclass(frozen=True)
 class HypothesisModel:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import ActivityTimeline, ExplorationReport, FullBodyState, LimbSubState
+from .classifier import ActivityTimeline, FullBodyState, LimbCounts, LimbSubState
 from .cusum import (BinaryStateSeries, DetectionConfig, HypothesisModel,
                     SensorModel)
 from .errors import (EmptyRecording, InvalidParams, MalformedAnnotations,
@@ -370,10 +370,11 @@ def read_timeline_csv(path) -> ActivityTimeline:
         limb_substates={s: data[:, cols[s.value]].astype(np.uint8) for s in LIMBS})
 
 
-def write_report_json(path, report: ExplorationReport, config: dict | None = None) -> None:
+def write_report_json(path, report: dict[SensorSite, LimbCounts],
+                      config: dict | None = None) -> None:
     doc = {"limbs": {}, "config": config or {}}
-    for site in sorted(report.counts, key=lambda s: s.value):
-        counts = report.counts[site]
+    for site in sorted(report, key=lambda s: s.value):
+        counts = report[site]
         ratio = counts.ratio
         doc["limbs"][site.value] = {
             "exploratory": counts.exploratory,

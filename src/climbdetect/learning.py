@@ -29,12 +29,10 @@ import numpy as np
 from .cusum import (BinaryStateSeries, DetectionConfig, SensorModel, detect,
                     log_likelihood_ratio, relabel_segments)
 from .errors import DegenerateTruth, MissingState
-from .gamma_model import HypothesisModel, fit_mle
+from .gamma_model import MIN_FIT_SAMPLES, HypothesisModel, fit_mle
 from .parallel import fork_map
 from .series import (ALL_SITES, H0, H1, AnnotationTrack, SensorSite,
                      SignalSeries, rasterize_track)
-
-MIN_STATE_SAMPLES = 30
 
 ALPHA_MODES = ("acc", "ang", "fused")
 
@@ -109,10 +107,10 @@ def fit_models(climbs: list[LabeledClimb], site: SensorSite,
         params = []
         for state in (H0, H1):
             selected = values[labels == state]
-            if len(selected) < MIN_STATE_SAMPLES:
+            if len(selected) < MIN_FIT_SAMPLES:
                 raise MissingState(
                     f"state H{state} has {len(selected)} samples at {site.value}; "
-                    f"need {MIN_STATE_SAMPLES}")
+                    f"need {MIN_FIT_SAMPLES}")
             params.append(fit_mle(selected))
         models.append(HypothesisModel(h0=params[0], h1=params[1]))
     return models[0], models[1]
@@ -447,13 +445,6 @@ class ModeResult:
     fold_optimal: list[float] = field(default_factory=list)
 
 
-@dataclass
-class EvaluationReport:
-    """Per (sensor site, alpha-mode) cross-validation scores and parameters."""
-
-    entries: dict[tuple[SensorSite, str], ModeResult] = field(default_factory=dict)
-
-
 def _map_sites(fn, climbs: list[LabeledClimb], *args) -> dict:
     """fn(climbs, site, *args) by site, at every site of the climbs; the sites
     are shared among the CPUs by `fork_map`, each weighed by its samples."""
@@ -480,8 +471,8 @@ def _learn_site(climbs, site, mode, mode_alphas, lambda_grid) -> tuple[SensorMod
 
 
 def cross_validate(climbs: list[LabeledClimb], alpha_grid=None,
-                   lambda_grid=None) -> EvaluationReport:
-    """Leave-one-climb-out evaluation for every site of the climbs and alpha mode.
+                   lambda_grid=None) -> dict[tuple[SensorSite, str], ModeResult]:
+    """Leave-one-climb-out `ModeResult` for every site of the climbs and alpha mode.
 
     For each held-out climb the models and parameters are learned on the
     remaining climbs, and the held-out climb is scored with that
@@ -493,8 +484,8 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None,
         raise ValueError("cross-validation needs at least 2 climbs")
     mode_alphas = {mode: _mode_alphas(mode, alpha_grid) for mode in ALPHA_MODES}
     evaluated = _map_sites(_cross_validate_site, climbs, mode_alphas, lambda_grid)
-    return EvaluationReport({(site, mode): result for site, entries in evaluated.items()
-                             for mode, result in entries.items()})
+    return {(site, mode): result for site, entries in evaluated.items()
+            for mode, result in entries.items()}
 
 
 def _cross_validate_site(climbs, site, mode_alphas, lambda_grid) -> dict[str, ModeResult]:

@@ -78,12 +78,6 @@ class AnnotationTrack:
                 raise ValueError("intervals overlap or are out of order")
             prev_end = end
 
-    @property
-    def span(self) -> tuple[float, float]:
-        if not self.intervals:
-            raise ValueError("empty annotation track")
-        return self.intervals[0][0], self.intervals[-1][1]
-
 
 def rasterize_track(track: AnnotationTrack, t0: float, dt: float, n: int) -> np.ndarray:
     """Per-sample labels on a uniform grid.

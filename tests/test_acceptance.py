@@ -129,14 +129,14 @@ def test_criterion_4_end_to_end_detection_quality():
               for i in range(3)]
     report = cross_validate(climbs, alpha_grid=np.array([0.0, 0.5, 1.0]),
                             lambda_grid=default_lambda_grid(6, 1.0, 200.0))
-    mean_ok = all(report.entries[(site, "fused")].score >= 0.9
+    mean_ok = all(report[(site, "fused")].score >= 0.9
                   for site in ALL_SITES)
     fold_ok = all(opt >= score - 0.02
                   for site in ALL_SITES
-                  for score, opt in zip(report.entries[(site, "fused")].fold_scores,
-                                        report.entries[(site, "fused")].fold_optimal))
+                  for score, opt in zip(report[(site, "fused")].fold_scores,
+                                        report[(site, "fused")].fold_optimal))
     elapsed = time.perf_counter() - t_start
-    worst = min(report.entries[(site, "fused")].score for site in ALL_SITES)
+    worst = min(report[(site, "fused")].score for site in ALL_SITES)
     check(4, "end-to-end detection quality",
           mean_ok and fold_ok and elapsed < 120.0,
           f"worst mean c={worst:.3f}, {elapsed:.1f}s")

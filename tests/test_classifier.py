@@ -221,7 +221,7 @@ class TestExplorationReport:
         track = np.zeros(100, np.uint8)
         report = exploration_report(self.timeline({site: track.copy()
                                                    for site in LIMBS}))
-        for counts in report.counts.values():
+        for counts in report.values():
             assert (counts.exploratory, counts.performatory) == (0, 0)
             assert math.isnan(counts.ratio)
 
@@ -231,7 +231,7 @@ class TestExplorationReport:
         track[30:40] = LimbSubState.CHANGE
         track[60:70] = LimbSubState.USE
         report = exploration_report(self.timeline({LIMBS[0]: track}))
-        counts = report.counts[LIMBS[0]]
+        counts = report[LIMBS[0]]
         assert counts.exploratory == 2
         assert counts.performatory == 1
         assert counts.ratio == 2.0
@@ -240,15 +240,15 @@ class TestExplorationReport:
         track = np.zeros(50, np.uint8)
         track[10:20] = LimbSubState.EXPLORATION
         report = exploration_report(self.timeline({LIMBS[0]: track}))
-        assert report.counts[LIMBS[0]].ratio == math.inf
+        assert report[LIMBS[0]].ratio == math.inf
 
     def test_counts_survive_uniform_resampling(self):
         track = np.zeros(120, np.uint8)
         track[10:30] = LimbSubState.EXPLORATION
         track[50:70] = LimbSubState.USE
         doubled = np.repeat(track, 2)
-        a = exploration_report(self.timeline({LIMBS[0]: track})).counts[LIMBS[0]]
-        b = exploration_report(self.timeline({LIMBS[0]: doubled})).counts[LIMBS[0]]
+        a = exploration_report(self.timeline({LIMBS[0]: track}))[LIMBS[0]]
+        b = exploration_report(self.timeline({LIMBS[0]: doubled}))[LIMBS[0]]
         assert (a.exploratory, a.performatory) == (b.exploratory, b.performatory)
 
 

@@ -248,7 +248,7 @@ class TestDetectClassifyReport:
         models, _ = io.read_model_json(model)
         written = {}
         for beta in (0.02, 0.1):
-            climb = cli._load_climb(dataset / "climb01", beta, need_annotations=False)
+            [climb] = cli._load_climbs_in([dataset / "climb01"], beta, need_annotations=False)
             detections = {
                 site: cusum.relabel_segments(cusum.detect(ch.acc, ch.ang, models[site]))
                 for site, ch in climb.channels.items()}
@@ -384,7 +384,7 @@ def test_loaded_climb_keeps_no_recordings(dataset, monkeypatch):
         return rec
 
     monkeypatch.setattr(io, "read_recording_csv", tracked)
-    climb = cli._load_climb(dataset / "climb01", 0.1, need_annotations=True)
+    [climb] = cli._load_climbs_in([dataset / "climb01"], 0.1, need_annotations=True)
     gc.collect()
     assert set(climb.channels) == set(ALL_SITES) and len(refs) == len(ALL_SITES)
     assert [ref() for ref in refs] == [None] * len(ALL_SITES)
@@ -479,6 +479,34 @@ def test_a_climb_missing_a_site_exits_one(command, dataset, tmp_path, capsys):
                      "--grid-points", "2", "--alpha-step", "1.0"]) == 1
     assert "error: no signals for site lf in climb climb02" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "fit"])
+def test_stray_files_are_ignored(command, dataset, model_path, tmp_path,
+                                   monkeypatch, capsys):
+    # the climb id comes from the recording names, so another annotation file
+    # or CSV, listed before the climb's own files, changes no byte written
+    args = {"classify": ["--model", str(model_path), "--climb", "climbs/climb01",
+                         "--out", "out/timeline.csv"],
+            "fit": ["--climbs", "climbs", "--out", "out/model.json",
+                    "--grid-points", "4", "--alpha-step", "0.5"]}[command]
+    written = {}
+    for stray in ("none", "backup"):
+        (tmp_path / stray).mkdir()
+        monkeypatch.chdir(tmp_path / stray)
+        for climb_id in ("climb01", "climb02"):
+            Path("climbs", climb_id).mkdir(parents=True)
+            for src in (dataset / climb_id).iterdir():
+                Path("climbs", climb_id, src.name).write_bytes(src.read_bytes())
+        if stray == "backup":
+            Path("climbs/climb01/backup_annotations.json").write_bytes(
+                (dataset / "climb01" / "climb01_annotations.json").read_bytes())
+            Path("climbs/climb01/backup_notes.csv").write_text("t,note\n0.0,start\n")
+        assert cli.main([command, *args]) == 0
+        written[stray] = capsys.readouterr(), {
+            path: path.read_bytes() for path in Path("out").rglob("*")}
+    assert written["none"][0].err == ""
+    assert written["none"] == written["backup"]
 
 
 def sync_inputs(tmp_path, delay):

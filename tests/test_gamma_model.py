@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from climbdetect.errors import (DegenerateSample, InvalidParams, TooFewSamples)
-from climbdetect.gamma_model import (GammaParams, HypothesisModel,
+from climbdetect.gamma_model import (MIN_FIT_SAMPLES, GammaParams, HypothesisModel,
                                      chi_square_gof, fit_mle, log_pdf,
                                      shape_from_log_gap)
 from gamma_oracles import chi_square_3, exponential, fit_mle_exact
@@ -97,8 +97,11 @@ class TestFitMle:
         assert scaled.theta == pytest.approx(10.0 * base.theta, rel=1e-9)
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
-            fit_mle(np.ones(10))
+        x = np.random.default_rng(7).gamma(2.0, 1.0, MIN_FIT_SAMPLES)
+        for samples in (np.ones(10), x[:-1]):
+            with pytest.raises(TooFewSamples):
+                fit_mle(samples)
+        fit_mle(x)  # exactly the minimum fits
 
     def test_constant_data_is_degenerate(self):
         with pytest.raises(DegenerateSample):
@@ -113,7 +116,7 @@ class TestSpecialCases:
     def test_chi_square_3_constructor(self):
         p = chi_square_3()
         assert (p.k, p.theta) == (1.5, 2.0)
-        assert p.mean == pytest.approx(3.0)
+        assert p.k * p.theta == pytest.approx(3.0)
 
 
 class TestChiSquareGof:
@@ -147,4 +150,4 @@ class TestChiSquareGof:
 
 def test_hypothesis_model_holds_two_densities():
     m = HypothesisModel(h0=GammaParams(2.0, 0.05), h1=GammaParams(3.0, 1.0))
-    assert m.h1.mean > m.h0.mean
+    assert m.h1.k * m.h1.theta > m.h0.k * m.h0.theta

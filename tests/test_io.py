@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import csv_oracles
 from climbdetect import io
-from climbdetect.classifier import (ActivityTimeline, ExplorationReport, FullBodyState,
-                                    LimbCounts, LimbSubState)
+from climbdetect.classifier import ActivityTimeline, FullBodyState, LimbCounts, LimbSubState
 from climbdetect.cusum import (BinaryStateSeries, DetectionConfig,
                                HypothesisModel, SensorModel)
 from climbdetect.errors import (ClimbDetectError, EmptyRecording, MalformedAnnotations,
@@ -392,11 +391,11 @@ class TestTimelineCsv:
 
 class TestReportJson:
     def test_nonfinite_ratio_written_as_null(self, tmp_path):
-        report = ExplorationReport(counts={
+        report = {
             SensorSite.RIGHT_HAND: LimbCounts(exploratory=2, performatory=1),
             SensorSite.LEFT_HAND: LimbCounts(exploratory=3, performatory=0),
             SensorSite.RIGHT_FOOT: LimbCounts(exploratory=0, performatory=0),
-        })
+        }
         path = tmp_path / "report.json"
         io.write_report_json(path, report)
         import json

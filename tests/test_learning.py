@@ -10,7 +10,7 @@ from climbdetect import learning
 from climbdetect.cusum import (BinaryStateSeries, detect, detect_from_increments,
                                relabel_segments)
 from climbdetect.errors import DegenerateTruth, MissingState
-from climbdetect.gamma_model import GammaParams, HypothesisModel, fit_mle
+from climbdetect.gamma_model import MIN_FIT_SAMPLES, GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import (ALPHA_MODES, LabeledClimb, SensorChannels,
                                   _best_cell, _calibrate, _prepare, _SitePrep,
                                   _sweep, _SWEEP_LANES, cross_validate,
@@ -77,6 +77,20 @@ class TestFitModels:
             site=SITE, intervals=[(0.0, 60.0, H0)])
         with pytest.raises(MissingState):
             fit_models([climb], SITE)
+        # one sample short of the Gamma fit's minimum, then exactly at it
+        acc = climb.channels[SITE].acc
+        start = acc.t0 + 100.5 * acc.dt  # no sample on either boundary
+        for n in (MIN_FIT_SAMPLES - 1, MIN_FIT_SAMPLES):
+            track = climb.annotations[SITE] = AnnotationTrack(site=SITE, intervals=[
+                (0.0, start, H0), (start, start + n * acc.dt, H1),
+                (start + n * acc.dt, 60.0, H0)])
+            assert np.count_nonzero(rasterize_track(track, acc.t0, acc.dt, len(acc))) == n
+            if n < MIN_FIT_SAMPLES:
+                with pytest.raises(MissingState, match=f"state H1 has {n} samples at "
+                                   f"{SITE.value}; need {MIN_FIT_SAMPLES}"):
+                    fit_models([climb], SITE)
+            else:
+                fit_models([climb], SITE)
 
     def test_recovers_generator_parameters(self):
         climbs = make_climbs(3, duration=120.0, seed=5)
@@ -449,7 +463,7 @@ class TestCrossValidation:
                   for i in range(3)]
         report = cross_validate(copies, alpha_grid=[0.0, 1.0],
                                 lambda_grid=default_lambda_grid(5, 1, 100))
-        result = report.entries[(SITE, "ang")]
+        result = report[(SITE, "ang")]
         assert result.score == pytest.approx(result.optimal_score, abs=0.02)
 
     def test_scores_and_bounds(self):
@@ -457,7 +471,7 @@ class TestCrossValidation:
         report = cross_validate(climbs, alpha_grid=[0.0, 0.5, 1.0],
                                 lambda_grid=default_lambda_grid(5, 1, 200))
         for mode in ("acc", "ang", "fused"):
-            result = report.entries[(SITE, mode)]
+            result = report[(SITE, mode)]
             assert -1.0 <= result.score <= 1.0
             assert abs(result.score - result.optimal_score) < 0.1
             for fold_score, fold_opt in zip(result.fold_scores, result.fold_optimal):
@@ -469,11 +483,11 @@ class TestCrossValidation:
         alpha_grid = [0.0, 0.3, 0.6, 0.9]  # no 1.0: acc needs a plane of its own
         report = cross_validate(climbs, alpha_grid=alpha_grid, lambda_grid=grid)
         for mode in ALPHA_MODES:
-            result = report.entries[(SITE, mode)]
+            result = report[(SITE, mode)]
             expected = calibrate(climbs, grid, mode, alpha_grid)
             assert (result.alpha, result.lambda0, result.lambda1) == expected[:3]
         # fused settles inside its grid, so no mode can pass with another's plane
-        assert len({report.entries[(SITE, m)].alpha for m in ALPHA_MODES}) == 3
+        assert len({report[(SITE, m)].alpha for m in ALPHA_MODES}) == 3
 
     def test_folds_swept_in_groups_score_as_alone(self):
         # 5 climbs make 30 lanes, more than one sweep takes: folds 0-2 are
@@ -483,7 +497,7 @@ class TestCrossValidation:
         alpha_grid, grid = [0.0, 0.5, 1.0], default_lambda_grid(4, 0.1, 3.0)
         report = cross_validate(climbs, alpha_grid=alpha_grid, lambda_grid=grid)
         for mode in ALPHA_MODES:
-            result = report.entries[(SITE, mode)]
+            result = report[(SITE, mode)]
             for fold, held in enumerate(climbs):
                 train = climbs[:fold] + climbs[fold + 1:]
                 alpha, lam0, lam1, _ = calibrate(train, grid, mode, alpha_grid)
