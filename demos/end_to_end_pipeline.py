@@ -41,9 +41,8 @@ climb = climbs[0]
 detections = {}
 for site in ALL_SITES:
     ch = climb.channels[site]
-    raw = cusum.detect(ch.acc, ch.ang, sensor_models[site])
-    detections[site] = cusum.relabel_segments(raw)
-    print(f"  {site.value:6s} {len(raw.change_points)} change points")
+    detections[site] = cusum.detect(ch.acc, ch.ang, sensor_models[site])
+    print(f"  {site.value:6s} {len(detections[site].change_points)} change points")
 
 # 4. Combine the five binary streams into the full-body activity timeline
 #    and per-limb sub-states, then summarize exploratory vs performatory

@@ -12,7 +12,7 @@ synthetic ground truth and `cli` the command-line front end.
 from .classifier import (ActivityTimeline, FullBodyState, LimbSubState, classify,
                          exploration_report, full_body_state, limb_substates)
 from .cusum import (BinaryStateSeries, DetectionConfig, SensorModel, detect,
-                    log_likelihood_ratio, relabel_segments)
+                    log_likelihood_ratio)
 from .errors import ClimbDetectError
 from .gamma_model import (GammaParams, HypothesisModel, chi_square_gof,
                           fit_mle, log_pdf)

@@ -116,7 +116,7 @@ def _detect_climb(climb: learning.LabeledClimb,
         if site not in climb.channels:
             continue
         ch = climb.channels[site]
-        out[site] = cusum.relabel_segments(cusum.detect(ch.acc, ch.ang, model))
+        out[site] = cusum.detect(ch.acc, ch.ang, model)
     return out
 
 
@@ -367,6 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sync" and bool(args.annotations) != bool(args.out):
+        # either alone would read or write nothing
+        parser.error("sync: --annotations and --out must be given together")
     with warnings.catch_warnings():
         # a warning shown, such as a reader's gap warning, is one `warning:` line
         warnings.showwarning = lambda message, *_: print(f"warning: {message}",

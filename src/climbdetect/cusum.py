@@ -7,7 +7,7 @@ detection (or since the first sample) by more than lambda1; symmetrically, a
 switch back fires when C falls more than lambda0 below its running maximum
 since the detection. Comparisons are strict, so a rise exactly at threshold
 does not fire. The onset of a detection is the first sample of that running
-extremum.
+extremum, and the detected states switch there.
 
 `_run_cusum` holds s = C in H0 and s = -C in H1, so that both states fire
 when s rises more than the state's threshold above its running minimum:
@@ -59,7 +59,8 @@ class BinaryStateSeries:
 
     ``change_points`` holds ``(sample_index, new_state)`` pairs at detection
     instants; ``onsets`` holds, for each change point, the running-extremum
-    sample index that estimates when the change actually began.
+    sample index that estimates when the change actually began, and the
+    states of `detect` switch there.
     """
 
     t0: float
@@ -107,12 +108,12 @@ def _run_cusum(inc, lam0, lam1):
     return index, onsets
 
 
-def _states(n, first, bounds) -> np.ndarray:
-    """n states that start in `first` and switch at each index of `bounds`."""
-    states = np.full(n, first, np.uint8)
-    edges = [*bounds, n]
+def _states(n, onsets) -> np.ndarray:
+    """n states that start in H0 and switch at each index of `onsets`."""
+    states = np.full(n, H0, np.uint8)
+    edges = [*onsets, n]
     for start, stop in zip(edges[::2], edges[1::2]):
-        states[start:stop] = 1 - first
+        states[start:stop] = H1
     return states
 
 
@@ -130,9 +131,9 @@ def fused_increments(acc: SignalSeries, ang: SignalSeries,
 def detect(acc: SignalSeries, ang: SignalSeries, model: SensorModel) -> BinaryStateSeries:
     """Run the detector over one sensor's two channel norms, starting in H0.
 
-    Samples between a detection and the following one carry the state
-    held during that segment; `relabel_segments` moves the transitions back
-    to the estimated onsets.
+    The states switch at the onsets, each detection back-dated to the first
+    sample of its running extremum; `change_points` keep the detection
+    instants.
     """
     return detect_from_increments(fused_increments(acc, ang, model),
                                   model.config.lambda0, model.config.lambda1,
@@ -146,14 +147,5 @@ def detect_from_increments(inc: np.ndarray, lambda0: float, lambda1: float,
     index, onsets = _run_cusum(inc, lambda0, lambda1)
     # states alternate from H0: detection k (from 0) enters H1 when k is even
     change_points = [(i, H1 if k % 2 == 0 else H0) for k, i in enumerate(index)]
-    return BinaryStateSeries(t0=t0, dt=dt, states=_states(len(inc), H0, index),
+    return BinaryStateSeries(t0=t0, dt=dt, states=_states(len(inc), onsets),
                              change_points=change_points, onsets=onsets)
-
-
-def relabel_segments(raw: BinaryStateSeries) -> BinaryStateSeries:
-    """Back-date every transition to its running-extremum onset sample."""
-    if not raw.change_points:
-        return BinaryStateSeries(raw.t0, raw.dt, raw.states.copy(), [], [])
-    states = _states(len(raw.states), 1 - raw.change_points[0][1], raw.onsets)
-    change_points = [(onset, st) for onset, (_, st) in zip(raw.onsets, raw.change_points)]
-    return BinaryStateSeries(raw.t0, raw.dt, states, change_points, list(raw.onsets))

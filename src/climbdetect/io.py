@@ -53,11 +53,13 @@ def write_recording_csv(path, rec: ImuRecording) -> None:
 
 def read_recording_csv(path, site: SensorSite) -> ImuRecording:
     """Load the recording of `site`; refuses timestamps that do not strictly
-    increase, auto-detects gyro units, and puts the samples on `_uniform_clock`."""
+    increase and any of mx, my, mz without the other two, auto-detects gyro
+    units, and puts the samples on `_uniform_clock`."""
     path = Path(path)
     header, lines = _read_lines(path)
     columns = RECORDING_HEADER.split(",")
-    cols = _column_index(path, header, columns if "mx" in header else columns[:7])
+    has_mag = any(name in header for name in columns[7:])  # then all of mx, my, mz
+    cols = _column_index(path, header, columns if has_mag else columns[:7])
     data = _read_rows(path, header, lines, {})
     t = _increasing_times(path, lines, data[:, cols["t"]])
     accel, gyro, mag = ([cols[name] for name in columns[i:i + 3] if name in cols]

@@ -16,8 +16,8 @@ lanes. The sweep runs the drawup rule of `cusum._run_cusum` a block of
 `_BLOCK` samples at a time: every cell is screened once per block, and only
 the cells that detect in it step through it sample by sample.
 `cross_validate` scores each held-out climb with the fold's `SensorModel`
-through `cusum.detect` and `cusum.relabel_segments`, the calls
-`climbdetect detect` and `classify` make.
+through `cusum.detect`, whose back-dated states `climbdetect detect` and
+`classify` use too.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cusum import (BinaryStateSeries, DetectionConfig, SensorModel, detect,
-                    log_likelihood_ratio, relabel_segments)
+                    log_likelihood_ratio)
 from .errors import DegenerateTruth, MissingState
 from .gamma_model import MIN_FIT_SAMPLES, HypothesisModel, fit_mle
 from .parallel import fork_map
@@ -167,7 +167,7 @@ def _sweep(problems: list[list[_SitePrep]], alphas, lambda_grid: np.ndarray) -> 
     """c of every (problem, alpha, lambda1, lambda0) cell, as an array indexed in that order.
 
     A problem is the list of climbs one plane is pooled over: each cell holds
-    c of the climbs' relabelled `cusum.detect` passes pooled. A lane is one
+    c of the climbs' back-dated `cusum.detect` passes pooled. A lane is one
     (problem, climb) pair and a row one (lane, alpha) pair, whose cells share
     the never-restarted sum C of the row's fused increments. Every cell runs
     the rule of `cusum._run_cusum`, on C in H0 and on -C in H1, a block of
@@ -243,8 +243,8 @@ class _Cells:
     """The detector state of every cell of a sweep, in (row, lambda1 * lambda0) arrays.
 
     `e` is the running minimum of the cell's sum (C in H0, -C in H1) since
-    its last detection and `i_min` the first sample of it. After
-    relabelling, the H1 segments are [o1, o2), [o3, o4), ... for the onsets
+    its last detection and `i_min` the first sample of it. The back-dated
+    H1 segments are [o1, o2), [o3, o4), ... for the onsets
     o1 <= o2 <= ..., so each detection adds +-(truth prefix sum at its
     onset) to `tp` and +-onset to `predicted_h1`.
     """
@@ -401,13 +401,13 @@ def _calibrate(site: SensorSite, problems, mode_alphas: dict[str, list[float]],
     lanes at a time (a larger problem alone), and each group's likelihood
     ratios live only for its sweep, so that the peak memory of many problems
     is that of one group. A sweep scores the planes of the union of the
-    modes' weights. Within a plane the last maximum wins (`_best_cell`: the
-    larger lambda1, then the larger lambda0, so fewer alarms); over a mode's
-    weights, the first.
+    modes' weights. Within a plane of the sorted grid the last maximum wins
+    (`_best_cell`: the larger lambda1, then the larger lambda0, so fewer
+    alarms); over a mode's weights, the first.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
+    lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
     if lambda_grid.size == 0 or not all(mode_alphas.values()):
         raise ValueError("empty calibration grid")
     alphas = sorted({alpha for grid in mode_alphas.values() for alpha in grid})
@@ -503,7 +503,7 @@ def _cross_validate_site(climbs, site, mode_alphas, lambda_grid) -> dict[str, Mo
         ch = held.channels[site]
         for mode in ALPHA_MODES:
             model = SensorModel(acc=acc, ang=ang, config=configs[mode][0])
-            pred = relabel_segments(detect(ch.acc, ch.ang, model))
+            pred = detect(ch.acc, ch.ang, model)
             fold_scores[mode].append(performance_coefficient(pred, held.annotations[site]))
     entries = {}
     for mode in ALPHA_MODES:

@@ -13,11 +13,10 @@ def naive_cusum(inc, lam0, lam1):
     In H0 a detection fires at the first sample whose C exceeds the minimum
     of C since the last detection by more than lambda1, in H1 at the first
     sample whose C falls more than lambda0 below the maximum since it.
-    Returns the raw states, the change points and their onsets: the first
-    sample of that extremum.
+    Returns the states, switching at the onsets, the change points and
+    their onsets: the first sample of that extremum.
     """
     n = len(inc)
-    states = np.empty(n, np.uint8)
     change_points = []
     onsets = []
     state = H0
@@ -32,9 +31,15 @@ def naive_cusum(inc, lam0, lam1):
             extremum = max(segment)
         else:
             continue
-        states[seg_start:i] = state
         change_points.append((i, 1 - state))
         onsets.append(seg_start + segment.index(extremum))
         state, seg_start = 1 - state, i
-    states[seg_start:] = state
-    return states, change_points, onsets
+    return backdated_states(n, change_points, onsets), change_points, onsets
+
+
+def backdated_states(n, change_points, onsets):
+    """n states from H0, each change point's new state from its onset on."""
+    states = np.full(n, H0, np.uint8)
+    for onset, (_, state) in zip(onsets, change_points):
+        states[onset:] = state
+    return states

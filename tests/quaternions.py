@@ -77,12 +77,15 @@ def filter_update(q, accel, gyro, mag, dt: float, beta: float) -> np.ndarray:
     q_dot = 0.5 * quat_multiply(q, omega)
     if beta > 0.0:
         accel = np.asarray(accel, dtype=float)
-        a_norm = np.linalg.norm(accel)
+        # math.hypot, as the library does: the norm is correctly rounded, and
+        # an ulp off in a unit reading is amplified by the normalized gradient
+        # when the residual is small.
+        a_norm = math.hypot(*accel)
         if a_norm > 1e-9:
             grad = _field_gradient(q, np.array([0.0, 0.0, 1.0]), accel / a_norm)
             if mag is not None:
                 mag = np.asarray(mag, dtype=float)
-                m_norm = np.linalg.norm(mag)
+                m_norm = math.hypot(*mag)
                 if m_norm > 1e-9:
                     m_hat = mag / m_norm
                     h = quat_rotate(q, m_hat)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from climbdetect.cusum import BinaryStateSeries, detect_from_increments, relabel_segments
+from climbdetect.cusum import BinaryStateSeries, detect_from_increments
 from climbdetect.learning import performance_coefficient
 
 
@@ -12,7 +12,6 @@ def pooled_score(prep, alpha: float, lambda0: float, lambda1: float) -> float:
     states = []
     for item in prep:
         inc = alpha * item.l_acc + (1.0 - alpha) * item.l_ang
-        raw = detect_from_increments(inc, lambda0, lambda1)
-        states.append(relabel_segments(raw).states)
+        states.append(detect_from_increments(inc, lambda0, lambda1).states)
     pred = BinaryStateSeries(0.0, 1.0, np.concatenate(states))
     return performance_coefficient(pred, np.concatenate([item.truth for item in prep]))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from cusum_oracle import backdated_states
 
 import climbdetect
 from climbdetect import classifier, cli, cusum, io, learning, orientation, sync
@@ -131,6 +132,19 @@ class TestDetectClassifyReport:
         doc = json.loads(report_path.read_text())
         assert set(doc["limbs"]) == {"rh", "lh", "rf", "lf"}
 
+    def test_change_points_keep_their_detection_instants(self, dataset, model_path, tmp_path):
+        # each change point is written at the sample it was detected at, after
+        # its onset, and the per-sample states switch exactly at the onsets
+        assert cli.main(["detect", "--model", str(model_path), "--climb",
+                         str(dataset / "climb01"), "--out", str(tmp_path)]) == 0
+        for site in ALL_SITES:
+            series = io.read_detection_csv(tmp_path / f"climb01_{site.value}_detection.csv")
+            assert series.change_points
+            assert all(index > onset for (index, _), onset
+                       in zip(series.change_points, series.onsets))
+            np.testing.assert_array_equal(series.states, backdated_states(
+                len(series.states), series.change_points, series.onsets))
+
     def test_detect_deterministic(self, dataset, model_path, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -250,7 +264,7 @@ class TestDetectClassifyReport:
         for beta in (0.02, 0.1):
             [climb] = cli._load_climbs_in([dataset / "climb01"], beta, need_annotations=False)
             detections = {
-                site: cusum.relabel_segments(cusum.detect(ch.acc, ch.ang, models[site]))
+                site: cusum.detect(ch.acc, ch.ang, models[site])
                 for site, ch in climb.channels.items()}
             written[beta] = tmp_path / f"beta{beta}.csv"
             io.write_timeline_csv(written[beta], classifier.classify(detections))
@@ -595,6 +609,19 @@ class TestSync:
         assert reported == pytest.approx(delay, abs=0.1)
         shifted = io.read_annotations_json(out_path)[SensorSite.PELVIS]
         assert shifted.intervals[1][0] == pytest.approx(10.0, abs=0.1)
+
+    @pytest.mark.parametrize("given", ["--annotations", "--out"])
+    def test_annotations_and_out_go_together(self, tmp_path, capsys, given):
+        # either alone is a usage error, before any input is read or any
+        # directory made
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sync", "--trajectory", str(tmp_path / "missing.csv"),
+                      "--recording", str(tmp_path / "missing_pelvis.csv"),
+                      given, str(tmp_path / "d" / "file.json")])
+        assert exc.value.code == 2
+        assert ("sync: --annotations and --out must be given together"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("keep, message", [
         (1, ": no samples after the header"),

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from cusum_oracle import naive_cusum
+from cusum_oracle import backdated_states, naive_cusum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from climbdetect.cusum import (BinaryStateSeries, DetectionConfig, SensorModel,
-                               detect, detect_from_increments,
-                               fused_increments, log_likelihood_ratio,
-                               relabel_segments)
+from climbdetect.cusum import (DetectionConfig, SensorModel, detect,
+                               detect_from_increments, fused_increments,
+                               log_likelihood_ratio)
 from climbdetect.errors import LengthMismatch
 from climbdetect.gamma_model import GammaParams, HypothesisModel
 from climbdetect.series import H0, H1, SignalSeries
@@ -25,7 +24,6 @@ def naive_restarted_cusum(inc, lam0, lam1):
     part only where rounding differs. Returns what `naive_cusum` does.
     """
     n = len(inc)
-    states = np.empty(n, np.uint8)
     change_points = []
     onsets = []
     state = H0
@@ -35,20 +33,17 @@ def naive_restarted_cusum(inc, lam0, lam1):
     for i in range(1, n):
         s += inc[i]
         if state == H0 and s > min(seg_values) + lam1:
-            states[seg_start:i] = state
             change_points.append((i, H1))
             onsets.append(seg_start + seg_values.index(min(seg_values)))
             state, s, seg_values, seg_start = H1, 0.0, [0.0], i
             continue
         if state == H1 and s < max(seg_values) - lam0:
-            states[seg_start:i] = state
             change_points.append((i, H0))
             onsets.append(seg_start + seg_values.index(max(seg_values)))
             state, s, seg_values, seg_start = H0, 0.0, [0.0], i
             continue
         seg_values.append(s)
-    states[seg_start:] = state
-    return states, change_points, onsets
+    return backdated_states(n, change_points, onsets), change_points, onsets
 
 
 def make_model(alpha=1.0, lam0=10.0, lam1=10.0):
@@ -94,7 +89,7 @@ class TestDetect:
         assert out.change_points == [(3, H1)]
         increment = log_likelihood_ratio(8.0, WIDE)
         assert 3 * increment == pytest.approx(13.841, abs=1e-3)
-        assert list(out.states) == [0, 0, 0, 1, 1, 1, 1, 1, 1, 1]
+        assert list(out.states) == [1] * 10
 
     def test_alpha_extremes_reduce_to_single_channel(self):
         rng = np.random.default_rng(0)
@@ -153,10 +148,6 @@ class TestOracleEquivalence:
         np.testing.assert_array_equal(restarted_states, ref_states)
         assert restarted_cps == ref_cps
         assert restarted_onsets == ref_onsets
-        backdated = np.full(len(inc), H0, np.uint8)
-        for onset, (_, state) in zip(ref_onsets, ref_cps):
-            backdated[onset:] = state
-        np.testing.assert_array_equal(relabel_segments(out).states, backdated)
 
     def test_rounding_follows_the_drawup(self):
         # C = 0, -2.1, -1.6, -0.9000000000000001, -1.3000000000000003: in H1
@@ -182,20 +173,14 @@ class TestOracleEquivalence:
 
 
 class TestRelabelSegments:
-    def test_no_change_points_is_identity(self):
-        raw = BinaryStateSeries(0.0, 0.01, np.zeros(50, np.uint8), [], [])
-        out = relabel_segments(raw)
-        np.testing.assert_array_equal(out.states, raw.states)
-        assert out.change_points == []
-
     def test_backdates_to_extremum(self):
-        # worked example: detection at 3, extremum at the origin
+        # worked example: detection at 3, extremum at the origin; the states
+        # switch at the onset, the change point keeps the detection instant
         x = series(np.full(10, 8.0))
-        raw = detect(x, x, make_model())
-        assert raw.onsets == [0]
-        out = relabel_segments(raw)
+        out = detect(x, x, make_model())
+        assert out.onsets == [0]
         assert np.all(out.states == H1)
-        assert out.change_points == [(0, H1)]
+        assert out.change_points == [(3, H1)]
 
     def test_block_onsets_near_truth(self):
         rng = np.random.default_rng(9)
@@ -206,9 +191,9 @@ class TestRelabelSegments:
                      rng.gamma(h0.k, h0.theta, 2000))
         m = SensorModel(acc=HypothesisModel(h0, h1), ang=HypothesisModel(h0, h1),
                         config=DetectionConfig(8.0, 8.0, 1.0))
-        out = relabel_segments(detect(series(x), series(x), m))
+        out = detect(series(x), series(x), m)
         true_onsets = np.flatnonzero(np.diff(truth)) + 1
-        got_onsets = np.array([i for i, _ in out.change_points])
+        got_onsets = np.array(out.onsets)
         assert len(got_onsets) == len(true_onsets)
         assert np.all(np.abs(got_onsets - true_onsets) <= 20)
 

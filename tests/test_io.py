@@ -87,6 +87,9 @@ class TestRecordingCsv:
         (lambda lines: lines[:1], "no samples"),
         (lambda lines: [lines[0].replace("gz", "gyro_z")] + lines[1:],
          "missing column(s) gz"),
+        # my and mz without mx
+        (lambda lines: [",".join(line.split(",")[:7] + line.split(",")[8:]) for line in lines],
+         ": missing column(s) mx"),
         (lambda lines: lines[:7] + [lines[7].rsplit(",", 1)[0]] + lines[8:],
          ":8: 9 values, the header names 10"),
         # Python's float() reads 1_0, numpy does not: numpy's reason is kept
@@ -102,8 +105,8 @@ class TestRecordingCsv:
         # blank and comment lines count as lines, not as rows
         (lambda lines: lines[:3] + ["", "# resumed", lines[4], lines[3]] + lines[5:],
          ":7: t 0.02 is not after the previous row's 0.03"),
-    ], ids=["nan", "header-only", "renamed-column", "short-row", "unparsable",
-            "reversed-t", "swapped-t", "repeated-t", "comment-then-swapped-t"])
+    ], ids=["nan", "header-only", "renamed-column", "partial-magnetometer", "short-row",
+            "unparsable", "reversed-t", "swapped-t", "repeated-t", "comment-then-swapped-t"])
     def test_malformed_recording_names_file(self, tmp_path, corrupt, message):
         path = tmp_path / "c1_rh.csv"
         io.write_recording_csv(path, make_recording(n=20, mag=False))

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from sweep_oracle import pooled_score
 
 from climbdetect import learning
-from climbdetect.cusum import (BinaryStateSeries, detect, detect_from_increments,
-                               relabel_segments)
+from climbdetect.cusum import BinaryStateSeries, detect, detect_from_increments
 from climbdetect.errors import DegenerateTruth, MissingState
 from climbdetect.gamma_model import MIN_FIT_SAMPLES, GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import (ALPHA_MODES, LabeledClimb, SensorChannels,
@@ -191,6 +190,19 @@ class TestOptimization:
         plane = _sweep([_prepare(self.climbs, SITE, self.models)], [0.0], grid)[0][0]
         assert (lam0, lam1, c) == _best_cell(plane, grid)
         assert (alpha, lam0, lam1, c) == calibrate(self.climbs, grid, mode="ang")
+
+    def test_grid_order_does_not_matter(self):
+        # the tie rule (the larger lambda1, then the larger lambda0) holds
+        # for a descending grid too: on these climbs it picks other cells
+        # where the grid is read in the order given
+        climbs = [simulate(random_plan(20.0, np.random.default_rng(seed)), seed=seed,
+                           climb_id=f"c{seed}") for seed in (3, 5)]
+        grid = default_lambda_grid(4, 1.0, 100.0)
+        alphas = [0.0, 0.5, 1.0]
+        assert (learn_sensor_models(climbs, alpha_grid=alphas, lambda_grid=grid[::-1])
+                == learn_sensor_models(climbs, alpha_grid=alphas, lambda_grid=grid))
+        assert (cross_validate(climbs, alpha_grid=alphas, lambda_grid=grid[::-1])
+                == cross_validate(climbs, alpha_grid=alphas, lambda_grid=grid))
 
     def test_alpha_search_dominates_extremes(self):
         grid = np.array([2.0, 10.0, 50.0])
@@ -545,6 +557,6 @@ def test_learn_sensor_models_roundtrip_scoring():
     held = make_climbs(1, duration=60.0, seed=99)[0]
     channels = held.channels[SITE]
     c = performance_coefficient(
-        relabel_segments(detect(channels.acc, channels.ang, models[SITE])),
+        detect(channels.acc, channels.ang, models[SITE]),
         held.annotations[SITE])
     assert c >= 0.8

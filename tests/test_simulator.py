@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from climbdetect.classifier import FullBodyState
-from climbdetect.cusum import DetectionConfig, SensorModel, detect, relabel_segments
+from climbdetect.cusum import DetectionConfig, SensorModel, detect
 from climbdetect.errors import InvalidPlan
 from climbdetect.gamma_model import GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import performance_coefficient
@@ -148,7 +148,7 @@ class TestSimulate:
         sensor = SensorModel(models[RH][0], models[RH][1],
                              DetectionConfig(lambda0=15.0, lambda1=15.0, alpha=0.5))
         ch = climb.channels[SensorSite.PELVIS]
-        pred = relabel_segments(detect(ch.acc, ch.ang, sensor))
+        pred = detect(ch.acc, ch.ang, sensor)
         c = performance_coefficient(pred, climb.annotations[SensorSite.PELVIS])
         assert c > 0.9
 
