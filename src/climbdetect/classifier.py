@@ -116,24 +116,17 @@ def limb_substates(limb: np.ndarray, full_body: np.ndarray) -> np.ndarray:
     if len(limb) != len(full_body):
         raise LengthMismatch("limb and full-body series must have equal length")
     traction = full_body == FullBodyState.TRACTION
-    out = np.full(len(limb), LimbSubState.IMMOBILITY, dtype=np.uint8)
     eps = episodes(limb)
-    labels = [None] * len(eps)
-    for i, (start, end) in enumerate(eps):
-        if traction[start:end].any():
-            labels[i] = LimbSubState.USE
-    onsets = np.flatnonzero(traction & ~np.concatenate([[False], traction[:-1]]))
-    for onset in onsets:
-        best = None
-        for i, (start, end) in enumerate(eps):
-            if labels[i] == LimbSubState.USE or end > onset:
-                continue
-            if best is None or end > eps[best][1]:
-                best = i
-        if best is not None:
-            labels[best] = LimbSubState.CHANGE
-    for i, (start, end) in enumerate(eps):
-        out[start:end] = labels[i] if labels[i] is not None else LimbSubState.EXPLORATION
+    labels = np.array([LimbSubState.USE if traction[start:end].any()
+                       else LimbSubState.EXPLORATION for start, end in eps], dtype=np.uint8)
+    free = np.flatnonzero(labels != LimbSubState.USE)
+    onsets = [start for start, _ in episodes(traction)]
+    # the free episodes ending at or before each onset: the last of them is its Change
+    before = np.searchsorted([eps[i][1] for i in free], onsets, side="right")
+    labels[free[before[before > 0] - 1]] = LimbSubState.CHANGE
+    out = np.full(len(limb), LimbSubState.IMMOBILITY, dtype=np.uint8)
+    for (start, end), label in zip(eps, labels):
+        out[start:end] = label
     return out
 
 

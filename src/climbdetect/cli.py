@@ -31,8 +31,11 @@ def _data_dir(args_dir) -> Path:
 
 
 def _make_parent(out) -> None:
-    """Create the directory of output file ``out`` (if given) before any input is read."""
+    """Create the directory of output file ``out`` (if given) before any input is
+    read; an ``out`` that is a directory is refused."""
     if out:
+        if Path(out).is_dir():
+            raise ClimbDetectError(f"{out} is a directory, not an output file")
         parent = Path(out).parent
         try:
             parent.mkdir(parents=True, exist_ok=True)
@@ -288,6 +291,7 @@ def _checked(convert, accept, requirement: str):
 _nonnegative = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
 _positive = _checked(float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _step = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
@@ -310,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate synthetic labeled climbs")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--climbs", type=int, default=3)
-    p.add_argument("--duration", type=float, default=180.0)
-    p.add_argument("--rate", type=float, default=100.0)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--climbs", type=_count, default=3)
+    p.add_argument("--duration", type=_positive, default=180.0)
+    p.add_argument("--rate", type=_positive, default=100.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit models and calibrate thresholds on annotated climbs")
@@ -376,7 +380,7 @@ def main(argv=None) -> int:
                                                           file=sys.stderr)
         try:
             return args.func(args)
-        except ClimbDetectError as exc:
+        except (ClimbDetectError, OSError) as exc:  # an OSError names its path
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cusum import (BinaryStateSeries, DetectionConfig, SensorModel, detect,
                     log_likelihood_ratio)
-from .errors import DegenerateTruth, MissingState
+from .errors import DegenerateTruth, MissingState, TooFewSamples
 from .gamma_model import MIN_FIT_SAMPLES, HypothesisModel, fit_mle
 from .parallel import fork_map
 from .series import (ALL_SITES, H0, H1, AnnotationTrack, SensorSite,
@@ -481,7 +481,7 @@ def cross_validate(climbs: list[LabeledClimb], alpha_grid=None,
     could achieve. Reported parameters come from a final fit on all climbs.
     """
     if len(climbs) < 2:
-        raise ValueError("cross-validation needs at least 2 climbs")
+        raise TooFewSamples(f"cross-validation needs at least 2 climbs, got {len(climbs)}")
     mode_alphas = {mode: _mode_alphas(mode, alpha_grid) for mode in ALPHA_MODES}
     evaluated = _map_sites(_cross_validate_site, climbs, mode_alphas, lambda_grid)
     return {(site, mode): result for site, entries in evaluated.items()

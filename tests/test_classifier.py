@@ -47,6 +47,18 @@ def naive_substates(limb, full_body):
     return out
 
 
+def dwelling_runs(rng, n, mean, values):
+    """``n`` samples in runs of exponential dwells with the given mean, each
+    run a value drawn from ``values``."""
+    out = np.empty(n, np.uint8)
+    start = 0
+    while start < n:
+        end = start + 1 + int(rng.exponential(mean))
+        out[start:end] = rng.choice(values)
+        start = end
+    return out
+
+
 class TestFullBodyState:
     def test_paper_cases(self):
         # one sample per case; only the first limb ever moves
@@ -108,8 +120,43 @@ class TestLimbSubstates:
         n = 1000
         limb = (rng.random(n) < 0.4).astype(np.uint8)
         full_body = rng.integers(0, 4, n).astype(np.uint8)
-        np.testing.assert_array_equal(limb_substates(limb, full_body),
-                                      naive_substates(limb, full_body))
+        inputs = [(limb, full_body)]
+        # i.i.d. samples make runs of 1-3 samples; detections dwell for many,
+        # so runs with exponential dwells of several means follow
+        for limb_mean, body_mean in itertools.product((3, 20, 100), repeat=2):
+            inputs.append((dwelling_runs(rng, n, limb_mean, [0, 1]),
+                           dwelling_runs(rng, n, body_mean, list(FullBodyState))))
+        for limb, full_body in inputs:
+            got = limb_substates(limb, full_body)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, naive_substates(limb, full_body))
+
+    @pytest.mark.parametrize("limb_runs, traction_runs, expected", [
+        # traction from sample 0: the episode inside it is Use, the onset has
+        # no Change, and the free episode before the second onset is its Change
+        ([(0, 5), (12, 15)], [(0, 10), (20, 25)], {(0, 5): "USE", (12, 15): "CHANGE"}),
+        # a free episode ending exactly at an onset is its Change; one sample
+        # longer, it would overlap the traction and be Use
+        ([(10, 20)], [(20, 30)], {(10, 20): "CHANGE"}),
+        ([(10, 21)], [(20, 30)], {(10, 21): "USE"}),
+        # onsets with no free episode before them: none at all, or only Use
+        ([(30, 35)], [(5, 10), (15, 20)], {(30, 35): "EXPLORATION"}),
+        ([(6, 8), (30, 35)], [(5, 10), (15, 20)], {(6, 8): "USE", (30, 35): "EXPLORATION"}),
+        # two onsets with no episode between them share one Change
+        ([(1, 3), (5, 6)], [(10, 12), (14, 16)], {(1, 3): "EXPLORATION", (5, 6): "CHANGE"}),
+    ])
+    def test_edge_cases_match_bruteforce_oracle(self, limb_runs, traction_runs, expected):
+        n = 40
+        limb = np.zeros(n, np.uint8)
+        for start, end in limb_runs:
+            limb[start:end] = 1
+        full_body = np.full(n, FullBodyState.HOLD_INTERACTION, np.uint8)
+        for start, end in traction_runs:
+            full_body[start:end] = FullBodyState.TRACTION
+        got = limb_substates(limb, full_body)
+        np.testing.assert_array_equal(got, naive_substates(limb, full_body))
+        for (start, end), name in expected.items():
+            assert np.all(got[start:end] == LimbSubState[name]), (start, end)
 
     def test_every_sample_labeled(self):
         rng = np.random.default_rng(123)

@@ -384,6 +384,52 @@ class TestEvaluate:
                 c = learning.performance_coefficient(pred, annotations[site])
                 assert c == results[f"{site.value}/{mode}"]["fold_scores"][0], (site, mode)
 
+    def test_single_climb_exits_one(self, dataset, tmp_path, capsys):
+        (tmp_path / "one").mkdir()
+        (tmp_path / "one" / "climb01").symlink_to(dataset / "climb01")
+        out = tmp_path / "eval.json"
+        assert cli.main(["evaluate", "--climbs", str(tmp_path / "one"), "--out", str(out),
+                         "--grid-points", "2", "--alpha-step", "1.0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cross-validation needs at least 2 climbs, got 1\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("case", [
+    "classify-model", "report-timeline", "sync-trajectory", "fit-climbs",
+    "evaluate-climbs", "classify-out-directory", "evaluate-out-directory",
+    "detect-out-file",
+])
+def test_path_that_cannot_be_opened_exits_one(case, dataset, model_path, tmp_path, capsys):
+    # one `error:` line naming the path, and nothing written
+    missing, directory, blocker = tmp_path / "nothere", tmp_path / "dir", tmp_path / "file"
+    directory.mkdir()
+    blocker.write_text("")
+    climb, out = ["--climb", str(dataset / "climb01")], str(tmp_path / "out.csv")
+    grid = ["--grid-points", "2", "--alpha-step", "1.0"]
+    argv, path = {
+        "classify-model": (["classify", "--model", str(missing), *climb, "--out", out], missing),
+        "report-timeline": (["report", str(missing), "--out", out], missing),
+        "sync-trajectory": (["sync", "--trajectory", str(missing), "--recording",
+                             str(dataset / "climb01" / "climb01_pelvis.csv")], missing),
+        "fit-climbs": (["fit", "--climbs", str(missing), "--out", out, *grid], missing),
+        "evaluate-climbs": (["evaluate", "--climbs", str(missing), "--out", out, *grid],
+                            missing),
+        "classify-out-directory": (["classify", "--model", str(model_path), *climb,
+                                    "--out", str(directory)], directory),
+        "evaluate-out-directory": (["evaluate", "--climbs", str(dataset), *grid,
+                                    "--out", str(directory)], directory),
+        "detect-out-file": (["detect", "--model", str(model_path), *climb,
+                             "--out", str(blocker)], blocker),
+    }[case]
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "" and not any(directory.iterdir())
+
 
 def test_loaded_climb_keeps_no_recordings(dataset, monkeypatch):
     # a command needs only a climb's channels, so each recording is let go
@@ -810,6 +856,13 @@ def test_bad_numeric_option_is_a_usage_error(option, value, capsys):
     ("fit", "--grid-points", "2.5", "an integer >= 1"),
     ("classify", "--min-episode", "nan", "a finite number >= 0"),
     ("classify", "--min-episode", "-0.1", "a finite number >= 0"),
+    ("simulate", "--seed", "-1", "an integer >= 0"),
+    ("simulate", "--rate", "0", "a finite number > 0"),
+    ("simulate", "--rate", "-100", "a finite number > 0"),
+    ("simulate", "--rate", "nan", "a finite number > 0"),
+    ("simulate", "--duration", "nan", "a finite number > 0"),
+    ("simulate", "--duration", "0", "a finite number > 0"),
+    ("simulate", "--climbs", "0", "an integer >= 1"),
 ])
 def test_bad_grid_option_is_a_usage_error(command, option, value, requirement, capsys):
     # refused while parsing, before any input is read or any grid is built

@@ -8,7 +8,7 @@ from sweep_oracle import pooled_score
 
 from climbdetect import learning
 from climbdetect.cusum import BinaryStateSeries, detect, detect_from_increments
-from climbdetect.errors import DegenerateTruth, MissingState
+from climbdetect.errors import DegenerateTruth, MissingState, TooFewSamples
 from climbdetect.gamma_model import MIN_FIT_SAMPLES, GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import (ALPHA_MODES, LabeledClimb, SensorChannels,
                                   _best_cell, _calibrate, _prepare, _SitePrep,
@@ -521,8 +521,9 @@ class TestCrossValidation:
             assert (result.alpha, result.lambda0, result.lambda1) == expected[:3]
 
     def test_requires_two_climbs(self):
-        with pytest.raises(ValueError):
-            cross_validate(make_climbs(1))
+        for count in (0, 1):
+            with pytest.raises(TooFewSamples, match=f"needs at least 2 climbs, got {count}$"):
+                cross_validate(make_climbs(1)[:count])
 
     def test_missing_state_is_the_first_fold_fit_to_lack_one(self):
         climbs = make_climbs(3, duration=30.0, seed=60)
