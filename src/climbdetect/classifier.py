@@ -115,12 +115,22 @@ def limb_substates(limb: np.ndarray, full_body: np.ndarray) -> np.ndarray:
     full_body = np.asarray(full_body, dtype=np.uint8)
     if len(limb) != len(full_body):
         raise LengthMismatch("limb and full-body series must have equal length")
+    return _limb_substates(limb, *_traction(full_body))
+
+
+def _traction(full_body: np.ndarray):
+    """The traction mask of ``full_body`` and the start of each traction run."""
     traction = full_body == FullBodyState.TRACTION
+    return traction, [start for start, _ in episodes(traction)]
+
+
+def _limb_substates(limb: np.ndarray, traction: np.ndarray, onsets) -> np.ndarray:
+    """`limb_substates` of a limb the length of the ``traction`` mask, whose runs
+    start at ``onsets``."""
     eps = episodes(limb)
     labels = np.array([LimbSubState.USE if traction[start:end].any()
                        else LimbSubState.EXPLORATION for start, end in eps], dtype=np.uint8)
     free = np.flatnonzero(labels != LimbSubState.USE)
-    onsets = [start for start, _ in episodes(traction)]
     # the free episodes ending at or before each onset: the last of them is its Change
     before = np.searchsorted([eps[i][1] for i in free], onsets, side="right")
     labels[free[before[before > 0] - 1]] = LimbSubState.CHANGE
@@ -155,7 +165,8 @@ def classify(detections: dict[SensorSite, BinaryStateSeries],
     limb_states = {site: aligned(detections[site]) for site in LIMBS}
     pelvis_states = aligned(pelvis)
     full_body = full_body_state(limb_states.values(), pelvis_states)
-    substates = {site: limb_substates(states, full_body)
+    traction = _traction(full_body)
+    substates = {site: _limb_substates(states, *traction)
                  for site, states in limb_states.items()}
     return ActivityTimeline(t0=pelvis.t0, dt=pelvis.dt,
                             full_body=full_body, limb_substates=substates)

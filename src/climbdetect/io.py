@@ -6,6 +6,7 @@ inputs always produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -29,7 +30,7 @@ RECORDING_HEADER = "t,ax,ay,az,gx,gy,gz,mx,my,mz"
 GYRO_DEGREES_THRESHOLD = 50.0
 
 _LABEL_CODES = {name: code for code, name in STATE_NAMES.items()}
-# Rows a recording writer turns into Python floats at a time.
+# Rows a CSV writer formats and writes at a time.
 _BLOCK_ROWS = 256
 
 
@@ -41,14 +42,24 @@ def annotations_path(directory: Path, climb_id: str) -> Path:
     return Path(directory) / f"{climb_id}_annotations.json"
 
 
+def _write_csv(path, header: str, n: int, lines, tail=()) -> None:
+    """``header``, the ``lines(start, stop)`` of the ``n`` rows `_BLOCK_ROWS` at a
+    time, then ``tail``, each line ending in a newline."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            fh.write("\n".join(lines(start, min(start + _BLOCK_ROWS, n))) + "\n")
+        fh.writelines(line + "\n" for line in tail)
+
+
 def write_recording_csv(path, rec: ImuRecording) -> None:
     mag = rec.mag if rec.mag is not None else np.zeros_like(rec.accel)
     columns = (rec.t[:, None], rec.accel, rec.gyro, mag)
-    lines = [RECORDING_HEADER]
-    for start in range(0, len(rec), _BLOCK_ROWS):
-        block = np.hstack([c[start:start + _BLOCK_ROWS] for c in columns])
-        lines += [",".join(map(repr, row)) for row in block.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+
+    def lines(start, stop):
+        block = np.hstack([c[start:stop] for c in columns])
+        return [",".join(map(repr, row)) for row in block.tolist()]
+    _write_csv(path, RECORDING_HEADER, len(rec), lines)
 
 
 def read_recording_csv(path, site: SensorSite) -> ImuRecording:
@@ -56,12 +67,10 @@ def read_recording_csv(path, site: SensorSite) -> ImuRecording:
     increase and any of mx, my, mz without the other two, auto-detects gyro
     units, and puts the samples on `_uniform_clock`."""
     path = Path(path)
-    header, lines = _read_lines(path)
     columns = RECORDING_HEADER.split(",")
-    has_mag = any(name in header for name in columns[7:])  # then all of mx, my, mz
-    cols = _column_index(path, header, columns if has_mag else columns[:7])
-    data = _read_rows(path, header, lines, {})
-    t = _increasing_times(path, lines, data[:, cols["t"]])
+    # with any of mx, my, mz, all three are required
+    cols, data, t = _read_table(path, lambda header: columns if any(
+        name in header for name in columns[7:]) else columns[:7])
     accel, gyro, mag = ([cols[name] for name in columns[i:i + 3] if name in cols]
                         for i in (1, 4, 7))
     if not np.any(np.abs(data[:, mag]) > 1e-12):  # no mx, my, mz, or all of them 0
@@ -88,61 +97,65 @@ def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
     return t, dt, data
 
 
-def _read_lines(path: Path) -> tuple[list[str], list[str]]:
-    """The header's comma-separated names, each stripped, and the lines below it."""
+def _read_table(path: Path, required, parsers: dict | None = None):
+    """``(cols, data, t)`` of a CSV table: each header name's column, the rows
+    below the header as one `np.loadtxt` parses them from the open file (a
+    column in ``parsers`` by its parser, any other as a number), and the ``t``
+    column. ``required`` is the columns the header must name, or a function
+    of the header giving them. `EmptyRecording` when there are no rows;
+    `MalformedRecording` for a missing column, and naming ``path:line`` for a
+    bad row or a t not after the previous row's, the one case that reads the
+    lines again."""
+    parsers = parsers or {}
     with open(path) as fh:
-        return [name.strip() for name in fh.readline().split(",")], fh.readlines()
-
-
-def _column_index(path: Path, header: list[str], required) -> dict[str, int]:
-    """Each header name's column; `MalformedRecording` names any ``required`` one missing."""
-    missing = [name for name in required if name not in header]
-    if missing:
-        raise MalformedRecording(f"{path}: missing column(s) {', '.join(missing)}")
-    return {name: i for i, name in enumerate(header)}
-
-
-def _read_rows(path: Path, header: list[str], lines: list[str], parsers: dict) -> np.ndarray:
-    """The rows below ``header``, a column ``parsers`` names read by its parser, any
-    other as a number: `EmptyRecording` when there are none, `MalformedRecording`
-    naming ``path:line`` for a ragged row or the first field that fails."""
-    if not any(_data_text(line) for line in lines):
-        raise EmptyRecording(f"{path}: no samples after the header")
-    converters = {i: parsers[name] for i, name in enumerate(header) if name in parsers}
-    try:
-        data, reason = np.loadtxt(lines, delimiter=",", ndmin=2,
-                                  converters=converters or None), None
-    except ValueError as exc:  # a token that cannot be parsed, or a ragged row
-        data, reason = None, f"{path}: {exc}"
+        header = [name.strip() for name in fh.readline().split(",")]
+        missing = [name for name in (required(header) if callable(required) else required)
+                   if name not in header]
+        if missing:
+            raise MalformedRecording(f"{path}: missing column(s) {', '.join(missing)}")
+        cols = {name: i for i, name in enumerate(header)}
+        converters = {i: parsers[name] for i, name in enumerate(header) if name in parsers}
+        try:
+            with warnings.catch_warnings():  # an empty table is refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data, reason = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                          converters=converters or None), None
+        except ValueError as exc:  # a token that cannot be parsed, or a ragged row
+            data, reason = None, f"{path}: {exc}"
     if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
         columns = [parsers.get(name, _number) for name in header]
-        for lineno, line in enumerate(lines, start=2):
-            if text := _data_text(line):
-                _row_values(path, lineno, text.split(","), header, columns)
+        rows = 0
+        for rows, (lineno, text) in enumerate(_data_lines(path), start=1):
+            _row_values(path, lineno, text.split(","), header, columns)
+        if not rows:  # np.loadtxt found none, or failed on a line of blanks
+            raise EmptyRecording(f"{path}: no samples after the header")
         raise MalformedRecording(reason)
-    return data
-
-
-def _increasing_times(path: Path, lines: list[str], t):
-    """``t`` as read from ``lines``, or `MalformedRecording` naming ``path:line``
-    of the first row whose t is not after the previous row's."""
+    t = data[:, cols["t"]]
     late = np.flatnonzero(np.diff(t) <= 0)
     if late.size:
-        rows = [lineno for lineno, line in enumerate(lines, start=2) if _data_text(line)]
         i = int(late[0]) + 1
-        raise MalformedRecording(f"{path}:{rows[i]}: t {float(t[i])!r} is not after "
+        lineno = next(itertools.islice(_data_lines(path), i, None))[0]
+        raise MalformedRecording(f"{path}:{lineno}: t {float(t[i])!r} is not after "
                                  f"the previous row's {float(t[i - 1])!r}")
-    return t
+    return cols, data, t
+
+
+def _lines(path: Path):
+    """``(line number, line)`` of each line below the header, read one at a time."""
+    with open(path) as fh:
+        yield from itertools.islice(enumerate(fh, start=1), 1, None)
+
+
+def _data_lines(path: Path):
+    """``(line number, text)`` of each line below the header that holds a row: its
+    text as ``np.loadtxt`` reads it, comment cut and whitespace stripped."""
+    return ((lineno, text) for lineno, line in _lines(path)
+            if (text := line.split("#", 1)[0].strip()))
 
 
 def _first_step(t) -> float:
     """A label file's step: its first, as a label code cannot be interpolated."""
     return float(t[1] - t[0]) if len(t) > 1 else 1.0
-
-
-def _data_text(line: str) -> str:
-    """A CSV line as ``np.loadtxt`` reads it: comment cut, whitespace stripped."""
-    return line.split("#", 1)[0].strip()
 
 
 def _row_values(path: Path, lineno: int, fields: list[str], names, parsers,
@@ -315,25 +328,23 @@ def _sensor_model(entry) -> SensorModel:
 
 def write_detection_csv(path, series: BinaryStateSeries) -> None:
     """Per-sample ``t,state`` rows followed by a change-point block."""
-    t = series.t0 + series.dt * np.arange(len(series.states))
-    lines = ["t,state", *(f"{ti!r},{STATE_NAMES[st]}"
-                          for ti, st in zip(t.tolist(), series.states.tolist()))]
-    for (idx, st), onset in zip(series.change_points, series.onsets):
-        lines.append(f"# change_point,{idx},{STATE_NAMES[st]},{onset}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    def lines(start, stop):
+        t = series.t0 + series.dt * np.arange(start, stop)
+        return [f"{ti!r},{STATE_NAMES[st]}"
+                for ti, st in zip(t.tolist(), series.states[start:stop].tolist())]
+    _write_csv(path, "t,state", len(series.states), lines, tail=(
+        f"# change_point,{idx},{STATE_NAMES[st]},{onset}"
+        for (idx, st), onset in zip(series.change_points, series.onsets)))
 
 
 def read_detection_csv(path) -> BinaryStateSeries:
     """Per-sample states, ``t`` and ``state`` found by name, and ``# change_point`` lines."""
     path = Path(path)
-    header, lines = _read_lines(path)
-    cols = _column_index(path, header, ("t", "state"))
     state = _label(STATE_NAMES)
-    data = _read_rows(path, header, lines, {"state": state})
-    t = _increasing_times(path, lines, data[:, cols["t"]])
+    cols, data, t = _read_table(path, ("t", "state"), {"state": state})
     points = [_row_values(path, lineno, line.split(","), ("#", "index", "state", "onset"),
                           (str, _integer, state, _integer), expected="a change point has")
-              for lineno, line in enumerate(lines, start=2)
+              for lineno, line in _lines(path)
               if line.split(",", 1)[0].strip() == "# change_point"]
     return BinaryStateSeries(t0=float(t[0]), dt=_first_step(t),
                              states=data[:, cols["state"]].astype(np.uint8),
@@ -350,22 +361,22 @@ _TIMELINE_PARSERS = {"full_body": _label(_FULL_BODY_NAMES),
 
 
 def write_timeline_csv(path, timeline: ActivityTimeline) -> None:
-    t = timeline.t0 + timeline.dt * np.arange(len(timeline.full_body))
-    columns = [map(repr, t.tolist()),
-               map(_FULL_BODY_NAMES.__getitem__, timeline.full_body.tolist())]
-    columns += [map(_LIMB_NAMES.__getitem__, timeline.limb_substates[s].tolist())
-                for s in LIMBS]
-    lines = [",".join(_TIMELINE_COLUMNS), *map(",".join, zip(*columns))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    tracks = [timeline.full_body, *(timeline.limb_substates[s] for s in LIMBS)]
+    names = [_FULL_BODY_NAMES] + [_LIMB_NAMES] * len(LIMBS)
+
+    def lines(start, stop):
+        t = timeline.t0 + timeline.dt * np.arange(start, stop)
+        columns = [map(repr, t.tolist())]
+        columns += [map(name.__getitem__, track[start:stop].tolist())
+                    for name, track in zip(names, tracks)]
+        return list(map(",".join, zip(*columns)))
+    _write_csv(path, ",".join(_TIMELINE_COLUMNS), len(timeline.full_body), lines)
 
 
 def read_timeline_csv(path) -> ActivityTimeline:
     """A timeline, its columns found by name."""
     path = Path(path)
-    header, lines = _read_lines(path)
-    cols = _column_index(path, header, _TIMELINE_COLUMNS)
-    data = _read_rows(path, header, lines, _TIMELINE_PARSERS)
-    t = _increasing_times(path, lines, data[:, cols["t"]])
+    cols, data, t = _read_table(path, _TIMELINE_COLUMNS, _TIMELINE_PARSERS)
     return ActivityTimeline(
         t0=float(t[0]), dt=_first_step(t),
         full_body=data[:, cols["full_body"]].astype(np.uint8),
@@ -389,19 +400,17 @@ def write_report_json(path, report: dict[SensorSite, LimbCounts],
 def read_trajectory_csv(path) -> TrajectorySeries:
     """A trajectory, its ``t``, ``x`` and ``y`` columns found by name, on `_uniform_clock`."""
     path = Path(path)
-    header, lines = _read_lines(path)
-    cols = _column_index(path, header, ("t", "x", "y"))
-    data = _read_rows(path, header, lines, {})
-    t = _increasing_times(path, lines, data[:, cols["t"]])
+    cols, data, t = _read_table(path, ("t", "x", "y"))
     t, dt, data = _uniform_clock(path, t, data, lone_dt=1.0)
     return TrajectorySeries(t0=float(t[0]), dt=dt, x=data[:, cols["x"]], y=data[:, cols["y"]])
 
 
 def write_trajectory_csv(path, traj: TrajectorySeries) -> None:
-    t = traj.t0 + traj.dt * np.arange(len(traj))
-    lines = ["t,x,y", *(f"{ti!r},{xi!r},{yi!r}" for ti, xi, yi
-                        in zip(t.tolist(), traj.x.tolist(), traj.y.tolist()))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    def lines(start, stop):
+        t = traj.t0 + traj.dt * np.arange(start, stop)
+        return [f"{ti!r},{xi!r},{yi!r}" for ti, xi, yi in zip(
+            t.tolist(), traj.x[start:stop].tolist(), traj.y[start:stop].tolist())]
+    _write_csv(path, "t,x,y", len(traj), lines)
 
 
 def write_manifest(path, manifest: dict) -> None:

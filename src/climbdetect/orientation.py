@@ -12,8 +12,8 @@ sample; the loop then runs each step inlined in closed form (Madgwick 2010):
 the gyro derivative term by term, the gravity and field residuals and their
 gradients from the rotation's Jacobian. `filter_update` is the same loop over
 one row. The initial attitude (Markley's quaternion from a rotation matrix)
-and the rotation of the accelerations into the Earth frame are closed-form
-numpy.
+and the rotation of the accelerations into the Earth frame, a block of rows at
+a time, are closed-form numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +31,10 @@ DEFAULT_BETA = 0.1
 CONVERGENCE_WINDOW = 3.0  # seconds the filter converges for (`estimate_orientation`)
 
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
-_BLOCK = 1024
+# Rows the filter loop holds as Python floats at a time, and rows rotated into
+# the Earth frame at a time: each bounds a transient, not the result.
+_BLOCK = 512
+_ROTATE_BLOCK = 4096
 
 
 @dataclass
@@ -289,7 +292,10 @@ def estimate_orientation(recording: ImuRecording, beta: float = DEFAULT_BETA) ->
 def earth_acceleration(recording: ImuRecording, beta: float = DEFAULT_BETA) -> np.ndarray:
     """Gravity-free acceleration components (n, 3) in the Earth frame."""
     quats = estimate_orientation(recording, beta)
-    a_earth = _rotate(quats, recording.accel)
+    a_earth = np.empty_like(recording.accel)
+    for start in range(0, len(quats), _ROTATE_BLOCK):
+        rows = slice(start, start + _ROTATE_BLOCK)
+        a_earth[rows] = _rotate(quats[rows], recording.accel[rows])
     a_earth[:, 2] -= GRAVITY
     return a_earth
 

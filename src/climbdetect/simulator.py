@@ -125,7 +125,8 @@ def simulate(plan: StatePlan,
     With ``triaxial`` set, matching IMU recordings are generated as well:
     the gravity-free acceleration norm is distributed per model and given a
     random direction, the sensor is held at identity orientation, and
-    gravity plus the magnetic field are added in the sensor frame.
+    gravity plus the magnetic field are added in the sensor frame. A site
+    whose plan rounds to fewer than 2 samples raises `InvalidPlan`.
     """
     if models is None:
         models = default_models()
@@ -145,6 +146,9 @@ def simulate(plan: StatePlan,
         annotations[site] = AnnotationTrack(site=site, intervals=[
             (start, end, state) for start, end, (_, state) in zip(edges, edges[1:], segs)])
         n = int(round(plan.duration(site) * sample_rate))
+        if n < 2:
+            raise InvalidPlan(f"{plan.duration(site)!r} s at {sample_rate!r} Hz gives "
+                              f"{site.value} {n} samples, fewer than 2")
         labels = rasterize_track(annotations[site], 0.0, dt, n)
         acc_model, ang_model = models[site]
         series = {}

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from climbdetect import classifier
 from climbdetect.classifier import (ActivityTimeline, FullBodyState,
                                     LimbSubState, classify, episodes,
                                     exploration_report, full_body_state,
@@ -230,6 +231,23 @@ class TestClassify:
         rh = timeline.limb_substates[SensorSite.RIGHT_HAND]
         assert np.all(rh[50:55] == LimbSubState.IMMOBILITY)
         assert np.all(rh[100:150] != LimbSubState.IMMOBILITY)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_traction_runs_found_once(self, seed, monkeypatch):
+        # the four limbs share one traction mask and its onsets, and each
+        # limb's track is still `limb_substates` of its states
+        rng = np.random.default_rng(seed)
+        limbs = [dwelling_runs(rng, 2000, 40.0, [0, 1]) for _ in LIMBS]
+        pelvis = dwelling_runs(rng, 2000, 40.0, [0, 1])
+        calls = []
+        traction = classifier._traction
+        monkeypatch.setattr(classifier, "_traction",
+                            lambda full_body: calls.append(1) or traction(full_body))
+        timeline = classify(self.detections(limbs, pelvis), min_episode_duration=0.0)
+        assert len(calls) == 1
+        for site, states in zip(LIMBS, limbs):
+            np.testing.assert_array_equal(timeline.limb_substates[site],
+                                          limb_substates(states, timeline.full_body))
 
     def test_missing_limb_raises(self):
         zeros = np.zeros(10)

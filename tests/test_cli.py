@@ -58,6 +58,16 @@ class TestSimulate:
                 continue  # embeds the output path
             assert filecmp.cmp(dataset / rel, other / rel, shallow=False), rel
 
+    @pytest.mark.parametrize("options", [["--duration", "0.004"],
+                                         ["--duration", "10", "--rate", "1e-3"]])
+    def test_fewer_than_two_samples_exits_one(self, options, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--out", str(out), "--climbs", "1", *options]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("samples, fewer than 2\n")
+        assert "Traceback" not in err
+        assert not list(out.rglob("*.csv"))
+
 
 class TestFit:
     def test_model_file(self, model_path):

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -560,6 +562,97 @@ class TestWriterBytes:
            n=st.integers(1, 12))
     def test_trajectory(self, tmp_path, data, t0, dt, n):
         traj = TrajectorySeries(t0=t0, dt=dt, x=data.draw(_column(n)), y=data.draw(_column(n)))
+        path = tmp_path / "traj.csv"
+        io.write_trajectory_csv(path, traj)
+        assert path.read_text() == csv_oracles.trajectory_text(traj)
+
+
+def _peak_bytes(call, *args) -> int:
+    """The most memory `tracemalloc` sees allocated at once while ``call(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedTables:
+    """Readers parse from the open file and writers write `_BLOCK_ROWS` lines at
+    a time, so neither holds the text of the whole file."""
+
+    ROWS = 6000
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        path = tmp_path / "c1_rh.csv"
+        io.write_recording_csv(path, make_recording(n=self.ROWS))
+        return path
+
+    def test_read_peak_is_under_two_and_a_half_arrays(self, written):
+        # a first read imports what numpy loads on first use (np.percentile
+        # imports numpy.ma), which is not the reader's memory
+        io.read_recording_csv(written, SensorSite.RIGHT_HAND)
+        parsed = self.ROWS * len(io.RECORDING_HEADER.split(",")) * 8
+        assert _peak_bytes(io.read_recording_csv, written, SensorSite.RIGHT_HAND) < 2.5 * parsed
+
+    def test_write_peak_is_under_half_a_megabyte(self, written):
+        rec = io.read_recording_csv(written, SensorSite.RIGHT_HAND)
+        assert _peak_bytes(io.write_recording_csv, written, rec) < 0.5e6
+
+    @pytest.mark.parametrize("read, header", [
+        (lambda path: io.read_recording_csv(path, SensorSite.RIGHT_HAND), io.RECORDING_HEADER),
+        (io.read_trajectory_csv, "t,x,y"),
+        (io.read_detection_csv, "t,state"),
+        (io.read_timeline_csv, "t,full_body,rh,lh,rf,lf"),
+    ], ids=["recording", "trajectory", "detection", "timeline"])
+    def test_comments_and_blank_lines_are_no_rows(self, tmp_path, read, header):
+        # and np.loadtxt's warning on empty input does not reach the caller
+        path = tmp_path / "table.csv"
+        path.write_text(header + "\n\n# a comment\n \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyRecording, match="no samples after the header"):
+                read(path)
+
+
+@pytest.mark.parametrize("n", [0, io._BLOCK_ROWS, io._BLOCK_ROWS + 1])
+class TestWriterBytesAroundBlocks:
+    """Each writer's bytes against its oracle with no rows and around a block's end."""
+
+    def test_recording(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        rec = ImuRecording(site=SensorSite.PELVIS, sample_rate=100.0,
+                           t=np.cumsum(rng.uniform(0.005, 0.015, n)),
+                           accel=rng.normal(size=(n, 3)), gyro=rng.normal(size=(n, 3)),
+                           mag=rng.normal(size=(n, 3)))
+        path = tmp_path / "c1_pelvis.csv"
+        io.write_recording_csv(path, rec)
+        assert path.read_text() == csv_oracles.recording_text(rec)
+
+    def test_detection(self, tmp_path, n):
+        states = np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
+        change_points = [(i, int(code)) for i, code in enumerate(states)
+                         if i and code != states[i - 1]]
+        series = BinaryStateSeries(t0=0.5, dt=0.01, states=states,
+                                   change_points=change_points,
+                                   onsets=[i - 1 for i, _ in change_points])
+        path = tmp_path / "det.csv"
+        io.write_detection_csv(path, series)
+        assert path.read_text() == csv_oracles.detection_text(series)
+
+    def test_timeline(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        timeline = ActivityTimeline(
+            t0=0.0, dt=0.02, full_body=rng.integers(0, 4, n).astype(np.uint8),
+            limb_substates={site: rng.integers(0, 4, n).astype(np.uint8) for site in LIMBS})
+        path = tmp_path / "timeline.csv"
+        io.write_timeline_csv(path, timeline)
+        assert path.read_text() == csv_oracles.timeline_text(timeline)
+
+    def test_trajectory(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        traj = TrajectorySeries(t0=1.0, dt=0.04, x=rng.normal(size=n), y=rng.normal(size=n))
         path = tmp_path / "traj.csv"
         io.write_trajectory_csv(path, traj)
         assert path.read_text() == csv_oracles.trajectory_text(traj)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from climbdetect import orientation
 from climbdetect.errors import EmptyRecording, MalformedRecording
 from climbdetect.orientation import (CONVERGENCE_WINDOW, GRAVITY, ImuRecording, _rotate,
                                      angular_velocity_norm, earth_acceleration,
@@ -218,10 +219,18 @@ class TestFusedLoopOracle:
         rec.mag[::11] = -0.0
         assert_bit_equal(estimate_orientation(rec, 0.3), per_sample_oracle(rec, 0.3))
 
-    @pytest.mark.parametrize("n", [1, 2, 1024, 1025, 2500])
+    @pytest.mark.parametrize("n", sorted({
+        1, 2, 1024, 1025, 2500, orientation._BLOCK - 1, orientation._BLOCK + 1,
+        orientation._ROTATE_BLOCK - 1, orientation._ROTATE_BLOCK + 1}))
     def test_lengths_around_blocks(self, n):
+        # the filter runs `_BLOCK` rows at a time and the rotation
+        # `_ROTATE_BLOCK` rows, and neither changes a bit of the result
         rec = random_recording(n, seed=n)
-        assert_bit_equal(estimate_orientation(rec, 0.2), per_sample_oracle(rec, 0.2))
+        quats = per_sample_oracle(rec, 0.2)
+        assert_bit_equal(estimate_orientation(rec, 0.2), quats)
+        a_earth = _rotate(quats, rec.accel)
+        a_earth[:, 2] -= GRAVITY
+        assert_bit_equal(earth_acceleration(rec, 0.2), a_earth)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 30), mag=st.booleans(),

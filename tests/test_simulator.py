@@ -71,6 +71,15 @@ class TestSimulate:
     def plan(self, duration=30.0, seed=0):
         return random_plan(duration, np.random.default_rng(seed))
 
+    @pytest.mark.parametrize("duration, rate", [(0.004, 100.0), (0.012, 100.0), (10.0, 1e-3)])
+    def test_plan_of_fewer_than_two_samples_is_refused(self, duration, rate):
+        with pytest.raises(InvalidPlan, match="fewer than 2"):
+            simulate(single_site_plan([(duration, H0)]), sample_rate=rate, triaxial=True)
+
+    def test_two_samples_are_enough(self):
+        climb = simulate(single_site_plan([(0.02, H0)]), sample_rate=100.0, triaxial=True)
+        assert len(climb.recordings[RH]) == 2
+
     def test_shapes_and_sites(self):
         climb = simulate(self.plan(), sample_rate=50, seed=7, climb_id="c1")
         assert climb.climb_id == "c1"
