@@ -247,6 +247,16 @@ def cmd_evaluate(args) -> int:
 _UNIFORM_MOTION_SHARE = 1e-9
 
 
+def _vertical_acceleration(path, beta: float) -> tuple[SignalSeries, tuple[float, float]]:
+    """The pelvis recording's Earth-frame vertical acceleration, filtered with gain
+    ``beta`` and copied out of the (n, 3) Earth-frame array, and the recording's
+    first and last time; the recording and the array are dropped."""
+    rec = io.read_recording_csv(path, SensorSite.PELVIS)
+    vertical = np.ascontiguousarray(orientation.earth_acceleration(rec, beta)[:, 2])
+    span = (float(rec.t[0]), float(rec.t[-1]))
+    return SignalSeries(span[0], rec.dt, vertical), span
+
+
 def cmd_sync(args) -> int:
     _make_parent(args.out)
     traj = io.read_trajectory_csv(args.trajectory)
@@ -255,14 +265,11 @@ def cmd_sync(args) -> int:
         # every lag would correlate rounding or nothing: a delay without evidence
         raise ClimbDetectError(f"{args.trajectory}: the trajectory has no vertical "
                                "acceleration, so it cannot fix a delay")
-    rec = io.read_recording_csv(args.recording, SensorSite.PELVIS)
-    a_earth = orientation.earth_acceleration(rec, args.beta)
-    sensor_vertical = SignalSeries(float(rec.t[0]), rec.dt, a_earth[:, 2])
+    sensor_vertical, span = _vertical_acceleration(args.recording, args.beta)
     delay, corr = sync.estimate_delay(sensor_vertical, vertical, args.max_lag)
     print(f"delay={delay:.3f} s peak_correlation={corr:.3f}")
     if args.annotations and args.out:
         annotations = io.read_annotations_json(args.annotations)
-        span = (float(rec.t[0]), float(rec.t[-1]))
         shifted = {site: sync.shift_annotations(ann, -delay, span)
                    for site, ann in annotations.items()}
         io.write_annotations_json(args.out, shifted)

@@ -65,22 +65,51 @@ def write_recording_csv(path, rec: ImuRecording) -> None:
 def read_recording_csv(path, site: SensorSite) -> ImuRecording:
     """Load the recording of `site`; refuses timestamps that do not strictly
     increase and any of mx, my, mz without the other two, auto-detects gyro
-    units, and puts the samples on `_uniform_clock`."""
+    units, and puts the samples on `_uniform_clock`. The streams, and ``t`` on a
+    clock that is not resampled, are column slices of one table in the writer's
+    column order: a header in any other order is copied into it once."""
     path = Path(path)
     columns = RECORDING_HEADER.split(",")
     # with any of mx, my, mz, all three are required
-    cols, data, t = _read_table(path, lambda header: columns if any(
+    cols, data, _ = _read_table(path, lambda header: columns if any(
         name in header for name in columns[7:]) else columns[:7])
-    accel, gyro, mag = ([cols[name] for name in columns[i:i + 3] if name in cols]
-                        for i in (1, 4, 7))
-    if not np.any(np.abs(data[:, mag]) > 1e-12):  # no mx, my, mz, or all of them 0
-        mag = None
-    gyro_p99 = float(np.percentile(np.linalg.norm(data[:, gyro], axis=1), 99))
-    if gyro_p99 > GYRO_DEGREES_THRESHOLD:
-        data[:, gyro] = np.deg2rad(data[:, gyro])
-    t, dt, data = _uniform_clock(path, t, data, lone_dt=0.01)
-    return ImuRecording(site=site, sample_rate=1.0 / dt, t=t, accel=data[:, accel],
-                        gyro=data[:, gyro], mag=None if mag is None else data[:, mag])
+    order = [cols[name] for name in columns if name in cols]
+    if order != list(range(len(order))):
+        data = data[:, order]
+    gyro = data[:, 4:7]
+    if _percentile(np.linalg.norm(gyro, axis=1), 99) > GYRO_DEGREES_THRESHOLD:
+        np.deg2rad(gyro, out=gyro)
+    # no mx, my, mz, or all of them 0
+    has_mag = len(order) > 7 and bool(np.any(np.abs(data[:, 7:10]) > 1e-12))
+    t, dt, data = _uniform_clock(path, data[:, 0], data, lone_dt=0.01)
+    return ImuRecording(site=site, sample_rate=1.0 / dt, t=t, accel=data[:, 1:4],
+                        gyro=data[:, 4:7], mag=data[:, 7:10] if has_mag else None)
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median(values)`` from `np.partition`: the middle value, or the mean
+    of the two middle values, as numpy forms it."""
+    k = len(values) // 2
+    if len(values) % 2:
+        return float(np.partition(values, k)[k])
+    low, high = np.partition(values, [k - 1, k])[k - 1:k + 1].tolist()
+    return (low + high) / 2
+
+
+def _percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, q)`` from `np.partition`, by numpy's ``linear``
+    rule: the order statistics either side of the virtual index ``(n - 1) * q /
+    100`` (both the largest from the last index on), blended as numpy's ``_lerp``
+    blends them. Neither function imports ``numpy.ma``, as numpy's do."""
+    n = len(values)
+    index = (n - 1) * (q / 100)
+    below = math.floor(index) if index < n - 1 else -1
+    above = below + 1 if below >= 0 else -1
+    part = np.partition(values, [below, above])
+    low, high = float(part[below]), float(part[above])
+    gamma = index - below
+    step = high - low
+    return high - step * (1 - gamma) if gamma >= 0.5 else low + step * gamma
 
 
 def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
@@ -88,7 +117,7 @@ def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
     for one sample), a gap over two steps is warned of, and if any step is off ``dt``
     by over a tenth, ``t`` and each column of ``data`` go linearly onto ``t[0] + k*dt``."""
     diffs = np.diff(t)
-    dt = float(np.median(diffs)) if len(diffs) else lone_dt
+    dt = _median(diffs) if len(diffs) else lone_dt
     gaps = int(np.count_nonzero(diffs > 2.0 * dt))
     if gaps:
         warnings.warn(f"{path}: {gaps} gaps longer than 2 sample periods")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -806,6 +807,21 @@ class TestSync:
         printed = capsys.readouterr().out
         assert float(printed.split("delay=")[1].split()[0]) == pytest.approx(delay, abs=0.1)
 
+    def test_lags_are_scored_without_the_recording(self, tmp_path):
+        # the recording and its (n, 3) Earth-frame array are dropped before
+        # estimate_delay: the peak is 3.3x the parsed table here, 4.35x when
+        # both were held
+        rec_path, traj_path, _ = lateral_sync_inputs(tmp_path, 4, 0.0)
+        argv = ["sync", "--trajectory", str(traj_path), "--recording", str(rec_path)]
+        assert cli.main(argv) == 0  # a first run imports what numpy loads on first use
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.8 * 6000 * len(io.RECORDING_HEADER.split(",")) * 8
+
 
 @pytest.mark.parametrize("command", ["fit", "evaluate", "classify", "report", "sync"])
 def test_out_in_missing_directory_is_created(command, dataset, model_path, tmp_path):
@@ -937,7 +953,8 @@ def _fresh_interpreter(*args) -> str:
 
 class TestColdStart:
     """The CLI starts and runs every command on numpy alone; scipy is loaded
-    only by ``chi_square_gof``."""
+    only by ``chi_square_gof``, and ``numpy.ma`` by no command that reads a
+    recording."""
 
     def test_import_loads_no_scipy(self):
         assert _fresh_interpreter(
@@ -967,6 +984,21 @@ class TestColdStart:
     @pytest.mark.parametrize("command", ["simulate", "fit", "detect", "classify",
                                          "report", "evaluate", "sync"])
     def test_command_loads_no_scipy(self, command, dataset, model_path, tmp_path):
+        argv = self.argv(command, dataset, model_path, tmp_path)
+        assert _fresh_interpreter("-c", _cold_run(_SCIPY_MODULES), command, *argv) == "[]"
+
+    @pytest.mark.parametrize("command", ["classify", "sync"])
+    def test_reading_a_recording_loads_no_numpy_ma(self, command, dataset, model_path,
+                                                   tmp_path):
+        # the median step and the 99th-percentile gyro norm come from
+        # np.partition; np.median and np.percentile import numpy.ma
+        argv = self.argv(command, dataset, model_path, tmp_path)
+        assert _fresh_interpreter(
+            "-c", _cold_run("'numpy.ma' in sys.modules"), command, *argv) == "False"
+
+    @staticmethod
+    def argv(command, dataset, model_path, tmp_path) -> list[str]:
+        """The arguments of a short run of ``command``, its inputs written."""
         climb = str(dataset / "climb01")
         timeline = tmp_path / "timeline.csv"
         argv = {
@@ -989,4 +1021,4 @@ class TestColdStart:
         if command == "report":
             assert cli.main(["classify", "--model", str(model_path), "--climb", climb,
                              "--out", str(timeline)]) == 0
-        assert _fresh_interpreter("-c", _cold_run(_SCIPY_MODULES), command, *argv) == "[]"
+        return argv

@@ -82,6 +82,27 @@ class TestRecordingCsv:
         with pytest.warns(UserWarning, match="gap"):
             io.read_recording_csv(path, SensorSite.RIGHT_HAND)
 
+    @pytest.mark.parametrize("order", ["t,ax,gx,ay,gy,az,gz,mx,my,mz",
+                                       "mz,my,mx,gz,gy,gx,az,ay,ax,t"])
+    def test_columns_found_by_name(self, tmp_path, order):
+        # streams whose x, y, z are not side by side read as the writer's
+        # order reads, each a column slice of one table
+        written = tmp_path / "c1_rh.csv"
+        io.write_recording_csv(written, make_recording(n=50))
+        header, *rows = written.read_text().splitlines()
+        index = [header.split(",").index(name) for name in order.split(",")]
+        reordered = tmp_path / "c2_rh.csv"
+        reordered.write_text("\n".join([order] + [
+            ",".join(row.split(",")[i] for i in index) for row in rows]) + "\n")
+        want = io.read_recording_csv(written, SensorSite.RIGHT_HAND)
+        back = io.read_recording_csv(reordered, SensorSite.RIGHT_HAND)
+        assert back.sample_rate == want.sample_rate
+        table = back.t.base
+        assert table is not None
+        for name in ("t", "accel", "gyro", "mag"):
+            assert getattr(back, name).tobytes() == getattr(want, name).tobytes()
+            assert getattr(back, name).base is table
+
     @pytest.mark.parametrize("corrupt, message", [
         # line 6 of the file is lines[5]; its gz value becomes nan
         (lambda lines: lines[:5] + [lines[5].rsplit(",", 4)[0] + ",nan,0.0,0.0,0.0"]
@@ -579,9 +600,11 @@ def _peak_bytes(call, *args) -> int:
 
 class TestStreamedTables:
     """Readers parse from the open file and writers write `_BLOCK_ROWS` lines at
-    a time, so neither holds the text of the whole file."""
+    a time, so neither holds the text of the whole file; a read recording
+    holds its parsed table alone."""
 
     ROWS = 6000
+    PARSED = ROWS * len(io.RECORDING_HEADER.split(",")) * 8  # bytes of the parsed table
 
     @pytest.fixture
     def written(self, tmp_path):
@@ -590,11 +613,24 @@ class TestStreamedTables:
         return path
 
     def test_read_peak_is_under_two_and_a_half_arrays(self, written):
-        # a first read imports what numpy loads on first use (np.percentile
-        # imports numpy.ma), which is not the reader's memory
+        # a first read imports what numpy loads on first use, which is not
+        # the reader's memory
         io.read_recording_csv(written, SensorSite.RIGHT_HAND)
-        parsed = self.ROWS * len(io.RECORDING_HEADER.split(",")) * 8
-        assert _peak_bytes(io.read_recording_csv, written, SensorSite.RIGHT_HAND) < 2.5 * parsed
+        peak = _peak_bytes(io.read_recording_csv, written, SensorSite.RIGHT_HAND)
+        assert peak < 2.5 * self.PARSED
+
+    def test_held_recording_is_one_table(self, written):
+        # t, accel, gyro and mag are column slices of the parsed table (1.9x
+        # the table when the streams were copied out of it)
+        io.read_recording_csv(written, SensorSite.RIGHT_HAND)
+        tracemalloc.start()
+        try:
+            rec = io.read_recording_csv(written, SensorSite.RIGHT_HAND)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rec.mag is not None
+        assert held <= 1.1 * self.PARSED
 
     def test_write_peak_is_under_half_a_megabyte(self, written):
         rec = io.read_recording_csv(written, SensorSite.RIGHT_HAND)
@@ -675,6 +711,29 @@ class TestRoundTrips:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), t0=_T0, dt=_DT, n=st.integers(1, 30), mag=st.booleans())
+    def test_recording(self, tmp_path, data, t0, dt, n, mag):
+        # gyro norms stay below the deg/s threshold, so no stream is converted
+        gyro = st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats(-28.0, 28.0)),
+                        min_size=3 * n, max_size=3 * n)
+        rec = ImuRecording(
+            site=SensorSite.PELVIS, sample_rate=1.0 / dt, t=t0 + dt * np.arange(n),
+            accel=data.draw(_column(3 * n)).reshape(n, 3),
+            gyro=np.array(data.draw(gyro)).reshape(n, 3),
+            mag=data.draw(_column(3 * n)).reshape(n, 3) if mag else None)
+        path = tmp_path / "c1_pelvis.csv"
+        io.write_recording_csv(path, rec)
+        back = io.read_recording_csv(path, SensorSite.PELVIS)
+        for name in ("t", "accel", "gyro"):
+            assert getattr(back, name).tobytes() == getattr(rec, name).tobytes()
+        # zeros, or values all within 1e-12 of them, are no magnetometer
+        if mag and np.any(np.abs(rec.mag) > 1e-12):
+            assert back.mag.tobytes() == rec.mag.tobytes()
+        else:
+            assert back.mag is None
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(t0=_T0, dt=_DT, states=st.lists(st.integers(0, 1), min_size=1, max_size=30))
     def test_detection(self, tmp_path, t0, dt, states):
         change_points = [(i, code) for i, code in enumerate(states)
@@ -721,3 +780,22 @@ class TestRoundTrips:
         self.same_clock(back, t0, dt, n)
         np.testing.assert_array_equal(back.x, traj.x)
         np.testing.assert_array_equal(back.y, traj.y)
+
+
+class TestOrderStatistics:
+    """The reader's median step and 99th-percentile gyro norm, from
+    `np.partition`, are the floats of `np.median` and `np.percentile`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40))
+    def test_match_numpy(self, data, n):
+        # a few values drawn often give ties; n = 1 or 2 is a clock of 1-2 steps
+        value = st.one_of(
+            st.sampled_from([0.0, 5e-324, 0.01, 0.010000000000000002, 0.02, 1e300]),
+            st.floats(0.0, 1e300))
+        values = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        before = values.copy()
+        for ours, numpys in ((io._median(values), np.median(values)),
+                             (io._percentile(values, 99), np.percentile(values, 99))):
+            assert np.float64(ours).tobytes() == np.float64(numpys).tobytes()
+        assert values.tobytes() == before.tobytes()
