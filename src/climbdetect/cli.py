@@ -77,21 +77,26 @@ def _climb_files(climb_dir: Path, need_annotations: bool):
     return climb_id, paths, annotations
 
 
-def _channels(path: Path, site: SensorSite, beta: float) -> learning.SensorChannels:
-    """A recording's norms, filtered with gain ``beta``; the recording itself is dropped."""
+def _channels(path: Path, site: SensorSite, beta: float,
+              filtered: bool) -> learning.SensorChannels:
+    """A recording's norms, the acceleration filtered with gain ``beta`` if
+    ``filtered`` and else None; the recording itself is dropped."""
     rec = io.read_recording_csv(path, site)
-    return learning.SensorChannels(orientation.linear_acceleration(rec, beta),
-                                   orientation.angular_velocity_norm(rec))
+    acc = orientation.linear_acceleration(rec, beta) if filtered else None
+    return learning.SensorChannels(acc, orientation.angular_velocity_norm(rec))
 
 
-def _load_climbs_in(climb_dirs, beta: float, need_annotations: bool):
+def _load_climbs_in(climb_dirs, beta: float, need_annotations: bool, models=None):
     """The climbs' norms, and their annotations if needed. Every annotation file is
     read before any recording, and the recordings are read and filtered by
-    `parallel.fork_map`."""
+    `parallel.fork_map`. Given the ``models`` that detect them, a site whose model
+    has alpha = 0 is not filtered: its acceleration channel is None."""
     files = [_climb_files(climb_dir, need_annotations) for climb_dir in climb_dirs]
-    jobs = [(path, site, beta) for _, paths, _ in files for site, path in paths.items()]
+    unweighed = {site for site, model in (models or {}).items() if model.config.alpha == 0.0}
+    jobs = [(path, site, beta, site not in unweighed)
+            for _, paths, _ in files for site, path in paths.items()]
     channels = iter(parallel.fork_map(
-        _channels, jobs, [path.stat().st_size // _RECORDING_ROW_BYTES for path, _, _ in jobs]))
+        _channels, jobs, [path.stat().st_size // _RECORDING_ROW_BYTES for path, *_ in jobs]))
     return [learning.LabeledClimb(climb_id, {site: next(channels) for site in paths}, annotations)
             for climb_id, paths, annotations in files]
 
@@ -114,12 +119,21 @@ def _grid(args) -> dict:
 
 def _detect_climb(climb: learning.LabeledClimb,
                   models: dict[SensorSite, cusum.SensorModel]):
+    """Each modelled site's `cusum.detect`. A site with no acceleration channel
+    (alpha = 0) runs the two steps of `cusum.detect` here, not `cusum.detect(None,
+    ...)`: `bench/tracing.py` counts each `cusum.detect` call's samples as
+    ``len(acc)``."""
     out = {}
     for site, model in models.items():
         if site not in climb.channels:
             continue
         ch = climb.channels[site]
-        out[site] = cusum.detect(ch.acc, ch.ang, model)
+        if ch.acc is not None:
+            out[site] = cusum.detect(ch.acc, ch.ang, model)
+        else:
+            out[site] = cusum.detect_from_increments(
+                cusum.fused_increments(None, ch.ang, model), model.config.lambda0,
+                model.config.lambda1, ch.ang.t0, ch.ang.dt)
     return out
 
 
@@ -167,7 +181,8 @@ def cmd_fit(args) -> int:
 
 def cmd_detect(args) -> int:
     models, beta = io.read_model_json(args.model)
-    [climb] = _load_climbs_in([Path(args.climb)], beta, need_annotations=False)
+    [climb] = _load_climbs_in([Path(args.climb)], beta, need_annotations=False,
+                              models=models)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     detections = _detect_climb(climb, models)
@@ -185,7 +200,8 @@ def cmd_detect(args) -> int:
 def cmd_classify(args) -> int:
     _make_parent(args.out)
     models, beta = io.read_model_json(args.model)
-    [climb] = _load_climbs_in([Path(args.climb)], beta, need_annotations=False)
+    [climb] = _load_climbs_in([Path(args.climb)], beta, need_annotations=False,
+                              models=models)
     detections = _detect_climb(climb, models)
     timeline = classifier.classify(detections, args.min_episode)
     io.write_timeline_csv(args.out, timeline)

@@ -117,19 +117,32 @@ def _states(n, onsets) -> np.ndarray:
     return states
 
 
-def fused_increments(acc: SignalSeries, ang: SignalSeries,
+def fused_increments(acc: SignalSeries | None, ang: SignalSeries,
                      model: SensorModel) -> np.ndarray:
-    """Per-sample weighted log-likelihood increments alpha*l_acc + (1-alpha)*l_ang."""
+    """Per-sample weighted log-likelihood increments alpha*l_acc + (1-alpha)*l_ang.
+
+    ``acc`` may be None only at alpha = 0, where l_acc has no weight: the
+    increments are then (1-alpha)*l_ang. They take the same decisions as with
+    ``acc`` given, where alpha*l_acc is a signed zero wherever l_acc is finite.
+    """
+    alpha = model.config.alpha
+    if acc is None:
+        if alpha != 0.0:
+            raise ValueError(f"alpha = {alpha!r} weighs the acceleration channel, "
+                             "which is not given")
+        return (1.0 - alpha) * log_likelihood_ratio(ang.values, model.ang)
     if len(acc) != len(ang) or not np.isclose(acc.dt, ang.dt):
         raise LengthMismatch("acceleration and angular-velocity series must share timing")
-    alpha = model.config.alpha
     l_acc = log_likelihood_ratio(acc.values, model.acc)
     l_ang = log_likelihood_ratio(ang.values, model.ang)
     return alpha * l_acc + (1.0 - alpha) * l_ang
 
 
-def detect(acc: SignalSeries, ang: SignalSeries, model: SensorModel) -> BinaryStateSeries:
-    """Run the detector over one sensor's two channel norms, starting in H0.
+def detect(acc: SignalSeries | None, ang: SignalSeries,
+           model: SensorModel) -> BinaryStateSeries:
+    """Run the detector over one sensor's two channel norms, starting in H0;
+    ``acc`` may be None at alpha = 0 (`fused_increments`), and the timing is
+    ``ang``'s.
 
     The states switch at the onsets, each detection back-dated to the first
     sample of its running extremum; `change_points` keep the detection
@@ -137,7 +150,7 @@ def detect(acc: SignalSeries, ang: SignalSeries, model: SensorModel) -> BinarySt
     """
     return detect_from_increments(fused_increments(acc, ang, model),
                                   model.config.lambda0, model.config.lambda1,
-                                  acc.t0, acc.dt)
+                                  ang.t0, ang.dt)
 
 
 def detect_from_increments(inc: np.ndarray, lambda0: float, lambda1: float,

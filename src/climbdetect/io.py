@@ -64,7 +64,8 @@ def write_recording_csv(path, rec: ImuRecording) -> None:
 
 def read_recording_csv(path, site: SensorSite) -> ImuRecording:
     """Load the recording of `site`; refuses timestamps that do not strictly
-    increase and any of mx, my, mz without the other two, auto-detects gyro
+    increase, any of mx, my, mz without the other two and an accel or gyro
+    reading whose squared norm overflows, auto-detects gyro
     units, and puts the samples on `_uniform_clock`. The streams, and ``t`` on a
     clock that is not resampled, are column slices of one table in the writer's
     column order: a header in any other order is copied into it once."""
@@ -77,7 +78,16 @@ def read_recording_csv(path, site: SensorSite) -> ImuRecording:
     if order != list(range(len(order))):
         data = data[:, order]
     gyro = data[:, 4:7]
-    if _percentile(np.linalg.norm(gyro, axis=1), 99) > GYRO_DEGREES_THRESHOLD:
+    with np.errstate(over="ignore"):  # a norm that overflows is refused by its line
+        accel_norm = np.linalg.norm(data[:, 1:4], axis=1)
+        gyro_norm = np.linalg.norm(gyro, axis=1)
+    overflows = np.flatnonzero(~(np.isfinite(accel_norm) & np.isfinite(gyro_norm)))
+    if overflows.size:
+        i = int(overflows[0])
+        name = "gyro" if np.isfinite(accel_norm[i]) else "accel"
+        raise MalformedRecording(f"{path}:{_row_line(path, i)}: the squared norm of the "
+                                 f"{name} reading overflows")
+    if _percentile(gyro_norm, 99) > GYRO_DEGREES_THRESHOLD:
         np.deg2rad(gyro, out=gyro)
     # no mx, my, mz, or all of them 0
     has_mag = len(order) > 7 and bool(np.any(np.abs(data[:, 7:10]) > 1e-12))
@@ -163,8 +173,7 @@ def _read_table(path: Path, required, parsers: dict | None = None):
     late = np.flatnonzero(np.diff(t) <= 0)
     if late.size:
         i = int(late[0]) + 1
-        lineno = next(itertools.islice(_data_lines(path), i, None))[0]
-        raise MalformedRecording(f"{path}:{lineno}: t {float(t[i])!r} is not after "
+        raise MalformedRecording(f"{path}:{_row_line(path, i)}: t {float(t[i])!r} is not after "
                                  f"the previous row's {float(t[i - 1])!r}")
     return cols, data, t
 
@@ -180,6 +189,11 @@ def _data_lines(path: Path):
     text as ``np.loadtxt`` reads it, comment cut and whitespace stripped."""
     return ((lineno, text) for lineno, line in _lines(path)
             if (text := line.split("#", 1)[0].strip()))
+
+
+def _row_line(path: Path, i: int) -> int:
+    """The line number of row ``i`` (from 0) of a table, read again."""
+    return next(itertools.islice(_data_lines(path), i, None))[0]
 
 
 def _first_step(t) -> float:

@@ -46,9 +46,10 @@ DEFAULT_ALPHA_STEP = 0.1
 
 @dataclass
 class SensorChannels:
-    """The two detection inputs for one sensor: acceleration and angular-velocity norms."""
+    """The two detection inputs for one sensor: acceleration and angular-velocity
+    norms. ``acc`` is None where a model that gives it no weight detects it."""
 
-    acc: SignalSeries
+    acc: SignalSeries | None
     ang: SignalSeries
 
 

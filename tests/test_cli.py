@@ -580,6 +580,90 @@ def test_stray_files_are_ignored(command, dataset, model_path, tmp_path,
     assert written["none"] == written["backup"]
 
 
+@pytest.mark.parametrize("site, lineno, column, value, name", [
+    ("rh", 51, 1, "1e200", "accel"), ("lh", 81, 4, "3e160", "gyro")], ids=["accel", "gyro"])
+@pytest.mark.parametrize("command", ["classify", "fit"])
+def test_overflowing_reading_exits_one(command, site, lineno, column, value, name, dataset,
+                                       model_path, tmp_path, capsys):
+    # a finite reading whose squared norm overflows: one `error:` line naming
+    # its line, and no overflow warning or traceback
+    climbs = tmp_path / "climbs"
+    for climb_id in ("climb01", "climb02"):
+        (climbs / climb_id).mkdir(parents=True)
+        for src in (dataset / climb_id).iterdir():
+            (climbs / climb_id / src.name).write_bytes(src.read_bytes())
+    path = climbs / "climb01" / f"climb01_{site}.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[lineno - 1].split(",")
+    fields[column] = value
+    lines[lineno - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    args = {"classify": ["--model", str(model_path), "--climb", str(climbs / "climb01"),
+                         "--out", str(tmp_path / "timeline.csv")],
+            "fit": ["--climbs", str(climbs), "--out", str(tmp_path / "model.json"),
+                    "--grid-points", "2", "--alpha-step", "1.0"]}[command]
+    assert cli.main([command, *args]) == 1
+    assert capsys.readouterr().err == (f"error: {path}:{lineno}: the squared norm of the "
+                                       f"{name} reading overflows\n")
+
+
+def _model_with_alphas(model_path: Path, out: Path, alphas: dict) -> Path:
+    """The model of ``model_path`` with each site's alpha in ``alphas`` (others 0),
+    written to ``out``."""
+    doc = json.loads(model_path.read_text())
+    for site in ALL_SITES:
+        doc["sensors"][site.value]["alpha"] = alphas.get(site.value, 0.0)
+    out.write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize("alphas, filtered", [
+    ({}, []), ({"lh": 0.5, "pelvis": 0.5}, ["lh", "pelvis"])], ids=["alpha0", "two-sites"])
+def test_classify_filters_only_the_weighed_sites(alphas, filtered, dataset, model_path,
+                                                 tmp_path, monkeypatch):
+    # a site at alpha = 0 gives the acceleration channel no weight, so its
+    # recording is not filtered; one CPU, so that every site is read here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    estimate, sites = orientation.estimate_orientation, []
+
+    def counted(recording, beta):
+        sites.append(recording.site.value)
+        return estimate(recording, beta)
+
+    monkeypatch.setattr(orientation, "estimate_orientation", counted)
+    model = _model_with_alphas(model_path, tmp_path / "model.json", alphas)
+    assert cli.main(["classify", "--model", str(model), "--climb", str(dataset / "climb01"),
+                     "--out", str(tmp_path / "timeline.csv")]) == 0
+    assert sorted(sites) == filtered
+
+
+@pytest.mark.parametrize("alphas", [{}, dict.fromkeys(["lh", "rh", "lf", "rf", "pelvis"], 0.5),
+                                    {"rh": 0.5, "lf": 0.5}], ids=["alpha0", "alpha0.5", "mixed"])
+def test_outputs_are_the_detections_of_the_filtered_climb(alphas, dataset, model_path,
+                                                          tmp_path):
+    # skipping the filter where alpha = 0 changes no byte: the detections and
+    # timeline are those of every site filtered
+    model = _model_with_alphas(model_path, tmp_path / "model.json", alphas)
+    models, beta = io.read_model_json(model)
+    climb = dataset / "climb01"
+    expected = {}
+    for site in ALL_SITES:
+        rec = io.read_recording_csv(io.recording_path(climb, "climb01", site), site)
+        expected[site] = cusum.detect(orientation.linear_acceleration(rec, beta),
+                                      orientation.angular_velocity_norm(rec), models[site])
+    assert any(series.change_points for series in expected.values())
+    assert cli.main(["detect", "--model", str(model), "--climb", str(climb),
+                     "--out", str(tmp_path / "det")]) == 0
+    for site in ALL_SITES:
+        io.write_detection_csv(tmp_path / "expected.csv", expected[site])
+        assert ((tmp_path / "det" / f"climb01_{site.value}_detection.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+    assert cli.main(["classify", "--model", str(model), "--climb", str(climb),
+                     "--out", str(tmp_path / "timeline.csv")]) == 0
+    io.write_timeline_csv(tmp_path / "expected.csv", classifier.classify(expected))
+    assert (tmp_path / "timeline.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 def sync_inputs(tmp_path, delay):
     """Pelvis recording at identity attitude whose earth-frame lateral and
     vertical accelerations match the trajectory's second derivatives."""

@@ -102,6 +102,28 @@ class TestDetect:
             assert fused.change_points == single.change_points
             np.testing.assert_array_equal(fused.states, single.states)
 
+    @pytest.mark.parametrize("lam", [0.5, 4.0, 20.0])
+    def test_no_acceleration_at_alpha_zero(self, lam):
+        # alpha = 0 gives l_acc no weight: without it, the same states,
+        # change points and onsets, timed by ang
+        rng = np.random.default_rng(5)
+        scale = np.repeat([1.0, 4.0, 1.0, 4.0], 200)  # WIDE's H0, H1, H0, H1
+        acc = SignalSeries(3.0, 0.01, rng.gamma(2.0, 1.0, 800))
+        ang = SignalSeries(3.0, 0.01, rng.gamma(1.0, scale))
+        m = make_model(alpha=0.0, lam0=lam, lam1=lam)
+        given, absent = detect(acc, ang, m), detect(None, ang, m)
+        assert absent.change_points and absent.change_points == given.change_points
+        assert absent.onsets == given.onsets
+        np.testing.assert_array_equal(absent.states, given.states)
+        assert (absent.t0, absent.dt) == (ang.t0, ang.dt)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 0.5, 1.0])
+    def test_no_acceleration_needs_alpha_zero(self, alpha):
+        x = series(np.ones(10))
+        for run in (fused_increments, detect):
+            with pytest.raises(ValueError, match="acceleration"):
+                run(None, x, make_model(alpha=alpha))
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             detect(series(np.ones(5)), series(np.ones(6)), make_model())

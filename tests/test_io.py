@@ -59,6 +59,36 @@ class TestRecordingCsv:
         back = io.read_recording_csv(path, SensorSite.RIGHT_HAND)
         np.testing.assert_allclose(back.gyro, rec.gyro, atol=1e-10)
 
+    @pytest.mark.parametrize("column, value, name", [
+        (1, "1e200", "accel"), (3, "-1.4e154", "accel"), (4, "3e160", "gyro"),
+        (6, "1.4e154", "gyro")])
+    def test_overflowing_norm_refused(self, tmp_path, column, value, name):
+        # a finite reading whose squared norm overflows is refused by its line,
+        # before the deg/s rule and with no overflow warning
+        path = tmp_path / "c1_rh.csv"
+        io.write_recording_csv(path, make_recording())
+        lines = path.read_text().splitlines()
+        for lineno, text in ((51, value), (81, value)):
+            fields = lines[lineno - 1].split(",")
+            fields[column] = text
+            lines[lineno - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedRecording) as exc:
+                io.read_recording_csv(path, SensorSite.RIGHT_HAND)
+        assert str(exc.value) == (f"{path}:51: the squared norm of the {name} "
+                                  "reading overflows")
+
+    def test_largest_norm_read(self, tmp_path):
+        # 1.3e154 squared is 1.69e308, within the float range
+        rec = make_recording()
+        rec.accel[50] = [1.3e154, 0.0, 9.81]
+        path = tmp_path / "c1_rh.csv"
+        io.write_recording_csv(path, rec)
+        back = io.read_recording_csv(path, SensorSite.RIGHT_HAND)
+        assert back.accel.tobytes() == rec.accel.tobytes()
+
     def test_jittered_clock_resampled(self, tmp_path):
         rec = make_recording()
         jitter = np.random.default_rng(1).uniform(-0.002, 0.002, len(rec.t))
@@ -713,12 +743,15 @@ class TestRoundTrips:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), t0=_T0, dt=_DT, n=st.integers(1, 30), mag=st.booleans())
     def test_recording(self, tmp_path, data, t0, dt, n, mag):
-        # gyro norms stay below the deg/s threshold, so no stream is converted
+        # gyro norms stay below the deg/s threshold, so no stream is converted,
+        # and accel squared norms below the float range, which the reader refuses
         gyro = st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats(-28.0, 28.0)),
                         min_size=3 * n, max_size=3 * n)
+        accel = st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e150, 1e150)),
+                         min_size=3 * n, max_size=3 * n)
         rec = ImuRecording(
             site=SensorSite.PELVIS, sample_rate=1.0 / dt, t=t0 + dt * np.arange(n),
-            accel=data.draw(_column(3 * n)).reshape(n, 3),
+            accel=np.array(data.draw(accel)).reshape(n, 3),
             gyro=np.array(data.draw(gyro)).reshape(n, 3),
             mag=data.draw(_column(3 * n)).reshape(n, 3) if mag else None)
         path = tmp_path / "c1_pelvis.csv"
