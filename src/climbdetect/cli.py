@@ -119,21 +119,15 @@ def _grid(args) -> dict:
 
 def _detect_climb(climb: learning.LabeledClimb,
                   models: dict[SensorSite, cusum.SensorModel]):
-    """Each modelled site's `cusum.detect`. A site with no acceleration channel
-    (alpha = 0) runs the two steps of `cusum.detect` here, not `cusum.detect(None,
-    ...)`: `bench/tracing.py` counts each `cusum.detect` call's samples as
-    ``len(acc)``."""
+    """Each modelled site's detection, its acceleration channel None at alpha = 0."""
     out = {}
     for site, model in models.items():
         if site not in climb.channels:
             continue
         ch = climb.channels[site]
-        if ch.acc is not None:
-            out[site] = cusum.detect(ch.acc, ch.ang, model)
-        else:
-            out[site] = cusum.detect_from_increments(
-                cusum.fused_increments(None, ch.ang, model), model.config.lambda0,
-                model.config.lambda1, ch.ang.t0, ch.ang.dt)
+        out[site] = cusum.detect_from_increments(
+            cusum.fused_increments(ch.acc, ch.ang, model), model.config.lambda0,
+            model.config.lambda1, ch.ang.t0, ch.ang.dt)
     return out
 
 
