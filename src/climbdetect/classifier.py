@@ -140,10 +140,17 @@ def _limb_substates(limb: np.ndarray, traction: np.ndarray, onsets) -> np.ndarra
     return out
 
 
+def _span(series: BinaryStateSeries) -> tuple[float, float]:
+    """The times of the first and last sample of ``series``."""
+    return series.t0, series.t0 + series.dt * (len(series.states) - 1)
+
+
 def classify(detections: dict[SensorSite, BinaryStateSeries],
              min_episode_duration: float = DEFAULT_MIN_EPISODE_SECONDS) -> ActivityTimeline:
     """Build the activity timeline from the five per-sensor detections;
-    `LengthMismatch` names every site without one.
+    `LengthMismatch` names every site without one, and a site whose first or
+    last sample lies more than a sample period (its or the pelvis's, the
+    larger) from the pelvis's.
 
     All series are aligned to the pelvis grid by nearest-sample lookup and
     de-chattered before the full-body pass; the minimum episode duration
@@ -154,6 +161,13 @@ def classify(detections: dict[SensorSite, BinaryStateSeries],
         raise LengthMismatch(f"missing detections: {missing}")
     pelvis = detections[SensorSite.PELVIS]
     n = len(pelvis.states)
+    for site in LIMBS:
+        series = detections[site]
+        (first, last), (p_first, p_last) = _span(series), _span(pelvis)
+        gap, period = max(abs(first - p_first), abs(last - p_last)), max(series.dt, pelvis.dt)
+        if gap > period and not math.isclose(gap, period):  # one period off, to rounding
+            raise LengthMismatch(f"{site.value} spans {first:.3f} to {last:.3f} s, "
+                                 f"the pelvis {p_first:.3f} to {p_last:.3f} s")
     t_grid = pelvis.t0 + pelvis.dt * np.arange(n)
     min_samples = int(round(min_episode_duration / pelvis.dt))
 

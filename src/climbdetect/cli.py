@@ -62,50 +62,66 @@ def _climb_id(climb_dir: Path) -> str:
 _RECORDING_ROW_BYTES = 150
 
 
-def _climb_files(climb_dir: Path, need_annotations: bool):
-    """(climb id, recording path of each site present, annotations) of a climb
-    directory; the annotation file is read only when needed, else they are empty."""
+def _climb_files(climb_dir: Path):
+    """(climb id, recording path of each site present) of a climb directory."""
     climb_id = _climb_id(climb_dir)
-    paths = {site: path for site in ALL_SITES
-             if (path := io.recording_path(climb_dir, climb_id, site)).exists()}
-    annotations = {}
-    if need_annotations:
+    return climb_id, {site: path for site in ALL_SITES
+                      if (path := io.recording_path(climb_dir, climb_id, site)).exists()}
+
+
+def _sizes(paths) -> list[int]:
+    """The `parallel.fork_map` weight of each recording, in rows."""
+    return [path.stat().st_size // _RECORDING_ROW_BYTES for path in paths]
+
+
+def _channels(path: Path, site: SensorSite, beta: float) -> learning.SensorChannels:
+    """A recording's norms, the acceleration filtered with gain ``beta``; the
+    recording itself is dropped."""
+    rec = io.read_recording_csv(path, site)
+    return learning.SensorChannels(orientation.linear_acceleration(rec, beta),
+                                   orientation.angular_velocity_norm(rec))
+
+
+def _load_climbs(climbs_dir: Path, beta: float) -> list[learning.LabeledClimb]:
+    """The norms and annotations of every climb under ``climbs_dir``. Every
+    annotation file is read before any recording, and the recordings are read
+    and filtered by `parallel.fork_map`."""
+    subdirs = sorted(p for p in Path(climbs_dir).iterdir() if p.is_dir())
+    if not subdirs:
+        raise ClimbDetectError(f"no climb subdirectories in {climbs_dir}")
+    files = []
+    for climb_dir in subdirs:
+        climb_id, paths = _climb_files(climb_dir)
         ann_path = io.annotations_path(climb_dir, climb_id)
         if not ann_path.exists():
             raise ClimbDetectError(f"missing annotation file {ann_path}")
-        annotations = io.read_annotations_json(ann_path)
-    return climb_id, paths, annotations
-
-
-def _channels(path: Path, site: SensorSite, beta: float,
-              filtered: bool) -> learning.SensorChannels:
-    """A recording's norms, the acceleration filtered with gain ``beta`` if
-    ``filtered`` and else None; the recording itself is dropped."""
-    rec = io.read_recording_csv(path, site)
-    acc = orientation.linear_acceleration(rec, beta) if filtered else None
-    return learning.SensorChannels(acc, orientation.angular_velocity_norm(rec))
-
-
-def _load_climbs_in(climb_dirs, beta: float, need_annotations: bool, models=None):
-    """The climbs' norms, and their annotations if needed. Every annotation file is
-    read before any recording, and the recordings are read and filtered by
-    `parallel.fork_map`. Given the ``models`` that detect them, a site whose model
-    has alpha = 0 is not filtered: its acceleration channel is None."""
-    files = [_climb_files(climb_dir, need_annotations) for climb_dir in climb_dirs]
-    unweighed = {site for site, model in (models or {}).items() if model.config.alpha == 0.0}
-    jobs = [(path, site, beta, site not in unweighed)
-            for _, paths, _ in files for site, path in paths.items()]
-    channels = iter(parallel.fork_map(
-        _channels, jobs, [path.stat().st_size // _RECORDING_ROW_BYTES for path, *_ in jobs]))
+        files.append((climb_id, paths, io.read_annotations_json(ann_path)))
+    jobs = [(path, site, beta) for _, paths, _ in files for site, path in paths.items()]
+    channels = iter(parallel.fork_map(_channels, jobs, _sizes(path for path, *_ in jobs)))
     return [learning.LabeledClimb(climb_id, {site: next(channels) for site in paths}, annotations)
             for climb_id, paths, annotations in files]
 
 
-def _load_climbs(climbs_dir: Path, beta: float, need_annotations: bool = True):
-    subdirs = sorted(p for p in Path(climbs_dir).iterdir() if p.is_dir())
-    if not subdirs:
-        raise ClimbDetectError(f"no climb subdirectories in {climbs_dir}")
-    return _load_climbs_in(subdirs, beta, need_annotations)
+def _detection(path: Path, site: SensorSite, beta: float,
+               model: cusum.SensorModel) -> cusum.BinaryStateSeries:
+    """The detection of one recording; its acceleration is filtered with gain
+    ``beta`` only where the model gives it weight (alpha > 0)."""
+    rec = io.read_recording_csv(path, site)
+    acc = orientation.linear_acceleration(rec, beta) if model.config.alpha > 0 else None
+    ang = orientation.angular_velocity_norm(rec)
+    return cusum.detect_from_increments(cusum.fused_increments(acc, ang, model),
+                                        model.config.lambda0, model.config.lambda1,
+                                        ang.t0, ang.dt)
+
+
+def _detect_climb(climb_dir: Path, models: dict[SensorSite, cusum.SensorModel], beta: float):
+    """(climb id, detection of each modelled site present), each recording
+    detected by `parallel.fork_map` in the process that reads it."""
+    climb_id, paths = _climb_files(climb_dir)
+    sites = [site for site in paths if site in models]
+    detections = parallel.fork_map(_detection, [(paths[s], s, beta, models[s]) for s in sites],
+                                   _sizes(paths[s] for s in sites))
+    return climb_id, dict(zip(sites, detections))
 
 
 def _lambda_grid(args) -> np.ndarray:
@@ -115,20 +131,6 @@ def _lambda_grid(args) -> np.ndarray:
 def _grid(args) -> dict:
     """The threshold grid options, as `fit` and `evaluate` record them."""
     return {"min": args.grid_min, "max": args.grid_max, "points": args.grid_points}
-
-
-def _detect_climb(climb: learning.LabeledClimb,
-                  models: dict[SensorSite, cusum.SensorModel]):
-    """Each modelled site's detection, its acceleration channel None at alpha = 0."""
-    out = {}
-    for site, model in models.items():
-        if site not in climb.channels:
-            continue
-        ch = climb.channels[site]
-        out[site] = cusum.detect_from_increments(
-            cusum.fused_increments(ch.acc, ch.ang, model), model.config.lambda0,
-            model.config.lambda1, ch.ang.t0, ch.ang.dt)
-    return out
 
 
 def cmd_simulate(args) -> int:
@@ -175,16 +177,14 @@ def cmd_fit(args) -> int:
 
 def cmd_detect(args) -> int:
     models, beta = io.read_model_json(args.model)
-    [climb] = _load_climbs_in([Path(args.climb)], beta, need_annotations=False,
-                              models=models)
+    climb_id, detections = _detect_climb(Path(args.climb), models, beta)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    detections = _detect_climb(climb, models)
     for site in sorted(detections, key=lambda s: s.value):
-        path = out_dir / f"{climb.climb_id}_{site.value}_detection.csv"
+        path = out_dir / f"{climb_id}_{site.value}_detection.csv"
         io.write_detection_csv(path, detections[site])
         print(f"{site.value}: {len(detections[site].change_points)} change points -> {path}")
-    io.write_manifest(out_dir / f"{climb.climb_id}_detect.manifest.json",
+    io.write_manifest(out_dir / f"{climb_id}_detect.manifest.json",
                       _manifest("detect", {"model": str(args.model),
                                            "climb": str(args.climb),
                                            "beta": beta}))
@@ -194,9 +194,7 @@ def cmd_detect(args) -> int:
 def cmd_classify(args) -> int:
     _make_parent(args.out)
     models, beta = io.read_model_json(args.model)
-    [climb] = _load_climbs_in([Path(args.climb)], beta, need_annotations=False,
-                              models=models)
-    detections = _detect_climb(climb, models)
+    _, detections = _detect_climb(Path(args.climb), models, beta)
     timeline = classifier.classify(detections, args.min_episode)
     io.write_timeline_csv(args.out, timeline)
     io.write_manifest(str(args.out) + ".manifest.json",

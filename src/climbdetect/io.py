@@ -64,8 +64,8 @@ def write_recording_csv(path, rec: ImuRecording) -> None:
 
 def read_recording_csv(path, site: SensorSite) -> ImuRecording:
     """Load the recording of `site`; refuses timestamps that do not strictly
-    increase, any of mx, my, mz without the other two and an accel or gyro
-    reading whose squared norm overflows, auto-detects gyro
+    increase, any of mx, my, mz without the other two and an accel, gyro or
+    mag reading whose squared norm overflows, auto-detects gyro
     units, and puts the samples on `_uniform_clock`. The streams, and ``t`` on a
     clock that is not resampled, are column slices of one table in the writer's
     column order: a header in any other order is copied into it once."""
@@ -78,16 +78,18 @@ def read_recording_csv(path, site: SensorSite) -> ImuRecording:
     if order != list(range(len(order))):
         data = data[:, order]
     gyro = data[:, 4:7]
+    streams = {"accel": data[:, 1:4], "gyro": gyro}
+    if len(order) > 7:
+        streams["mag"] = data[:, 7:10]
     with np.errstate(over="ignore"):  # a norm that overflows is refused by its line
-        accel_norm = np.linalg.norm(data[:, 1:4], axis=1)
-        gyro_norm = np.linalg.norm(gyro, axis=1)
-    overflows = np.flatnonzero(~(np.isfinite(accel_norm) & np.isfinite(gyro_norm)))
-    if overflows.size:
-        i = int(overflows[0])
-        name = "gyro" if np.isfinite(accel_norm[i]) else "accel"
+        norms = {name: np.linalg.norm(values, axis=1) for name, values in streams.items()}
+    overflows = ~np.all([np.isfinite(norm) for norm in norms.values()], axis=0)
+    if overflows.any():
+        i = int(np.argmax(overflows))
+        name = next(name for name, norm in norms.items() if not np.isfinite(norm[i]))
         raise MalformedRecording(f"{path}:{_row_line(path, i)}: the squared norm of the "
                                  f"{name} reading overflows")
-    if _percentile(gyro_norm, 99) > GYRO_DEGREES_THRESHOLD:
+    if _percentile(norms["gyro"], 99) > GYRO_DEGREES_THRESHOLD:
         np.deg2rad(gyro, out=gyro)
     # no mx, my, mz, or all of them 0
     has_mag = len(order) > 7 and bool(np.any(np.abs(data[:, 7:10]) > 1e-12))

@@ -46,10 +46,9 @@ DEFAULT_ALPHA_STEP = 0.1
 
 @dataclass
 class SensorChannels:
-    """The two detection inputs for one sensor: acceleration and angular-velocity
-    norms. ``acc`` is None where a model that gives it no weight detects it."""
+    """The two detection inputs for one sensor: acceleration and angular-velocity norms."""
 
-    acc: SignalSeries | None
+    acc: SignalSeries
     ang: SignalSeries
 
 

@@ -264,6 +264,26 @@ class TestClassify:
             classify(detections)
         assert str(raised.value) == "missing detections: ['rh', 'rf', 'lf', 'pelvis']"
 
+    @pytest.mark.parametrize("t0, n, spans", [
+        (0.0, 90, "rh spans 0.000 to 0.890 s"), (0.1, 90, "rh spans 0.100 to 0.990 s"),
+        (0.0, 102, "rh spans 0.000 to 1.010 s"), (-0.02, 100, "rh spans -0.020 to 0.970 s")])
+    def test_sites_must_cover_one_span(self, t0, n, spans):
+        # a limb that starts or ends more than a sample period from the pelvis
+        # is refused, not clipped onto the pelvis grid
+        detections = self.detections([np.zeros(100)] * 4, np.zeros(100))
+        detections[SensorSite.RIGHT_HAND] = BinaryStateSeries(
+            t0, 0.01, np.zeros(n, np.uint8), [], [])
+        with pytest.raises(LengthMismatch) as raised:
+            classify(detections)
+        assert str(raised.value) == f"{spans}, the pelvis 0.000 to 0.990 s"
+
+    @pytest.mark.parametrize("t0, n", [(0.01, 99), (0.0, 101), (-0.01, 102)])
+    def test_spans_within_a_sample_period_are_one(self, t0, n):
+        detections = self.detections([np.zeros(100)] * 4, np.zeros(100))
+        detections[SensorSite.RIGHT_HAND] = BinaryStateSeries(
+            t0, 0.01, np.zeros(n, np.uint8), [], [])
+        assert len(classify(detections).full_body) == 100
+
     def test_nearest_sample_alignment(self):
         # limb sampled at half the pelvis rate still aligns
         pelvis = self.binary(np.zeros(100), dt=0.01)

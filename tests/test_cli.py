@@ -273,10 +273,7 @@ class TestDetectClassifyReport:
         models, _ = io.read_model_json(model)
         written = {}
         for beta in (0.02, 0.1):
-            [climb] = cli._load_climbs_in([dataset / "climb01"], beta, need_annotations=False)
-            detections = {
-                site: cusum.detect(ch.acc, ch.ang, models[site])
-                for site, ch in climb.channels.items()}
+            _, detections = cli._detect_climb(dataset / "climb01", models, beta)
             written[beta] = tmp_path / f"beta{beta}.csv"
             io.write_timeline_csv(written[beta], classifier.classify(detections))
         assert timeline_path.read_bytes() == written[0.02].read_bytes()
@@ -442,10 +439,16 @@ def test_path_that_cannot_be_opened_exits_one(case, dataset, model_path, tmp_pat
     assert blocker.read_text() == "" and not any(directory.iterdir())
 
 
-def test_loaded_climb_keeps_no_recordings(dataset, monkeypatch):
-    # a command needs only a climb's channels, so each recording is let go
-    # before the next is read; one CPU, so that every read is in this process
+@pytest.mark.parametrize("load", ["_load_climbs", "_detect_climb"])
+def test_loaded_climb_keeps_no_recordings(load, dataset, model_path, tmp_path, monkeypatch):
+    # a command needs only a climb's channels or detections, so each recording
+    # is let go before the next is read; one CPU, so that every read is in
+    # this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    climbs = tmp_path / "climbs"
+    (climbs / "climb01").mkdir(parents=True)
+    for src in (dataset / "climb01").iterdir():
+        (climbs / "climb01" / src.name).write_bytes(src.read_bytes())
     read, refs, alive = io.read_recording_csv, [], []
 
     def tracked(*args, **kwargs):
@@ -455,9 +458,13 @@ def test_loaded_climb_keeps_no_recordings(dataset, monkeypatch):
         return rec
 
     monkeypatch.setattr(io, "read_recording_csv", tracked)
-    [climb] = cli._load_climbs_in([dataset / "climb01"], 0.1, need_annotations=True)
+    if load == "_load_climbs":
+        [climb] = cli._load_climbs(climbs, 0.1)
+        sites = climb.channels
+    else:
+        _, sites = cli._detect_climb(climbs / "climb01", *io.read_model_json(model_path))
     gc.collect()
-    assert set(climb.channels) == set(ALL_SITES) and len(refs) == len(ALL_SITES)
+    assert set(sites) == set(ALL_SITES) and len(refs) == len(ALL_SITES)
     assert [ref() for ref in refs] == [None] * len(ALL_SITES)
     assert alive == [0] * len(ALL_SITES)
 
@@ -581,7 +588,8 @@ def test_stray_files_are_ignored(command, dataset, model_path, tmp_path,
 
 
 @pytest.mark.parametrize("site, lineno, column, value, name", [
-    ("rh", 51, 1, "1e200", "accel"), ("lh", 81, 4, "3e160", "gyro")], ids=["accel", "gyro"])
+    ("rh", 51, 1, "1e200", "accel"), ("lh", 81, 4, "3e160", "gyro"),
+    ("rh", 2, 7, "1e200", "mag")], ids=["accel", "gyro", "mag"])
 @pytest.mark.parametrize("command", ["classify", "fit"])
 def test_overflowing_reading_exits_one(command, site, lineno, column, value, name, dataset,
                                        model_path, tmp_path, capsys):
@@ -605,6 +613,36 @@ def test_overflowing_reading_exits_one(command, site, lineno, column, value, nam
     assert cli.main([command, *args]) == 1
     assert capsys.readouterr().err == (f"error: {path}:{lineno}: the squared norm of the "
                                        f"{name} reading overflows\n")
+
+
+@pytest.fixture(scope="module")
+def paper_climb(tmp_path_factory):
+    """climb01 of `simulate --climbs 3 --duration 120 --seed 11`: 12,000 rows a site."""
+    root = tmp_path_factory.mktemp("paper")
+    assert cli.main(["simulate", "--out", str(root), "--seed", "11", "--climbs", "1",
+                     "--duration", "120"]) == 0
+    return root / "climb01"
+
+
+@pytest.mark.parametrize("site, rows, span", [
+    ("rh", slice(None, 11000), "0.000 to 109.990"),
+    ("lh", slice(1000, None), "10.000 to 119.990")], ids=["rh-cut", "lh-late"])
+def test_sites_of_another_span_exit_one(site, rows, span, paper_climb, model_path, tmp_path,
+                                        capsys):
+    # a site that ends early or starts late is refused, not clipped onto the
+    # pelvis's span
+    climb = tmp_path / "climb01"
+    climb.mkdir()
+    for src in paper_climb.iterdir():
+        (climb / src.name).write_bytes(src.read_bytes())
+    path = climb / f"climb01_{site}.csv"
+    header, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([header, *lines[rows]]) + "\n")
+    assert cli.main(["classify", "--model", str(model_path), "--climb", str(climb),
+                     "--out", str(tmp_path / "timeline.csv")]) == 1
+    assert capsys.readouterr().err == (f"error: {site} spans {span} s, "
+                                       "the pelvis 0.000 to 119.990 s\n")
+    assert not (tmp_path / "timeline.csv").exists()
 
 
 def _model_with_alphas(model_path: Path, out: Path, alphas: dict) -> Path:
@@ -635,6 +673,36 @@ def test_classify_filters_only_the_weighed_sites(alphas, filtered, dataset, mode
     assert cli.main(["classify", "--model", str(model), "--climb", str(dataset / "climb01"),
                      "--out", str(tmp_path / "timeline.csv")]) == 0
     assert sorted(sites) == filtered
+
+
+def test_detect_reads_only_the_modelled_recordings(dataset, model_path, tmp_path,
+                                                  monkeypatch, capsys):
+    # a site the model lacks is not detected, so its recording is not read,
+    # not even when it is malformed; one CPU, so that every read is in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    climb = tmp_path / "climb01"
+    climb.mkdir()
+    for src in (dataset / "climb01").iterdir():
+        (climb / src.name).write_bytes(src.read_bytes())
+    io.recording_path(climb, "climb01", SensorSite.LEFT_FOOT).write_text("t,ax\nnot a number\n")
+    model = tmp_path / "model.json"
+    doc = json.loads(model_path.read_text())
+    del doc["sensors"]["lf"]
+    model.write_text(json.dumps(doc))
+    read, sites = io.read_recording_csv, []
+
+    def counted(path, site):
+        sites.append(site)
+        return read(path, site)
+
+    monkeypatch.setattr(io, "read_recording_csv", counted)
+    assert cli.main(["detect", "--model", str(model), "--climb", str(climb),
+                     "--out", str(tmp_path / "det")]) == 0
+    modelled = [site for site in ALL_SITES if site != SensorSite.LEFT_FOOT]
+    assert sites == modelled
+    assert sorted(p.name for p in (tmp_path / "det").glob("*_detection.csv")) == sorted(
+        f"climb01_{site.value}_detection.csv" for site in modelled)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("alphas", [{}, dict.fromkeys(["lh", "rh", "lf", "rf", "pelvis"], 0.5),

@@ -61,7 +61,7 @@ class TestRecordingCsv:
 
     @pytest.mark.parametrize("column, value, name", [
         (1, "1e200", "accel"), (3, "-1.4e154", "accel"), (4, "3e160", "gyro"),
-        (6, "1.4e154", "gyro")])
+        (6, "1.4e154", "gyro"), (7, "1e200", "mag"), (9, "-1.4e154", "mag")])
     def test_overflowing_norm_refused(self, tmp_path, column, value, name):
         # a finite reading whose squared norm overflows is refused by its line,
         # before the deg/s rule and with no overflow warning
@@ -744,16 +744,17 @@ class TestRoundTrips:
     @given(data=st.data(), t0=_T0, dt=_DT, n=st.integers(1, 30), mag=st.booleans())
     def test_recording(self, tmp_path, data, t0, dt, n, mag):
         # gyro norms stay below the deg/s threshold, so no stream is converted,
-        # and accel squared norms below the float range, which the reader refuses
+        # and accel and mag squared norms below the float range, which the
+        # reader refuses
         gyro = st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats(-28.0, 28.0)),
                         min_size=3 * n, max_size=3 * n)
-        accel = st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e150, 1e150)),
-                         min_size=3 * n, max_size=3 * n)
+        bounded = st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e150, 1e150)),
+                           min_size=3 * n, max_size=3 * n)
         rec = ImuRecording(
             site=SensorSite.PELVIS, sample_rate=1.0 / dt, t=t0 + dt * np.arange(n),
-            accel=np.array(data.draw(accel)).reshape(n, 3),
+            accel=np.array(data.draw(bounded)).reshape(n, 3),
             gyro=np.array(data.draw(gyro)).reshape(n, 3),
-            mag=data.draw(_column(3 * n)).reshape(n, 3) if mag else None)
+            mag=np.array(data.draw(bounded)).reshape(n, 3) if mag else None)
         path = tmp_path / "c1_pelvis.csv"
         io.write_recording_csv(path, rec)
         back = io.read_recording_csv(path, SensorSite.PELVIS)
