@@ -5,7 +5,8 @@ trajectory (as a video tracker would produce) is generated together with a
 matching IMU recording whose clock runs 1.8 s behind the video clock; the
 delay is recovered from the two vertical acceleration estimates and used to
 move video-clock annotations onto the sensor clock. The demo exits with 1
-when the recovered delay is more than 0.05 s off.
+when the recovered delay is more than 0.05 s off, or when its p-value is
+above the 1e-6 at which `climbdetect sync` accepts a delay.
 """
 
 import sys
@@ -45,9 +46,10 @@ vertical = sync.trajectory_to_acceleration(trajectory)
 a_earth = orientation.earth_acceleration(recording, beta=0.02)
 sensor_vertical = SignalSeries(float(t[0]), 1.0 / RATE, a_earth[:, 2])
 
-delay, peak = sync.estimate_delay(sensor_vertical, vertical, max_lag=10.0)
+delay, peak, p_value, n_eff = sync.estimate_delay(sensor_vertical, vertical, max_lag=10.0)
 print(f"true delay     : {TRUE_DELAY:.3f} s")
-print(f"estimated delay: {delay:.3f} s (peak correlation {peak:.3f})")
+print(f"estimated delay: {delay:.3f} s (peak correlation {peak:.3f}, "
+      f"p = {p_value:.2g} at {n_eff:.1f} effective samples)")
 
 # annotations made against the video clock move back onto the sensor clock
 video_annotations = AnnotationTrack(
@@ -61,3 +63,5 @@ for start, end, label in on_sensor_clock.intervals:
     print(f"  {start:6.2f} .. {end:6.2f}  state {label}")
 if abs(delay - TRUE_DELAY) > TOLERANCE:
     sys.exit(f"error: the estimated delay is more than {TOLERANCE} s off")
+if p_value > 1e-6:  # the level at which `climbdetect sync` accepts a delay
+    sys.exit(f"error: the peak is not evidence of a delay (p = {p_value:.2g})")

@@ -119,6 +119,9 @@ def _detect_climb(climb_dir: Path, models: dict[SensorSite, cusum.SensorModel], 
     detected by `parallel.fork_map` in the process that reads it."""
     climb_id, paths = _climb_files(climb_dir)
     sites = [site for site in paths if site in models]
+    if not sites:
+        raise ClimbDetectError(f"{climb_dir}: no recording of a site the model has "
+                               f"({', '.join(sorted(site.value for site in models))})")
     detections = parallel.fork_map(_detection, [(paths[s], s, beta, models[s]) for s in sites],
                                    _sizes(paths[s] for s in sites))
     return climb_id, dict(zip(sites, detections))
@@ -253,6 +256,7 @@ def cmd_evaluate(args) -> int:
 # this share of its largest |y| has no vertical acceleration beyond rounding
 # (about 1e-15 of that scale).
 _UNIFORM_MOTION_SHARE = 1e-9
+_MAX_P_VALUE = 1e-6  # the largest p-value (sync.estimate_delay's) of a peak that fixes a delay
 
 
 def _vertical_acceleration(path, beta: float) -> tuple[SignalSeries, tuple[float, float]]:
@@ -274,7 +278,12 @@ def cmd_sync(args) -> int:
         raise ClimbDetectError(f"{args.trajectory}: the trajectory has no vertical "
                                "acceleration, so it cannot fix a delay")
     sensor_vertical, span = _vertical_acceleration(args.recording, args.beta)
-    delay, corr = sync.estimate_delay(sensor_vertical, vertical, args.max_lag)
+    delay, corr, p_value, n_eff = sync.estimate_delay(sensor_vertical, vertical, args.max_lag)
+    if p_value > _MAX_P_VALUE:
+        raise ClimbDetectError(
+            f"{args.trajectory} and {args.recording}: the best delay, {delay:.3f} s with peak "
+            f"correlation {corr:.3f}, has p = {p_value:.2g} at {n_eff:.0f} effective samples; "
+            f"a delay needs p <= {_MAX_P_VALUE:g}")
     print(f"delay={delay:.3f} s peak_correlation={corr:.3f}")
     if args.annotations and args.out:
         annotations = io.read_annotations_json(args.annotations)
@@ -284,7 +293,8 @@ def cmd_sync(args) -> int:
         io.write_manifest(str(args.out) + ".manifest.json", _manifest("sync", {
             "trajectory": str(args.trajectory), "recording": str(args.recording),
             "annotations": str(args.annotations), "delay": delay,
-            "peak_correlation": corr, "max_lag": args.max_lag,
+            "peak_correlation": corr, "p_value": p_value, "n_eff": n_eff,
+            "max_lag": args.max_lag,
             "smooth_window": args.smooth_window}))
     return 0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,17 +12,12 @@ from .series import AnnotationTrack, SignalSeries, resample_linear
 
 DEFAULT_SMOOTH_WINDOW = 0.3
 MIN_OVERLAP_SECONDS = 10.0
-_STD_FLOOR = 1e-12  # a window whose std is below this correlates as 0.0
-# Every lag whose fast score is this close to the best one is scored again
-# exactly; the fast scores are trusted to well under this.
-_NEAR_BEST = 1e-9
-# A window's fast std is trusted above the floor only where its variance is
-# at least this share of its channel's mean square, so that prefix-sum
-# rounding stays far below _NEAR_BEST; the share also bounds that rounding
-# when a std is shown to lie below the floor.
+# A lag is scored only where both of its windows hold at least this share of
+# their channel's mean square as variance, so that prefix-sum rounding stays
+# far below the 1e-9 tie band ...
 _MIN_VARIANCE_SHARE = 1e-2
-# ... and only where its std is at least this share of the channel's largest
-# magnitude, so that the exact path, which does not centre, is as accurate.
+# ... and have a std above this share of the channel's largest magnitude;
+# any other lag scores 0.0.
 _MIN_STD_SHARE = 1e-6
 
 
@@ -91,74 +87,63 @@ def _resample(series: SignalSeries, dt: float) -> SignalSeries:
     return SignalSeries(series.t0, dt, values[:, 0])
 
 
-def _lag_correlation(a: np.ndarray, b: np.ndarray, lag: int) -> float:
-    """Pearson correlation pairing b[i] with a[i - lag]."""
-    start = max(0, lag)
-    stop = min(len(b), len(a) + lag)
-    if stop - start < 3:
-        return 0.0
-    bs = b[start:stop]
-    as_ = a[start - lag:stop - lag]
-    sa = np.std(as_)
-    sb = np.std(bs)
-    if sa < _STD_FLOOR or sb < _STD_FLOOR:
-        return 0.0
-    return float(np.mean((as_ - np.mean(as_)) * (bs - np.mean(bs))) / (sa * sb))
-
-
-def _window_moments(x: np.ndarray, xc: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Mean and std of every window ``xc[lo[j]:hi[j]]`` of the centred
-    ``xc = x - mean(x)`` from prefix sums, and whether ``np.std`` of the same
-    window of ``x`` surely lies above, or surely below, the std floor."""
+def _window_moments(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Mean and std of every window ``x[lo[j]:hi[j]]`` of the centred ``x``
+    from prefix sums, and whether the window passes the floor that a scored
+    lag needs."""
+    xc = x - x.mean()
     p1 = np.concatenate([[0.0], np.cumsum(xc)])
     p2 = np.concatenate([[0.0], np.cumsum(xc * xc)])
     m = hi - lo
     mean = (p1[hi] - p1[lo]) / m
     var = np.maximum((p2[hi] - p2[lo]) / m - mean * mean, 0.0)
     std = np.sqrt(var)
-    slack = _MIN_VARIANCE_SHARE * np.mean(xc * xc)
-    magnitude = np.max(np.abs(x))
-    above = (var >= slack) & (std >= max(2.0 * _STD_FLOOR, _MIN_STD_SHARE * magnitude))
-    # np.std's rounding is at most about log2(len) ulps of the magnitude
-    below = np.sqrt(var + slack) + 32.0 * np.finfo(float).eps * magnitude <= 0.5 * _STD_FLOOR
-    return mean, std, above, below
+    floor = ((var >= _MIN_VARIANCE_SHARE * np.mean(xc * xc))
+             & (std > _MIN_STD_SHARE * np.max(np.abs(x))))
+    return mean, std, floor
 
 
 def _fast_scores(a: np.ndarray, b: np.ndarray, lags: np.ndarray):
-    """``_lag_correlation(a, b, k)`` for every k in ``lags`` at once, and
-    whether each score is decided.
+    """The Pearson correlation of ``b[i]`` with ``a[i - k]`` over the overlap
+    of every lag k in ``lags``, and the products ``|c_a(j) c_b(j)|`` of the
+    series' autocovariances for j = 0 .. min(len(a), len(b)) // 4.
 
     The cross-products of every lag come from one zero-padded FFT of the
     centred series, the window means and variances from prefix sums
-    (Lewis 1995, *Fast normalized cross-correlation*). A lag is decided
-    where both windows' stds surely lie above the floor (the fast score
-    then stands in for the exact one) or one surely lies below it (the
-    score is 0.0). An undecided score is 0.0 here.
+    (Lewis 1995, *Fast normalized cross-correlation*), and the
+    autocovariances from the same transforms. A lag whose overlap is under
+    three samples, or one of whose windows fails the floor, scores 0.0.
     """
     start = np.maximum(0, lags)
     stop = np.minimum(len(b), len(a) + lags)
     m = stop - start
-    ac = a - a.mean()
-    bc = b - b.mean()
-    mean_a, std_a, above_a, below_a = _window_moments(a, ac, start - lags, stop - lags)
-    mean_b, std_b, above_b, below_b = _window_moments(b, bc, start, stop)
+    mean_a, std_a, floor_a = _window_moments(a, start - lags, stop - lags)
+    mean_b, std_b, floor_b = _window_moments(b, start, stop)
     size = 1 << (len(a) + len(b) - 1).bit_length()  # a power of two: no wrap-around, fast
-    cross = np.fft.irfft(np.fft.rfft(bc, size) * np.conj(np.fft.rfft(ac, size)), size)[lags]
-    both = above_a & above_b
-    scores = np.where(both, (cross / m - mean_a * mean_b) / np.where(both, std_a * std_b, 1.0), 0.0)
-    return scores, (m >= 3) & (both | below_a | below_b)
+    fa, fb = (np.fft.rfft(x - x.mean(), size) for x in (a, b))
+    cross = np.fft.irfft(fb * np.conj(fa), size)[lags]
+    scored = (m >= 3) & floor_a & floor_b
+    scores = np.where(scored, (cross / m - mean_a * mean_b)
+                      / np.where(scored, std_a * std_b, 1.0), 0.0)
+    keep = min(len(a), len(b)) // 4 + 1
+    covariances = np.abs(np.fft.irfft(np.abs(fa) ** 2, size)[:keep]
+                         * np.fft.irfft(np.abs(fb) ** 2, size)[:keep])
+    return scores, covariances
 
 
-def estimate_delay(a: SignalSeries, b: SignalSeries, max_lag: float) -> tuple[float, float]:
-    """Delay of ``b`` relative to ``a`` maximizing normalized cross-correlation.
+def estimate_delay(a: SignalSeries, b: SignalSeries,
+                   max_lag: float) -> tuple[float, float, float, float]:
+    """Delay of ``b`` relative to ``a`` maximizing normalized cross-correlation,
+    the peak correlation, its p-value and the effective sample size n_eff.
 
-    Returns (delay_seconds, peak_correlation); ties are broken by the
-    smaller |lag|.
-
-    Every lag is scored at once by ``_fast_scores``. The lags it cannot
-    decide, and those within ``_NEAR_BEST`` of its best decided score, are
-    scored again with ``_lag_correlation``; the maximum, its 1e-15 tie band
-    and the returned values are taken from those exact scores.
+    Every lag is scored at once by ``_fast_scores``; scores within 1e-9 of
+    the best tie, and the smallest |lag| among them wins. At the chosen
+    lag's overlap N, n_eff = N / (1 + 2 sum_{k=1..N/4} |rho_a(k) rho_b(k)|)
+    with the series' autocorrelations rho (Bretherton et al. 1999, J. Climate
+    12), and the p-value is the peak's one-sided Fisher-z p at n_eff,
+    Sidak-corrected over max(1, (2K + 1) n_eff / N) independent lags of the
+    2K + 1 searched. A peak at or below 0, or an n_eff of 3 or less, is no
+    evidence: its p is that of z = 0.
     """
     dt = a.dt
     b = _resample(b, dt)
@@ -168,15 +153,17 @@ def estimate_delay(a: SignalSeries, b: SignalSeries, max_lag: float) -> tuple[fl
         raise InsufficientOverlap(
             f"{n_min} samples leave under {MIN_OVERLAP_SECONDS} s of overlap at lag {max_lag} s")
     lags = np.arange(-max_k, max_k + 1)
-    fast, decided = _fast_scores(a.values, b.values, lags)
-    top = fast[decided].max(initial=-np.inf)
-    lags = lags[~decided | (fast >= top - _NEAR_BEST)]
-    scores = np.array([_lag_correlation(a.values, b.values, int(k)) for k in lags])
-    best = scores.max()
-    candidates = lags[scores >= best - 1e-15]
+    scores, covariances = _fast_scores(a.values, b.values, lags)
+    candidates = lags[scores >= scores.max() - 1e-9]
     k_best = int(min(candidates, key=lambda k: (abs(k), k)))
-    j_best = int(np.where(lags == k_best)[0][0])
-    return k_best * dt + (b.t0 - a.t0), float(scores[j_best])
+    peak = float(scores[k_best + max_k])
+    n = min(len(b), len(a) + k_best) - max(0, k_best)
+    shared = covariances[1:n // 4 + 1].sum() / covariances[0] if covariances[0] > 0 else 0.0
+    n_eff = n / (1.0 + 2.0 * float(shared))
+    r = min(max(peak, 0.0), math.nextafter(1.0, 0.0))  # a score can round to 1
+    one_sided = 0.5 * math.erfc(math.atanh(r) * math.sqrt(max(n_eff - 3.0, 0.0) / 2.0))
+    p_value = -math.expm1(max(1.0, len(lags) * n_eff / n) * math.log1p(-one_sided))
+    return k_best * dt + (b.t0 - a.t0), peak, p_value, n_eff
 
 
 def shift_annotations(ann: AnnotationTrack, delay: float,

@@ -705,6 +705,24 @@ def test_detect_reads_only_the_modelled_recordings(dataset, model_path, tmp_path
     assert capsys.readouterr().err == ""
 
 
+def test_detect_without_a_modelled_site_exits_one(dataset, model_path, tmp_path, capsys):
+    # the climb's only recording is of a site the model lacks: a wrong model
+    # and climb pair, refused before any output is written
+    climb = tmp_path / "climb01"
+    climb.mkdir()
+    (climb / "climb01_lh.csv").write_bytes((dataset / "climb01" / "climb01_lh.csv").read_bytes())
+    model = tmp_path / "model.json"
+    doc = json.loads(model_path.read_text())
+    del doc["sensors"]["lh"]
+    model.write_text(json.dumps(doc))
+    assert cli.main(["detect", "--model", str(model), "--climb", str(climb),
+                     "--out", str(tmp_path / "det")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {climb}: no recording of a site the model has (lf, pelvis, rf, rh)\n")
+    assert not (tmp_path / "det").exists()
+
+
 @pytest.mark.parametrize("alphas", [{}, dict.fromkeys(["lh", "rh", "lf", "rf", "pelvis"], 0.5),
                                     {"rh": 0.5, "lf": 0.5}], ids=["alpha0", "alpha0.5", "mixed"])
 def test_outputs_are_the_detections_of_the_filtered_climb(alphas, dataset, model_path,
@@ -958,6 +976,58 @@ class TestSync:
                          "--recording", str(rec_path)]) == 0
         printed = capsys.readouterr().out
         assert float(printed.split("delay=")[1].split()[0]) == pytest.approx(delay, abs=0.1)
+
+    @staticmethod
+    def evidence(tmp_path, capsys, traj_path, rec_path, *options):
+        """Run sync with --annotations and --out beside the trajectory: (exit
+        code, stdout, stderr, the manifest's config or None, whether --out
+        was written)."""
+        ann_path = tmp_path / "ann.json"
+        io.write_annotations_json(ann_path, {SensorSite.PELVIS: AnnotationTrack(
+            site=SensorSite.PELVIS, intervals=[(0.0, 10.0, 0), (10.0, 25.0, 1)])})
+        out_path = traj_path.parent / "shifted.json"
+        code = cli.main(["sync", "--trajectory", str(traj_path), "--recording", str(rec_path),
+                         "--annotations", str(ann_path), "--out", str(out_path), *options])
+        captured = capsys.readouterr()
+        manifest = Path(f"{out_path}.manifest.json")
+        config = json.loads(manifest.read_text())["config"] if manifest.exists() else None
+        return code, captured.out, captured.err, config, out_path.exists()
+
+    @pytest.mark.parametrize("seed", [4, 8, 14])
+    def test_a_delay_needs_evidence(self, tmp_path, capsys, seed):
+        # the recording of one seed with its own trajectory is accepted; with
+        # the next seed's, its peak is no evidence at the effective sample size
+        for name in ("own", "other"):
+            (tmp_path / name).mkdir()
+        rec_path, traj_path, delay = lateral_sync_inputs(tmp_path / "own", seed, 0.0)
+        _, other_path, _ = lateral_sync_inputs(tmp_path / "other", seed + 1, 0.0)
+        code, out, err, config, written = self.evidence(tmp_path, capsys, traj_path, rec_path)
+        assert (code, err, written) == (0, "", True)
+        assert config["delay"] == pytest.approx(delay, abs=0.1)
+        assert config["p_value"] <= 1e-6 and config["n_eff"] > 3
+        assert f"delay={config['delay']:.3f} s peak_correlation=" in out
+        code, out, err, config, written = self.evidence(tmp_path, capsys, other_path, rec_path)
+        assert (code, out, config, written) == (1, "", None, False)
+        assert re.fullmatch(f"error: {re.escape(f'{other_path} and {rec_path}')}: the best "
+                            r"delay, .* has p = .* effective samples; a delay needs "
+                            r"p <= 1e-06\n", err)
+
+    @pytest.mark.parametrize("noise", [1e-4, 1e-3])
+    def test_noisy_straight_line_exits_one(self, tmp_path, capsys, noise):
+        # tracking noise on a line in uniform motion: the best of the lags'
+        # correlations is chance, p close to 1
+        rec_path, _ = sync_inputs(tmp_path, 0.0)
+        t = np.arange(750) / 25.0
+        rng = np.random.default_rng(0)
+        traj_path = tmp_path / "line.csv"
+        io.write_trajectory_csv(traj_path, TrajectorySeries(
+            0.0, 0.04, 0.1 * t + rng.normal(0.0, noise, len(t)),
+            0.05 * t + rng.normal(0.0, noise, len(t))))
+        code, out, err, config, written = self.evidence(tmp_path, capsys, traj_path, rec_path,
+                                                        "--max-lag", "5")
+        assert (code, out, config, written) == (1, "", None, False)
+        assert err.startswith(f"error: {traj_path} and {rec_path}: the best delay, ")
+        assert err.count("\n") == 1
 
     def test_lags_are_scored_without_the_recording(self, tmp_path):
         # the recording and its (n, 3) Earth-frame array are dropped before

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import uniform_filter1d
-from sync_oracle import estimate_delay_all_lags
+from scipy.stats import norm
+from sync_oracle import correlates, estimate_delay_all_lags, lag_correlation
 
 from climbdetect import sync
 from climbdetect.errors import InsufficientOverlap, TooFewSamples
@@ -83,37 +84,38 @@ class TestTrajectoryToAcceleration:
 class TestEstimateDelay:
     def test_identical_signals(self):
         a = smooth_signal(3000, seed=1)
-        delay, corr = estimate_delay(a, a, max_lag=5.0)
+        delay, corr, p_value, _ = estimate_delay(a, a, max_lag=5.0)
         assert delay == 0.0
         assert corr == pytest.approx(1.0, abs=1e-9)
+        assert p_value < 1e-12
 
     def test_constructed_shift(self):
         a = smooth_signal(5000, seed=2)
         shifted = np.concatenate([np.zeros(147), a.values[:-147]])
         b = SignalSeries(0.0, a.dt, shifted)
-        delay, corr = estimate_delay(a, b, max_lag=3.0)
+        delay, corr, _, _ = estimate_delay(a, b, max_lag=3.0)
         assert delay == pytest.approx(1.47, abs=1e-9)
         assert corr > 0.95
 
     def test_antisymmetry(self):
         a = smooth_signal(4000, seed=3)
         b = SignalSeries(0.0, a.dt, np.roll(a.values, 80))
-        d_ab, _ = estimate_delay(a, b, max_lag=2.0)
-        d_ba, _ = estimate_delay(b, a, max_lag=2.0)
+        d_ab = estimate_delay(a, b, max_lag=2.0)[0]
+        d_ba = estimate_delay(b, a, max_lag=2.0)[0]
         assert d_ab == -d_ba
 
     def test_integer_shift_recovered_exactly(self):
         a = smooth_signal(4000, seed=4)
         for shift in (-120, -7, 0, 33, 150):
             b = SignalSeries(0.0, a.dt, np.roll(a.values, shift))
-            delay, _ = estimate_delay(a, b, max_lag=2.0)
+            delay = estimate_delay(a, b, max_lag=2.0)[0]
             assert delay == pytest.approx(shift * a.dt, abs=1e-12)
 
     def test_correlation_bounded(self):
         a = smooth_signal(2000, seed=7)
         rng = np.random.default_rng(8)
         b = SignalSeries(0.0, a.dt, rng.normal(0.0, 1.0, 2000))
-        _, corr = estimate_delay(a, b, max_lag=1.0)
+        corr = estimate_delay(a, b, max_lag=1.0)[1]
         assert -1.0 <= corr <= 1.0
 
     def test_insufficient_overlap(self):
@@ -162,63 +164,100 @@ def delay_problems(draw):
     return a, b, max_k * DT
 
 
+def floor(a: np.ndarray, b: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Whether both windows of each lag pass the floor that a scored lag needs."""
+    start, stop = np.maximum(0, lags), np.minimum(len(b), len(a) + lags)
+    return (sync._window_moments(a, start - lags, stop - lags)[2]
+            & sync._window_moments(b, start, stop)[2])
+
+
+def scored(a: np.ndarray, b: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Whether both the program and the oracle score each lag as a
+    correlation: the oracle's std floor is absolute, the program's relative,
+    so a channel of rounding-scale values passes only the program's."""
+    return floor(a, b, lags) & np.array([correlates(a, b, int(k)) for k in lags], dtype=bool)
+
+
+def assert_near_the_oracle(a, b, max_lag):
+    """Where the program and the oracle both score the oracle's best lag, the
+    oracle scores the chosen lag within 1e-9 of its best, and the peak is the
+    oracle's score there within 1e-9."""
+    delay, peak, _, _ = estimate_delay(a, b, max_lag)
+    values_b = sync._resample(b, a.dt).values
+    k_oracle = round((estimate_delay_all_lags(a, b, max_lag)[0] - (b.t0 - a.t0)) / a.dt)
+    if scored(a.values, values_b, np.array([k_oracle]))[0]:
+        exact = lag_correlation(a.values, values_b, round((delay - (b.t0 - a.t0)) / a.dt))
+        assert exact >= lag_correlation(a.values, values_b, k_oracle) - 1e-9
+        assert abs(peak - exact) <= 1e-9
+
+
 class TestEstimateDelayMatchesAllLags:
     @settings(max_examples=400, deadline=None)
     @given(delay_problems())
     def test_equal_to_scoring_every_lag(self, problem):
-        a, b, max_lag = problem
-        assert estimate_delay(a, b, max_lag) == estimate_delay_all_lags(a, b, max_lag)
+        assert_near_the_oracle(*problem)
 
     @settings(max_examples=200, deadline=None)
     @given(delay_problems())
-    def test_decided_fast_scores_are_far_inside_the_band(self, problem):
-        # the near-best band (1e-9) holds every tie only while this holds
+    def test_fast_scores_match_the_oracle_where_scored(self, problem):
+        # the 1e-9 tie band holds every tie only while this holds; a lag
+        # whose windows fail the floor scores 0.0
         a, b, max_lag = problem
         max_k = int(round(max_lag / DT))
         lags = np.arange(-max_k, max_k + 1)
         values_b = sync._resample(b, DT).values
-        scores, decided = sync._fast_scores(a.values, values_b, lags)
-        exact = np.array([sync._lag_correlation(a.values, values_b, int(k)) for k in lags])
-        assert np.all(np.abs(scores - exact)[decided] <= 1e-12)
+        scores, _ = sync._fast_scores(a.values, values_b, lags)
+        exact = np.array([lag_correlation(a.values, values_b, int(k)) for k in lags])
+        assert np.all(np.abs(scores - exact)[scored(a.values, values_b, lags)] <= 1e-9)
+        assert np.all(scores[~floor(a.values, values_b, lags)] == 0.0)
 
     @pytest.mark.parametrize("pattern, n", [([1, -1, 2, 0, -2], 173), ([2, 0, -1], 200)])
     def test_periodic_ties_go_to_the_smallest_lag(self, pattern, n):
-        # every period's lag correlates within a few ulps of 1; the fast
-        # scores order them differently from the exact ones
+        # every period's lag correlates within a few ulps of 1
         a = SignalSeries(0.0, DT, np.tile(np.array(pattern, dtype=float), n)[:n])
-        assert estimate_delay(a, a, 5.0) == estimate_delay_all_lags(a, a, 5.0)
         assert estimate_delay(a, a, 5.0)[0] == 0.0
-
-    def test_a_lag_left_undecided_can_win(self):
-        # at lag -100 both windows hold only the quiet, equal part q: the
-        # exact correlation is 1, but the windows hold under 1e-5 of their
-        # series' variance, too little for the fast score to be trusted
-        rng = np.random.default_rng(12)
-        q = 1e-3 * rng.normal(0.0, 1.0, 150)
-        a = SignalSeries(0.0, DT, np.concatenate([rng.normal(0.0, 1.0, 100), q]))
-        b = SignalSeries(0.0, DT, np.concatenate([q, rng.normal(0.0, 1.0, 100)]))
-        lags = np.arange(-150, 151)
-        _, decided = sync._fast_scores(a.values, b.values, lags)
-        assert not decided[lags == -100]
-        assert estimate_delay(a, b, 15.0) == estimate_delay_all_lags(a, b, 15.0)
-        assert estimate_delay(a, b, 15.0)[0] == pytest.approx(-10.0)
+        assert_near_the_oracle(a, a, 5.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_overlap_under_three_samples(self, seed):
         # at 5 s a sample, the 10 s minimum overlap leaves 2 samples at +-4 lags
         rng = np.random.default_rng(seed)
         a, b = (SignalSeries(0.0, 5.0, rng.integers(-2, 3, 6).astype(float)) for _ in "ab")
-        assert estimate_delay(a, b, 20.0) == estimate_delay_all_lags(a, b, 20.0)
+        assert_near_the_oracle(a, b, 20.0)
 
-    def test_scores_only_the_near_best_lags(self, monkeypatch):
-        calls = []
-        exact = sync._lag_correlation
-        monkeypatch.setattr(sync, "_lag_correlation",
-                            lambda a, b, lag: calls.append(lag) or exact(a, b, lag))
+
+class TestEvidence:
+    @pytest.mark.parametrize("shift, length", [(-150, 2600), (0, 3000), (61, 2800)])
+    def test_n_eff_is_the_direct_sum(self, shift, length):
+        # N / (1 + 2 sum_{k=1..N/4} |rho_a(k) rho_b(k)|) at the chosen lag's
+        # overlap N, each autocorrelation summed over the centred series
         a = smooth_signal(3000, seed=10)
-        problem = (a, SignalSeries(0.0, a.dt, np.roll(a.values, 61)), 5.0)
-        assert estimate_delay(*problem) == estimate_delay_all_lags(*problem)
-        assert 0 < len(calls) <= 5  # the oracle makes 1001, one per lag
+        noise = 0.3 * smooth_signal(length, seed=11).values
+        b = SignalSeries(0.0, a.dt, np.roll(a.values, shift)[:length] + noise)
+        delay, _, _, n_eff = estimate_delay(a, b, max_lag=5.0)
+        k = round(delay / a.dt)
+        assert k == shift
+        n = min(len(b), len(a) + k) - max(0, k)
+
+        def rho(x):
+            xc = x - x.mean()
+            return np.array([xc[:-j] @ xc[j:] for j in range(1, n // 4 + 1)]) / (xc @ xc)
+
+        direct = n / (1 + 2 * np.sum(np.abs(rho(a.values) * rho(b.values))))
+        assert n_eff == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("seeds", [(5, 6), (7, 8), (12, 13)])
+    def test_p_value_is_the_sidak_corrected_fisher_z(self, seeds):
+        # unrelated series: their peak is no evidence, and p is large
+        # enough to form directly
+        a, b = (smooth_signal(3000, seed=s) for s in seeds)
+        delay, peak, p_value, n_eff = estimate_delay(a, b, max_lag=5.0)
+        assert p_value > 1e-2
+        k = round(delay / a.dt)
+        n = min(len(b), len(a) + k) - max(0, k)
+        one_sided = norm.sf(np.arctanh(peak) * np.sqrt(n_eff - 3))
+        assert p_value == pytest.approx(1 - (1 - one_sided) ** max(1, 1001 * n_eff / n),
+                                        rel=1e-9)
 
 
 class TestShiftAnnotations:
