@@ -21,7 +21,7 @@ import numpy as np
 from . import (__version__, classifier, cusum, io, learning, orientation, parallel,
                simulator, sync)
 from .errors import ClimbDetectError
-from .series import ALL_SITES, SensorSite, SignalSeries
+from .series import SensorSite, SignalSeries
 
 
 def _data_dir(args_dir) -> Path:
@@ -48,25 +48,10 @@ def _manifest(command: str, args: dict) -> dict:
             "command": command, "config": args}
 
 
-def _climb_id(climb_dir: Path) -> str:
-    """The climb id, from the name of the first ``<climb>_<site>.csv`` recording."""
-    recs = sorted(p for site in ALL_SITES for p in climb_dir.glob(f"*_{site.value}.csv"))
-    if not recs:
-        raise ClimbDetectError(f"no recordings found in {climb_dir}")
-    return recs[0].stem.rsplit("_", 1)[0]
-
-
 # Bytes per row of a recording as `io.write_recording_csv` writes it, about
 # 155 with the magnetometer columns: `fork_map` weighs each recording by its
 # file size over this, so that no recording is parsed twice.
 _RECORDING_ROW_BYTES = 150
-
-
-def _climb_files(climb_dir: Path):
-    """(climb id, recording path of each site present) of a climb directory."""
-    climb_id = _climb_id(climb_dir)
-    return climb_id, {site: path for site in ALL_SITES
-                      if (path := io.recording_path(climb_dir, climb_id, site)).exists()}
 
 
 def _sizes(paths) -> list[int]:
@@ -91,7 +76,7 @@ def _load_climbs(climbs_dir: Path, beta: float) -> list[learning.LabeledClimb]:
         raise ClimbDetectError(f"no climb subdirectories in {climbs_dir}")
     files = []
     for climb_dir in subdirs:
-        climb_id, paths = _climb_files(climb_dir)
+        climb_id, paths = io.climb_recordings(climb_dir)
         ann_path = io.annotations_path(climb_dir, climb_id)
         if not ann_path.exists():
             raise ClimbDetectError(f"missing annotation file {ann_path}")
@@ -117,7 +102,7 @@ def _detection(path: Path, site: SensorSite, beta: float,
 def _detect_climb(climb_dir: Path, models: dict[SensorSite, cusum.SensorModel], beta: float):
     """(climb id, detection of each modelled site present), each recording
     detected by `parallel.fork_map` in the process that reads it."""
-    climb_id, paths = _climb_files(climb_dir)
+    climb_id, paths = io.climb_recordings(climb_dir)
     sites = [site for site in paths if site in models]
     if not sites:
         raise ClimbDetectError(f"{climb_dir}: no recording of a site the model has "

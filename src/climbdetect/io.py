@@ -17,11 +17,11 @@ import numpy as np
 from .classifier import ActivityTimeline, FullBodyState, LimbCounts, LimbSubState
 from .cusum import (BinaryStateSeries, DetectionConfig, HypothesisModel,
                     SensorModel)
-from .errors import (EmptyRecording, InvalidParams, MalformedAnnotations,
+from .errors import (ClimbDetectError, EmptyRecording, InvalidParams, MalformedAnnotations,
                      MalformedModel, MalformedRecording)
 from .gamma_model import GammaParams
 from .orientation import DEFAULT_BETA, ImuRecording
-from .series import LIMBS, STATE_NAMES, AnnotationTrack, SensorSite, resample_linear
+from .series import ALL_SITES, LIMBS, STATE_NAMES, AnnotationTrack, SensorSite, resample_linear
 from .sync import TrajectorySeries
 
 RECORDING_HEADER = "t,ax,ay,az,gx,gy,gz,mx,my,mz"
@@ -36,6 +36,20 @@ _BLOCK_ROWS = 256
 
 def recording_path(directory: Path, climb_id: str, site: SensorSite) -> Path:
     return Path(directory) / f"{climb_id}_{site.value}.csv"
+
+
+def climb_recordings(directory) -> tuple[str, dict[SensorSite, Path]]:
+    """The inverse of `recording_path`: the climb id and each present site's
+    recording, in `ALL_SITES` order, of the ``<climb>_<site>.csv`` files in
+    ``directory``; `ClimbDetectError` unless they are of one climb."""
+    found = [(site, path) for site in ALL_SITES
+             for path in Path(directory).glob(f"*_{site.value}.csv")]
+    ids = sorted({path.stem.rsplit("_", 1)[0] for _, path in found})
+    if not ids:
+        raise ClimbDetectError(f"no recordings found in {directory}")
+    if len(ids) > 1:
+        raise ClimbDetectError(f"{directory}: recordings of {len(ids)} climbs ({', '.join(ids)})")
+    return ids[0], dict(found)
 
 
 def annotations_path(directory: Path, climb_id: str) -> Path:
@@ -145,11 +159,16 @@ def _read_table(path: Path, required, parsers: dict | None = None):
     column. ``required`` is the columns the header must name, or a function
     of the header giving them. `EmptyRecording` when there are no rows;
     `MalformedRecording` for a missing column, and naming ``path:line`` for a
-    bad row or a t not after the previous row's, the one case that reads the
-    lines again."""
+    bad row, bytes that are not UTF-8 or a t not after the previous row's, the
+    one case that reads the lines again."""
     parsers = parsers or {}
-    with open(path) as fh:
-        header = [name.strip() for name in fh.readline().split(",")]
+    with open(path, encoding="utf-8") as fh:
+        try:
+            header = [name.strip() for name in fh.readline().split(",")]
+        except UnicodeDecodeError:  # on some line of the first block read
+            for _ in _lines(path, first=1):
+                pass
+            raise
         missing = [name for name in (required(header) if callable(required) else required)
                    if name not in header]
         if missing:
@@ -180,10 +199,14 @@ def _read_table(path: Path, required, parsers: dict | None = None):
     return cols, data, t
 
 
-def _lines(path: Path):
-    """``(line number, line)`` of each line below the header, read one at a time."""
-    with open(path) as fh:
-        yield from itertools.islice(enumerate(fh, start=1), 1, None)
+def _lines(path: Path, first: int = 2):
+    """``(line number, line)`` of each line from ``first`` (2: below the header) on, streamed."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in itertools.islice(enumerate(fh, start=1), first - 1, None):
+            # surrogateescape reads each byte that is not UTF-8 as U+DC80 to U+DCFF
+            if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
+                raise MalformedRecording(f"{path}:{lineno}: not UTF-8 text")
+            yield lineno, line
 
 
 def _data_lines(path: Path):
@@ -250,9 +273,10 @@ def _label(names: dict[int, str]):
 
 
 def _read_json(path: Path, error):
-    """The document in ``path``; ``error`` naming the file when it is not valid JSON."""
+    """The document in ``path``, every number in it a float (an integer too large
+    for one is inf); ``error`` naming the file when it is not valid JSON."""
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"), parse_int=float)
     except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
         raise error(f"{path}: not valid JSON: {exc}") from None
 

@@ -17,10 +17,10 @@ import threading
 import warnings
 
 # The least work, in samples, that a forked worker is given. On a 2-CPU
-# Xeon VM, forking a 100 MB process, exiting and reaping it takes about
-# 9.4 ms, and the first 32 ms of work after it run about 4 ms slower from
-# copy-on-write faults: about 13 ms, the time to read and filter about 1,700
-# samples at 7.5 us each.
+# Xeon VM, a fork and reap take 2.1-3.6 ms in a fresh 37-87 MB process and
+# 6.6 ms in the benchmark's after its set-up; the caller's three reads take
+# 23.3 ms against 19.7 ms while a worker lives. Reading and filtering take
+# about 6.9 us per sample (2.6 + 4.3 ms per 1,000 rows): 2,000 take 14 ms.
 MIN_SHARE = 2000
 
 # Set in a worker, which runs nested maps in-process.

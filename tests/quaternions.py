@@ -9,11 +9,17 @@ form the library uses. The per-sample oracle (`closed_form_step`, chained by
 `chained_orientation`) is the closed form one sample and one function call
 at a time, with the general field gradient for both references: the
 library's fused loop must give bit-identical quaternions.
+`physical_recording` is a recording built from the physics of a moving
+sensor, with its true linear acceleration to test the filter against.
 """
 
 import math
 
 import numpy as np
+
+from climbdetect.orientation import GRAVITY, ImuRecording
+from climbdetect.series import SensorSite
+from climbdetect.simulator import MAG_FIELD
 
 
 def quat_multiply(a, b) -> np.ndarray:
@@ -169,3 +175,44 @@ def chained_orientation(q0, t, accel, gyro, mag, beta: float) -> np.ndarray:
             q, accel[i].tolist(), gyro[i].tolist(), None if mag is None else mag[i].tolist(),
             float(t[i] - t[i - 1]), beta)
     return quats
+
+
+def _sinusoids(rng: np.random.Generator, t: np.ndarray, amplitude: float) -> np.ndarray:
+    """(n, 3): per axis, the sum of six sinusoids of amplitude U(0, ``amplitude``),
+    frequency U(0.1, 1.5) Hz and a random phase."""
+    a, f, p = (rng.uniform(low, high, (6, 3)) for low, high in
+               ((0.0, amplitude), (0.1, 1.5), (0.0, 2.0 * np.pi)))
+    return np.einsum("kj,nkj->nj", a, np.sin(2.0 * np.pi * f * t[:, None, None] + p))
+
+
+def physical_recording(seed: int, rate_amplitude: float, accel_amplitude: float,
+                       mag: bool = True, seconds: float = 60.0, rate: float = 100.0):
+    """``(recording, linear acceleration)`` of a sensor that turns at body rates
+    ω and moves with Earth-frame linear acceleration a (n, 3), each drawn by
+    `_sinusoids`. The attitude starts at identity and follows q_i = q_{i-1} ⊗
+    exp(ω_i dt / 2); the readings are accel = Rᵀ(a + g) + N(0, 0.05²), gyro =
+    ω + N(0, 0.01²) and mag = Rᵀ m + N(0, 0.01²), m the simulator's
+    `MAG_FIELD` (drawn either way, so that both forms share the rest)."""
+    rng = np.random.default_rng(seed)
+    dt = 1.0 / rate
+    t = np.arange(round(seconds * rate)) * dt
+    omega = _sinusoids(rng, t, rate_amplitude)
+    linear = _sinusoids(rng, t, accel_amplitude)
+    quats = np.empty((len(t), 4))
+    quats[0] = q = [1.0, 0.0, 0.0, 0.0]
+    for i in range(1, len(t)):
+        half = omega[i] * (dt / 2.0)
+        angle = math.hypot(*half)
+        step = [math.cos(angle), *(half * (math.sin(angle) / angle if angle else 1.0))]
+        q = quats[i] = quat_multiply(q, step)
+    w, x, y, z = (quats / np.linalg.norm(quats, axis=1, keepdims=True)).T
+    # R of each attitude, which rotates sensor-frame vectors into the Earth frame
+    r = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                  [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                  [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    accel = (np.einsum("jin,nj->ni", r, linear + [0.0, 0.0, GRAVITY])
+             + rng.normal(0.0, 0.05, linear.shape))
+    gyro = omega + rng.normal(0.0, 0.01, omega.shape)
+    field = np.einsum("jin,j->ni", r, MAG_FIELD) + rng.normal(0.0, 0.01, omega.shape)
+    return ImuRecording(site=SensorSite.PELVIS, sample_rate=rate, t=t, accel=accel,
+                        gyro=gyro, mag=field if mag else None), linear

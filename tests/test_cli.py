@@ -587,6 +587,65 @@ def test_stray_files_are_ignored(command, dataset, model_path, tmp_path,
     assert written["none"] == written["backup"]
 
 
+@pytest.mark.parametrize("other", ["backup", "zeta"])
+@pytest.mark.parametrize("command", ["detect", "classify", "fit", "evaluate"])
+def test_recordings_of_two_climbs_exit_one(command, other, dataset, model_path, tmp_path,
+                                           capsys):
+    # a recording of another climb beside the climb's own is refused by both
+    # ids, whichever sorts first, and nothing is written
+    climbs = tmp_path / "climbs"
+    for climb_id in ("climb01", "climb02"):
+        (climbs / climb_id).mkdir(parents=True)
+        for src in (dataset / climb_id).iterdir():
+            (climbs / climb_id / src.name).write_bytes(src.read_bytes())
+    (climbs / "climb01" / f"{other}_rh.csv").write_bytes(
+        (dataset / "climb01" / "climb01_rh.csv").read_bytes())
+    out, grid = tmp_path / "out", ["--grid-points", "2", "--alpha-step", "1.0"]
+    args = {"detect": ["--model", str(model_path), "--climb", str(climbs / "climb01"),
+                       "--out", str(out)],
+            "classify": ["--model", str(model_path), "--climb", str(climbs / "climb01"),
+                         "--out", str(out / "timeline.csv")],
+            "fit": ["--climbs", str(climbs), "--out", str(out / "model.json"), *grid],
+            "evaluate": ["--climbs", str(climbs), "--out", str(out / "eval.json"), *grid],
+            }[command]
+    assert cli.main([command, *args]) == 1
+    ids = ", ".join(sorted([other, "climb01"]))
+    assert capsys.readouterr().err == (f"error: {climbs / 'climb01'}: recordings of 2 climbs "
+                                       f"({ids})\n")
+    assert not [path for path in out.rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize("command", ["report", "fit", "classify", "sync"])
+def test_bytes_that_are_not_utf8_exit_one(command, dataset, model_path, tmp_path, capsys):
+    # one `error:` line naming the file and the line that holds them
+    climbs = tmp_path / "climbs"
+    for climb_id in ("climb01", "climb02"):
+        (climbs / climb_id).mkdir(parents=True)
+        for src in (dataset / climb_id).iterdir():
+            (climbs / climb_id / src.name).write_bytes(src.read_bytes())
+    out = tmp_path / "out.csv"
+    if command in ("report", "sync"):
+        path = tmp_path / "table.csv"
+        header = {"report": "t,full_body,rh,lh,rf,lf", "sync": "t,x,y"}[command]
+        path.write_bytes(header.encode() + b"\n\xff\xfe\x00garbage\n")
+        line = 2
+        argv = (["report", str(path), "--out", str(out)] if command == "report" else
+                ["sync", "--trajectory", str(path), "--recording",
+                 str(climbs / "climb01" / "climb01_pelvis.csv")])
+    else:
+        climb_id = "climb02" if command == "fit" else "climb01"
+        path = climbs / climb_id / f"{climb_id}_rh.csv"
+        line = path.read_bytes().count(b"\n") + 1
+        path.write_bytes(path.read_bytes() + b"\xff\xfe,1,2")
+        argv = (["fit", "--climbs", str(climbs), "--out", str(out), "--grid-points", "2",
+                 "--alpha-step", "1.0"] if command == "fit" else
+                ["classify", "--model", str(model_path), "--climb", str(climbs / "climb01"),
+                 "--out", str(out)])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: not UTF-8 text\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("site, lineno, column, value, name", [
     ("rh", 51, 1, "1e200", "accel"), ("lh", 81, 4, "3e160", "gyro"),
     ("rh", 2, 7, "1e200", "mag")], ids=["accel", "gyro", "mag"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -170,6 +171,31 @@ class TestRecordingCsv:
         assert message in str(exc.value)
 
 
+class TestClimbRecordings:
+    def test_inverse_of_recording_path(self, tmp_path):
+        # the sites present, in ALL_SITES order; files of no site are not recordings
+        for site in (SensorSite.PELVIS, SensorSite.LEFT_HAND):
+            io.recording_path(tmp_path, "climb_01", site).write_text("")
+        for name in ("climb_01_annotations.json", "backup_notes.csv", "climb_01_lh.json"):
+            (tmp_path / name).write_text("")
+        climb_id, paths = io.climb_recordings(tmp_path)
+        assert climb_id == "climb_01"
+        assert list(paths.items()) == [
+            (site, io.recording_path(tmp_path, "climb_01", site))
+            for site in ALL_SITES if site in (SensorSite.PELVIS, SensorSite.LEFT_HAND)]
+
+    @pytest.mark.parametrize("names, message", [
+        ([], "no recordings found in {}"),
+        (["c2_lf.csv", "c1_rh.csv", "c1_lf.csv"], "{}: recordings of 2 climbs (c1, c2)"),
+    ], ids=["none", "two-climbs"])
+    def test_one_climb_is_required(self, tmp_path, names, message):
+        for name in names:
+            (tmp_path / name).write_text("")
+        with pytest.raises(ClimbDetectError) as exc:
+            io.climb_recordings(tmp_path)
+        assert str(exc.value) == message.format(tmp_path)
+
+
 class TestAnnotationsJson:
     def test_roundtrip(self, tmp_path):
         annotations = {
@@ -201,8 +227,10 @@ class TestAnnotationsJson:
          "entry 0: unhashable type"),
         (lambda doc: doc[1]["intervals"][1].update(end=1.0),
          "entry 1: interval ends before it starts"),
+        (lambda doc: doc[2]["intervals"][0].update(start=10**400),
+         "entry 2: start is not a finite number: inf"),
     ], ids=["unknown-label", "unknown-site", "missing-end", "missing-intervals",
-            "string-start", "nan-end", "list-label", "end-before-start"])
+            "string-start", "nan-end", "list-label", "end-before-start", "huge-integer-start"])
     def test_malformed_annotations_name_file(self, tmp_path, corrupt, message):
         path = tmp_path / "c1_annotations.json"
         io.write_annotations_json(path, {
@@ -292,11 +320,15 @@ class TestModelJson:
          "provenance beta is not a finite number >= 0: True"),
         (lambda doc: doc["provenance"].update(beta=None),
          "provenance beta is not a finite number >= 0: None"),
+        (lambda doc: doc["provenance"].update(beta=10**400),
+         "provenance beta is not a finite number >= 0: inf"),
+        (lambda doc: doc["sensors"]["rf"]["acc"]["h0"].update(k=10**400),
+         "sensor 'rf': non-finite parameters k=inf"),
     ], ids=["missing-sensors", "sensors-list", "unknown-site", "missing-channel",
             "missing-theta", "negative-lambda0", "nan-lambda1", "alpha-above-one",
             "zero-k", "string-theta", "entry-list", "provenance-list",
             "provenance-string", "negative-beta", "nan-beta", "infinite-beta",
-            "string-beta", "bool-beta", "null-beta"])
+            "string-beta", "bool-beta", "null-beta", "huge-integer-beta", "huge-integer-k"])
     def test_malformed_model_names_file_and_site(self, tmp_path, corrupt, message):
         path = tmp_path / "model.json"
         io.write_model_json(path, {site: self.model() for site in ALL_SITES})
@@ -814,6 +846,127 @@ class TestRoundTrips:
         self.same_clock(back, t0, dt, n)
         np.testing.assert_array_equal(back.x, traj.x)
         np.testing.assert_array_equal(back.y, traj.y)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), sites=st.sets(st.sampled_from(ALL_SITES)))
+    def test_annotations(self, tmp_path, data, sites):
+        # each track's intervals are consecutive pairs of sorted times, so they
+        # may touch, leave gaps or have no length
+        def track(site):
+            times = sorted(data.draw(st.lists(st.floats(-1e300, 1e300), max_size=20)))
+            labels = data.draw(st.lists(st.integers(0, 1), min_size=len(times) // 2,
+                                        max_size=len(times) // 2))
+            return AnnotationTrack(site, list(zip(times[::2], times[1::2], labels)))
+        annotations = {site: track(site) for site in sites}
+        path = tmp_path / "c1_annotations.json"
+        io.write_annotations_json(path, annotations)
+        assert io.read_annotations_json(path) == annotations
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), sites=st.sets(st.sampled_from(ALL_SITES)),
+           beta=st.one_of(st.none(), st.floats(0.0, 1e300)))
+    def test_model(self, tmp_path, data, sites, beta):
+        positive = st.floats(5e-324, 1e300)
+
+        def hypotheses():
+            return HypothesisModel(*(GammaParams(data.draw(positive), data.draw(positive))
+                                     for _ in range(2)))
+        models = {site: SensorModel(
+            acc=hypotheses(), ang=hypotheses(),
+            config=DetectionConfig(lambda0=data.draw(st.floats(0.0, exclude_min=True)),
+                                   lambda1=data.draw(st.floats(0.0, exclude_min=True)),
+                                   alpha=data.draw(st.floats(0.0, 1.0))))
+            for site in sites}
+        path = tmp_path / "model.json"
+        io.write_model_json(path, models, None if beta is None else {"beta": beta})
+        assert io.read_model_json(path) == (models, DEFAULT_BETA if beta is None else beta)
+
+
+# The values of the readers' tables: finite numbers within 1e3 of 0 (a clock
+# spanning more makes `_uniform_clock` resample onto that many rows) and each
+# label column's labels. Other fields add non-finite numbers, separators,
+# comments and text without digits.
+_NUMBER = st.sampled_from(["0", "-0", "0.01", "0.5", "1", "2.5", "-1", "1e3", "-1e3"])
+_LABELS = {"state": ["H0", "H1"], "full_body": [s.name.lower() for s in FullBodyState],
+           **dict.fromkeys([site.value for site in LIMBS],
+                           [s.name.lower() for s in LimbSubState])}
+_FIELD = st.one_of(
+    _NUMBER, st.sampled_from(["nan", "inf", "-inf", "1e999", "H0", "traction", "", " ", "#",
+                              "# change_point", "1_0", "0x1"]),
+    st.text(st.characters(blacklist_categories=["Nd", "Cs"]), max_size=3))
+
+
+@st.composite
+def _table_text(draw, columns: str) -> str:
+    """A header, most often ``columns`` in any order, then rows of values for its
+    columns, change points or any other fields, their times increasing or not."""
+    header = draw(st.one_of(st.permutations(columns.split(",")), st.lists(_FIELD)))
+    values = [st.sampled_from(_LABELS[name]) if name in _LABELS else _NUMBER
+              for name in header]
+    rows = draw(st.lists(st.one_of(
+        st.tuples(*values).map(list),
+        st.tuples(st.just("# change_point"), st.integers(-1, 9).map(str),
+                  st.sampled_from(["H0", "H1"]), st.integers(-1, 9).map(str)).map(list),
+        st.lists(_FIELD, max_size=len(header) + 1)), max_size=8))
+    if "t" in header and draw(st.booleans()):  # a clock that increases by steps that vary
+        steps = st.sampled_from([0.005, 0.01, 0.01, 0.03])
+        t = itertools.accumulate(draw(st.lists(steps, min_size=len(rows), max_size=len(rows))))
+        for row, ti in zip(rows, t):
+            if len(row) == len(header) and row[0] != "# change_point":
+                row[header.index("t")] = repr(ti)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([",".join(header)] + [",".join(row) for row in rows]) + newline
+
+
+@st.composite
+def _file_bytes(draw, columns: str) -> bytes:
+    """Arbitrary bytes, or the text of a table of ``columns`` with or without
+    arbitrary bytes put in at one place."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    text = draw(_table_text(columns)).encode()
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.one_of(st.just(b""), st.binary(max_size=4))) + text[at:]
+
+
+class TestArbitraryBytes:
+    """Every reader returns a value or raises a `ClimbDetectError`."""
+
+    @pytest.mark.parametrize("read, columns", [
+        (lambda path: io.read_recording_csv(path, SensorSite.PELVIS), io.RECORDING_HEADER),
+        (io.read_trajectory_csv, "t,x,y"),
+        (io.read_timeline_csv, "t,full_body,rh,lh,rf,lf"),
+        (io.read_detection_csv, "t,state"),
+        (io.read_annotations_json, "site,intervals"),
+        (io.read_model_json, "sensors,provenance"),
+    ], ids=["recording", "trajectory", "timeline", "detection", "annotations", "model"])
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_value_or_library_error(self, tmp_path, read, columns, data):
+        path = tmp_path / "input"
+        path.write_bytes(data.draw(_file_bytes(columns)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a gap warning, the reader's to give
+            try:
+                read(path)
+            except ClimbDetectError:
+                pass
+
+    @pytest.mark.parametrize("text, line", [
+        (b"t,x,y\n0,0,1\n\xff\xfe\x00garbage\n", 3),
+        (b"t,x,y\n0,0,1\n# caf\xe9\n1,0,2\n", 3),
+        (b"t,\xffx,y\n0,0,1\n", 1),
+        (b"t,x,y\n" + b"".join(b"%d,0,1\n" % i for i in range(4000)) + b"\xff\n", 4002),
+    ], ids=["row", "comment", "header", "past-the-first-block"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, text, line):
+        path = tmp_path / "traj.csv"
+        path.write_bytes(text)
+        with pytest.raises(MalformedRecording) as exc:
+            io.read_trajectory_csv(path)
+        assert str(exc.value) == f"{path}:{line}: not UTF-8 text"
 
 
 class TestOrderStatistics:
