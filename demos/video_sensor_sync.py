@@ -6,7 +6,8 @@ matching IMU recording whose clock runs 1.8 s behind the video clock; the
 delay is recovered from the two vertical acceleration estimates and used to
 move video-clock annotations onto the sensor clock. The demo exits with 1
 when the recovered delay is more than 0.05 s off, or when its p-value is
-above the 1e-6 at which `climbdetect sync` accepts a delay.
+above ``sync.MAX_P_VALUE``, the level at which `climbdetect sync` accepts a
+delay.
 """
 
 import sys
@@ -63,5 +64,5 @@ for start, end, label in on_sensor_clock.intervals:
     print(f"  {start:6.2f} .. {end:6.2f}  state {label}")
 if abs(delay - TRUE_DELAY) > TOLERANCE:
     sys.exit(f"error: the estimated delay is more than {TOLERANCE} s off")
-if p_value > 1e-6:  # the level at which `climbdetect sync` accepts a delay
+if p_value > sync.MAX_P_VALUE:
     sys.exit(f"error: the peak is not evidence of a delay (p = {p_value:.2g})")

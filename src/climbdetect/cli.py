@@ -20,7 +20,7 @@ import numpy as np
 
 from . import (__version__, classifier, cusum, io, learning, orientation, parallel,
                simulator, sync)
-from .errors import ClimbDetectError
+from .errors import ClimbDetectError, InsufficientOverlap, TooFewSamples
 from .series import SensorSite, SignalSeries
 
 
@@ -237,13 +237,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# A trajectory whose unsmoothed vertical second differences all lie within
-# this share of its largest |y| has no vertical acceleration beyond rounding
-# (about 1e-15 of that scale).
-_UNIFORM_MOTION_SHARE = 1e-9
-_MAX_P_VALUE = 1e-6  # the largest p-value (sync.estimate_delay's) of a peak that fixes a delay
-
-
 def _vertical_acceleration(path, beta: float) -> tuple[SignalSeries, tuple[float, float]]:
     """The pelvis recording's Earth-frame vertical acceleration, filtered with gain
     ``beta`` and copied out of the (n, 3) Earth-frame array, and the recording's
@@ -257,18 +250,20 @@ def _vertical_acceleration(path, beta: float) -> tuple[SignalSeries, tuple[float
 def cmd_sync(args) -> int:
     _make_parent(args.out)
     traj = io.read_trajectory_csv(args.trajectory)
-    vertical = sync.trajectory_to_acceleration(traj, args.smooth_window)
-    if np.abs(np.diff(traj.y, 2)).max() <= _UNIFORM_MOTION_SHARE * np.abs(traj.y).max():
-        # every lag would correlate rounding or nothing: a delay without evidence
-        raise ClimbDetectError(f"{args.trajectory}: the trajectory has no vertical "
-                               "acceleration, so it cannot fix a delay")
-    sensor_vertical, span = _vertical_acceleration(args.recording, args.beta)
-    delay, corr, p_value, n_eff = sync.estimate_delay(sensor_vertical, vertical, args.max_lag)
-    if p_value > _MAX_P_VALUE:
-        raise ClimbDetectError(
-            f"{args.trajectory} and {args.recording}: the best delay, {delay:.3f} s with peak "
-            f"correlation {corr:.3f}, has p = {p_value:.2g} at {n_eff:.0f} effective samples; "
-            f"a delay needs p <= {_MAX_P_VALUE:g}")
+    judged = args.trajectory  # the files a refusal names: the trajectory, then both
+    try:
+        vertical = sync.trajectory_to_acceleration(traj, args.smooth_window)
+        sensor_vertical, span = _vertical_acceleration(args.recording, args.beta)
+        judged = f"{args.trajectory} and {args.recording}"
+        delay, corr, p_value, n_eff = sync.estimate_delay(sensor_vertical, vertical, args.max_lag)
+        refusal = None if p_value <= sync.MAX_P_VALUE else (
+            f"the best delay, {delay:.3f} s with peak correlation {corr:.3f}, has p = "
+            f"{p_value:.2g} at {n_eff:.0f} effective samples; a delay needs p <= "
+            f"{sync.MAX_P_VALUE:g}")
+    except (TooFewSamples, InsufficientOverlap) as exc:
+        refusal = exc
+    if refusal is not None:
+        raise ClimbDetectError(f"{judged}: {refusal}")
     print(f"delay={delay:.3f} s peak_correlation={corr:.3f}")
     if args.annotations and args.out:
         annotations = io.read_annotations_json(args.annotations)

@@ -45,8 +45,6 @@ class HypothesisModel:
 
 def log_pdf(x, p: GammaParams):
     """Log Gamma density at ``x`` (scalar or array), floored at SAMPLE_FLOOR."""
-    if p.k <= 0 or p.theta <= 0:
-        raise InvalidParams(f"k={p.k}, theta={p.theta}")
     xf = np.maximum(np.asarray(x, dtype=float), SAMPLE_FLOOR)
     out = (p.k - 1.0) * np.log(xf) - xf / p.theta \
         - math.lgamma(p.k) - p.k * math.log(p.theta)

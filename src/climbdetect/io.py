@@ -30,8 +30,18 @@ RECORDING_HEADER = "t,ax,ay,az,gx,gy,gz,mx,my,mz"
 GYRO_DEGREES_THRESHOLD = 50.0
 
 _LABEL_CODES = {name: code for code, name in STATE_NAMES.items()}
+# Each CSV format: its columns in the writer's order, each mapped to the names
+# of its labels by code, or to None for a float.
+_RECORDING = dict.fromkeys(RECORDING_HEADER.split(","))
+_DETECTION = {"t": None, "state": STATE_NAMES}
+_TIMELINE = {"t": None, "full_body": {s.value: s.name.lower() for s in FullBodyState},
+             **dict.fromkeys((site.value for site in LIMBS),
+                             {s.value: s.name.lower() for s in LimbSubState})}
+_TRAJECTORY = dict.fromkeys(("t", "x", "y"))
 # Rows a CSV writer formats and writes at a time.
 _BLOCK_ROWS = 256
+# A clock is put on a uniform grid of at most this many times the rows read.
+_MAX_GRID_ROWS = 2
 
 
 def recording_path(directory: Path, climb_id: str, site: SensorSite) -> Path:
@@ -56,24 +66,24 @@ def annotations_path(directory: Path, climb_id: str) -> Path:
     return Path(directory) / f"{climb_id}_annotations.json"
 
 
-def _write_csv(path, header: str, n: int, lines, tail=()) -> None:
-    """``header``, the ``lines(start, stop)`` of the ``n`` rows `_BLOCK_ROWS` at a
-    time, then ``tail``, each line ending in a newline."""
+def _write_csv(path, format: dict, columns, tail=()) -> None:
+    """The header of ``format``, the rows of ``columns`` (one array per column of
+    ``format``, a float written by its ``repr``, a label by its name) formatted
+    and written `_BLOCK_ROWS` at a time, then ``tail``, each line ending in a
+    newline."""
+    formats = [repr if names is None else names.__getitem__ for names in format.values()]
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            fh.write("\n".join(lines(start, min(start + _BLOCK_ROWS, n))) + "\n")
+        fh.write(",".join(format) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            fields = [map(f, column[start:start + _BLOCK_ROWS].tolist())
+                      for f, column in zip(formats, columns)]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
         fh.writelines(line + "\n" for line in tail)
 
 
 def write_recording_csv(path, rec: ImuRecording) -> None:
     mag = rec.mag if rec.mag is not None else np.zeros_like(rec.accel)
-    columns = (rec.t[:, None], rec.accel, rec.gyro, mag)
-
-    def lines(start, stop):
-        block = np.hstack([c[start:stop] for c in columns])
-        return [",".join(map(repr, row)) for row in block.tolist()]
-    _write_csv(path, RECORDING_HEADER, len(rec), lines)
+    _write_csv(path, _RECORDING, [rec.t, *rec.accel.T, *rec.gyro.T, *mag.T])
 
 
 def read_recording_csv(path, site: SensorSite) -> ImuRecording:
@@ -84,10 +94,10 @@ def read_recording_csv(path, site: SensorSite) -> ImuRecording:
     clock that is not resampled, are column slices of one table in the writer's
     column order: a header in any other order is copied into it once."""
     path = Path(path)
-    columns = RECORDING_HEADER.split(",")
+    columns = list(_RECORDING)
     # with any of mx, my, mz, all three are required
-    cols, data, _ = _read_table(path, lambda header: columns if any(
-        name in header for name in columns[7:]) else columns[:7])
+    cols, data, _ = _read_table(path, lambda header: _RECORDING if any(
+        name in header for name in columns[7:]) else dict.fromkeys(columns[:7]))
     order = [cols[name] for name in columns if name in cols]
     if order != list(range(len(order))):
         data = data[:, order]
@@ -141,27 +151,41 @@ def _percentile(values: np.ndarray, q: float) -> float:
 def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
     """``(t, dt, data)`` of a measured series: ``dt`` is the median step (``lone_dt``
     for one sample), a gap over two steps is warned of, and if any step is off ``dt``
-    by over a tenth, ``t`` and each column of ``data`` go linearly onto ``t[0] + k*dt``."""
-    diffs = np.diff(t)
+    by over a tenth, ``t`` and each column of ``data`` go linearly onto ``t[0] + k*dt``.
+    A clock whose grid would hold over `_MAX_GRID_ROWS` times its rows, or whose
+    steps or span are not finite, is refused by the line of its longest step, and
+    a resampled value that overflows by its file."""
+    with np.errstate(over="ignore"):  # a step that overflows is refused below
+        diffs = np.diff(t)
     dt = _median(diffs) if len(diffs) else lone_dt
+    # the grid's span to a step past t[-1]; Python floats overflow to inf with no
+    # warning, and an inf or nan ratio is refused
+    span = float(t[-1]) + dt - float(t[0])
+    if not span / dt <= _MAX_GRID_ROWS * len(t):
+        i = int(np.argmax(diffs)) + 1
+        raise MalformedRecording(
+            f"{path}:{_row_line(path, i)}: t {float(t[i])!r} is too far after "
+            f"{float(t[i - 1])!r} for a uniform clock of {len(t)} rows at the median "
+            f"step, {dt!r} s")
     gaps = int(np.count_nonzero(diffs > 2.0 * dt))
     if gaps:
         warnings.warn(f"{path}: {gaps} gaps longer than 2 sample periods")
     if len(diffs) and np.max(np.abs(diffs - dt)) > 0.1 * dt:
         t, data = resample_linear(t, data, dt)
+        if not np.isfinite(data).all():  # a slope between two rows overflowed
+            raise MalformedRecording(f"{path}: a value overflows on the uniform clock")
     return t, dt, data
 
 
-def _read_table(path: Path, required, parsers: dict | None = None):
+def _read_table(path: Path, format):
     """``(cols, data, t)`` of a CSV table: each header name's column, the rows
     below the header as one `np.loadtxt` parses them from the open file (a
-    column in ``parsers`` by its parser, any other as a number), and the ``t``
-    column. ``required`` is the columns the header must name, or a function
-    of the header giving them. `EmptyRecording` when there are no rows;
+    label column of ``format`` by its label's code, any other as a number),
+    and the ``t`` column. ``format`` is the columns the header must name, or a
+    function of the header giving them. `EmptyRecording` when there are no rows;
     `MalformedRecording` for a missing column, and naming ``path:line`` for a
     bad row, bytes that are not UTF-8 or a t not after the previous row's, the
     one case that reads the lines again."""
-    parsers = parsers or {}
     with open(path, encoding="utf-8") as fh:
         try:
             header = [name.strip() for name in fh.readline().split(",")]
@@ -169,11 +193,13 @@ def _read_table(path: Path, required, parsers: dict | None = None):
             for _ in _lines(path, first=1):
                 pass
             raise
-        missing = [name for name in (required(header) if callable(required) else required)
-                   if name not in header]
+        if callable(format):
+            format = format(header)
+        missing = [name for name in format if name not in header]
         if missing:
             raise MalformedRecording(f"{path}: missing column(s) {', '.join(missing)}")
         cols = {name: i for i, name in enumerate(header)}
+        parsers = {name: _label(names) for name, names in format.items() if names}
         converters = {i: parsers[name] for i, name in enumerate(header) if name in parsers}
         try:
             with warnings.catch_warnings():  # an empty table is refused below
@@ -191,7 +217,7 @@ def _read_table(path: Path, required, parsers: dict | None = None):
             raise EmptyRecording(f"{path}: no samples after the header")
         raise MalformedRecording(reason)
     t = data[:, cols["t"]]
-    late = np.flatnonzero(np.diff(t) <= 0)
+    late = np.flatnonzero(t[1:] <= t[:-1])
     if late.size:
         i = int(late[0]) + 1
         raise MalformedRecording(f"{path}:{_row_line(path, i)}: t {float(t[i])!r} is not after "
@@ -222,8 +248,9 @@ def _row_line(path: Path, i: int) -> int:
 
 
 def _first_step(t) -> float:
-    """A label file's step: its first, as a label code cannot be interpolated."""
-    return float(t[1] - t[0]) if len(t) > 1 else 1.0
+    """A label file's step: its first, as a label code cannot be interpolated; in
+    Python floats, which overflow to inf with no warning."""
+    return float(t[1]) - float(t[0]) if len(t) > 1 else 1.0
 
 
 def _row_values(path: Path, lineno: int, fields: list[str], names, parsers,
@@ -397,11 +424,8 @@ def _sensor_model(entry) -> SensorModel:
 
 def write_detection_csv(path, series: BinaryStateSeries) -> None:
     """Per-sample ``t,state`` rows followed by a change-point block."""
-    def lines(start, stop):
-        t = series.t0 + series.dt * np.arange(start, stop)
-        return [f"{ti!r},{STATE_NAMES[st]}"
-                for ti, st in zip(t.tolist(), series.states[start:stop].tolist())]
-    _write_csv(path, "t,state", len(series.states), lines, tail=(
+    t = series.t0 + series.dt * np.arange(len(series.states))
+    _write_csv(path, _DETECTION, [t, series.states], tail=(
         f"# change_point,{idx},{STATE_NAMES[st]},{onset}"
         for (idx, st), onset in zip(series.change_points, series.onsets)))
 
@@ -409,8 +433,8 @@ def write_detection_csv(path, series: BinaryStateSeries) -> None:
 def read_detection_csv(path) -> BinaryStateSeries:
     """Per-sample states, ``t`` and ``state`` found by name, and ``# change_point`` lines."""
     path = Path(path)
-    state = _label(STATE_NAMES)
-    cols, data, t = _read_table(path, ("t", "state"), {"state": state})
+    state = _label(_DETECTION["state"])
+    cols, data, t = _read_table(path, _DETECTION)
     points = [_row_values(path, lineno, line.split(","), ("#", "index", "state", "onset"),
                           (str, _integer, state, _integer), expected="a change point has")
               for lineno, line in _lines(path)
@@ -421,31 +445,16 @@ def read_detection_csv(path) -> BinaryStateSeries:
                              onsets=[onset for *_, onset in points])
 
 
-# Each state's name in the timeline, indexed by its code.
-_FULL_BODY_NAMES = {s.value: s.name.lower() for s in FullBodyState}
-_LIMB_NAMES = {s.value: s.name.lower() for s in LimbSubState}
-_TIMELINE_COLUMNS = ["t", "full_body", *(site.value for site in LIMBS)]
-_TIMELINE_PARSERS = {"full_body": _label(_FULL_BODY_NAMES),
-                     **dict.fromkeys(_TIMELINE_COLUMNS[2:], _label(_LIMB_NAMES))}
-
-
 def write_timeline_csv(path, timeline: ActivityTimeline) -> None:
-    tracks = [timeline.full_body, *(timeline.limb_substates[s] for s in LIMBS)]
-    names = [_FULL_BODY_NAMES] + [_LIMB_NAMES] * len(LIMBS)
-
-    def lines(start, stop):
-        t = timeline.t0 + timeline.dt * np.arange(start, stop)
-        columns = [map(repr, t.tolist())]
-        columns += [map(name.__getitem__, track[start:stop].tolist())
-                    for name, track in zip(names, tracks)]
-        return list(map(",".join, zip(*columns)))
-    _write_csv(path, ",".join(_TIMELINE_COLUMNS), len(timeline.full_body), lines)
+    t = timeline.t0 + timeline.dt * np.arange(len(timeline.full_body))
+    _write_csv(path, _TIMELINE, [t, timeline.full_body,
+                                 *(timeline.limb_substates[s] for s in LIMBS)])
 
 
 def read_timeline_csv(path) -> ActivityTimeline:
     """A timeline, its columns found by name."""
     path = Path(path)
-    cols, data, t = _read_table(path, _TIMELINE_COLUMNS, _TIMELINE_PARSERS)
+    cols, data, t = _read_table(path, _TIMELINE)
     return ActivityTimeline(
         t0=float(t[0]), dt=_first_step(t),
         full_body=data[:, cols["full_body"]].astype(np.uint8),
@@ -469,17 +478,13 @@ def write_report_json(path, report: dict[SensorSite, LimbCounts],
 def read_trajectory_csv(path) -> TrajectorySeries:
     """A trajectory, its ``t``, ``x`` and ``y`` columns found by name, on `_uniform_clock`."""
     path = Path(path)
-    cols, data, t = _read_table(path, ("t", "x", "y"))
+    cols, data, t = _read_table(path, _TRAJECTORY)
     t, dt, data = _uniform_clock(path, t, data, lone_dt=1.0)
     return TrajectorySeries(t0=float(t[0]), dt=dt, x=data[:, cols["x"]], y=data[:, cols["y"]])
 
 
 def write_trajectory_csv(path, traj: TrajectorySeries) -> None:
-    def lines(start, stop):
-        t = traj.t0 + traj.dt * np.arange(start, stop)
-        return [f"{ti!r},{xi!r},{yi!r}" for ti, xi, yi in zip(
-            t.tolist(), traj.x[start:stop].tolist(), traj.y[start:stop].tolist())]
-    _write_csv(path, "t,x,y", len(traj), lines)
+    _write_csv(path, _TRAJECTORY, [traj.t0 + traj.dt * np.arange(len(traj)), traj.x, traj.y])
 
 
 def write_manifest(path, manifest: dict) -> None:

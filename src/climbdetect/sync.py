@@ -12,6 +12,7 @@ from .series import AnnotationTrack, SignalSeries, resample_linear
 
 DEFAULT_SMOOTH_WINDOW = 0.3
 MIN_OVERLAP_SECONDS = 10.0
+MAX_P_VALUE = 1e-6  # the largest p-value (estimate_delay's) of a peak that fixes a delay
 # A lag is scored only where both of its windows hold at least this share of
 # their channel's mean square as variance, so that prefix-sum rounding stays
 # far below the 1e-9 tie band ...

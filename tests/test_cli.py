@@ -674,6 +674,35 @@ def test_overflowing_reading_exits_one(command, site, lineno, column, value, nam
                                        f"{name} reading overflows\n")
 
 
+@pytest.mark.parametrize("t, line", [
+    ([0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 1e4], 8), ([0.0, 0.01, 0.02, 0.03, 1e200], 6),
+    ([-1e308, 1e308], 3)], ids=["far", "past-numpy", "overflowing"])
+@pytest.mark.parametrize("command", ["classify", "sync"])
+def test_far_off_timestamp_exits_one(command, t, line, dataset, model_path, tmp_path, capsys):
+    # a clock with a step far past the others, or one that overflows: one
+    # `error:` line naming the line of that step, and no warning or traceback
+    climb = tmp_path / "climb01"
+    climb.mkdir()
+    for src in (dataset / "climb01").iterdir():
+        (climb / src.name).write_bytes(src.read_bytes())
+    if command == "classify":
+        path = climb / "climb01_rh.csv"
+        header, row = path.read_text().splitlines()[:2]
+        argv = ["--model", str(model_path), "--climb", str(climb)]
+    else:
+        path, header, row = tmp_path / "traj.csv", "t,x,y", "0.0,0.5,1.0"
+        argv = ["--trajectory", str(path), "--recording", str(climb / "climb01_pelvis.csv"),
+                "--annotations", str(climb / "climb01_annotations.json")]
+    others = row.split(",", 1)[1]
+    path.write_text("\n".join([header] + [f"{ti!r},{others}" for ti in t]) + "\n")
+    out = tmp_path / "out.csv"
+    assert cli.main([command, *argv, "--out", str(out)]) == 1
+    assert re.fullmatch(f"error: {re.escape(str(path))}:{line}: t \\S+ is too far after "
+                        r"\S+ for a uniform clock of \d+ rows at the median step, \S+ s\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def paper_climb(tmp_path_factory):
     """climb01 of `simulate --climbs 3 --duration 120 --seed 11`: 12,000 rows a site."""
@@ -985,10 +1014,13 @@ class TestSync:
                 in capsys.readouterr().err)
 
     @staticmethod
-    def refused(tmp_path, capsys, x, y):
-        """Run sync on a 30 s, 25 Hz trajectory ``x(t), y(t)``: it must exit
-        1 naming the trajectory, print no delay and write no --out."""
-        rec_path, _ = sync_inputs(tmp_path, 0.0)
+    def refused(tmp_path, capsys, x, y, rec_path=None):
+        """Run sync on a 30 s, 25 Hz trajectory ``x(t), y(t)`` against
+        ``rec_path`` (`sync_inputs`' recording by default): it must exit 1 with
+        one error line naming both files and the peak's p, print no delay and
+        write no --out."""
+        if rec_path is None:
+            rec_path, _ = sync_inputs(tmp_path, 0.0)
         t = np.arange(750) / 25.0
         traj_path = tmp_path / "refused.csv"
         traj_path.write_text("\n".join(["t,x,y"] + [
@@ -1002,19 +1034,21 @@ class TestSync:
                          "--recording", str(rec_path), "--annotations", str(ann_path),
                          "--out", str(out_path), "--max-lag", "5"]) == 1
         captured = capsys.readouterr()
-        assert (f"error: {traj_path}: the trajectory has no vertical acceleration, "
-                "so it cannot fix a delay" in captured.err)
+        assert re.fullmatch(f"error: {re.escape(f'{traj_path} and {rec_path}')}: the best "
+                            r"delay, .* has p = .* effective samples; a delay needs "
+                            r"p <= 1e-06\n", captured.err)
         assert "delay=" not in captured.out
         assert not out_path.exists()
 
     def test_motionless_trajectory_exits_one(self, tmp_path, capsys):
-        # every lag would correlate as 0.0, so any delay would be a guess
+        # every lag correlates as 0.0: p is that of no correlation
         self.refused(tmp_path, capsys, lambda t: np.full_like(t, 0.5),
                      lambda t: np.full_like(t, 1.25))
 
     def test_straight_line_trajectory_exits_one(self, tmp_path, capsys):
-        # x = 0.1 t, y = 0.05 t has no acceleration; only padding the
-        # smoothing's ends would give it some, and that reads as a delay
+        # x = 0.1 t, y = 0.05 t has no acceleration beyond rounding; only
+        # padding the smoothing's ends would give it some, and that would
+        # read as a delay
         self.refused(tmp_path, capsys, lambda t: 0.1 * t, lambda t: 0.05 * t)
 
     def test_lateral_only_trajectory_exits_one(self, tmp_path, capsys):
@@ -1024,6 +1058,39 @@ class TestSync:
         self.refused(tmp_path, capsys,
                      lambda t: 0.5 * np.sin(0.8 * t) + 0.2 * np.sin(2.3 * t + 1.0),
                      lambda t: np.full_like(t, 1.25))
+
+    @pytest.mark.parametrize("seed", [4, 7, 8])
+    def test_straight_line_exits_one_against_lateral_motion(self, tmp_path, capsys, seed):
+        # a recording that feels vertical and lateral motion: the rounding of a
+        # line's smoothed second differences is no evidence against it either
+        rec_path, _, _ = lateral_sync_inputs(tmp_path, seed, 0.0)
+        rng = np.random.default_rng(seed)
+        slope, offset = rng.uniform(-1.0, 1.0, 2), rng.uniform(-5.0, 5.0, 2)
+        self.refused(tmp_path, capsys, lambda t: offset[0] + slope[0] * t,
+                     lambda t: offset[1] + slope[1] * t, rec_path)
+
+    def test_too_short_trajectory_names_it(self, tmp_path, capsys):
+        # 11 frames at 50 Hz hold no acceleration of a 15-frame smoothing
+        # window, which needs 19
+        rec_path, traj_path = sync_inputs(tmp_path, 0.0)
+        lines = traj_path.read_text().splitlines()
+        traj_path.write_text("\n".join(lines[:12]) + "\n")
+        assert cli.main(["sync", "--trajectory", str(traj_path),
+                         "--recording", str(rec_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {traj_path}: need at least 19 trajectory samples for a "
+            "15-sample smoothing window, got 11\n")
+
+    def test_insufficient_overlap_names_both_files(self, tmp_path, capsys):
+        rec_path, traj_path = sync_inputs(tmp_path, 0.0)
+        lines = traj_path.read_text().splitlines()
+        # 6 s at 50 Hz: 284 accelerations, under 10 s beside a 5 s lag
+        traj_path.write_text("\n".join(lines[:301]) + "\n")
+        assert cli.main(["sync", "--trajectory", str(traj_path),
+                         "--recording", str(rec_path), "--max-lag", "5"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {traj_path} and {rec_path}: 284 samples leave under 10.0 s of overlap "
+            "at lag 5.0 s\n")
 
     @pytest.mark.parametrize("heading", [0.0, 90.0])
     @pytest.mark.parametrize("seed", [4, 7, 8, 13, 14, 17, 20])

@@ -660,6 +660,75 @@ def _peak_bytes(call, *args) -> int:
         tracemalloc.stop()
 
 
+def far_off_table(path, header: str, t) -> None:
+    """A table of ``header`` whose rows are at times ``t``, every other value 1.0."""
+    others = ",1.0" * (len(header.split(",")) - 1)
+    path.write_text("\n".join([header] + [f"{ti!r}{others}" for ti in t]) + "\n")
+
+
+class TestFarOffClock:
+    """A clock that no uniform grid of twice its rows holds is refused by the
+    line of its longest step, before any grid is allocated or a warning shown."""
+
+    # one step far past the others, one past the longest grid numpy holds, and
+    # one that overflows: each was once put on a grid of 1,000,001 rows, failed
+    # in np.arange, or warned of the overflow and failed on a step of inf
+    @pytest.mark.parametrize("t, line, reason", [
+        ([0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 1e4], 8,
+         "t 10000.0 is too far after 0.05 for a uniform clock of 7 rows at the median "
+         "step, 0.010000000000000002 s"),
+        ([0.0, 0.01, 0.02, 0.03, 1e200], 6,
+         "t 1e+200 is too far after 0.03 for a uniform clock of 5 rows at the median "
+         "step, 0.01 s"),
+        ([-1e308, 1e308], 3,
+         "t 1e+308 is too far after -1e+308 for a uniform clock of 2 rows at the median "
+         "step, inf s"),
+    ], ids=["far", "past-numpy", "overflowing"])
+    @pytest.mark.parametrize("read, header", [
+        (lambda path: io.read_recording_csv(path, SensorSite.PELVIS), io.RECORDING_HEADER),
+        (io.read_trajectory_csv, "t,x,y"),
+    ], ids=["recording", "trajectory"])
+    def test_refused_by_its_line(self, tmp_path, read, header, t, line, reason):
+        path = tmp_path / "input.csv"
+        far_off_table(path, header, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedRecording) as exc:
+                read(path)
+        assert str(exc.value) == f"{path}:{line}: {reason}"
+        # far from the 168 MB of the grid of 1,000,001 rows
+        assert _peak_bytes(pytest.raises, MalformedRecording, read, path) < 1e6
+
+    def test_a_value_that_overflows_on_the_grid_is_refused(self, tmp_path):
+        # x goes from -1e308 to 1e308 in one step: its slope is inf
+        path = tmp_path / "traj.csv"
+        path.write_text("t,x,y\n0,-1e308,0\n0.01,1e308,0\n0.025,0,0\n0.03,0,0\n0.04,0,0\n")
+        with pytest.raises(MalformedRecording) as exc:
+            io.read_trajectory_csv(path)
+        assert str(exc.value) == f"{path}: a value overflows on the uniform clock"
+
+    def test_a_label_file_keeps_a_first_step_that_overflows(self, tmp_path):
+        # it is not resampled: its step is inf, with no overflow warning
+        path = tmp_path / "det.csv"
+        path.write_text("t,state\n-1e308,H0\n1e308,H1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert io.read_detection_csv(path).dt == math.inf
+
+    @pytest.mark.parametrize("last, rows", [(2.0, 21), (2.2, None)])
+    def test_a_grid_of_over_twice_the_rows_is_refused(self, tmp_path, last, rows):
+        # 11 rows 0.1 s apart but for the last step: a grid of 21 rows holds
+        # them, one of 23 would not
+        path = tmp_path / "traj.csv"
+        far_off_table(path, "t,x,y", [0.1 * k for k in range(10)] + [last])
+        if rows is None:
+            with pytest.raises(MalformedRecording, match=":12: t 2.2 is too far after 0.9"):
+                io.read_trajectory_csv(path)
+        else:
+            with pytest.warns(UserWarning, match="1 gaps longer than 2 sample periods"):
+                assert len(io.read_trajectory_csv(path)) == rows
+
+
 class TestStreamedTables:
     """Readers parse from the open file and writers write `_BLOCK_ROWS` lines at
     a time, so neither holds the text of the whole file; a read recording
@@ -884,11 +953,12 @@ class TestRoundTrips:
         assert io.read_model_json(path) == (models, DEFAULT_BETA if beta is None else beta)
 
 
-# The values of the readers' tables: finite numbers within 1e3 of 0 (a clock
-# spanning more makes `_uniform_clock` resample onto that many rows) and each
-# label column's labels. Other fields add non-finite numbers, separators,
-# comments and text without digits.
-_NUMBER = st.sampled_from(["0", "-0", "0.01", "0.5", "1", "2.5", "-1", "1e3", "-1e3"])
+# The values of the readers' tables: finite numbers over the whole float range
+# (a clock that no grid of twice its rows holds is refused by `_uniform_clock`),
+# a few small ones drawn often, and each label column's labels. Other fields add
+# non-finite numbers, separators, comments and text without digits.
+_NUMBER = st.one_of(st.sampled_from(["0", "-0", "0.01", "0.5", "1", "2.5", "-1", "1e3", "-1e3"]),
+                    st.floats(allow_nan=False, allow_infinity=False).map(repr))
 _LABELS = {"state": ["H0", "H1"], "full_body": [s.name.lower() for s in FullBodyState],
            **dict.fromkeys([site.value for site in LIMBS],
                            [s.name.lower() for s in LimbSubState])}
