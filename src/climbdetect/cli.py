@@ -294,6 +294,8 @@ def _checked(convert, accept, requirement: str):
 
 
 _nonnegative = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
+_beta = _checked(orientation.check_beta, lambda v: True,
+                 f"a number from 0 to {orientation.MAX_BETA:g}")
 _positive = _checked(float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--climbs", help="directory of climb subdirectories "
                    "(default $CLIMBDETECT_DATA_DIR)")
     p.add_argument("--out", required=True)
-    p.add_argument("--beta", type=_nonnegative, default=orientation.DEFAULT_BETA)
+    p.add_argument("--beta", type=_beta, default=orientation.DEFAULT_BETA)
     p.add_argument("--mode", choices=learning.ALPHA_MODES, default="fused")
     _add_grid_options(p)
     p.set_defaults(func=cmd_fit)
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="leave-one-climb-out cross-validation")
     p.add_argument("--climbs")
-    p.add_argument("--beta", type=_nonnegative, default=orientation.DEFAULT_BETA)
+    p.add_argument("--beta", type=_beta, default=orientation.DEFAULT_BETA)
     p.add_argument("--out")
     _add_grid_options(p)
     p.set_defaults(func=cmd_evaluate)
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="where to write shifted annotations")
     p.add_argument("--max-lag", type=_nonnegative, default=30.0)
     p.add_argument("--smooth-window", type=_nonnegative, default=sync.DEFAULT_SMOOTH_WINDOW)
-    p.add_argument("--beta", type=_nonnegative, default=orientation.DEFAULT_BETA)
+    p.add_argument("--beta", type=_beta, default=orientation.DEFAULT_BETA)
     p.set_defaults(func=cmd_sync)
     return parser
 

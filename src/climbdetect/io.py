@@ -20,7 +20,7 @@ from .cusum import (BinaryStateSeries, DetectionConfig, HypothesisModel,
 from .errors import (ClimbDetectError, EmptyRecording, InvalidParams, MalformedAnnotations,
                      MalformedModel, MalformedRecording)
 from .gamma_model import GammaParams
-from .orientation import DEFAULT_BETA, ImuRecording
+from .orientation import DEFAULT_BETA, ImuRecording, check_beta
 from .series import ALL_SITES, LIMBS, STATE_NAMES, AnnotationTrack, SensorSite, resample_linear
 from .sync import TrajectorySeries
 
@@ -42,6 +42,11 @@ _TRAJECTORY = dict.fromkeys(("t", "x", "y"))
 _BLOCK_ROWS = 256
 # A clock is put on a uniform grid of at most this many times the rows read.
 _MAX_GRID_ROWS = 2
+# The shortest median step of a clock, s: no IMU or video tracker samples
+# faster than 1 MHz, and the floor keeps the rate 1/dt, the dt^2 of a second
+# difference and a smoothing window's sample count (`sync`) far inside the
+# float range.
+_MIN_STEP = 1e-6
 
 
 def recording_path(directory: Path, climb_id: str, site: SensorSite) -> Path:
@@ -152,12 +157,18 @@ def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
     """``(t, dt, data)`` of a measured series: ``dt`` is the median step (``lone_dt``
     for one sample), a gap over two steps is warned of, and if any step is off ``dt``
     by over a tenth, ``t`` and each column of ``data`` go linearly onto ``t[0] + k*dt``.
-    A clock whose grid would hold over `_MAX_GRID_ROWS` times its rows, or whose
-    steps or span are not finite, is refused by the line of its longest step, and
-    a resampled value that overflows by its file."""
+    A median step under `_MIN_STEP` is refused by the line of the first step under
+    it; a clock whose grid would hold over `_MAX_GRID_ROWS` times its rows, or whose
+    steps or span are not finite, by the line of its longest step; and a resampled
+    value that overflows by its file."""
     with np.errstate(over="ignore"):  # a step that overflows is refused below
         diffs = np.diff(t)
     dt = _median(diffs) if len(diffs) else lone_dt
+    if dt < _MIN_STEP:
+        i = int(np.argmax(diffs < _MIN_STEP)) + 1
+        raise MalformedRecording(
+            f"{path}:{_row_line(path, i)}: the median step of t, {dt!r} s, is under "
+            f"{_MIN_STEP:g} s (a rate over {1 / _MIN_STEP:g} Hz)")
     # the grid's span to a step past t[-1]; Python floats overflow to inf with no
     # warning, and an inf or nan ratio is refused
     span = float(t[-1]) + dt - float(t[0])
@@ -354,22 +365,27 @@ def _annotation_track(entry) -> AnnotationTrack:
             raise ValueError("an interval needs the keys 'start', 'end' and 'label'")
         if iv["label"] not in _LABEL_CODES:
             raise ValueError(f"unknown label {iv['label']!r}")
-        for key in ("start", "end"):
-            value = iv[key]
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{key} is not a finite number: {value!r}")
-        intervals.append((iv["start"], iv["end"], _LABEL_CODES[iv["label"]]))
+        intervals.append((_json_number(iv, "start"), _json_number(iv, "end"),
+                          _LABEL_CODES[iv["label"]]))
     return AnnotationTrack(site=site, intervals=intervals)
+
+
+def _json_number(entry: dict, key: str) -> float:
+    """``entry[key]`` if it is a JSON number: an int or float, not a bool, and
+    finite; a ValueError naming ``key`` if not, a KeyError if it is missing."""
+    value = entry[key]
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise ValueError(f"{key} is not a finite number: {value!r}")
+    return value
 
 
 def _params_dict(p: GammaParams) -> dict:
     return {"k": p.k, "theta": p.theta}
 
 
-def write_model_json(path, models: dict[SensorSite, SensorModel],
-                     provenance: dict | None = None) -> None:
-    doc = {"sensors": {}, "provenance": provenance or {}}
+def write_model_json(path, models: dict[SensorSite, SensorModel], provenance: dict) -> None:
+    doc = {"sensors": {}, "provenance": provenance}
     for site in sorted(models, key=lambda s: s.value):
         m = models[site]
         doc["sensors"][site.value] = {
@@ -394,10 +410,12 @@ def read_model_json(path) -> tuple[dict[SensorSite, SensorModel], float]:
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise MalformedModel(f"{path}: 'provenance' is not an object")
-    beta = provenance.get("beta", DEFAULT_BETA)
-    if (not isinstance(beta, (int, float)) or isinstance(beta, bool)
-            or not 0.0 <= beta < math.inf):
-        raise MalformedModel(f"{path}: provenance beta is not a finite number >= 0: {beta!r}")
+    beta = DEFAULT_BETA
+    if "beta" in provenance:
+        try:
+            beta = check_beta(_json_number(provenance, "beta"))
+        except ValueError as exc:
+            raise MalformedModel(f"{path}: provenance {exc}") from None
     out = {}
     for token, entry in doc["sensors"].items():
         try:
@@ -406,20 +424,22 @@ def read_model_json(path) -> tuple[dict[SensorSite, SensorModel], float]:
             raise MalformedModel(f"{path}: sensor {token!r}: missing key {exc}") from None
         except (TypeError, ValueError, InvalidParams) as exc:
             raise MalformedModel(f"{path}: sensor {token!r}: {exc}") from None
-    return out, float(beta)
+    return out, beta
 
 
 def _sensor_model(entry) -> SensorModel:
     """One site's model from its JSON entry. A KeyError names a missing key; a
     TypeError, ValueError or `InvalidParams` says which value is refused."""
+    def params(h):
+        return GammaParams(_json_number(h, "k"), _json_number(h, "theta"))
+
     def hyp(channel):
-        return HypothesisModel(
-            h0=GammaParams(channel["h0"]["k"], channel["h0"]["theta"]),
-            h1=GammaParams(channel["h1"]["k"], channel["h1"]["theta"]))
+        return HypothesisModel(h0=params(channel["h0"]), h1=params(channel["h1"]))
     return SensorModel(
         acc=hyp(entry["acc"]), ang=hyp(entry["ang"]),
-        config=DetectionConfig(lambda0=entry["lambda0"], lambda1=entry["lambda1"],
-                               alpha=entry["alpha"]))
+        config=DetectionConfig(lambda0=_json_number(entry, "lambda0"),
+                               lambda1=_json_number(entry, "lambda1"),
+                               alpha=_json_number(entry, "alpha")))
 
 
 def write_detection_csv(path, series: BinaryStateSeries) -> None:
@@ -461,9 +481,8 @@ def read_timeline_csv(path) -> ActivityTimeline:
         limb_substates={s: data[:, cols[s.value]].astype(np.uint8) for s in LIMBS})
 
 
-def write_report_json(path, report: dict[SensorSite, LimbCounts],
-                      config: dict | None = None) -> None:
-    doc = {"limbs": {}, "config": config or {}}
+def write_report_json(path, report: dict[SensorSite, LimbCounts], config: dict) -> None:
+    doc = {"limbs": {}, "config": config}
     for site in sorted(report, key=lambda s: s.value):
         counts = report[site]
         ratio = counts.ratio

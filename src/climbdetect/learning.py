@@ -117,10 +117,8 @@ def fit_models(climbs: list[LabeledClimb], site: SensorSite,
 
 
 def performance_coefficient(pred: BinaryStateSeries, truth) -> float:
-    """c = TP/P - FP/N in [-1, 1], with H1 as the positive class; truth is an
-    AnnotationTrack or label array."""
-    if isinstance(truth, AnnotationTrack):
-        truth = rasterize_track(truth, pred.t0, pred.dt, len(pred.states))
+    """c = TP/P - FP/N in [-1, 1], with H1 as the positive class, of the
+    states against the label array ``truth`` on their grid."""
     truth = np.asarray(truth).astype(bool)
     if len(truth) != len(pred.states):
         raise ValueError("prediction and truth must share the sample grid")
@@ -387,8 +385,6 @@ def _mode_alphas(mode: str, alpha_grid) -> list[float]:
     """The fusion weights a mode searches: 1 for acc, 0 for ang, the grid for fused."""
     if mode in ("acc", "ang"):
         return [1.0 if mode == "acc" else 0.0]
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid()
     return [float(alpha) for alpha in np.asarray(alpha_grid, dtype=float)]
 
 
@@ -405,8 +401,6 @@ def _calibrate(site: SensorSite, problems, mode_alphas: dict[str, list[float]],
     (`_best_cell`: the larger lambda1, then the larger lambda0, so fewer
     alarms); over a mode's weights, the first.
     """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
     if lambda_grid.size == 0 or not all(mode_alphas.values()):
         raise ValueError("empty calibration grid")
@@ -454,8 +448,8 @@ def _map_sites(fn, climbs: list[LabeledClimb], *args) -> dict:
         [sum(len(climb.channels[site].acc) for climb in climbs) for site in sites])))
 
 
-def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused", alpha_grid=None,
-                        lambda_grid=None) -> tuple[dict[SensorSite, SensorModel],
+def learn_sensor_models(climbs: list[LabeledClimb], mode: str = "fused", *, alpha_grid,
+                        lambda_grid) -> tuple[dict[SensorSite, SensorModel],
                                                    dict[SensorSite, float]]:
     """Fit models and calibrate thresholds/alpha at every site of the climbs."""
     learnt = _map_sites(_learn_site, climbs, mode, {mode: _mode_alphas(mode, alpha_grid)},
@@ -470,8 +464,8 @@ def _learn_site(climbs, site, mode, mode_alphas, lambda_grid) -> tuple[SensorMod
     return SensorModel(acc=acc, ang=ang, config=config), score
 
 
-def cross_validate(climbs: list[LabeledClimb], alpha_grid=None,
-                   lambda_grid=None) -> dict[tuple[SensorSite, str], ModeResult]:
+def cross_validate(climbs: list[LabeledClimb], alpha_grid,
+                   lambda_grid) -> dict[tuple[SensorSite, str], ModeResult]:
     """Leave-one-climb-out `ModeResult` for every site of the climbs and alpha mode.
 
     For each held-out climb the models and parameters are learned on the
@@ -501,10 +495,11 @@ def _cross_validate_site(climbs, site, mode_alphas, lambda_grid) -> dict[str, Mo
     # zip stops at the last fold, before the full refit
     for held, (_, (acc, ang)), configs in zip(climbs, problems[0::2], best[0::2]):
         ch = held.channels[site]
+        truth = _state_labels(held, site)
         for mode in ALPHA_MODES:
             model = SensorModel(acc=acc, ang=ang, config=configs[mode][0])
             pred = detect(ch.acc, ch.ang, model)
-            fold_scores[mode].append(performance_coefficient(pred, held.annotations[site]))
+            fold_scores[mode].append(performance_coefficient(pred, truth))
     entries = {}
     for mode in ALPHA_MODES:
         fold_optimal = [optimum[mode][1] for optimum in best[1::2]]

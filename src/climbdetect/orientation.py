@@ -28,6 +28,11 @@ from .series import SensorSite, SignalSeries
 
 GRAVITY = 9.81
 DEFAULT_BETA = 0.1
+# The largest filter gain. A step's gradient g has |g| <= 8, its gravity and
+# field terms each a residual of at most 2 times a Jacobian of norm 2, so
+# beta * g, formed before its division by |g|, stays below the largest float
+# (1.8e308) for beta up to 2.2e307; the bound is that, rounded down.
+MAX_BETA = 2e307
 CONVERGENCE_WINDOW = 3.0  # seconds the filter converges for (`estimate_orientation`)
 
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -82,11 +87,11 @@ class ImuRecording:
         return 1.0 / self.sample_rate
 
 
-def _check_beta(beta) -> float:
-    """``beta`` as a float, or ValueError if it is negative or not finite."""
+def check_beta(beta) -> float:
+    """``beta`` as a float, or ValueError unless it is a number from 0 to `MAX_BETA`."""
     beta = float(beta)
-    if not 0.0 <= beta < math.inf:
-        raise ValueError(f"beta must be a finite number >= 0, not {beta!r}")
+    if not 0.0 <= beta <= MAX_BETA:
+        raise ValueError(f"beta {beta!r} is not a number from 0 to {MAX_BETA:g}")
     return beta
 
 
@@ -199,10 +204,10 @@ def filter_update(q, accel, gyro, mag, dt: float, beta: float) -> np.ndarray:
     reading is usable, applies a normalized gradient step of magnitude beta
     toward gravity (and magnetic-field, when given) agreement. Degenerate
     accel falls back to pure gyro propagation. The result is renormalized.
-    A dt that is not positive, or a beta that is negative or not finite,
-    raises ValueError.
+    A dt that is not positive, or a beta that `check_beta` refuses, raises
+    ValueError.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     rows = _rows([dt], accel, gyro, mag, beta)
     return np.array(_run(np.asarray(q, dtype=float).tolist(), rows, beta))
 
@@ -264,15 +269,15 @@ def estimate_orientation(recording: ImuRecording, beta: float = DEFAULT_BETA) ->
     The filter starts from the first sample's accel/mag attitude and runs
     forward; orientations within the first `CONVERGENCE_WINDOW` seconds are
     replaced by the estimate reached at its end, which prevents startup
-    gravity leakage into the earliest samples. A negative or non-finite beta
-    raises ValueError.
+    gravity leakage into the earliest samples. A beta that `check_beta`
+    refuses raises ValueError.
     """
     n = len(recording)
     if n == 0:
         raise EmptyRecording("recording has no samples")
     t, accel, gyro, mag = recording.t, recording.accel, recording.gyro, recording.mag
     quats = np.empty((n, 4))
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     q = initial_orientation(accel[0], None if mag is None else mag[0]).tolist()
     quats[0] = q
     # Rows go to the filter as Python floats a block at a time: whole arrays

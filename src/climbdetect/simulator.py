@@ -16,13 +16,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .classifier import FullBodyState
 from .errors import InvalidPlan
 from .gamma_model import GammaParams, HypothesisModel
 from .learning import LabeledClimb, SensorChannels
 from .orientation import GRAVITY, ImuRecording
-from .series import (ALL_SITES, H0, H1, LIMBS, AnnotationTrack, SensorSite,
-                     SignalSeries, rasterize_track)
+from .series import (ALL_SITES, H0, H1, AnnotationTrack, SensorSite, SignalSeries,
+                     rasterize_track)
 
 # Earth magnetic field direction seen by an identity-orientation sensor
 # (north component with downward dip).
@@ -77,35 +76,6 @@ def random_plan(duration: float, rng: np.random.Generator) -> StatePlan:
             remaining -= dwell
             state = 1 - state
         segments[site] = segs
-    return StatePlan(segments=segments)
-
-
-def plan_from_script(script: list[tuple[float, FullBodyState]],
-                     rng: np.random.Generator | None = None) -> StatePlan:
-    """Derive consistent limb/pelvis plans from a full-body state script.
-
-    Hold interaction and traction need at least one moving limb; the moving
-    subset is drawn from ``rng`` (first limb when rng is None).
-    """
-    segments = {site: [] for site in ALL_SITES}
-    for duration, state in script:
-        if duration <= 0:
-            raise InvalidPlan(f"non-positive script duration {duration}")
-        state = FullBodyState(state)
-        pelvis = H1 if state in (FullBodyState.POSTURAL_REGULATION,
-                                 FullBodyState.TRACTION) else H0
-        if state in (FullBodyState.HOLD_INTERACTION, FullBodyState.TRACTION):
-            if rng is None:
-                moving = {LIMBS[0]}
-            else:
-                k = int(rng.integers(1, len(LIMBS) + 1))
-                moving = set(rng.choice(len(LIMBS), size=k, replace=False))
-                moving = {LIMBS[i] for i in moving}
-        else:
-            moving = set()
-        for limb in LIMBS:
-            segments[limb].append((duration, H1 if limb in moving else H0))
-        segments[SensorSite.PELVIS].append((duration, pelvis))
     return StatePlan(segments=segments)
 
 

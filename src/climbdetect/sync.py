@@ -168,15 +168,12 @@ def estimate_delay(a: SignalSeries, b: SignalSeries,
 
 
 def shift_annotations(ann: AnnotationTrack, delay: float,
-                      span: tuple[float, float] | None = None) -> AnnotationTrack:
-    """Shift interval endpoints by ``delay``; clip to ``span`` when given."""
+                      span: tuple[float, float]) -> AnnotationTrack:
+    """Shift interval endpoints by ``delay`` and clip them to ``span``; an
+    interval left empty is dropped."""
     intervals = []
     for start, end, label in ann.intervals:
-        start, end = start + delay, end + delay
-        if span is not None:
-            start = max(start, span[0])
-            end = min(end, span[1])
-            if end <= start:
-                continue
-        intervals.append((start, end, label))
+        start, end = max(start + delay, span[0]), min(end + delay, span[1])
+        if start < end:
+            intervals.append((start, end, label))
     return AnnotationTrack(site=ann.site, intervals=intervals)

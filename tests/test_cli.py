@@ -16,7 +16,7 @@ from cusum_oracle import backdated_states
 import climbdetect
 from climbdetect import classifier, cli, cusum, io, learning, orientation, sync
 from climbdetect.orientation import GRAVITY, ImuRecording
-from climbdetect.series import ALL_SITES, AnnotationTrack, SensorSite
+from climbdetect.series import ALL_SITES, AnnotationTrack, SensorSite, rasterize_track
 from climbdetect.simulator import MAG_FIELD
 from climbdetect.sync import TrajectorySeries
 
@@ -297,8 +297,33 @@ class TestDetectClassifyReport:
         model.write_text(json.dumps(doc))
         assert cli.main([command, "--model", str(model), "--climb", str(dataset / "climb01"),
                          "--out", str(tmp_path / "out")]) == 1
-        assert (f"error: {model}: provenance beta is not a finite number >= 0: '0.02'"
+        assert (f"error: {model}: provenance beta is not a finite number: '0.02'"
                 in capsys.readouterr().err)
+
+    def test_model_beta_over_the_bound_exits_one(self, dataset, model_path, tmp_path,
+                                                 capsys):
+        # a gain this large once overflowed the filter's gradient step
+        model = tmp_path / "model.json"
+        doc = json.loads(model_path.read_text())
+        doc["provenance"]["beta"] = 1e308
+        model.write_text(json.dumps(doc))
+        assert cli.main(["classify", "--model", str(model), "--climb", str(dataset / "climb01"),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: provenance beta 1e+308 is not a number from 0 to 2e+307\n")
+
+    @pytest.mark.parametrize("field", ["k", "theta", "alpha", "lambda0", "lambda1"])
+    def test_model_boolean_number_exits_one(self, field, dataset, model_path, tmp_path,
+                                            capsys):
+        model = tmp_path / "model.json"
+        doc = json.loads(model_path.read_text())
+        entry = doc["sensors"]["rh"]
+        (entry["acc"]["h0"] if field in ("k", "theta") else entry)[field] = True
+        model.write_text(json.dumps(doc))
+        assert cli.main(["detect", "--model", str(model), "--climb", str(dataset / "climb01"),
+                         "--out", str(tmp_path / "det")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: sensor 'rh': {field} is not a finite number: True\n")
 
     @pytest.mark.parametrize("corrupt, line", [
         (lambda rows: rows[::-1], 3),
@@ -389,7 +414,8 @@ class TestEvaluate:
                              "--climb", str(sim / "climb01"), "--out", str(det)]) == 0
             for site in ALL_SITES:
                 pred = io.read_detection_csv(det / f"climb01_{site.value}_detection.csv")
-                c = learning.performance_coefficient(pred, annotations[site])
+                truth = rasterize_track(annotations[site], pred.t0, pred.dt, len(pred.states))
+                c = learning.performance_coefficient(pred, truth)
                 assert c == results[f"{site.value}/{mode}"]["fold_scores"][0], (site, mode)
 
     def test_single_climb_exits_one(self, dataset, tmp_path, capsys):
@@ -701,6 +727,40 @@ def test_far_off_timestamp_exits_one(command, t, line, dataset, model_path, tmp_
                         r"\S+ for a uniform clock of \d+ rows at the median step, \S+ s\n",
                         capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, clock, step, options", [
+    ("classify", "recording", 5e-324, []),
+    ("sync", "recording", 5e-324, []),
+    ("sync", "trajectory", 5e-324, []),
+    ("sync", "trajectory", 1e-160, ["--smooth-window", "0"]),
+    ("sync", "trajectory", 1e-160, []),
+    ("sync", "trajectory", 9e-7, []),
+], ids=["classify", "sync-recording", "sync-trajectory", "no-window", "window", "near"])
+def test_clock_step_under_the_floor_exits_one(command, clock, step, options, dataset,
+                                              model_path, tmp_path, capsys):
+    # such steps once read as a rate of inf, or failed in the filter or in
+    # sync's differences and window with a traceback or a 160-digit count
+    if command == "classify":
+        climb = tmp_path / "climb01"
+        climb.mkdir()
+        for src in (dataset / "climb01").iterdir():
+            (climb / src.name).write_bytes(src.read_bytes())
+        path = climb / "climb01_rh.csv"
+        argv = ["--model", str(model_path), "--climb", str(climb),
+                "--out", str(tmp_path / "timeline.csv")]
+    else:
+        rec_path, traj_path = sync_inputs(tmp_path, 0.0)
+        path = rec_path if clock == "recording" else traj_path
+        argv = ["--trajectory", str(traj_path), "--recording", str(rec_path), *options]
+    header, *rows = path.read_text().splitlines()
+    t = (step * np.arange(len(rows))).tolist()
+    path.write_text("\n".join([header] + [f"{ti!r},{row.split(',', 1)[1]}"
+                                          for ti, row in zip(t, rows)]) + "\n")
+    assert cli.main([command, *argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:3: the median step of t, {float(np.median(np.diff(t)))!r} s, "
+        "is under 1e-06 s (a rate over 1e+06 Hz)\n")
 
 
 @pytest.fixture(scope="module")
@@ -1205,7 +1265,7 @@ def test_out_directory_that_cannot_be_made_exits_one(dataset, tmp_path, capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--max-lag", "-1"), ("--max-lag", "nan"), ("--max-lag", "inf"),
-    ("--smooth-window", "nan"), ("--beta", "-1"), ("--beta", "nan"),
+    ("--smooth-window", "nan"), ("--beta", "-1"), ("--beta", "nan"), ("--beta", "inf"),
 ])
 def test_bad_numeric_option_is_a_usage_error(option, value, capsys):
     # refused while parsing, before any input is read
@@ -1213,7 +1273,8 @@ def test_bad_numeric_option_is_a_usage_error(option, value, capsys):
         cli.main(["sync", "--trajectory", "traj.csv", "--recording", "pelvis.csv",
                   option, value])
     assert exc.value.code == 2
-    assert (f"argument {option}: must be a finite number >= 0, got {value!r}"
+    requirement = "a number from 0 to 2e+307" if option == "--beta" else "a finite number >= 0"
+    assert (f"argument {option}: must be {requirement}, got {value!r}"
             in capsys.readouterr().err)
 
 
@@ -1237,6 +1298,9 @@ def test_bad_numeric_option_is_a_usage_error(option, value, capsys):
     ("simulate", "--duration", "nan", "a finite number > 0"),
     ("simulate", "--duration", "0", "a finite number > 0"),
     ("simulate", "--climbs", "0", "an integer >= 1"),
+    # a gain this large once overflowed the filter's gradient step
+    ("fit", "--beta", "5e307", "a number from 0 to 2e+307"),
+    ("evaluate", "--beta", "1e308", "a number from 0 to 2e+307"),
 ])
 def test_bad_grid_option_is_a_usage_error(command, option, value, requirement, capsys):
     # refused while parsing, before any input is read or any grid is built
@@ -1251,7 +1315,15 @@ def test_every_beta_is_checked(command, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--beta", "-0.5"])
     assert exc.value.code == 2
-    assert "argument --beta: must be a finite number >= 0, got '-0.5'" in capsys.readouterr().err
+    assert ("argument --beta: must be a number from 0 to 2e+307, got '-0.5'"
+            in capsys.readouterr().err)
+
+
+def test_beta_at_the_bound_runs(dataset, tmp_path):
+    assert orientation.MAX_BETA == 2e307
+    assert cli.main(["fit", "--climbs", str(dataset), "--out", str(tmp_path / "model.json"),
+                     "--beta", "2e307", "--mode", "acc", "--grid-points", "2"]) == 0
+    assert io.read_model_json(tmp_path / "model.json")[1] == 2e307
 
 
 def test_option_defaults_are_the_library_constants():
@@ -1307,6 +1379,12 @@ class TestColdStart:
     def test_import_loads_no_scipy(self):
         assert _fresh_interpreter(
             "-c", f"import sys, climbdetect.cli; print({_SCIPY_MODULES})") == "[]"
+
+    def test_package_import_loads_no_module(self):
+        # the package is used through its modules, which it does not import
+        assert _fresh_interpreter(
+            "-c", "import sys, climbdetect; print(sorted(m for m in sys.modules if "
+                  "m.startswith('climbdetect.') or m.partition('.')[0] == 'numpy'))") == "[]"
 
     def test_import_loads_no_package_metadata(self):
         modules = ("importlib.metadata", "email", "socket", "csv")

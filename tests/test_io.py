@@ -283,8 +283,8 @@ class TestModelJson:
     def test_deterministic_bytes(self, tmp_path):
         models = {site: self.model() for site in ALL_SITES}
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        io.write_model_json(a, models)
-        io.write_model_json(b, models)
+        io.write_model_json(a, models, {})
+        io.write_model_json(b, models, {})
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("corrupt, message", [
@@ -298,32 +298,32 @@ class TestModelJson:
         (lambda doc: doc["sensors"]["lh"].update(lambda0=-1),
          "sensor 'lh': thresholds must be positive"),
         (lambda doc: doc["sensors"]["lh"].update(lambda1=float("nan")),
-         "sensor 'lh': thresholds must be positive"),
+         "sensor 'lh': lambda1 is not a finite number: nan"),
         (lambda doc: doc["sensors"]["pelvis"].update(alpha=1.5),
          "sensor 'pelvis': alpha must lie in [0, 1]"),
         (lambda doc: doc["sensors"]["rf"]["acc"]["h0"].update(k=0.0),
          "sensor 'rf': parameters must be positive"),
         (lambda doc: doc["sensors"]["rf"]["ang"]["h0"].update(theta="0.04"),
-         "sensor 'rf': must be real number"),
+         "sensor 'rf': theta is not a finite number: '0.04'"),
         (lambda doc: doc["sensors"].update(rh=[1, 2]), "sensor 'rh': list indices"),
         (lambda doc: doc.update(provenance=[0.1]), "'provenance' is not an object"),
         (lambda doc: doc.update(provenance="beta=0.1"), "'provenance' is not an object"),
         (lambda doc: doc["provenance"].update(beta=-0.1),
-         "provenance beta is not a finite number >= 0: -0.1"),
+         "provenance beta -0.1 is not a number from 0 to 2e+307"),
         (lambda doc: doc["provenance"].update(beta=float("nan")),
-         "provenance beta is not a finite number >= 0: nan"),
+         "provenance beta is not a finite number: nan"),
         (lambda doc: doc["provenance"].update(beta=float("inf")),
-         "provenance beta is not a finite number >= 0: inf"),
+         "provenance beta is not a finite number: inf"),
         (lambda doc: doc["provenance"].update(beta="0.1"),
-         "provenance beta is not a finite number >= 0: '0.1'"),
+         "provenance beta is not a finite number: '0.1'"),
         (lambda doc: doc["provenance"].update(beta=True),
-         "provenance beta is not a finite number >= 0: True"),
+         "provenance beta is not a finite number: True"),
         (lambda doc: doc["provenance"].update(beta=None),
-         "provenance beta is not a finite number >= 0: None"),
+         "provenance beta is not a finite number: None"),
         (lambda doc: doc["provenance"].update(beta=10**400),
-         "provenance beta is not a finite number >= 0: inf"),
+         "provenance beta is not a finite number: inf"),
         (lambda doc: doc["sensors"]["rf"]["acc"]["h0"].update(k=10**400),
-         "sensor 'rf': non-finite parameters k=inf"),
+         "sensor 'rf': k is not a finite number: inf"),
     ], ids=["missing-sensors", "sensors-list", "unknown-site", "missing-channel",
             "missing-theta", "negative-lambda0", "nan-lambda1", "alpha-above-one",
             "zero-k", "string-theta", "entry-list", "provenance-list",
@@ -331,7 +331,7 @@ class TestModelJson:
             "string-beta", "bool-beta", "null-beta", "huge-integer-beta", "huge-integer-k"])
     def test_malformed_model_names_file_and_site(self, tmp_path, corrupt, message):
         path = tmp_path / "model.json"
-        io.write_model_json(path, {site: self.model() for site in ALL_SITES})
+        io.write_model_json(path, {site: self.model() for site in ALL_SITES}, {})
         doc = json.loads(path.read_text())
         corrupt(doc)
         path.write_text(json.dumps(doc))
@@ -485,7 +485,7 @@ class TestReportJson:
             SensorSite.RIGHT_FOOT: LimbCounts(exploratory=0, performatory=0),
         }
         path = tmp_path / "report.json"
-        io.write_report_json(path, report)
+        io.write_report_json(path, report, {})
         import json
         doc = json.loads(path.read_text())
         assert doc["limbs"]["rh"]["ratio"] == 2.0
@@ -668,7 +668,9 @@ def far_off_table(path, header: str, t) -> None:
 
 class TestFarOffClock:
     """A clock that no uniform grid of twice its rows holds is refused by the
-    line of its longest step, before any grid is allocated or a warning shown."""
+    line of its longest step, and one whose median step is under 1 us by the
+    line of the first such step, before any grid is allocated or a warning
+    shown."""
 
     # one step far past the others, one past the longest grid numpy holds, and
     # one that overflows: each was once put on a grid of 1,000,001 rows, failed
@@ -683,7 +685,14 @@ class TestFarOffClock:
         ([-1e308, 1e308], 3,
          "t 1e+308 is too far after -1e+308 for a uniform clock of 2 rows at the median "
          "step, inf s"),
-    ], ids=["far", "past-numpy", "overflowing"])
+        # steps under the floor: the first read as a rate of inf
+        ([0.0, 5e-324, 1e-323, 1.5e-323, 2e-323], 3,
+         "the median step of t, 5e-324 s, is under 1e-06 s (a rate over 1e+06 Hz)"),
+        ([0.0, 1e-160, 2e-160, 3e-160, 4e-160], 3,
+         "the median step of t, 1e-160 s, is under 1e-06 s (a rate over 1e+06 Hz)"),
+        ([0.0, 9e-7, 1.8e-6, 2.7e-6, 3.6e-6], 3,
+         "the median step of t, 9e-07 s, is under 1e-06 s (a rate over 1e+06 Hz)"),
+    ], ids=["far", "past-numpy", "overflowing", "subnormal-step", "tiny-step", "near-step"])
     @pytest.mark.parametrize("read, header", [
         (lambda path: io.read_recording_csv(path, SensorSite.PELVIS), io.RECORDING_HEADER),
         (io.read_trajectory_csv, "t,x,y"),
@@ -698,6 +707,11 @@ class TestFarOffClock:
         assert str(exc.value) == f"{path}:{line}: {reason}"
         # far from the 168 MB of the grid of 1,000,001 rows
         assert _peak_bytes(pytest.raises, MalformedRecording, read, path) < 1e6
+
+    def test_a_step_over_the_floor_is_read(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        far_off_table(path, "t,x,y", [0.0, 2e-6, 4e-6, 6e-6])
+        assert io.read_trajectory_csv(path).dt == 2e-6
 
     def test_a_value_that_overflows_on_the_grid_is_refused(self, tmp_path):
         # x goes from -1e308 to 1e308 in one step: its slope is inf
@@ -938,18 +952,19 @@ class TestRoundTrips:
            beta=st.one_of(st.none(), st.floats(0.0, 1e300)))
     def test_model(self, tmp_path, data, sites, beta):
         positive = st.floats(5e-324, 1e300)
+        # a JSON number is finite: a model with an infinite threshold is refused
+        threshold = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
         def hypotheses():
             return HypothesisModel(*(GammaParams(data.draw(positive), data.draw(positive))
                                      for _ in range(2)))
         models = {site: SensorModel(
             acc=hypotheses(), ang=hypotheses(),
-            config=DetectionConfig(lambda0=data.draw(st.floats(0.0, exclude_min=True)),
-                                   lambda1=data.draw(st.floats(0.0, exclude_min=True)),
+            config=DetectionConfig(lambda0=data.draw(threshold), lambda1=data.draw(threshold),
                                    alpha=data.draw(st.floats(0.0, 1.0))))
             for site in sites}
         path = tmp_path / "model.json"
-        io.write_model_json(path, models, None if beta is None else {"beta": beta})
+        io.write_model_json(path, models, {} if beta is None else {"beta": beta})
         assert io.read_model_json(path) == (models, DEFAULT_BETA if beta is None else beta)
 
 

@@ -39,8 +39,9 @@ def pred_series(states):
     return BinaryStateSeries(0.0, 0.01, np.asarray(states, np.uint8), [], [])
 
 
-def calibrate(climbs, grid, mode="fused", alphas=None):
-    """The (alpha, lambda0, lambda1, c) that `learn_sensor_models` calibrates at SITE."""
+def calibrate(climbs, grid, mode="fused", alphas=()):
+    """The (alpha, lambda0, lambda1, c) that `learn_sensor_models` calibrates at
+    SITE; the acc and ang modes search no ``alphas``."""
     models, scores = learn_sensor_models(climbs, mode=mode, alpha_grid=alphas,
                                          lambda_grid=grid)
     config = models[SITE].config
@@ -143,12 +144,6 @@ class TestPerformanceCoefficient:
     def test_degenerate_truth(self):
         with pytest.raises(DegenerateTruth):
             performance_coefficient(pred_series([0, 1, 0]), np.zeros(3, np.uint8))
-
-    def test_accepts_annotation_track(self):
-        track = AnnotationTrack(site=SITE, intervals=[(0.0, 0.02, H0), (0.02, 0.06, H1)])
-        # sample at the 0.02 boundary takes the earlier (H0) label
-        pred = pred_series([0, 0, 0, 1, 1])
-        assert performance_coefficient(pred, track) == 1.0
 
 
 class TestOptimization:
@@ -295,7 +290,8 @@ class TestSweep:
         models = fit_models([climb], SITE)
         tracemalloc.start()
         try:
-            _calibrate(SITE, [([climb], models)], {"fused": list(default_alpha_grid())}, None)
+            _calibrate(SITE, [([climb], models)], {"fused": list(default_alpha_grid())},
+                       default_lambda_grid())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,7 +390,7 @@ class TestSweep:
         climbs = make_climbs(3, duration=60.0, seed=60)
         tracemalloc.start()
         try:
-            cross_validate(climbs)
+            cross_validate(climbs, default_alpha_grid(), default_lambda_grid())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -523,7 +519,7 @@ class TestCrossValidation:
     def test_requires_two_climbs(self):
         for count in (0, 1):
             with pytest.raises(TooFewSamples, match=f"needs at least 2 climbs, got {count}$"):
-                cross_validate(make_climbs(1)[:count])
+                cross_validate(make_climbs(1)[:count], [0.0], [1.0])
 
     def test_missing_state_is_the_first_fold_fit_to_lack_one(self):
         climbs = make_climbs(3, duration=30.0, seed=60)
@@ -539,7 +535,7 @@ class TestCrossValidation:
 
 
 @pytest.mark.parametrize("learn", [
-    lambda climbs: learn_sensor_models(climbs, lambda_grid=[1.0]),
+    lambda climbs: learn_sensor_models(climbs, alpha_grid=[0.0], lambda_grid=[1.0]),
     lambda climbs: cross_validate(climbs, alpha_grid=[0.0], lambda_grid=[1.0])])
 def test_a_climb_without_a_site_of_another_raises(learn):
     # learning runs at the sites of the climbs, which every climb must have
@@ -553,11 +549,11 @@ def test_a_climb_without_a_site_of_another_raises(learn):
 def test_learn_sensor_models_roundtrip_scoring():
     climbs = make_climbs(2, duration=60.0, seed=70)
     models, scores = learn_sensor_models(
-        climbs, mode="ang", lambda_grid=default_lambda_grid(5, 1, 200))
+        climbs, mode="ang", alpha_grid=[0.0], lambda_grid=default_lambda_grid(5, 1, 200))
     assert scores[SITE] >= 0.9
     held = make_climbs(1, duration=60.0, seed=99)[0]
     channels = held.channels[SITE]
-    c = performance_coefficient(
-        detect(channels.acc, channels.ang, models[SITE]),
-        held.annotations[SITE])
+    acc = channels.acc
+    truth = rasterize_track(held.annotations[SITE], acc.t0, acc.dt, len(acc))
+    c = performance_coefficient(detect(channels.acc, channels.ang, models[SITE]), truth)
     assert c >= 0.8

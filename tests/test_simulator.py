@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from climbdetect.classifier import FullBodyState
 from climbdetect.cusum import DetectionConfig, SensorModel, detect
 from climbdetect.errors import InvalidPlan
 from climbdetect.gamma_model import GammaParams, HypothesisModel, fit_mle
 from climbdetect.learning import performance_coefficient
-from climbdetect.series import ALL_SITES, LIMBS, H0, H1, SensorSite, rasterize_track
-from climbdetect.simulator import (StatePlan, default_models, plan_from_script,
-                                   random_plan, simulate)
+from climbdetect.series import ALL_SITES, H0, H1, SensorSite, rasterize_track
+from climbdetect.simulator import StatePlan, default_models, random_plan, simulate
 
 RH = SensorSite.RIGHT_HAND
 
@@ -158,7 +156,9 @@ class TestSimulate:
                              DetectionConfig(lambda0=15.0, lambda1=15.0, alpha=0.5))
         ch = climb.channels[SensorSite.PELVIS]
         pred = detect(ch.acc, ch.ang, sensor)
-        c = performance_coefficient(pred, climb.annotations[SensorSite.PELVIS])
+        truth = rasterize_track(climb.annotations[SensorSite.PELVIS], pred.t0, pred.dt,
+                                len(pred.states))
+        c = performance_coefficient(pred, truth)
         assert c > 0.9
 
     @pytest.mark.parametrize("rate", [100.0, 50.0, 33.0])
@@ -190,57 +190,3 @@ class TestSimulate:
                                        climb.channels[site].acc.values, rtol=1e-9)
             np.testing.assert_allclose(np.linalg.norm(rec.gyro, axis=1),
                                        climb.channels[site].ang.values, rtol=1e-9)
-
-
-class TestPlanFromScript:
-    def check_consistency(self, script, plans):
-        dt = 0.01
-        total = sum(d for d, _ in script)
-        n = int(round(total / dt))
-        t = dt * np.arange(n)
-        rasters = {site: rasterize_track(self.track(plans, site), 0.0, dt, n)
-                   for site in ALL_SITES}
-        limbs_any = np.zeros(n, bool)
-        for site in LIMBS:
-            limbs_any |= rasters[site].astype(bool)
-        pelvis = rasters[SensorSite.PELVIS].astype(bool)
-        edge = 0.0
-        for duration, want in script:
-            sel = (t >= edge + dt) & (t < edge + duration - dt)
-            edge += duration
-            if want == FullBodyState.IMMOBILITY:
-                assert not limbs_any[sel].any() and not pelvis[sel].any()
-            elif want == FullBodyState.POSTURAL_REGULATION:
-                assert not limbs_any[sel].any() and pelvis[sel].all()
-            elif want == FullBodyState.HOLD_INTERACTION:
-                assert limbs_any[sel].any() and not pelvis[sel].any()
-            else:
-                assert limbs_any[sel].any() and pelvis[sel].all()
-
-    @staticmethod
-    def track(plan, site):
-        from climbdetect.series import AnnotationTrack
-        edge, intervals = 0.0, []
-        for d, s in plan.segments[site]:
-            intervals.append((edge, edge + d, s))
-            edge += d
-        return AnnotationTrack(site=site, intervals=intervals)
-
-    def test_deterministic_variant(self):
-        script = [(5.0, FullBodyState.IMMOBILITY),
-                  (5.0, FullBodyState.TRACTION),
-                  (5.0, FullBodyState.HOLD_INTERACTION),
-                  (5.0, FullBodyState.POSTURAL_REGULATION)]
-        self.check_consistency(script, plan_from_script(script))
-
-    def test_randomized_variant(self):
-        script = [(4.0, FullBodyState.TRACTION),
-                  (4.0, FullBodyState.IMMOBILITY),
-                  (4.0, FullBodyState.HOLD_INTERACTION)]
-        self.check_consistency(script,
-                               plan_from_script(script, np.random.default_rng(0)))
-
-    def test_rejects_nonpositive_duration(self):
-        with pytest.raises(InvalidPlan):
-            plan_from_script([(0.0, FullBodyState.IMMOBILITY)])
-

@@ -267,11 +267,12 @@ class TestShiftAnnotations:
                                           (9.0, 12.0, H0)])
 
     def test_zero_delay_is_identity(self):
-        assert shift_annotations(self.track(), 0.0).intervals == self.track().intervals
+        assert (shift_annotations(self.track(), 0.0, (0.0, 12.0)).intervals
+                == self.track().intervals)
 
     def test_shift_then_unshift(self):
-        shifted = shift_annotations(self.track(), 1.47)
-        back = shift_annotations(shifted, -1.47)
+        shifted = shift_annotations(self.track(), 1.47, (0.0, 20.0))
+        back = shift_annotations(shifted, -1.47, (-20.0, 20.0))
         for (s1, e1, l1), (s2, e2, l2) in zip(back.intervals, self.track().intervals):
             assert s1 == pytest.approx(s2)
             assert e1 == pytest.approx(e2)
