@@ -20,7 +20,7 @@ import numpy as np
 
 from . import (__version__, classifier, cusum, io, learning, orientation, parallel,
                simulator, sync)
-from .errors import ClimbDetectError, InsufficientOverlap, TooFewSamples
+from .errors import ClimbDetectError, InsufficientOverlap, SignalOverflow, TooFewSamples
 from .series import SensorSite, SignalSeries
 
 
@@ -260,7 +260,7 @@ def cmd_sync(args) -> int:
             f"the best delay, {delay:.3f} s with peak correlation {corr:.3f}, has p = "
             f"{p_value:.2g} at {n_eff:.0f} effective samples; a delay needs p <= "
             f"{sync.MAX_P_VALUE:g}")
-    except (TooFewSamples, InsufficientOverlap) as exc:
+    except (TooFewSamples, SignalOverflow, InsufficientOverlap) as exc:
         refusal = exc
     if refusal is not None:
         raise ClimbDetectError(f"{judged}: {refusal}")

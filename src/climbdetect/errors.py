@@ -45,6 +45,10 @@ class DegenerateTruth(ClimbDetectError):
     """Ground truth contains only one state; the score is undefined."""
 
 
+class SignalOverflow(ClimbDetectError):
+    """A signal derived from finite inputs overflows the float range."""
+
+
 class InsufficientOverlap(ClimbDetectError):
     """Signals do not overlap long enough at the requested lags."""
 

@@ -1,8 +1,7 @@
 """Gamma observation models for the immobile (H0) and mobile (H1) hypotheses.
 
 Signal norms are modelled as Gamma(k, theta); parameters come from a
-closed-form approximate maximum-likelihood fit, and goodness of fit is
-assessed with a Pearson chi-square test on equal-probability bins.
+closed-form approximate maximum-likelihood fit.
 """
 
 from __future__ import annotations
@@ -73,26 +72,3 @@ def fit_mle(samples) -> GammaParams:
         raise DegenerateSample("samples have no spread (constant data)")
     k = shape_from_log_gap(s)
     return GammaParams(k, mean / k)
-
-
-def chi_square_gof(samples, p: GammaParams, bins: int = 20) -> float:
-    """p-value of a Pearson chi-square goodness-of-fit test against ``p``.
-
-    Bins are equal-probability under the fitted Gamma; the bin count is
-    reduced so every bin expects at least 5 counts. Degrees of freedom are
-    bins - 1 - 2, accounting for the two fitted parameters.
-    """
-    from scipy import stats  # here: it loads slower than most commands run
-
-    x = np.maximum(np.asarray(samples, dtype=float), SAMPLE_FLOOR)
-    n = len(x)
-    n_bins = min(int(bins), n // 5)
-    if n_bins < 4:
-        raise TooFewSamples(f"{n} samples support fewer than 4 bins of >=5 expected counts")
-    # Interior edges; outer edges are 0 and +inf.
-    edges = stats.gamma.ppf(np.linspace(0.0, 1.0, n_bins + 1)[1:-1], p.k, scale=p.theta)
-    counts = np.bincount(np.searchsorted(edges, x, side="right"), minlength=n_bins)
-    expected = n / n_bins
-    statistic = float(np.sum((counts - expected) ** 2) / expected)
-    dof = n_bins - 1 - 2
-    return float(stats.chi2.sf(statistic, dof))

@@ -264,13 +264,12 @@ def _first_step(t) -> float:
     return float(t[1]) - float(t[0]) if len(t) > 1 else 1.0
 
 
-def _row_values(path: Path, lineno: int, fields: list[str], names, parsers,
-                expected: str = "the header names") -> list:
+def _row_values(path: Path, lineno: int, fields: list[str], names, parsers) -> list:
     """Each field parsed by its parser, or `MalformedRecording` naming
     ``path:line`` for a wrong field count or the first field that fails."""
     if len(fields) != len(names):
         raise MalformedRecording(
-            f"{path}:{lineno}: {len(fields)} values, {expected} {len(names)}")
+            f"{path}:{lineno}: {len(fields)} values, the header names {len(names)}")
     values = []
     for name, token, parse in zip(names, fields, parsers):
         token = token.strip()
@@ -289,13 +288,6 @@ def _number(token: str) -> float:
     if not math.isfinite(value):
         raise ValueError("is not finite")
     return value
-
-
-def _integer(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError("is not an integer") from None
 
 
 def _label(names: dict[int, str]):
@@ -448,21 +440,6 @@ def write_detection_csv(path, series: BinaryStateSeries) -> None:
     _write_csv(path, _DETECTION, [t, series.states], tail=(
         f"# change_point,{idx},{STATE_NAMES[st]},{onset}"
         for (idx, st), onset in zip(series.change_points, series.onsets)))
-
-
-def read_detection_csv(path) -> BinaryStateSeries:
-    """Per-sample states, ``t`` and ``state`` found by name, and ``# change_point`` lines."""
-    path = Path(path)
-    state = _label(_DETECTION["state"])
-    cols, data, t = _read_table(path, _DETECTION)
-    points = [_row_values(path, lineno, line.split(","), ("#", "index", "state", "onset"),
-                          (str, _integer, state, _integer), expected="a change point has")
-              for lineno, line in _lines(path)
-              if line.split(",", 1)[0].strip() == "# change_point"]
-    return BinaryStateSeries(t0=float(t[0]), dt=_first_step(t),
-                             states=data[:, cols["state"]].astype(np.uint8),
-                             change_points=[(idx, st) for _, idx, st, _ in points],
-                             onsets=[onset for *_, onset in points])
 
 
 def write_timeline_csv(path, timeline: ActivityTimeline) -> None:

@@ -10,10 +10,9 @@ first builds the inputs that do not depend on the attitude (dt, gyro, accel
 and mag over their norms, and whether each is usable), one packed row per
 sample; the loop then runs each step inlined in closed form (Madgwick 2010):
 the gyro derivative term by term, the gravity and field residuals and their
-gradients from the rotation's Jacobian. `filter_update` is the same loop over
-one row. The initial attitude (Markley's quaternion from a rotation matrix)
-and the rotation of the accelerations into the Earth frame, a block of rows at
-a time, are closed-form numpy.
+gradients from the rotation's Jacobian. The initial attitude (Markley's
+quaternion from a rotation matrix) and the rotation of the accelerations into
+the Earth frame, a block of rows at a time, are closed-form numpy.
 """
 
 from __future__ import annotations
@@ -195,21 +194,6 @@ def _run(q, rows, beta: float) -> list:
         w, x, y, z = w / n, x / n, y / n, z / n
         out += w, x, y, z
     return out
-
-
-def filter_update(q, accel, gyro, mag, dt: float, beta: float) -> np.ndarray:
-    """One complementary-filter step.
-
-    Advances the gyro integration and, when beta > 0 and the accelerometer
-    reading is usable, applies a normalized gradient step of magnitude beta
-    toward gravity (and magnetic-field, when given) agreement. Degenerate
-    accel falls back to pure gyro propagation. The result is renormalized.
-    A dt that is not positive, or a beta that `check_beta` refuses, raises
-    ValueError.
-    """
-    beta = check_beta(beta)
-    rows = _rows([dt], accel, gyro, mag, beta)
-    return np.array(_run(np.asarray(q, dtype=float).tolist(), rows, beta))
 
 
 def initial_orientation(accel, mag=None) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientOverlap, TooFewSamples
+from .errors import InsufficientOverlap, SignalOverflow, TooFewSamples
 from .series import AnnotationTrack, SignalSeries, resample_linear
 
 DEFAULT_SMOOTH_WINDOW = 0.3
@@ -67,7 +67,8 @@ def trajectory_to_acceleration(traj: TrajectorySeries,
     under double differentiation) and then differentiated with second-order
     central differences. Only samples whose smoothing window and difference
     stencil lie wholly inside the trajectory are kept, so the series starts
-    ``window // 2 + 1`` samples after the trajectory does.
+    ``window // 2 + 1`` samples after the trajectory does. Positions so far
+    apart that the result is not finite raise `SignalOverflow`.
     """
     window = max(int(round(smooth_window / traj.dt)), 1)
     if len(traj) < window + 4:
@@ -75,10 +76,15 @@ def trajectory_to_acceleration(traj: TrajectorySeries,
                             f"{window}-sample smoothing window, got {len(traj)}")
     y = traj.y
     start = 1
-    if window > 1:
-        y = _moving_average(y, window)
-        start += window // 2
-    return SignalSeries(traj.t0 + start * traj.dt, traj.dt, np.diff(y, 2) / traj.dt**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if window > 1:
+            y = _moving_average(y, window)
+            start += window // 2
+        acceleration = np.diff(y, 2) / traj.dt**2
+    if not np.isfinite(acceleration).all():
+        raise SignalOverflow(f"the vertical acceleration overflows the float range "
+                             f"at a {window}-sample smoothing window")
+    return SignalSeries(traj.t0 + start * traj.dt, traj.dt, acceleration)
 
 
 def _resample(series: SignalSeries, dt: float) -> SignalSeries:

@@ -1,14 +1,16 @@
 """The CSV writers of ``climbdetect.io`` written one element at a time, as
 oracles for the bytes of the writers, which format whole rows from lists.
 
-Each function returns the text its writer puts in the file: every float is
-``repr(float(v))`` of one numpy scalar, and every state name comes from its
-enum.
+Each ``*_text`` function returns the text its writer puts in the file: every
+float is ``repr(float(v))`` of one numpy scalar, and every state name comes
+from its enum. `parse_detection` reads the text of `detection_text` back, as
+no command reads `detect`'s output.
 """
 
 import numpy as np
 
 from climbdetect.classifier import FullBodyState, LimbSubState
+from climbdetect.cusum import BinaryStateSeries
 from climbdetect.io import RECORDING_HEADER
 from climbdetect.series import STATE_NAMES, SensorSite
 
@@ -37,6 +39,21 @@ def detection_text(series) -> str:
     for (idx, st), onset in zip(series.change_points, series.onsets):
         lines.append(f"# change_point,{idx},{STATE_NAMES[st]},{onset}")
     return "\n".join(lines) + "\n"
+
+
+def parse_detection(text: str) -> BinaryStateSeries:
+    """The series of a `detection_text`: t0 and the first step of its ``t``
+    column, its states and its change points."""
+    codes = {name: code for code, name in STATE_NAMES.items()}
+    rows = text.splitlines()[1:]
+    samples = [row.split(",") for row in rows if not row.startswith("#")]
+    points = [row.split(",")[1:] for row in rows if row.startswith("# change_point,")]
+    t = [float(ti) for ti, _ in samples]
+    return BinaryStateSeries(
+        t0=t[0], dt=t[1] - t[0] if len(t) > 1 else 1.0,
+        states=np.array([codes[st] for _, st in samples], np.uint8),
+        change_points=[(int(idx), codes[st]) for idx, st, _ in points],
+        onsets=[int(onset) for *_, onset in points])
 
 
 def timeline_text(timeline) -> str:

@@ -2,8 +2,10 @@
 ``climbdetect.orientation``.
 
 Quaternions are (w, x, y, z) and rotate sensor-frame vectors into the
-Earth frame: v_earth = q (0, v_s) q*. The product-form oracle
-(`filter_update`) builds each field residual and its gradient from
+Earth frame: v_earth = q (0, v_s) q*. `program_step` is one step of the
+library's filter loop, the step `estimate_orientation` runs for each sample.
+The product-form oracle (`product_form_update`, its gradient
+`product_form_gradient`) builds each field residual and its gradient from
 quaternion products, one basis quaternion at a time, instead of the closed
 form the library uses. The per-sample oracle (`closed_form_step`, chained by
 `chained_orientation`) is the closed form one sample and one function call
@@ -17,6 +19,7 @@ import math
 
 import numpy as np
 
+from climbdetect import orientation
 from climbdetect.orientation import GRAVITY, ImuRecording
 from climbdetect.series import SensorSite
 from climbdetect.simulator import MAG_FIELD
@@ -72,7 +75,47 @@ def _field_gradient(q, ref_earth, meas_sensor) -> np.ndarray:
     return grad
 
 
-def filter_update(q, accel, gyro, mag, dt: float, beta: float) -> np.ndarray:
+def program_step(q, accel, gyro, mag, dt: float, beta: float) -> np.ndarray:
+    """One step of the library's filter from q: `orientation._run` over the one
+    `orientation._rows` row of a sample, as `estimate_orientation` runs it.
+
+    It advances the gyro integration and, when beta > 0 and the accelerometer
+    reading is usable, applies a normalized gradient step of magnitude beta
+    toward gravity (and magnetic-field, when given) agreement. A dt that is
+    not positive, or a beta that `check_beta` refuses, raises ValueError.
+    """
+    beta = orientation.check_beta(beta)
+    rows = orientation._rows([dt], accel, gyro, mag, beta)
+    return np.array(orientation._run(np.asarray(q, dtype=float).tolist(), rows, beta))
+
+
+def product_form_gradient(q, accel, mag):
+    """The gradient a corrected step normalizes, from quaternion products, or
+    None when the accelerometer reading is unusable and the step is not
+    corrected."""
+    q = np.asarray(q, dtype=float)
+    accel = np.asarray(accel, dtype=float)
+    # math.hypot, as the library does: the norm is correctly rounded, and
+    # an ulp off in a unit reading is amplified by the normalized gradient
+    # when the residual is small.
+    a_norm = math.hypot(*accel)
+    if a_norm <= 1e-9:
+        return None
+    grad = _field_gradient(q, np.array([0.0, 0.0, 1.0]), accel / a_norm)
+    if mag is not None:
+        mag = np.asarray(mag, dtype=float)
+        m_norm = math.hypot(*mag)
+        if m_norm > 1e-9:
+            m_hat = mag / m_norm
+            h = quat_rotate(q, m_hat)
+            # Earth-frame field reference: horizontal magnitude north,
+            # measured vertical component.
+            b = np.array([math.hypot(h[0], h[1]), 0.0, h[2]])
+            grad = grad + _field_gradient(q, b, m_hat)
+    return grad
+
+
+def product_form_update(q, accel, gyro, mag, dt: float, beta: float) -> np.ndarray:
     """One complementary-filter step, written with quaternion products."""
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -81,27 +124,11 @@ def filter_update(q, accel, gyro, mag, dt: float, beta: float) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     omega = np.array([0.0, gyro[0], gyro[1], gyro[2]])
     q_dot = 0.5 * quat_multiply(q, omega)
-    if beta > 0.0:
-        accel = np.asarray(accel, dtype=float)
-        # math.hypot, as the library does: the norm is correctly rounded, and
-        # an ulp off in a unit reading is amplified by the normalized gradient
-        # when the residual is small.
-        a_norm = math.hypot(*accel)
-        if a_norm > 1e-9:
-            grad = _field_gradient(q, np.array([0.0, 0.0, 1.0]), accel / a_norm)
-            if mag is not None:
-                mag = np.asarray(mag, dtype=float)
-                m_norm = math.hypot(*mag)
-                if m_norm > 1e-9:
-                    m_hat = mag / m_norm
-                    h = quat_rotate(q, m_hat)
-                    # Earth-frame field reference: horizontal magnitude north,
-                    # measured vertical component.
-                    b = np.array([math.hypot(h[0], h[1]), 0.0, h[2]])
-                    grad = grad + _field_gradient(q, b, m_hat)
-            g_norm = np.linalg.norm(grad)
-            if g_norm > 1e-12:
-                q_dot = q_dot - beta * grad / g_norm
+    grad = product_form_gradient(q, accel, mag) if beta > 0.0 else None
+    if grad is not None:
+        g_norm = np.linalg.norm(grad)
+        if g_norm > 1e-12:
+            q_dot = q_dot - beta * grad / g_norm
     q = q + q_dot * dt
     return q / np.linalg.norm(q)
 

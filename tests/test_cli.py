@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from csv_oracles import parse_detection
 from cusum_oracle import backdated_states
 
 import climbdetect
@@ -118,6 +119,32 @@ class TestFit:
                          "--alpha-step", "1.0"]) == 0
         assert out.exists()
 
+    def test_swapping_the_hands_swaps_their_models(self, dataset, model_path, tmp_path):
+        # a relation between whole runs: the lh recordings and annotations
+        # under rh's name, and the reverse, give the model with its lh and rh
+        # entries swapped, exactly; every other site keeps its entry
+        swap = {"lh": "rh", "rh": "lh"}
+        for climb in sorted(dataset.glob("climb*")):
+            copy = tmp_path / "climbs" / climb.name
+            copy.mkdir(parents=True)
+            for src in climb.iterdir():
+                climb_id, _, site = src.stem.rpartition("_")
+                name = f"{climb_id}_{swap[site]}.csv" if site in swap else src.name
+                (copy / name).write_bytes(src.read_bytes())
+            ann = copy / f"{climb.name}_annotations.json"
+            doc = json.loads(ann.read_text())
+            for entry in doc:
+                entry["site"] = swap.get(entry["site"], entry["site"])
+            ann.write_text(json.dumps(doc))
+        out = tmp_path / "model.json"
+        assert cli.main(["fit", "--climbs", str(tmp_path / "climbs"), "--out", str(out),
+                         "--grid-points", "4", "--grid-min", "1",
+                         "--grid-max", "100", "--alpha-step", "0.5"]) == 0
+        want = json.loads(model_path.read_text())["sensors"]
+        got = json.loads(out.read_text())["sensors"]
+        assert got == {swap.get(site, site): entry for site, entry in want.items()}
+        assert got["lh"] != got["rh"]
+
 
 class TestDetectClassifyReport:
     def test_pipeline(self, dataset, model_path, tmp_path):
@@ -127,7 +154,7 @@ class TestDetectClassifyReport:
                          "--climb", str(climb), "--out", str(det_dir)]) == 0
         for site in ALL_SITES:
             path = det_dir / f"climb01_{site.value}_detection.csv"
-            series = io.read_detection_csv(path)
+            series = parse_detection(path.read_text())
             assert len(series.states) == 20 * 50
 
         timeline_path = tmp_path / "timeline.csv"
@@ -149,7 +176,8 @@ class TestDetectClassifyReport:
         assert cli.main(["detect", "--model", str(model_path), "--climb",
                          str(dataset / "climb01"), "--out", str(tmp_path)]) == 0
         for site in ALL_SITES:
-            series = io.read_detection_csv(tmp_path / f"climb01_{site.value}_detection.csv")
+            series = parse_detection(
+                (tmp_path / f"climb01_{site.value}_detection.csv").read_text())
             assert series.change_points
             assert all(index > onset for (index, _), onset
                        in zip(series.change_points, series.onsets))
@@ -413,7 +441,7 @@ class TestEvaluate:
             assert cli.main(["detect", "--model", str(model),
                              "--climb", str(sim / "climb01"), "--out", str(det)]) == 0
             for site in ALL_SITES:
-                pred = io.read_detection_csv(det / f"climb01_{site.value}_detection.csv")
+                pred = parse_detection((det / f"climb01_{site.value}_detection.csv").read_text())
                 truth = rasterize_track(annotations[site], pred.t0, pred.dt, len(pred.states))
                 c = learning.performance_coefficient(pred, truth)
                 assert c == results[f"{site.value}/{mode}"]["fold_scores"][0], (site, mode)
@@ -1011,6 +1039,21 @@ class TestSync:
                          "--recording", str(rec_path), "--max-lag", "5"]) == 1
         assert f"error: {traj_path}{message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window, samples", [("0", 1), ("0.06", 3)])
+    def test_an_acceleration_that_overflows_exits_one(self, tmp_path, capsys, window, samples):
+        # finite positions alternating +-1e308: their second difference, and
+        # their average over an odd window, overflow (pytest makes any
+        # RuntimeWarning an error)
+        rec_path, traj_path = sync_inputs(tmp_path, 0.0)
+        header, *rows = traj_path.read_text().splitlines()
+        traj_path.write_text("\n".join([header] + [
+            f"{row.split(',')[0]},0.0,{(-1) ** i * 1e308!r}" for i, row in enumerate(rows)]) + "\n")
+        assert cli.main(["sync", "--trajectory", str(traj_path), "--recording", str(rec_path),
+                         "--max-lag", "5", "--smooth-window", window]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {traj_path}: the vertical acceleration overflows the float range "
+            f"at a {samples}-sample smoothing window\n")
+
     @pytest.mark.parametrize("corrupt, line", [
         (lambda rows: rows[::-1], 3),
         (lambda rows: rows[:2] + [rows[3], rows[2]] + rows[4:], 5),
@@ -1372,9 +1415,8 @@ def _fresh_interpreter(*args) -> str:
 
 
 class TestColdStart:
-    """The CLI starts and runs every command on numpy alone; scipy is loaded
-    only by ``chi_square_gof``, and ``numpy.ma`` by no command that reads a
-    recording."""
+    """The CLI starts and runs every command on numpy alone, and loads
+    ``numpy.ma`` in no command that reads a recording."""
 
     def test_import_loads_no_scipy(self):
         assert _fresh_interpreter(

@@ -7,9 +7,8 @@ from scipy.integrate import quad
 
 from climbdetect.errors import (DegenerateSample, InvalidParams, TooFewSamples)
 from climbdetect.gamma_model import (MIN_FIT_SAMPLES, GammaParams, HypothesisModel,
-                                     chi_square_gof, fit_mle, log_pdf,
-                                     shape_from_log_gap)
-from gamma_oracles import chi_square_3, exponential, fit_mle_exact
+                                     fit_mle, log_pdf, shape_from_log_gap)
+from gamma_oracles import chi_square_3, chi_square_gof, exponential, fit_mle_exact
 
 
 class TestLogPdf:

@@ -348,61 +348,6 @@ class TestModelJson:
         assert str(exc.value).startswith(f"{path}: ")
 
 
-class TestDetectionCsv:
-    def test_roundtrip(self, tmp_path):
-        series = BinaryStateSeries(
-            t0=0.5, dt=0.01,
-            states=np.array([0, 0, 1, 1, 1, 0], np.uint8),
-            change_points=[(2, 1), (5, 0)], onsets=[1, 4])
-        path = tmp_path / "det.csv"
-        io.write_detection_csv(path, series)
-        back = io.read_detection_csv(path)
-        assert back.t0 == pytest.approx(series.t0)
-        assert back.dt == pytest.approx(series.dt)
-        np.testing.assert_array_equal(back.states, series.states)
-        assert back.change_points == series.change_points
-        assert back.onsets == series.onsets
-
-    def test_columns_found_by_name(self, tmp_path):
-        path = tmp_path / "det.csv"
-        path.write_text("state,t\nH0,0.5\nH1,0.51\nH1,0.52\n# change_point,1,H1,0\n")
-        back = io.read_detection_csv(path)
-        assert (back.t0, back.dt) == (0.5, 0.51 - 0.5)
-        np.testing.assert_array_equal(back.states, [0, 1, 1])
-        assert (back.change_points, back.onsets) == ([(1, 1)], [0])
-
-    @pytest.mark.parametrize("corrupt, error, message", [
-        (lambda lines: lines[:1], EmptyRecording, "no samples"),
-        (lambda lines: ["time,label"] + lines[1:], MalformedRecording,
-         ": missing column(s) t, state"),
-        (lambda lines: lines[:2] + ["0.52,mobile"] + lines[3:], MalformedRecording,
-         ":3: state is not a known label: 'mobile'"),
-        (lambda lines: lines[:-1] + ["# change_point,5,H0"], MalformedRecording,
-         ":9: 3 values, a change point has 4"),
-        # t must increase strictly from sample row to sample row
-        (lambda lines: lines[:1] + lines[6:0:-1] + lines[7:], MalformedRecording,
-         ":3: t 0.54 is not after the previous row's 0.55"),
-        (lambda lines: lines[:3] + [lines[4], lines[3]] + lines[5:], MalformedRecording,
-         ":5: t 0.52 is not after the previous row's 0.53"),
-        (lambda lines: lines[:4] + [lines[3]] + lines[5:], MalformedRecording,
-         ":5: t 0.52 is not after the previous row's 0.52"),
-        # change-point rows count as lines, not as sample rows
-        (lambda lines: lines[:3] + [lines[8], lines[2]] + lines[3:8], MalformedRecording,
-         ":5: t 0.51 is not after the previous row's 0.51"),
-    ], ids=["header-only", "unnamed-columns", "unknown-state", "short-change-point", "reversed-t",
-            "swapped-t", "repeated-t", "change-point-then-repeated-t"])
-    def test_malformed_detection_names_file(self, tmp_path, corrupt, error, message):
-        path = tmp_path / "det.csv"
-        io.write_detection_csv(path, BinaryStateSeries(
-            t0=0.5, dt=0.01, states=np.array([0, 0, 1, 1, 1, 0], np.uint8),
-            change_points=[(2, 1), (5, 0)], onsets=[1, 4]))
-        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
-        with pytest.raises(error) as exc:
-            io.read_detection_csv(path)
-        assert str(exc.value).startswith(str(path))
-        assert message in str(exc.value)
-
-
 class TestTimelineCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -723,11 +668,12 @@ class TestFarOffClock:
 
     def test_a_label_file_keeps_a_first_step_that_overflows(self, tmp_path):
         # it is not resampled: its step is inf, with no overflow warning
-        path = tmp_path / "det.csv"
-        path.write_text("t,state\n-1e308,H0\n1e308,H1\n")
+        path = tmp_path / "timeline.csv"
+        path.write_text("t,full_body,rh,lh,rf,lf\n-1e308,immobility,use,use,use,use\n"
+                        "1e308,traction,use,use,use,use\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert io.read_detection_csv(path).dt == math.inf
+            assert io.read_timeline_csv(path).dt == math.inf
 
     @pytest.mark.parametrize("last, rows", [(2.0, 21), (2.2, None)])
     def test_a_grid_of_over_twice_the_rows_is_refused(self, tmp_path, last, rows):
@@ -784,9 +730,8 @@ class TestStreamedTables:
     @pytest.mark.parametrize("read, header", [
         (lambda path: io.read_recording_csv(path, SensorSite.RIGHT_HAND), io.RECORDING_HEADER),
         (io.read_trajectory_csv, "t,x,y"),
-        (io.read_detection_csv, "t,state"),
         (io.read_timeline_csv, "t,full_body,rh,lh,rf,lf"),
-    ], ids=["recording", "trajectory", "detection", "timeline"])
+    ], ids=["recording", "trajectory", "timeline"])
     def test_comments_and_blank_lines_are_no_rows(self, tmp_path, read, header):
         # and np.loadtxt's warning on empty input does not reach the caller
         path = tmp_path / "table.csv"
@@ -880,24 +825,6 @@ class TestRoundTrips:
             assert back.mag.tobytes() == rec.mag.tobytes()
         else:
             assert back.mag is None
-
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(t0=_T0, dt=_DT, states=st.lists(st.integers(0, 1), min_size=1, max_size=30))
-    def test_detection(self, tmp_path, t0, dt, states):
-        change_points = [(i, code) for i, code in enumerate(states)
-                         if i and code != states[i - 1]]
-        series = BinaryStateSeries(t0=t0, dt=dt, states=np.array(states, np.uint8),
-                                   change_points=change_points,
-                                   onsets=[max(i - 2, 0) for i, _ in change_points])
-        path = tmp_path / "det.csv"
-        io.write_detection_csv(path, series)
-        back = io.read_detection_csv(path)
-        self.same_clock(back, t0, dt, len(states))
-        assert back.states.dtype == np.uint8
-        np.testing.assert_array_equal(back.states, series.states)
-        assert back.change_points == series.change_points
-        assert back.onsets == series.onsets
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1023,10 +950,9 @@ class TestArbitraryBytes:
         (lambda path: io.read_recording_csv(path, SensorSite.PELVIS), io.RECORDING_HEADER),
         (io.read_trajectory_csv, "t,x,y"),
         (io.read_timeline_csv, "t,full_body,rh,lh,rf,lf"),
-        (io.read_detection_csv, "t,state"),
         (io.read_annotations_json, "site,intervals"),
         (io.read_model_json, "sensors,provenance"),
-    ], ids=["recording", "trajectory", "timeline", "detection", "annotations", "model"])
+    ], ids=["recording", "trajectory", "timeline", "annotations", "model"])
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())

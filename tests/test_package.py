@@ -1,19 +1,15 @@
 """The package holds no dead code: every top-level name of a module is used by
-the program, its demos or its benchmark."""
+the program, its demos or its benchmark. It runs on numpy alone: every module
+imports only the standard library, numpy and the package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "climbdetect").glob("*.py") if p.name != "__init__.py")
-# Names that only the tests use, each kept for what it checks
-TEST_ONLY = {
-    "chi_square_gof": "the goodness-of-fit test of acceptance criterion 10",
-    "filter_update": "one filter step, for criterion 9 and the filter oracles",
-    "read_detection_csv": "the reader of `detect`'s output, for the round-trip and fuzz tests",
-}
 
 
 def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
@@ -57,10 +53,20 @@ def test_every_top_level_name_is_used(module):
     tree = _TREES[module]
     others = set().union(*(_uses(t) for path, t in _TREES.items() if path != module))
     unused = [name for name, node in _definitions(tree).items()
-              if name not in TEST_ONLY and name not in others | _uses(tree, skip=node)]
+              if name not in others | _uses(tree, skip=node)]
     assert unused == [], f"{module.name}: used nowhere in src/, demos/ or bench/"
 
 
-def test_every_test_only_name_exists():
-    defined = set().union(*(_definitions(_TREES[path]) for path in MODULES))
-    assert set(TEST_ONLY) <= defined
+@pytest.mark.parametrize("module", sorted((ROOT / "src" / "climbdetect").glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_imports_only_the_standard_library_and_numpy(module):
+    # pyproject.toml lists numpy as the one runtime dependency
+    imported = set()
+    for node in ast.walk(_TREES[module]):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    allowed = sys.stdlib_module_names | {"numpy", "climbdetect"}
+    outside = sorted(name for name in imported if name.partition(".")[0] not in allowed)
+    assert outside == [], f"{module.name} imports {outside}"
