@@ -16,7 +16,6 @@ import numpy as np
 
 from climbdetect import orientation, sync
 from climbdetect.series import AnnotationTrack, SensorSite, SignalSeries
-from climbdetect.simulator import MAG_FIELD
 
 RATE = 50.0
 DURATION = 40.0
@@ -30,15 +29,15 @@ y = 0.4 * np.sin(1.2 * t + 0.3) + 0.1 * np.sin(3.0 * t)
 
 # the sensor sees the analytic second derivatives, plus gravity, at a fixed
 # attitude (identity here for clarity); only the vertical one fixes the delay:
-# Earth x is magnetic north, not the wall, and the orientation filter tilts
-# to absorb slow lateral acceleration
+# the filter's heading is not the wall's, and it tilts to absorb slow lateral
+# acceleration. As in `climbdetect sync`, the filter runs without the
+# magnetometer: the vertical component does not depend on heading
 ax = -0.6 * 0.49 * np.sin(0.7 * t) - 0.2 * 4.41 * np.sin(2.1 * t + 0.5)
 az = -0.4 * 1.44 * np.sin(1.2 * t + 0.3) - 0.1 * 9.0 * np.sin(3.0 * t)
 recording = orientation.ImuRecording(
     site=SensorSite.PELVIS, sample_rate=RATE, t=t,
     accel=np.column_stack([ax, np.zeros_like(t), az + orientation.GRAVITY]),
-    gyro=np.zeros((len(t), 3)),
-    mag=np.tile(MAG_FIELD, (len(t), 1)))
+    gyro=np.zeros((len(t), 3)), mag=None)
 
 # video trajectory on its own (shifted) clock
 trajectory = sync.TrajectorySeries(t0=TRUE_DELAY, dt=1.0 / RATE, x=x, y=y)

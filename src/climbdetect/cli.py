@@ -240,8 +240,15 @@ def cmd_evaluate(args) -> int:
 def _vertical_acceleration(path, beta: float) -> tuple[SignalSeries, tuple[float, float]]:
     """The pelvis recording's Earth-frame vertical acceleration, filtered with gain
     ``beta`` and copied out of the (n, 3) Earth-frame array, and the recording's
-    first and last time; the recording and the array are dropped."""
+    first and last time; the recording and the array are dropped.
+
+    The filter runs in its gravity-only (IMU) form: the magnetometer columns
+    are read, and refused where malformed, but not used. The vertical
+    component does not depend on heading, and the field term only steers
+    heading; through the field's dip it would also pull the tilt towards a
+    disturbed field, as near a steel wall frame."""
     rec = io.read_recording_csv(path, SensorSite.PELVIS)
+    rec.mag = None
     vertical = np.ascontiguousarray(orientation.earth_acceleration(rec, beta)[:, 2])
     span = (float(rec.t[0]), float(rec.t[-1]))
     return SignalSeries(span[0], rec.dt, vertical), span

@@ -12,7 +12,8 @@ form the library uses. The per-sample oracle (`closed_form_step`, chained by
 at a time, with the general field gradient for both references: the
 library's fused loop must give bit-identical quaternions.
 `physical_recording` is a recording built from the physics of a moving
-sensor, with its true linear acceleration to test the filter against.
+sensor, with its true linear acceleration to test the filter against, in the
+simulator's field or in one that `disturbed_field` distorts.
 """
 
 import math
@@ -212,14 +213,28 @@ def _sinusoids(rng: np.random.Generator, t: np.ndarray, amplitude: float) -> np.
     return np.einsum("kj,nkj->nj", a, np.sin(2.0 * np.pi * f * t[:, None, None] + p))
 
 
+def disturbed_field(rng: np.random.Generator, t: np.ndarray, rms: float) -> np.ndarray:
+    """(n, 3) Earth-frame field: the simulator's `MAG_FIELD` plus, per axis, three
+    sinusoids of frequency U(0.02, 0.2) Hz, a random phase and amplitude
+    U(0, 1), the sum scaled so that its norm has root mean square ``rms``: a
+    slow distortion, as a climber passing a steel wall frame feels it."""
+    a, f, p = (rng.uniform(low, high, (3, 3)) for low, high in
+               ((0.0, 1.0), (0.02, 0.2), (0.0, 2.0 * np.pi)))
+    bias = np.einsum("kj,nkj->nj", a, np.sin(2.0 * np.pi * f * t[:, None, None] + p))
+    return MAG_FIELD + bias * (rms / np.sqrt(np.mean(np.sum(bias * bias, axis=1))))
+
+
 def physical_recording(seed: int, rate_amplitude: float, accel_amplitude: float,
-                       mag: bool = True, seconds: float = 60.0, rate: float = 100.0):
+                       mag: bool = True, seconds: float = 60.0, rate: float = 100.0,
+                       field_rms: float = 0.0):
     """``(recording, linear acceleration)`` of a sensor that turns at body rates
     ω and moves with Earth-frame linear acceleration a (n, 3), each drawn by
     `_sinusoids`. The attitude starts at identity and follows q_i = q_{i-1} ⊗
     exp(ω_i dt / 2); the readings are accel = Rᵀ(a + g) + N(0, 0.05²), gyro =
     ω + N(0, 0.01²) and mag = Rᵀ m + N(0, 0.01²), m the simulator's
-    `MAG_FIELD` (drawn either way, so that both forms share the rest)."""
+    `MAG_FIELD` (drawn either way, so that both forms share the rest). With
+    ``field_rms`` > 0, m is `disturbed_field` at that RMS, drawn from a stream
+    of its own, so that the other readings keep their values."""
     rng = np.random.default_rng(seed)
     dt = 1.0 / rate
     t = np.arange(round(seconds * rate)) * dt
@@ -240,6 +255,8 @@ def physical_recording(seed: int, rate_amplitude: float, accel_amplitude: float,
     accel = (np.einsum("jin,nj->ni", r, linear + [0.0, 0.0, GRAVITY])
              + rng.normal(0.0, 0.05, linear.shape))
     gyro = omega + rng.normal(0.0, 0.01, omega.shape)
-    field = np.einsum("jin,j->ni", r, MAG_FIELD) + rng.normal(0.0, 0.01, omega.shape)
+    earth_field = (disturbed_field(np.random.default_rng([seed, 1]), t, field_rms)
+                   if field_rms > 0.0 else np.broadcast_to(MAG_FIELD, omega.shape))
+    field = np.einsum("jin,nj->ni", r, earth_field) + rng.normal(0.0, 0.01, omega.shape)
     return ImuRecording(site=SensorSite.PELVIS, sample_rate=rate, t=t, accel=accel,
                         gyro=gyro, mag=field if mag else None), linear

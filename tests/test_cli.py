@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from csv_oracles import parse_detection
 from cusum_oracle import backdated_states
+from quaternions import disturbed_field
 
 import climbdetect
 from climbdetect import classifier, cli, cusum, io, learning, orientation, sync
@@ -703,17 +704,18 @@ def test_bytes_that_are_not_utf8_exit_one(command, dataset, model_path, tmp_path
 @pytest.mark.parametrize("site, lineno, column, value, name", [
     ("rh", 51, 1, "1e200", "accel"), ("lh", 81, 4, "3e160", "gyro"),
     ("rh", 2, 7, "1e200", "mag")], ids=["accel", "gyro", "mag"])
-@pytest.mark.parametrize("command", ["classify", "fit"])
+@pytest.mark.parametrize("command", ["classify", "fit", "sync"])
 def test_overflowing_reading_exits_one(command, site, lineno, column, value, name, dataset,
                                        model_path, tmp_path, capsys):
     # a finite reading whose squared norm overflows: one `error:` line naming
-    # its line, and no overflow warning or traceback
+    # its line, and no overflow warning or traceback. sync reads the pelvis,
+    # and refuses its magnetometer columns though its filter does not use them
     climbs = tmp_path / "climbs"
     for climb_id in ("climb01", "climb02"):
         (climbs / climb_id).mkdir(parents=True)
         for src in (dataset / climb_id).iterdir():
             (climbs / climb_id / src.name).write_bytes(src.read_bytes())
-    path = climbs / "climb01" / f"climb01_{site}.csv"
+    path = climbs / "climb01" / f"climb01_{'pelvis' if command == 'sync' else site}.csv"
     lines = path.read_text().splitlines()
     fields = lines[lineno - 1].split(",")
     fields[column] = value
@@ -722,8 +724,12 @@ def test_overflowing_reading_exits_one(command, site, lineno, column, value, nam
     args = {"classify": ["--model", str(model_path), "--climb", str(climbs / "climb01"),
                          "--out", str(tmp_path / "timeline.csv")],
             "fit": ["--climbs", str(climbs), "--out", str(tmp_path / "model.json"),
-                    "--grid-points", "2", "--alpha-step", "1.0"]}[command]
-    assert cli.main([command, *args]) == 1
+                    "--grid-points", "2", "--alpha-step", "1.0"],
+            "sync": ["--trajectory", str(tmp_path / "trajectory.csv"), "--recording", str(path)]}
+    t = np.arange(250) / 25.0
+    io.write_trajectory_csv(tmp_path / "trajectory.csv",
+                            TrajectorySeries(0.0, 0.04, np.zeros_like(t), 0.1 * np.sin(t)))
+    assert cli.main([command, *args[command]]) == 1
     assert capsys.readouterr().err == (f"error: {path}:{lineno}: the squared norm of the "
                                        f"{name} reading overflows\n")
 
@@ -1257,6 +1263,32 @@ class TestSync:
         assert (code, out, config, written) == (1, "", None, False)
         assert err.startswith(f"error: {traj_path} and {rec_path}: the best delay, ")
         assert err.count("\n") == 1
+
+    def test_the_field_moves_no_output(self, tmp_path, capsys):
+        # sync filters in the IMU form: a recording whose magnetometer columns
+        # hold another valid field, the simulator's plus a slow bias of RMS 0.4,
+        # gives the same stdout and --out, and a manifest that differs only in
+        # the recording's path
+        rec_path, traj_path, _ = lateral_sync_inputs(tmp_path, 4, 0.0)
+        header, *rows = rec_path.read_text().splitlines()
+        field = disturbed_field(np.random.default_rng(5), np.arange(len(rows)) / 100.0, 0.4)
+        assert np.linalg.norm(field, axis=1).min() > 0.1
+        disturbed = tmp_path / "disturbed_pelvis.csv"
+        disturbed.write_text("\n".join([header] + [
+            ",".join(row.split(",")[:7] + [repr(v) for v in m])
+            for row, m in zip(rows, field.tolist())]) + "\n")
+        ann_path = tmp_path / "ann.json"
+        io.write_annotations_json(ann_path, {SensorSite.PELVIS: AnnotationTrack(
+            site=SensorSite.PELVIS, intervals=[(0.0, 10.0, 0), (10.0, 25.0, 1)])})
+        runs = []
+        for path in (rec_path, disturbed):
+            out_path = tmp_path / f"{path.stem}.json"
+            assert cli.main(["sync", "--trajectory", str(traj_path), "--recording", str(path),
+                             "--annotations", str(ann_path), "--out", str(out_path)]) == 0
+            manifest = json.loads(Path(f"{out_path}.manifest.json").read_text())
+            assert manifest["config"].pop("recording") == str(path)
+            runs.append((capsys.readouterr(), out_path.read_bytes(), manifest))
+        assert runs[0] == runs[1]
 
     def test_lags_are_scored_without_the_recording(self, tmp_path):
         # the recording and its (n, 3) Earth-frame array are dropped before
