@@ -102,22 +102,6 @@ def suppress_short_episodes(states: np.ndarray, min_samples: int) -> np.ndarray:
     return out
 
 
-def limb_substates(limb: np.ndarray, full_body: np.ndarray) -> np.ndarray:
-    """Sub-state per sample for one limb.
-
-    Mobile episodes overlapping any traction sample are Use; for each
-    traction onset the non-Use episode ending latest strictly before it is
-    Change; every other mobile episode, including those after the last
-    onset, is Exploration. A traction onset with no preceding episode simply
-    yields no Change.
-    """
-    limb = np.asarray(limb, dtype=np.uint8)
-    full_body = np.asarray(full_body, dtype=np.uint8)
-    if len(limb) != len(full_body):
-        raise LengthMismatch("limb and full-body series must have equal length")
-    return _limb_substates(limb, *_traction(full_body))
-
-
 def _traction(full_body: np.ndarray):
     """The traction mask of ``full_body`` and the start of each traction run."""
     traction = full_body == FullBodyState.TRACTION
@@ -125,8 +109,10 @@ def _traction(full_body: np.ndarray):
 
 
 def _limb_substates(limb: np.ndarray, traction: np.ndarray, onsets) -> np.ndarray:
-    """`limb_substates` of a limb the length of the ``traction`` mask, whose runs
-    start at ``onsets``."""
+    """Sub-state per sample of a limb the length of the ``traction`` mask, whose
+    runs start at ``onsets``: a mobile episode overlapping traction is Use, the
+    last free (non-Use) episode ending before an onset is its Change (if any),
+    and every other is Exploration."""
     eps = episodes(limb)
     labels = np.array([LimbSubState.USE if traction[start:end].any()
                        else LimbSubState.EXPLORATION for start, end in eps], dtype=np.uint8)

@@ -47,6 +47,9 @@ _MAX_GRID_ROWS = 2
 # difference and a smoothing window's sample count (`sync`) far inside the
 # float range.
 _MIN_STEP = 1e-6
+# The longest, s: no IMU or video tracker samples slower than 1 Hz, and at a
+# 10 s step the orientation filter overflows at its largest gain.
+_MAX_STEP = 1.0
 
 
 def recording_path(directory: Path, climb_id: str, site: SensorSite) -> Path:
@@ -159,8 +162,9 @@ def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
     by over a tenth, ``t`` and each column of ``data`` go linearly onto ``t[0] + k*dt``.
     A median step under `_MIN_STEP` is refused by the line of the first step under
     it; a clock whose grid would hold over `_MAX_GRID_ROWS` times its rows, or whose
-    steps or span are not finite, by the line of its longest step; and a resampled
-    value that overflows by its file."""
+    steps or span are not finite, by the line of its longest step; a median step
+    over `_MAX_STEP` by the line of the first step over it; and a resampled value
+    that overflows by its file."""
     with np.errstate(over="ignore"):  # a step that overflows is refused below
         diffs = np.diff(t)
     dt = _median(diffs) if len(diffs) else lone_dt
@@ -178,6 +182,11 @@ def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
             f"{path}:{_row_line(path, i)}: t {float(t[i])!r} is too far after "
             f"{float(t[i - 1])!r} for a uniform clock of {len(t)} rows at the median "
             f"step, {dt!r} s")
+    if dt > _MAX_STEP:
+        i = int(np.argmax(diffs > _MAX_STEP)) + 1
+        raise MalformedRecording(
+            f"{path}:{_row_line(path, i)}: the median step of t, {dt!r} s, is over "
+            f"{_MAX_STEP:g} s (a rate under {1 / _MAX_STEP:g} Hz)")
     gaps = int(np.count_nonzero(diffs > 2.0 * dt))
     if gaps:
         warnings.warn(f"{path}: {gaps} gaps longer than 2 sample periods")

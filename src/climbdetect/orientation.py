@@ -9,10 +9,11 @@ The filter is one loop on Python floats. For each block of samples, numpy
 first builds the inputs that do not depend on the attitude (dt, gyro, accel
 and mag over their norms, and whether each is usable), one packed row per
 sample; the loop then runs each step inlined in closed form (Madgwick 2010):
-the gyro derivative term by term, the gravity and field residuals and their
-gradients from the rotation's Jacobian. The initial attitude (Markley's
-quaternion from a rotation matrix) and the rotation of the accelerations into
-the Earth frame, a block of rows at a time, are closed-form numpy.
+the gyro derivative term by term, the gravity and field residuals and half
+their gradients from the rotation's Jacobian, each quaternion product once.
+The initial attitude (Markley's quaternion from a rotation matrix) and the
+rotation of the accelerations into the Earth frame, a block of rows at a
+time, are closed-form numpy.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .series import SensorSite, SignalSeries
 
 GRAVITY = 9.81
 DEFAULT_BETA = 0.1
-# The largest filter gain. A step's gradient g has |g| <= 8, its gravity and
-# field terms each a residual of at most 2 times a Jacobian of norm 2, so
-# beta * g, formed before its division by |g|, stays below the largest float
-# (1.8e308) for beta up to 2.2e307; the bound is that, rounded down.
+# The largest filter gain. A step's half gradient g has |g| <= 4, its gravity
+# and field terms each a residual of at most 2 times half a Jacobian of norm 2,
+# so beta * g, formed before its division by |g|, stays below the largest float
+# (1.8e308) for beta up to 4.4e307; the bound is half that, rounded down.
 MAX_BETA = 2e307
 CONVERGENCE_WINDOW = 3.0  # seconds the filter converges for (`estimate_orientation`)
 
@@ -131,13 +132,15 @@ def _run(q, rows, beta: float) -> list:
     one flat list.
 
     Each step is closed form on Python floats (Madgwick 2010), inlined: the
-    gyro derivative term by term, then the gradient J^T f of 0.5*|f|^2 for
-    the gravity residual f = conj(q) (0, 0, 0, 1) q - a and, with mag, the
-    field residual f = conj(q) (0, b) q - m, b = (|h_xy|, 0, h_z). For
-    b = (bx, 0, bz), J = 2 [[A, D, -C, B], [B, C, D, -A], [C, -B, A, D]] is
-    the Jacobian in (w, x, y, z) of conj(q) (0, b) q, which is quadratic in
-    q and so is J q / 2. Each sample's arithmetic is fixed, so the result
-    does not depend on how the rows are blocked.
+    gyro derivative term by term, then g = J^T f / 2, half the gradient of
+    0.5*|f|^2, for the gravity residual f = conj(q) (0, 0, 0, 1) q - a and,
+    with mag, the field residual f = conj(q) (0, b) q - m, b = (|h_xy|, 0,
+    h_z). For b = (bx, 0, bz), J = 2 [[A, D, -C, B], [B, C, D, -A], [C, -B,
+    A, D]] is the Jacobian in (w, x, y, z) of conj(q) (0, b) q = J q / 2
+    (A = -y, B = x, C = w, D = z for gravity). `math.hypot` scales exactly
+    by powers of two, so beta g / |g| is the full gradient's. Each product
+    of two of w, x, y, z is formed once, and each sample's arithmetic is
+    fixed, so the result does not depend on how the rows are blocked.
     """
     hypot = math.hypot
     w, x, y, z = q
@@ -149,25 +152,21 @@ def _run(q, rows, beta: float) -> list:
         dy = 0.5 * (w * gy - x * gz + z * gx)
         dz = 0.5 * (w * gz + x * gy - y * gx)
         if corrected:
-            # The gravity residual and gradient: the field's for b = (0, 0, 1).
-            # The products by 0.0 stay: without them some zeros in the result
-            # would change sign.
-            a = w * 0.0 - y
-            b = x - z * 0.0
-            c = y * 0.0 + w
-            d = x * 0.0 + z
-            fx = w * a + x * d - y * c + z * b - ax
-            fy = w * b + x * c + y * d - z * a - ay
-            fz = w * c - x * b + y * a + z * d - az
-            g0 = 2.0 * (a * fx + b * fy + c * fz)
-            g1 = 2.0 * (d * fx + c * fy - b * fz)
-            g2 = 2.0 * (d * fy - c * fx + a * fz)
-            g3 = 2.0 * (b * fx - a * fy + d * fz)
+            # The gravity residual f = conj(q) (0, 0, 0, 1) q - a, each term in
+            # the order of the Jacobian row it comes from, and J^T f / 2.
+            ww, xx, yy, zz = w * w, x * x, y * y, z * z
+            wx, wy, xz, yz = w * x, w * y, x * z, y * z
+            fx = -wy + xz - wy + xz - ax
+            fy = wx + wx + yz + yz - ay
+            fz = ww - xx - yy + zz - az
+            g0 = -y * fx + x * fy + w * fz
+            g1 = z * fx + w * fy - x * fz
+            g2 = z * fy - w * fx - y * fz
+            g3 = x * fx + y * fy + z * fz
             if has_mag:
                 # h = q (0, m) conj(q); the Earth-frame field reference is its
                 # horizontal magnitude north and its measured vertical component.
-                ww, xx, yy, zz = w * w, x * x, y * y, z * z
-                xy, wz, xz, wy, yz, wx = x * y, w * z, x * z, w * y, y * z, w * x
+                xy, wz = x * y, w * z
                 hx = (ww + xx - yy - zz) * mx + 2.0 * ((xy - wz) * my + (xz + wy) * mz)
                 hy = (ww - xx + yy - zz) * my + 2.0 * ((xy + wz) * mx + (yz - wx) * mz)
                 hz = (ww - xx - yy + zz) * mz + 2.0 * ((xz - wy) * mx + (yz + wx) * my)
@@ -179,12 +178,12 @@ def _run(q, rows, beta: float) -> list:
                 fx = w * a + x * d - y * c + z * b - mx
                 fy = w * b + x * c + y * d - z * a - my
                 fz = w * c - x * b + y * a + z * d - mz
-                g0 += 2.0 * (a * fx + b * fy + c * fz)
-                g1 += 2.0 * (d * fx + c * fy - b * fz)
-                g2 += 2.0 * (d * fy - c * fx + a * fz)
-                g3 += 2.0 * (b * fx - a * fy + d * fz)
+                g0 += a * fx + b * fy + c * fz
+                g1 += d * fx + c * fy - b * fz
+                g2 += d * fy - c * fx + a * fz
+                g3 += b * fx - a * fy + d * fz
             g_norm = hypot(g0, g1, g2, g3)
-            if g_norm > 1e-12:
+            if g_norm > 5e-13:
                 dw = dw - beta * g0 / g_norm
                 dx = dx - beta * g1 / g_norm
                 dy = dy - beta * g2 / g_norm

@@ -1,4 +1,4 @@
-"""Quaternion helpers for the tests, and two oracles for the filter step of
+"""Quaternion helpers for the tests, and three oracles for the filter step of
 ``climbdetect.orientation``.
 
 Quaternions are (w, x, y, z) and rotate sensor-frame vectors into the
@@ -9,8 +9,12 @@ The product-form oracle (`product_form_update`, its gradient
 quaternion products, one basis quaternion at a time, instead of the closed
 form the library uses. The per-sample oracle (`closed_form_step`, chained by
 `chained_orientation`) is the closed form one sample and one function call
-at a time, with the general field gradient for both references: the
-library's fused loop must give bit-identical quaternions.
+at a time: the library's fused loop must give bit-identical quaternions.
+`padded_run` is the loop in the form the library ran before it computed each
+quaternion product once: the gravity residual from the general field
+gradient's a, b, c, d at b = (0, 0, 1), products by 0.0 included, and both
+gradients doubled. The library's loop must give equal values; only the signs
+of some zeros differ.
 `physical_recording` is a recording built from the physics of a moving
 sensor, with its true linear acceleration to test the filter against, in the
 simulator's field or in one that `disturbed_field` distorts.
@@ -135,7 +139,8 @@ def product_form_update(q, accel, gyro, mag, dt: float, beta: float) -> np.ndarr
 
 
 def closed_form_field_gradient(w, x, y, z, bx, bz, mx, my, mz):
-    """Gradient J^T f of 0.5*|f|^2, f = conj(q) (0, b) q - m, for b = (bx, 0, bz).
+    """J^T f / 2, half the gradient of 0.5*|f|^2, f = conj(q) (0, b) q - m, for
+    b = (bx, 0, bz).
 
     J = 2 [[a, d, -c, b], [b, c, d, -a], [c, -b, a, d]] is the Jacobian in
     (w, x, y, z) of conj(q) (0, b) q, which is quadratic in q and so is J q / 2.
@@ -147,10 +152,19 @@ def closed_form_field_gradient(w, x, y, z, bx, bz, mx, my, mz):
     fx = w * a + x * d - y * c + z * b - mx
     fy = w * b + x * c + y * d - z * a - my
     fz = w * c - x * b + y * a + z * d - mz
-    return (2.0 * (a * fx + b * fy + c * fz),
-            2.0 * (d * fx + c * fy - b * fz),
-            2.0 * (d * fy - c * fx + a * fz),
-            2.0 * (b * fx - a * fy + d * fz))
+    return (a * fx + b * fy + c * fz,
+            d * fx + c * fy - b * fz,
+            d * fy - c * fx + a * fz,
+            b * fx - a * fy + d * fz)
+
+
+def _field(w, x, y, z, mx, my, mz):
+    """h = q (0, m) conj(q) for a unit m."""
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    xy, wz, xz, wy, yz, wx = x * y, w * z, x * z, w * y, y * z, w * x
+    return ((ww + xx - yy - zz) * mx + 2.0 * ((xy - wz) * my + (xz + wy) * mz),
+            (ww - xx + yy - zz) * my + 2.0 * ((xy + wz) * mx + (yz - wx) * mz),
+            (ww - xx - yy + zz) * mz + 2.0 * ((xz - wy) * mx + (yz + wx) * my))
 
 
 def closed_form_step(q, accel, gyro, mag, dt: float, beta: float) -> tuple:
@@ -170,27 +184,59 @@ def closed_form_step(q, accel, gyro, mag, dt: float, beta: float) -> tuple:
         ax, ay, az = accel
         a_norm = math.hypot(ax, ay, az)
         if a_norm > 1e-9:
-            g = closed_form_field_gradient(w, x, y, z, 0.0, 1.0,
-                                           ax / a_norm, ay / a_norm, az / a_norm)
+            ax, ay, az = ax / a_norm, ay / a_norm, az / a_norm
+            # the gravity residual, each term in the order of its Jacobian row
+            fx = -(w * y) + x * z - w * y + x * z - ax
+            fy = w * x + w * x + y * z + y * z - ay
+            fz = w * w - x * x - y * y + z * z - az
+            g = (-y * fx + x * fy + w * fz, z * fx + w * fy - x * fz,
+                 z * fy - w * fx - y * fz, x * fx + y * fy + z * fz)
             m_norm = 0.0 if mag is None else math.hypot(*mag)
             if m_norm > 1e-9:
                 mx, my, mz = mag[0] / m_norm, mag[1] / m_norm, mag[2] / m_norm
-                # h = q (0, m) conj(q); the Earth-frame field reference is its
-                # horizontal magnitude north and its measured vertical component.
-                ww, xx, yy, zz = w * w, x * x, y * y, z * z
-                hx = (ww + xx - yy - zz) * mx + 2.0 * ((x * y - w * z) * my + (x * z + w * y) * mz)
-                hy = (ww - xx + yy - zz) * my + 2.0 * ((x * y + w * z) * mx + (y * z - w * x) * mz)
-                hz = (ww - xx - yy + zz) * mz + 2.0 * ((x * z - w * y) * mx + (y * z + w * x) * my)
+                # the Earth-frame field reference is h's horizontal magnitude
+                # north and its measured vertical component
+                hx, hy, hz = _field(w, x, y, z, mx, my, mz)
                 g = [gi + mi for gi, mi in
+                     zip(g, closed_form_field_gradient(w, x, y, z, math.hypot(hx, hy), hz,
+                                                       mx, my, mz))]
+            g_norm = math.hypot(*g)
+            if g_norm > 5e-13:
+                dw, dx, dy, dz = (dw - beta * g[0] / g_norm, dx - beta * g[1] / g_norm,
+                                  dy - beta * g[2] / g_norm, dz - beta * g[3] / g_norm)
+    w, x, y, z = w + dw * dt, x + dx * dt, y + dy * dt, z + dz * dt
+    n = math.hypot(w, x, y, z)
+    return w / n, x / n, y / n, z / n
+
+
+def padded_run(q, rows, beta: float) -> list:
+    """`orientation._run` as the library ran it with the gravity residual padded
+    by products by 0.0 and both gradients doubled: the flat w, x, y, z of each
+    of the `orientation._rows` ``rows`` from q."""
+    w, x, y, z = q
+    out = []
+    for dt, gx, gy, gz, ax, ay, az, corrected, mx, my, mz, has_mag in rows:
+        dw = 0.5 * (-x * gx - y * gy - z * gz)
+        dx = 0.5 * (w * gx + y * gz - z * gy)
+        dy = 0.5 * (w * gy - x * gz + z * gx)
+        dz = 0.5 * (w * gz + x * gy - y * gx)
+        if corrected:
+            # a = w * 0.0 - y * 1.0, b = x * 1.0 - z * 0.0, and so on
+            g = [2.0 * v for v in closed_form_field_gradient(w, x, y, z, 0.0, 1.0, ax, ay, az)]
+            if has_mag:
+                hx, hy, hz = _field(w, x, y, z, mx, my, mz)
+                g = [gi + 2.0 * mi for gi, mi in
                      zip(g, closed_form_field_gradient(w, x, y, z, math.hypot(hx, hy), hz,
                                                        mx, my, mz))]
             g_norm = math.hypot(*g)
             if g_norm > 1e-12:
                 dw, dx, dy, dz = (dw - beta * g[0] / g_norm, dx - beta * g[1] / g_norm,
                                   dy - beta * g[2] / g_norm, dz - beta * g[3] / g_norm)
-    w, x, y, z = w + dw * dt, x + dx * dt, y + dy * dt, z + dz * dt
-    n = math.hypot(w, x, y, z)
-    return w / n, x / n, y / n, z / n
+        w, x, y, z = w + dw * dt, x + dx * dt, y + dy * dt, z + dz * dt
+        n = math.hypot(w, x, y, z)
+        w, x, y, z = w / n, x / n, y / n, z / n
+        out += w, x, y, z
+    return out
 
 
 def chained_orientation(q0, t, accel, gyro, mag, beta: float) -> np.ndarray:

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from climbdetect import cli, io
-from climbdetect.classifier import (FullBodyState, LimbSubState,
-                                    full_body_state, limb_substates)
+from climbdetect.classifier import FullBodyState, LimbSubState, full_body_state
 from climbdetect.cusum import (DetectionConfig, SensorModel, detect,
                                detect_from_increments, log_likelihood_ratio)
 from climbdetect.gamma_model import (GammaParams, HypothesisModel, fit_mle,
@@ -27,6 +26,7 @@ from climbdetect.learning import cross_validate, default_lambda_grid
 from cusum_oracle import naive_cusum
 from gamma_oracles import chi_square_gof
 from quaternions import program_step, quat_distance, quat_from_axis_angle
+from test_classifier import limb_substates
 
 
 def check(number: int, name: str, ok: bool, detail: str = "") -> None:

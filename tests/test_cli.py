@@ -797,6 +797,28 @@ def test_clock_step_under_the_floor_exits_one(command, clock, step, options, dat
         "is under 1e-06 s (a rate over 1e+06 Hz)\n")
 
 
+@pytest.mark.parametrize("command", ["fit", "sync"])
+def test_clock_step_over_the_ceiling_exits_one(command, tmp_path, capsys):
+    # 0.1 Hz clocks: at the largest gain the filter once overflowed on such
+    # steps, and `fit` ended in a traceback
+    if command == "fit":
+        assert cli.main(["simulate", "--out", str(tmp_path), "--seed", "3", "--climbs", "2",
+                         "--duration", "2000", "--rate", "0.1"]) == 0
+        capsys.readouterr()
+        path = io.recording_path(tmp_path / "climb01", "climb01", ALL_SITES[0])
+        argv = ["--climbs", str(tmp_path), "--beta", "2e307", "--grid-points", "3",
+                "--alpha-step", "0.5", "--out", str(tmp_path / "model.json")]
+    else:
+        rec_path, path = sync_inputs(tmp_path, 0.0)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + [f"{10.0 * i!r},{row.split(',', 1)[1]}"
+                                              for i, row in enumerate(rows)]) + "\n")
+        argv = ["--trajectory", str(path), "--recording", str(rec_path)]
+    assert cli.main([command, *argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:3: the median step of t, 10.0 s, is over 1 s (a rate under 1 Hz)\n")
+
+
 @pytest.fixture(scope="module")
 def paper_climb(tmp_path_factory):
     """climb01 of `simulate --climbs 3 --duration 120 --seed 11`: 12,000 rows a site."""

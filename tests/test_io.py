@@ -613,9 +613,9 @@ def far_off_table(path, header: str, t) -> None:
 
 class TestFarOffClock:
     """A clock that no uniform grid of twice its rows holds is refused by the
-    line of its longest step, and one whose median step is under 1 us by the
-    line of the first such step, before any grid is allocated or a warning
-    shown."""
+    line of its longest step, and one whose median step is under 1 us or over
+    1 s by the line of the first such step, before any grid is allocated or a
+    warning shown."""
 
     # one step far past the others, one past the longest grid numpy holds, and
     # one that overflows: each was once put on a grid of 1,000,001 rows, failed
@@ -637,7 +637,16 @@ class TestFarOffClock:
          "the median step of t, 1e-160 s, is under 1e-06 s (a rate over 1e+06 Hz)"),
         ([0.0, 9e-7, 1.8e-6, 2.7e-6, 3.6e-6], 3,
          "the median step of t, 9e-07 s, is under 1e-06 s (a rate over 1e+06 Hz)"),
-    ], ids=["far", "past-numpy", "overflowing", "subnormal-step", "tiny-step", "near-step"])
+        # steps over the ceiling, on which the filter once overflowed at the
+        # largest gain: the first step over it is not the first step
+        ([0.0, 10.0, 20.0, 30.0, 40.0], 3,
+         "the median step of t, 10.0 s, is over 1 s (a rate under 1 Hz)"),
+        ([0.0, 0.5, 10.5, 20.5, 30.5], 4,
+         "the median step of t, 10.0 s, is over 1 s (a rate under 1 Hz)"),
+        ([0.0, 1.01, 2.02, 3.03, 4.04], 3,
+         "the median step of t, 1.01 s, is over 1 s (a rate under 1 Hz)"),
+    ], ids=["far", "past-numpy", "overflowing", "subnormal-step", "tiny-step", "near-step",
+            "slow-step", "slow-after-fast", "near-slow-step"])
     @pytest.mark.parametrize("read, header", [
         (lambda path: io.read_recording_csv(path, SensorSite.PELVIS), io.RECORDING_HEADER),
         (io.read_trajectory_csv, "t,x,y"),
@@ -657,6 +666,11 @@ class TestFarOffClock:
         path = tmp_path / "traj.csv"
         far_off_table(path, "t,x,y", [0.0, 2e-6, 4e-6, 6e-6])
         assert io.read_trajectory_csv(path).dt == 2e-6
+
+    def test_a_step_at_the_ceiling_is_read(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        far_off_table(path, "t,x,y", [0.0, 1.0, 2.0, 3.0])
+        assert io.read_trajectory_csv(path).dt == 1.0
 
     def test_a_value_that_overflows_on_the_grid_is_refused(self, tmp_path):
         # x goes from -1e308 to 1e308 in one step: its slope is inf
@@ -785,9 +799,11 @@ class TestWriterBytesAroundBlocks:
 
 
 # Clocks whose written times strictly increase and whose steps stay within
-# rounding of dt, so that every reader keeps the samples as written.
+# rounding of dt, so that every reader keeps the samples as written. A
+# measured series' median step is at most 1 s, after rounding t0 + k dt.
 _T0 = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
 _DT = st.floats(1e-3, 10.0)
+_MEASURED_DT = st.floats(1e-3, 0.999)
 
 
 class TestRoundTrips:
@@ -801,7 +817,7 @@ class TestRoundTrips:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), t0=_T0, dt=_DT, n=st.integers(1, 30), mag=st.booleans())
+    @given(data=st.data(), t0=_T0, dt=_MEASURED_DT, n=st.integers(1, 30), mag=st.booleans())
     def test_recording(self, tmp_path, data, t0, dt, n, mag):
         # gyro norms stay below the deg/s threshold, so no stream is converted,
         # and accel and mag squared norms below the float range, which the
@@ -847,7 +863,7 @@ class TestRoundTrips:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), t0=_T0, dt=_DT, n=st.integers(1, 30))
+    @given(data=st.data(), t0=_T0, dt=_MEASURED_DT, n=st.integers(1, 30))
     def test_trajectory(self, tmp_path, data, t0, dt, n):
         traj = TrajectorySeries(t0=t0, dt=dt, x=data.draw(_column(n)), y=data.draw(_column(n)))
         path = tmp_path / "traj.csv"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from climbdetect.orientation import (CONVERGENCE_WINDOW, GRAVITY, ImuRecording, 
                                      linear_acceleration)
 from climbdetect.series import ALL_SITES, SensorSite
 from climbdetect.simulator import random_plan, simulate
-from quaternions import (chained_orientation, closed_form_step, physical_recording,
-                         product_form_gradient, product_form_update, program_step,
-                         quat_distance, quat_from_axis_angle, quat_rotate)
+from quaternions import (chained_orientation, closed_form_step, padded_run,
+                         physical_recording, product_form_gradient, product_form_update,
+                         program_step, quat_distance, quat_from_axis_angle, quat_rotate)
 
 MAG_EARTH = np.array([0.5, 0.0, -np.sqrt(3.0) / 2.0])
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -153,8 +154,7 @@ class TestClosedFormStep:
     def test_signed_zero_grid(self, mag):
         # Attitudes on the axes and a still sensor give exact zeros in q and
         # in the gravity gradient; their signs reach the result only in a few
-        # of these cases, which a form that drops the general gradient's
-        # products by 0.0 gets wrong.
+        # of these cases, where the loop's must be the per-sample step's.
         for q in itertools.product([0.0, -0.0, 1.0], repeat=4):
             for accel in itertools.product([0.0, -0.0, 1.0, -1.0], repeat=3):
                 if any(q):
@@ -251,6 +251,49 @@ class TestFusedLoopOracle:
         rec = ImuRecording(site=SensorSite.RIGHT_HAND, sample_rate=100.0, t=np.cumsum(dts),
                            accel=stream(), gyro=stream(), mag=stream() if mag else None)
         assert_bit_equal(estimate_orientation(rec, beta), per_sample_oracle(rec, beta))
+
+
+# Entries of q and of the readings: exact zeros of both signs, and magnitudes
+# from 1e-3 up. Where beta g falls under the normal floats (2.2e-308), the
+# padded form rounds 2 beta g instead, and the two can part in their last
+# subnormal bits; that takes entries under about 1e-150, which these inputs
+# never reach.
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, GRAVITY]),
+                     st.floats(-30.0, -1e-3), st.floats(1e-3, 30.0))
+# accel or mag readings under the 1e-9 norm a usable one needs
+_UNUSABLE = [0.0, -0.0, 1e-10, -1e-10, 5e-324]
+
+
+class TestPaddedForm:
+    """The loop gives the values of its earlier form, whose gravity residual
+    was padded by products by 0.0 and whose gradients were doubled."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), mag=st.booleans(),
+           beta=st.sampled_from([0.0, 0.1, orientation.MAX_BETA]))
+    def test_equal_values(self, data, n, mag, beta):
+        q = data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                         st.floats(-1.0, -1e-3), st.floats(1e-3, 1.0)),
+                               min_size=4, max_size=4).filter(any))
+        norm = math.hypot(*q)
+        q = [v / norm for v in q]
+
+        def stream(unusable):
+            rows = np.reshape(data.draw(st.lists(_ENTRIES, min_size=3 * n, max_size=3 * n)),
+                              (n, 3))
+            if unusable:
+                which = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+                rows[which] = np.reshape(data.draw(st.lists(
+                    st.sampled_from(_UNUSABLE), min_size=3 * sum(which),
+                    max_size=3 * sum(which))), (-1, 3))
+            return rows
+        accel, gyro = stream(True), stream(False)
+        field = stream(True) if mag else None
+        dt = data.draw(st.lists(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+                                min_size=n, max_size=n))
+        got = orientation._run(q, orientation._rows(dt, accel, gyro, field, beta), beta)
+        # == on each float: only some zeros differ in sign
+        assert got == padded_run(q, orientation._rows(dt, accel, gyro, field, beta), beta)
 
 
 class TestRecordingValidation:
