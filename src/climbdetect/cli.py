@@ -87,7 +87,7 @@ def _load_climbs(climbs_dir: Path, beta: float) -> list[learning.LabeledClimb]:
             for climb_id, paths, annotations in files]
 
 
-def _detection(path: Path, site: SensorSite, beta: float,
+def _detection(path: Path, site: SensorSite, beta: float | None,
                model: cusum.SensorModel) -> cusum.BinaryStateSeries:
     """The detection of one recording; its acceleration is filtered with gain
     ``beta`` only where the model gives it weight (alpha > 0)."""
@@ -99,7 +99,8 @@ def _detection(path: Path, site: SensorSite, beta: float,
                                         ang.t0, ang.dt)
 
 
-def _detect_climb(climb_dir: Path, models: dict[SensorSite, cusum.SensorModel], beta: float):
+def _detect_climb(climb_dir: Path, models: dict[SensorSite, cusum.SensorModel],
+                  beta: float | None):
     """(climb id, detection of each modelled site present), each recording
     detected by `parallel.fork_map` in the process that reads it."""
     climb_id, paths = io.climb_recordings(climb_dir)
@@ -165,9 +166,9 @@ def cmd_fit(args) -> int:
 
 def cmd_detect(args) -> int:
     models, beta = io.read_model_json(args.model)
-    climb_id, detections = _detect_climb(Path(args.climb), models, beta)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before any recording is read
+    climb_id, detections = _detect_climb(Path(args.climb), models, beta)
     for site in sorted(detections, key=lambda s: s.value):
         path = out_dir / f"{climb_id}_{site.value}_detection.csv"
         io.write_detection_csv(path, detections[site])

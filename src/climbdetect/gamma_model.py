@@ -43,13 +43,10 @@ class HypothesisModel:
 
 
 def log_pdf(x, p: GammaParams):
-    """Log Gamma density at ``x`` (scalar or array), floored at SAMPLE_FLOOR."""
+    """Log Gamma density at each of ``x``, floored at SAMPLE_FLOOR."""
     xf = np.maximum(np.asarray(x, dtype=float), SAMPLE_FLOOR)
-    out = (p.k - 1.0) * np.log(xf) - xf / p.theta \
+    return (p.k - 1.0) * np.log(xf) - xf / p.theta \
         - math.lgamma(p.k) - p.k * math.log(p.theta)
-    if np.isscalar(x) or getattr(x, "ndim", 0) == 0:
-        return float(out)
-    return out
 
 
 def shape_from_log_gap(s: float) -> float:

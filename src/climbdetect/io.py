@@ -20,7 +20,7 @@ from .cusum import (BinaryStateSeries, DetectionConfig, HypothesisModel,
 from .errors import (ClimbDetectError, EmptyRecording, InvalidParams, MalformedAnnotations,
                      MalformedModel, MalformedRecording)
 from .gamma_model import GammaParams
-from .orientation import DEFAULT_BETA, ImuRecording, check_beta
+from .orientation import ImuRecording, check_beta
 from .series import ALL_SITES, LIMBS, STATE_NAMES, AnnotationTrack, SensorSite, resample_linear
 from .sync import TrajectorySeries
 
@@ -125,7 +125,7 @@ def read_recording_csv(path, site: SensorSite) -> ImuRecording:
         np.deg2rad(gyro, out=gyro)
     # no mx, my, mz, or all of them 0
     has_mag = len(order) > 7 and bool(np.any(np.abs(data[:, 7:10]) > 1e-12))
-    t, dt, data = _uniform_clock(path, data[:, 0], data, lone_dt=0.01)
+    t, dt, data = _uniform_clock(path, data[:, 0], data)
     return ImuRecording(site=site, sample_rate=1.0 / dt, t=t, accel=data[:, 1:4],
                         gyro=data[:, 4:7], mag=data[:, 7:10] if has_mag else None)
 
@@ -156,9 +156,9 @@ def _percentile(values: np.ndarray, q: float) -> float:
     return high - step * (1 - gamma) if gamma >= 0.5 else low + step * gamma
 
 
-def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
-    """``(t, dt, data)`` of a measured series: ``dt`` is the median step (``lone_dt``
-    for one sample), a gap over two steps is warned of, and if any step is off ``dt``
+def _uniform_clock(path: Path, t, data: np.ndarray):
+    """``(t, dt, data)`` of a measured series of two or more samples: ``dt`` is the
+    median step, a gap over two steps is warned of, and if any step is off ``dt``
     by over a tenth, ``t`` and each column of ``data`` go linearly onto ``t[0] + k*dt``.
     A median step under `_MIN_STEP` is refused by the line of the first step under
     it; a clock whose grid would hold over `_MAX_GRID_ROWS` times its rows, or whose
@@ -167,7 +167,7 @@ def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
     that overflows by its file."""
     with np.errstate(over="ignore"):  # a step that overflows is refused below
         diffs = np.diff(t)
-    dt = _median(diffs) if len(diffs) else lone_dt
+    dt = _median(diffs)
     if dt < _MIN_STEP:
         i = int(np.argmax(diffs < _MIN_STEP)) + 1
         raise MalformedRecording(
@@ -190,7 +190,7 @@ def _uniform_clock(path: Path, t, data: np.ndarray, lone_dt: float):
     gaps = int(np.count_nonzero(diffs > 2.0 * dt))
     if gaps:
         warnings.warn(f"{path}: {gaps} gaps longer than 2 sample periods")
-    if len(diffs) and np.max(np.abs(diffs - dt)) > 0.1 * dt:
+    if np.max(np.abs(diffs - dt)) > 0.1 * dt:
         t, data = resample_linear(t, data, dt)
         if not np.isfinite(data).all():  # a slope between two rows overflowed
             raise MalformedRecording(f"{path}: a value overflows on the uniform clock")
@@ -203,9 +203,9 @@ def _read_table(path: Path, format):
     label column of ``format`` by its label's code, any other as a number),
     and the ``t`` column. ``format`` is the columns the header must name, or a
     function of the header giving them. `EmptyRecording` when there are no rows;
-    `MalformedRecording` for a missing column, and naming ``path:line`` for a
-    bad row, bytes that are not UTF-8 or a t not after the previous row's, the
-    one case that reads the lines again."""
+    `MalformedRecording` for one row, as a clock's step needs two, or a missing
+    column, and naming ``path:line`` for a bad row, bytes that are not UTF-8 or a
+    t not after the previous row's, the one case that reads the lines again."""
     with open(path, encoding="utf-8") as fh:
         try:
             header = [name.strip() for name in fh.readline().split(",")]
@@ -236,6 +236,8 @@ def _read_table(path: Path, format):
         if not rows:  # np.loadtxt found none, or failed on a line of blanks
             raise EmptyRecording(f"{path}: no samples after the header")
         raise MalformedRecording(reason)
+    if len(data) < 2:
+        raise MalformedRecording(f"{path}: one row after the header; a clock's step needs two")
     t = data[:, cols["t"]]
     late = np.flatnonzero(t[1:] <= t[:-1])
     if late.size:
@@ -265,12 +267,6 @@ def _data_lines(path: Path):
 def _row_line(path: Path, i: int) -> int:
     """The line number of row ``i`` (from 0) of a table, read again."""
     return next(itertools.islice(_data_lines(path), i, None))[0]
-
-
-def _first_step(t) -> float:
-    """A label file's step: its first, as a label code cannot be interpolated; in
-    Python floats, which overflow to inf with no warning."""
-    return float(t[1]) - float(t[0]) if len(t) > 1 else 1.0
 
 
 def _row_values(path: Path, lineno: int, fields: list[str], names, parsers) -> list:
@@ -399,11 +395,11 @@ def write_model_json(path, models: dict[SensorSite, SensorModel], provenance: di
     _write_json(path, doc)
 
 
-def read_model_json(path) -> tuple[dict[SensorSite, SensorModel], float]:
+def read_model_json(path) -> tuple[dict[SensorSite, SensorModel], float | None]:
     """Per-site models and the filter gain beta they were fitted with: its
-    ``provenance.beta``, or `orientation.DEFAULT_BETA` if it records none.
-    `MalformedModel` names the file for invalid JSON, no ``sensors`` object or
-    a bad ``provenance``, and the site too for an entry `_sensor_model` rejects."""
+    ``provenance.beta``, or None if it records none. `MalformedModel` names the
+    file for invalid JSON, no ``sensors`` object, a bad ``provenance`` or no beta
+    where a site has alpha > 0, and the site too for an entry `_sensor_model` rejects."""
     path = Path(path)
     doc = _read_json(path, MalformedModel)
     if not isinstance(doc, dict) or not isinstance(doc.get("sensors"), dict):
@@ -411,7 +407,7 @@ def read_model_json(path) -> tuple[dict[SensorSite, SensorModel], float]:
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise MalformedModel(f"{path}: 'provenance' is not an object")
-    beta = DEFAULT_BETA
+    beta = None
     if "beta" in provenance:
         try:
             beta = check_beta(_json_number(provenance, "beta"))
@@ -425,6 +421,10 @@ def read_model_json(path) -> tuple[dict[SensorSite, SensorModel], float]:
             raise MalformedModel(f"{path}: sensor {token!r}: missing key {exc}") from None
         except (TypeError, ValueError, InvalidParams) as exc:
             raise MalformedModel(f"{path}: sensor {token!r}: {exc}") from None
+    filtered = sorted(site.value for site, model in out.items() if model.config.alpha > 0)
+    if beta is None and filtered:
+        raise MalformedModel(f"{path}: provenance records no beta, the filter gain "
+                             f"that alpha > 0 needs at {', '.join(filtered)}")
     return out, beta
 
 
@@ -458,11 +458,12 @@ def write_timeline_csv(path, timeline: ActivityTimeline) -> None:
 
 
 def read_timeline_csv(path) -> ActivityTimeline:
-    """A timeline, its columns found by name."""
+    """A timeline, its columns found by name; its step is its first (a label code
+    cannot be interpolated), in Python floats, which overflow to inf with no warning."""
     path = Path(path)
     cols, data, t = _read_table(path, _TIMELINE)
     return ActivityTimeline(
-        t0=float(t[0]), dt=_first_step(t),
+        t0=float(t[0]), dt=float(t[1]) - float(t[0]),
         full_body=data[:, cols["full_body"]].astype(np.uint8),
         limb_substates={s: data[:, cols[s.value]].astype(np.uint8) for s in LIMBS})
 
@@ -484,7 +485,7 @@ def read_trajectory_csv(path) -> TrajectorySeries:
     """A trajectory, its ``t``, ``x`` and ``y`` columns found by name, on `_uniform_clock`."""
     path = Path(path)
     cols, data, t = _read_table(path, _TRAJECTORY)
-    t, dt, data = _uniform_clock(path, t, data, lone_dt=1.0)
+    t, dt, data = _uniform_clock(path, t, data)
     return TrajectorySeries(t0=float(t[0]), dt=dt, x=data[:, cols["x"]], y=data[:, cols["y"]])
 
 

@@ -341,6 +341,51 @@ class TestDetectClassifyReport:
         assert capsys.readouterr().err == (
             f"error: {model}: provenance beta 1e+308 is not a number from 0 to 2e+307\n")
 
+    @staticmethod
+    def without_beta(model: Path) -> Path:
+        doc = json.loads(model.read_text())
+        del doc["provenance"]["beta"]
+        model.write_text(json.dumps(doc))
+        return model
+
+    @pytest.mark.parametrize("command", ["detect", "classify"])
+    def test_model_without_beta_where_alpha_weighs_exits_one(self, command, dataset,
+                                                             model_path, tmp_path, capsys):
+        # the acceleration channel of such a site cannot be filtered as it was
+        # for fitting: refused, not run at a default gain
+        model = self.without_beta(_model_with_alphas(
+            model_path, tmp_path / "model.json", {"rh": 0.5, "pelvis": 0.25}))
+        assert cli.main([command, "--model", str(model), "--climb", str(dataset / "climb01"),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", f"error: {model}: provenance records no beta, the "
+                                           "filter gain that alpha > 0 needs at pelvis, rh\n")
+        assert list(tmp_path.iterdir()) == [model]
+
+    def test_model_without_beta_at_alpha_zero_runs(self, dataset, model_path, tmp_path):
+        # no site filters its recording, so the outputs are those of the same
+        # model with its beta, and the manifests record its beta as null
+        with_beta = _model_with_alphas(model_path, tmp_path / "with.json", {})
+        without = self.without_beta(_model_with_alphas(model_path, tmp_path / "without.json",
+                                                       {}))
+        outputs = {}
+        for model in (with_beta, without):
+            out = tmp_path / model.stem
+            for command, name in (("detect", "det"), ("classify", "timeline.csv")):
+                assert cli.main([command, "--model", str(model), "--climb",
+                                 str(dataset / "climb01"), "--out", str(out / name)]) == 0
+            outputs[model] = {path.relative_to(out): path for path in out.rglob("*.*")}
+        assert outputs[with_beta].keys() == outputs[without].keys()
+        assert len(outputs[without]) == 8  # five detections, a timeline, two manifests
+        for name, path in outputs[with_beta].items():
+            other = outputs[without][name]
+            if name.name.endswith(".manifest.json"):
+                want, got = (json.loads(p.read_text())["config"] for p in (path, other))
+                assert (want.pop("beta"), got.pop("beta")) == (orientation.DEFAULT_BETA, None)
+                assert (want.pop("model"), got.pop("model")) == (str(with_beta), str(without))
+                assert got == want
+            else:
+                assert other.read_bytes() == path.read_bytes()
+
     @pytest.mark.parametrize("field", ["k", "theta", "alpha", "lambda0", "lambda1"])
     def test_model_boolean_number_exits_one(self, field, dataset, model_path, tmp_path,
                                             capsys):
@@ -819,6 +864,41 @@ def test_clock_step_over_the_ceiling_exits_one(command, tmp_path, capsys):
         f"error: {path}:3: the median step of t, 10.0 s, is over 1 s (a rate under 1 Hz)\n")
 
 
+@pytest.mark.parametrize("command", ["fit", "classify", "sync", "report"])
+def test_one_row_table_exits_one(command, dataset, model_path, tmp_path, capsys):
+    # no step can be taken from one row: it is refused by name, not given a
+    # made-up step
+    def cut(path: Path) -> Path:
+        path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+        return path
+
+    climbs = tmp_path / "climbs"
+    if command in ("fit", "classify"):
+        for climb_id in ("climb01", "climb02"):
+            (climbs / climb_id).mkdir(parents=True)
+            for src in (dataset / climb_id).iterdir():
+                (climbs / climb_id / src.name).write_bytes(src.read_bytes())
+        path = cut(io.recording_path(climbs / "climb01", "climb01", SensorSite.LEFT_FOOT))
+        argv = (["fit", "--climbs", str(climbs), "--grid-points", "2", "--alpha-step", "1.0"]
+                if command == "fit" else
+                ["classify", "--model", str(model_path), "--climb", str(climbs / "climb01")])
+    elif command == "sync":
+        rec_path, path = sync_inputs(tmp_path, 0.0)
+        annotations = tmp_path / "ann.json"
+        io.write_annotations_json(annotations, {})
+        argv = ["sync", "--trajectory", str(cut(path)), "--recording", str(rec_path),
+                "--annotations", str(annotations)]
+    else:
+        path = tmp_path / "timeline.csv"
+        path.write_text("t,full_body,rh,lh,rf,lf\n0.0,traction,use,use,use,use\n")
+        argv = ["report", str(path)]
+    out = tmp_path / "out" / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}: one row after the header; a clock's step needs two\n")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def paper_climb(tmp_path_factory):
     """climb01 of `simulate --climbs 3 --duration 120 --seed 11`: 12,000 rows a site."""
@@ -909,9 +989,31 @@ def test_detect_reads_only_the_modelled_recordings(dataset, model_path, tmp_path
     assert capsys.readouterr().err == ""
 
 
+def test_detect_refuses_its_out_before_reading_a_recording(dataset, model_path, tmp_path,
+                                                         monkeypatch, capsys):
+    # an --out that names a file is refused as every command refuses its
+    # output, before reading the climb; one CPU, so that every read is in
+    # this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    read, calls = io.read_recording_csv, []
+
+    def counted(path, site):
+        calls.append(site)
+        return read(path, site)
+
+    monkeypatch.setattr(io, "read_recording_csv", counted)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert cli.main(["detect", "--model", str(model_path), "--climb", str(dataset / "climb01"),
+                     "--out", str(blocker)]) == 1
+    assert calls == []
+    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{blocker}'\n")
+
+
 def test_detect_without_a_modelled_site_exits_one(dataset, model_path, tmp_path, capsys):
     # the climb's only recording is of a site the model lacks: a wrong model
-    # and climb pair, refused before any output is written
+    # and climb pair, refused before any output is written (the output
+    # directory is made before any recording is read)
     climb = tmp_path / "climb01"
     climb.mkdir()
     (climb / "climb01_lh.csv").write_bytes((dataset / "climb01" / "climb01_lh.csv").read_bytes())
@@ -924,7 +1026,7 @@ def test_detect_without_a_modelled_site_exits_one(dataset, model_path, tmp_path,
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", f"error: {climb}: no recording of a site the model has (lf, pelvis, rf, rh)\n")
-    assert not (tmp_path / "det").exists()
+    assert list((tmp_path / "det").iterdir()) == []
 
 
 @pytest.mark.parametrize("alphas", [{}, dict.fromkeys(["lh", "rh", "lf", "rf", "pelvis"], 0.5),

@@ -17,7 +17,7 @@ from climbdetect.cusum import (BinaryStateSeries, DetectionConfig,
 from climbdetect.errors import (ClimbDetectError, EmptyRecording, MalformedAnnotations,
                                MalformedModel, MalformedRecording)
 from climbdetect.gamma_model import GammaParams
-from climbdetect.orientation import DEFAULT_BETA, ImuRecording
+from climbdetect.orientation import ImuRecording
 from climbdetect.series import ALL_SITES, LIMBS, AnnotationTrack, SensorSite
 from climbdetect.sync import TrajectorySeries
 
@@ -258,19 +258,34 @@ class TestAnnotationsJson:
 
 
 class TestModelJson:
-    def model(self):
+    def model(self, alpha=0.7):
         return SensorModel(
             acc=HypothesisModel(h0=GammaParams(2.0, 0.05), h1=GammaParams(3.0, 1.0)),
             ang=HypothesisModel(h0=GammaParams(1.5, 0.04), h1=GammaParams(2.5, 0.8)),
-            config=DetectionConfig(lambda0=12.5, lambda1=30.0, alpha=0.7))
+            config=DetectionConfig(lambda0=12.5, lambda1=30.0, alpha=alpha))
 
     def test_roundtrip(self, tmp_path):
         models = {site: self.model() for site in ALL_SITES}
         path = tmp_path / "model.json"
+        io.write_model_json(path, models, provenance={"beta": 0.02, "climbs": ["c1"]})
+        assert io.read_model_json(path) == (models, 0.02)
+
+    def test_no_beta_at_alpha_zero_everywhere_is_none(self, tmp_path):
+        # the acceleration channel has no weight, so no filter runs
+        models = {site: self.model(alpha=0.0) for site in ALL_SITES}
+        path = tmp_path / "model.json"
         io.write_model_json(path, models, provenance={"climbs": ["c1"]})
-        back, beta = io.read_model_json(path)
-        assert back == models
-        assert beta == DEFAULT_BETA  # the model does not record its beta
+        assert io.read_model_json(path) == (models, None)
+
+    def test_no_beta_where_a_site_has_alpha_is_refused(self, tmp_path):
+        models = {site: self.model(alpha=0.0) for site in ALL_SITES}
+        models[SensorSite.PELVIS] = models[SensorSite.LEFT_FOOT] = self.model(alpha=0.1)
+        path = tmp_path / "model.json"
+        io.write_model_json(path, models, provenance={"climbs": ["c1"]})
+        with pytest.raises(MalformedModel) as exc:
+            io.read_model_json(path)
+        assert str(exc.value) == (f"{path}: provenance records no beta, the filter gain "
+                                  f"that alpha > 0 needs at lf, pelvis")
 
     @pytest.mark.parametrize("beta", [0.02, 0, 3.5])
     def test_beta_from_provenance(self, tmp_path, beta):
@@ -369,12 +384,15 @@ class TestTimelineCsv:
         # lh's column before rh's, as the header says
         path = tmp_path / "timeline.csv"
         path.write_text("t,full_body,lh,rh,rf,lf\n"
-                        "0.0,traction,use,exploration,change,immobility\n")
+                        "0.0,traction,use,exploration,change,immobility\n"
+                        "0.02,immobility,immobility,use,use,change\n")
         back = io.read_timeline_csv(path)
-        assert back.full_body.tolist() == [FullBodyState.TRACTION]
+        assert back.full_body.tolist() == [FullBodyState.TRACTION, FullBodyState.IMMOBILITY]
         assert {site.value: track.tolist() for site, track in back.limb_substates.items()} == {
-            "lh": [LimbSubState.USE], "rh": [LimbSubState.EXPLORATION],
-            "rf": [LimbSubState.CHANGE], "lf": [LimbSubState.IMMOBILITY]}
+            "lh": [LimbSubState.USE, LimbSubState.IMMOBILITY],
+            "rh": [LimbSubState.EXPLORATION, LimbSubState.USE],
+            "rf": [LimbSubState.CHANGE, LimbSubState.USE],
+            "lf": [LimbSubState.IMMOBILITY, LimbSubState.CHANGE]}
 
     def test_spaces_around_fields(self, tmp_path):
         path = tmp_path / "timeline.csv"
@@ -755,6 +773,20 @@ class TestStreamedTables:
             with pytest.raises(EmptyRecording, match="no samples after the header"):
                 read(path)
 
+    @pytest.mark.parametrize("read, header, row", [
+        (lambda path: io.read_recording_csv(path, SensorSite.RIGHT_HAND), io.RECORDING_HEADER,
+         "0.0,0,0,9.81,0,0,0,0.5,0,-0.8"),
+        (io.read_trajectory_csv, "t,x,y", "0.0,0.1,1.2"),
+        (io.read_timeline_csv, "t,full_body,rh,lh,rf,lf", "0.0,traction,use,use,use,use"),
+    ], ids=["recording", "trajectory", "timeline"])
+    def test_one_row_is_refused(self, tmp_path, read, header, row):
+        # no step can be taken from it; comments and blank lines are no second row
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n# a comment\n{row}\n\n")
+        with pytest.raises(MalformedRecording) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: one row after the header; a clock's step needs two"
+
 
 @pytest.mark.parametrize("n", [0, io._BLOCK_ROWS, io._BLOCK_ROWS + 1])
 class TestWriterBytesAroundBlocks:
@@ -810,14 +842,14 @@ class TestRoundTrips:
     """Each reader gives back what its writer wrote."""
 
     @staticmethod
-    def same_clock(back, t0, dt, n):
+    def same_clock(back, t0, dt):
         assert back.t0 == t0
         # a label file's step is its first; a measured series' is the median
-        assert back.dt == (pytest.approx(dt, rel=1e-6) if n > 1 else 1.0)
+        assert back.dt == pytest.approx(dt, rel=1e-6)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), t0=_T0, dt=_MEASURED_DT, n=st.integers(1, 30), mag=st.booleans())
+    @given(data=st.data(), t0=_T0, dt=_MEASURED_DT, n=st.integers(2, 30), mag=st.booleans())
     def test_recording(self, tmp_path, data, t0, dt, n, mag):
         # gyro norms stay below the deg/s threshold, so no stream is converted,
         # and accel and mag squared norms below the float range, which the
@@ -844,7 +876,7 @@ class TestRoundTrips:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), t0=_T0, dt=_DT, n=st.integers(1, 30))
+    @given(data=st.data(), t0=_T0, dt=_DT, n=st.integers(2, 30))
     def test_timeline(self, tmp_path, data, t0, dt, n):
         codes = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
             lambda v: np.array(v, np.uint8))
@@ -854,7 +886,7 @@ class TestRoundTrips:
         path = tmp_path / "timeline.csv"
         io.write_timeline_csv(path, timeline)
         back = io.read_timeline_csv(path)
-        self.same_clock(back, t0, dt, n)
+        self.same_clock(back, t0, dt)
         np.testing.assert_array_equal(back.full_body, timeline.full_body)
         assert back.limb_substates.keys() == timeline.limb_substates.keys()
         for site in LIMBS:
@@ -863,13 +895,13 @@ class TestRoundTrips:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), t0=_T0, dt=_MEASURED_DT, n=st.integers(1, 30))
+    @given(data=st.data(), t0=_T0, dt=_MEASURED_DT, n=st.integers(2, 30))
     def test_trajectory(self, tmp_path, data, t0, dt, n):
         traj = TrajectorySeries(t0=t0, dt=dt, x=data.draw(_column(n)), y=data.draw(_column(n)))
         path = tmp_path / "traj.csv"
         io.write_trajectory_csv(path, traj)
         back = io.read_trajectory_csv(path)
-        self.same_clock(back, t0, dt, n)
+        self.same_clock(back, t0, dt)
         np.testing.assert_array_equal(back.x, traj.x)
         np.testing.assert_array_equal(back.y, traj.y)
 
@@ -897,6 +929,8 @@ class TestRoundTrips:
         positive = st.floats(5e-324, 1e300)
         # a JSON number is finite: a model with an infinite threshold is refused
         threshold = st.floats(0.0, exclude_min=True, allow_infinity=False)
+        # a model without beta is read only at alpha = 0 at every site
+        alpha = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
 
         def hypotheses():
             return HypothesisModel(*(GammaParams(data.draw(positive), data.draw(positive))
@@ -904,11 +938,15 @@ class TestRoundTrips:
         models = {site: SensorModel(
             acc=hypotheses(), ang=hypotheses(),
             config=DetectionConfig(lambda0=data.draw(threshold), lambda1=data.draw(threshold),
-                                   alpha=data.draw(st.floats(0.0, 1.0))))
+                                   alpha=data.draw(alpha)))
             for site in sites}
         path = tmp_path / "model.json"
         io.write_model_json(path, models, {} if beta is None else {"beta": beta})
-        assert io.read_model_json(path) == (models, DEFAULT_BETA if beta is None else beta)
+        if beta is None and any(model.config.alpha > 0 for model in models.values()):
+            with pytest.raises(MalformedModel, match="provenance records no beta"):
+                io.read_model_json(path)
+        else:
+            assert io.read_model_json(path) == (models, beta)
 
 
 # The values of the readers' tables: finite numbers over the whole float range

@@ -79,3 +79,15 @@ def test_imports_only_the_standard_library_and_numpy(module):
     allowed = sys.stdlib_module_names | {"numpy", "climbdetect"}
     outside = sorted(name for name in imported if name.partition(".")[0] not in allowed)
     assert outside == [], f"{module.name} imports {outside}"
+
+
+def test_only_the_cli_reads_another_modules_defaults():
+    # a default stands in for a value the user did not give, so the command
+    # line, which shows it in --help, is the one place to apply it; a module
+    # that read one would stand it in for a value its input lacks
+    cli = ROOT / "src" / "climbdetect" / "cli.py"
+    read = {f"{path.relative_to(ROOT)}: {module.stem}.{name}"
+            for path, tree in _TREES.items() if path != cli
+            for module in MODULES if module != path
+            for name in _uses_of(tree, module.stem) if name.startswith("DEFAULT_")}
+    assert sorted(read) == []
