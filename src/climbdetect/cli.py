@@ -1,10 +1,10 @@
 """Command-line pipeline: simulate, fit, detect, classify, report, evaluate, sync.
 
-Climb data lives in one directory per climb, holding ``<climb>_<site>.csv``
-recordings (site in lh/rh/lf/rf/pelvis) and ``<climb>_annotations.json``.
-Every output file is accompanied by a ``*.manifest.json`` tracing it to its
-inputs and configuration. Outputs are byte-identical across re-runs with
-the same inputs and seed.
+Climb data lives in one directory per climb (`io.climbs`), holding
+``<climb>_<site>.csv`` recordings and ``<climb>_annotations.json``. A manifest
+(`io.write_manifest`) traces outputs to their inputs and configuration: one per
+output directory of ``simulate`` and ``detect``, one beside the ``--out`` of the
+others but ``report``, whose output holds it. Re-runs write the same bytes.
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ from .errors import ClimbDetectError, InsufficientOverlap, SignalOverflow, TooFe
 from .series import SensorSite, SignalSeries
 
 
-def _data_dir(args_dir) -> Path:
-    if args_dir is not None:
-        return Path(args_dir)
-    return Path(os.environ.get("CLIMBDETECT_DATA_DIR", "."))
-
-
 def _make_parent(out) -> None:
-    """Create the directory of output file ``out`` (if given) before any input is
-    read; an ``out`` that is a directory is refused."""
+    """Create the directory of output file ``out`` (if given) before any input file
+    is read; an ``out`` that is a directory is refused."""
     if out:
         if Path(out).is_dir():
             raise ClimbDetectError(f"{out} is a directory, not an output file")
@@ -43,20 +37,9 @@ def _make_parent(out) -> None:
             raise ClimbDetectError(f"cannot create output directory {parent}: {exc}") from None
 
 
-def _manifest(command: str, args: dict) -> dict:
-    return {"tool": "climbdetect", "version": __version__,
-            "command": command, "config": args}
-
-
-# Bytes per row of a recording as `io.write_recording_csv` writes it, about
-# 155 with the magnetometer columns: `fork_map` weighs each recording by its
-# file size over this, so that no recording is parsed twice.
-_RECORDING_ROW_BYTES = 150
-
-
 def _sizes(paths) -> list[int]:
     """The `parallel.fork_map` weight of each recording, in rows."""
-    return [path.stat().st_size // _RECORDING_ROW_BYTES for path in paths]
+    return [path.stat().st_size // io.RECORDING_ROW_BYTES for path in paths]
 
 
 def _channels(path: Path, site: SensorSite, beta: float) -> learning.SensorChannels:
@@ -67,21 +50,18 @@ def _channels(path: Path, site: SensorSite, beta: float) -> learning.SensorChann
                                    orientation.angular_velocity_norm(rec))
 
 
-def _load_climbs(climbs_dir: Path, beta: float) -> list[learning.LabeledClimb]:
-    """The norms and annotations of every climb under ``climbs_dir``. Every
-    annotation file is read before any recording, and the recordings are read
-    and filtered by `parallel.fork_map`."""
-    subdirs = sorted(p for p in Path(climbs_dir).iterdir() if p.is_dir())
-    if not subdirs:
-        raise ClimbDetectError(f"no climb subdirectories in {climbs_dir}")
-    files = []
-    for climb_dir in subdirs:
-        climb_id, paths = io.climb_recordings(climb_dir)
-        ann_path = io.annotations_path(climb_dir, climb_id)
-        if not ann_path.exists():
-            raise ClimbDetectError(f"missing annotation file {ann_path}")
-        files.append((climb_id, paths, io.read_annotations_json(ann_path)))
-    jobs = [(path, site, beta) for _, paths, _ in files for site, path in paths.items()]
+def _load_climbs(args) -> list[learning.LabeledClimb]:
+    """The norms, filtered with gain ``--beta``, and annotations of the climbs in
+    ``--climbs`` (default ``$CLIMBDETECT_DATA_DIR``). `io.climbs` lists them before
+    the ``--out`` directory is made, so that an ``--out`` among them is no climb;
+    every annotation file is read before any recording, and the recordings are
+    read and filtered by `parallel.fork_map`."""
+    climbs = io.climbs(Path(os.environ.get("CLIMBDETECT_DATA_DIR", ".")
+                            if args.climbs is None else args.climbs))
+    _make_parent(args.out)
+    files = [(climb_id, paths, io.read_annotations_json(ann_path))
+             for climb_id, paths, ann_path in climbs]
+    jobs = [(path, site, args.beta) for _, paths, _ in files for site, path in paths.items()]
     channels = iter(parallel.fork_map(_channels, jobs, _sizes(path for path, *_ in jobs)))
     return [learning.LabeledClimb(climb_id, {site: next(channels) for site in paths}, annotations)
             for climb_id, paths, annotations in files]
@@ -138,16 +118,15 @@ def cmd_simulate(args) -> int:
             io.write_recording_csv(io.recording_path(climb_dir, climb_id, site), rec)
         io.write_annotations_json(io.annotations_path(climb_dir, climb_id),
                                   climb.annotations)
-    io.write_manifest(out_dir / "simulate.manifest.json", _manifest("simulate", {
+    io.write_manifest(out_dir / "simulate", "simulate", {
         "seed": args.seed, "climbs": args.climbs, "duration": args.duration,
-        "rate": args.rate, "out": str(out_dir)}))
+        "rate": args.rate, "out": str(out_dir)})
     print(f"wrote {args.climbs} simulated climbs to {out_dir}")
     return 0
 
 
 def cmd_fit(args) -> int:
-    _make_parent(args.out)
-    climbs = _load_climbs(_data_dir(args.climbs), args.beta)
+    climbs = _load_climbs(args)
     models, scores = learning.learn_sensor_models(
         climbs, mode=args.mode, lambda_grid=_lambda_grid(args),
         alpha_grid=learning.default_alpha_grid(args.alpha_step))
@@ -155,8 +134,7 @@ def cmd_fit(args) -> int:
                   "mode": args.mode, "grid": _grid(args),
                   "alpha_step": args.alpha_step, "version": __version__}
     io.write_model_json(args.out, models, provenance)
-    io.write_manifest(str(args.out) + ".manifest.json",
-                      _manifest("fit", provenance))
+    io.write_manifest(args.out, "fit", provenance)
     for site in sorted(models, key=lambda s: s.value):
         cfg = models[site].config
         print(f"{site.value}: alpha={cfg.alpha:.2f} lambda0={cfg.lambda0:.3g} "
@@ -173,10 +151,8 @@ def cmd_detect(args) -> int:
         path = out_dir / f"{climb_id}_{site.value}_detection.csv"
         io.write_detection_csv(path, detections[site])
         print(f"{site.value}: {len(detections[site].change_points)} change points -> {path}")
-    io.write_manifest(out_dir / f"{climb_id}_detect.manifest.json",
-                      _manifest("detect", {"model": str(args.model),
-                                           "climb": str(args.climb),
-                                           "beta": beta}))
+    io.write_manifest(out_dir / f"{climb_id}_detect", "detect", {
+        "model": str(args.model), "climb": str(args.climb), "beta": beta})
     return 0
 
 
@@ -186,11 +162,9 @@ def cmd_classify(args) -> int:
     _, detections = _detect_climb(Path(args.climb), models, beta)
     timeline = classifier.classify(detections, args.min_episode)
     io.write_timeline_csv(args.out, timeline)
-    io.write_manifest(str(args.out) + ".manifest.json",
-                      _manifest("classify", {"model": str(args.model),
-                                             "climb": str(args.climb),
-                                             "beta": beta,
-                                             "min_episode": args.min_episode}))
+    io.write_manifest(args.out, "classify", {
+        "model": str(args.model), "climb": str(args.climb), "beta": beta,
+        "min_episode": args.min_episode})
     counts = {classifier.FullBodyState(s).name.lower(): int(np.sum(timeline.full_body == s))
               for s in classifier.FullBodyState}
     print(f"wrote timeline ({len(timeline.full_body)} samples) to {args.out}")
@@ -216,8 +190,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _make_parent(args.out)
-    climbs = _load_climbs(_data_dir(args.climbs), args.beta)
+    climbs = _load_climbs(args)
     report = learning.cross_validate(
         climbs, lambda_grid=_lambda_grid(args),
         alpha_grid=learning.default_alpha_grid(args.alpha_step))
@@ -231,10 +204,10 @@ def cmd_evaluate(args) -> int:
               f"{r.alpha:6.2f} {r.lambda0:8.3g} {r.lambda1:8.3g}")
         doc["results"][f"{site.value}/{mode}"] = dataclasses.asdict(r)
     if args.out:
-        io.write_manifest(args.out, doc)
-        io.write_manifest(str(args.out) + ".manifest.json", _manifest("evaluate", {
+        io.write_json(args.out, doc)
+        io.write_manifest(args.out, "evaluate", {
             "climbs": str(args.climbs), "beta": args.beta, "grid": _grid(args),
-            "alpha_step": args.alpha_step}))
+            "alpha_step": args.alpha_step})
     return 0
 
 
@@ -278,12 +251,11 @@ def cmd_sync(args) -> int:
         shifted = {site: sync.shift_annotations(ann, -delay, span)
                    for site, ann in annotations.items()}
         io.write_annotations_json(args.out, shifted)
-        io.write_manifest(str(args.out) + ".manifest.json", _manifest("sync", {
+        io.write_manifest(args.out, "sync", {
             "trajectory": str(args.trajectory), "recording": str(args.recording),
             "annotations": str(args.annotations), "delay": delay,
             "peak_correlation": corr, "p_value": p_value, "n_eff": n_eff,
-            "max_lag": args.max_lag,
-            "smooth_window": args.smooth_window}))
+            "max_lag": args.max_lag, "smooth_window": args.smooth_window})
     return 0
 
 

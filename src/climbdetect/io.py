@@ -1,4 +1,5 @@
-"""File formats: recording CSV, annotation/model JSON, detection and timeline CSV.
+"""File formats: recording CSV, annotation/model JSON, detection and timeline CSV;
+the layout of a climbs directory, and the manifest beside a command's output.
 
 All writers format floats with ``repr`` and sort JSON keys, so identical
 inputs always produce byte-identical files.
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .classifier import ActivityTimeline, FullBodyState, LimbCounts, LimbSubState
 from .cusum import (BinaryStateSeries, DetectionConfig, HypothesisModel,
                     SensorModel)
@@ -74,6 +76,23 @@ def annotations_path(directory: Path, climb_id: str) -> Path:
     return Path(directory) / f"{climb_id}_annotations.json"
 
 
+def climbs(directory) -> list[tuple[str, dict[SensorSite, Path], Path]]:
+    """``(climb id, recordings, annotation file)`` of each subdirectory of
+    ``directory`` holding a ``*.csv`` file, in name order: a folder of models or
+    manifests is no climb. `ClimbDetectError` for none or a missing annotation file."""
+    found = []
+    for climb_dir in sorted(Path(directory).iterdir()):
+        if climb_dir.is_dir() and any(climb_dir.glob("*.csv")):
+            climb_id, paths = climb_recordings(climb_dir)
+            ann_path = annotations_path(climb_dir, climb_id)
+            if not ann_path.exists():
+                raise ClimbDetectError(f"missing annotation file {ann_path}")
+            found.append((climb_id, paths, ann_path))
+    if not found:
+        raise ClimbDetectError(f"no climb subdirectories in {directory}")
+    return found
+
+
 def _write_csv(path, format: dict, columns, tail=()) -> None:
     """The header of ``format``, the rows of ``columns`` (one array per column of
     ``format``, a float written by its ``repr``, a label by its name) formatted
@@ -87,6 +106,11 @@ def _write_csv(path, format: dict, columns, tail=()) -> None:
                       for f, column in zip(formats, columns)]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
         fh.writelines(line + "\n" for line in tail)
+
+
+# Bytes per row of a recording as `write_recording_csv` writes it (about 155):
+# `cli` weighs each `fork_map` job by its file size over this, parsing nothing twice.
+RECORDING_ROW_BYTES = 150
 
 
 def write_recording_csv(path, rec: ImuRecording) -> None:
@@ -316,7 +340,7 @@ def _read_json(path: Path, error):
         raise error(f"{path}: not valid JSON: {exc}") from None
 
 
-def _write_json(path, doc) -> None:
+def write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -328,7 +352,7 @@ def write_annotations_json(path, annotations: dict[SensorSite, AnnotationTrack])
                        for s, e, lab in annotations[site].intervals]}
         for site in sorted(annotations, key=lambda s: s.value)
     ]
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 def read_annotations_json(path) -> dict[SensorSite, AnnotationTrack]:
@@ -392,7 +416,7 @@ def write_model_json(path, models: dict[SensorSite, SensorModel], provenance: di
             "lambda0": m.config.lambda0,
             "lambda1": m.config.lambda1,
         }
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 def read_model_json(path) -> tuple[dict[SensorSite, SensorModel], float | None]:
@@ -478,7 +502,7 @@ def write_report_json(path, report: dict[SensorSite, LimbCounts], config: dict) 
             "performatory": counts.performatory,
             "ratio": ratio if np.isfinite(ratio) else None,
         }
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 def read_trajectory_csv(path) -> TrajectorySeries:
@@ -493,5 +517,8 @@ def write_trajectory_csv(path, traj: TrajectorySeries) -> None:
     _write_csv(path, _TRAJECTORY, [traj.t0 + traj.dt * np.arange(len(traj)), traj.x, traj.y])
 
 
-def write_manifest(path, manifest: dict) -> None:
-    _write_json(path, manifest)
+def write_manifest(out, command: str, config: dict) -> None:
+    """``<out>.manifest.json``: the command and configuration that wrote ``out``,
+    and the tool and version that ran it."""
+    write_json(f"{out}.manifest.json", {"tool": "climbdetect", "version": __version__,
+                                        "command": command, "config": config})

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import gc
 import json
@@ -559,7 +560,7 @@ def test_loaded_climb_keeps_no_recordings(load, dataset, model_path, tmp_path, m
 
     monkeypatch.setattr(io, "read_recording_csv", tracked)
     if load == "_load_climbs":
-        [climb] = cli._load_climbs(climbs, 0.1)
+        [climb] = cli._load_climbs(argparse.Namespace(climbs=climbs, out=None, beta=0.1))
         sites = climb.channels
     else:
         _, sites = cli._detect_climb(climbs / "climb01", *io.read_model_json(model_path))
@@ -583,7 +584,7 @@ def test_each_process_holds_one_recording_at_most(dataset, forking, monkeypatch)
         return rec
 
     monkeypatch.setattr(io, "read_recording_csv", tracked)
-    climbs = cli._load_climbs(dataset, 0.1)
+    climbs = cli._load_climbs(argparse.Namespace(climbs=dataset, out=None, beta=0.1))
     assert [set(climb.channels) for climb in climbs] == [set(ALL_SITES)] * 2
     assert len(forking) == 2
     with pytest.raises(ChildProcessError):
@@ -713,6 +714,74 @@ def test_recordings_of_two_climbs_exit_one(command, other, dataset, model_path, 
     assert capsys.readouterr().err == (f"error: {climbs / 'climb01'}: recordings of 2 climbs "
                                        f"({ids})\n")
     assert not [path for path in out.rglob("*") if path.is_file()]
+
+
+def _copy_climbs(dataset: Path, climbs: Path) -> None:
+    for climb_id in ("climb01", "climb02"):
+        (climbs / climb_id).mkdir(parents=True)
+        for src in (dataset / climb_id).iterdir():
+            (climbs / climb_id / src.name).write_bytes(src.read_bytes())
+
+
+@pytest.mark.parametrize("folder", ["out", "models", "empty"])
+@pytest.mark.parametrize("command, name", [("fit", "model.json"), ("evaluate", "eval.json")])
+def test_a_folder_without_csv_files_is_no_climb(command, name, folder, dataset, tmp_path,
+                                                monkeypatch, capsys):
+    # the command's own --out among the climbs, on a first run and a re-run that
+    # finds it there, a folder of models or an empty folder: the stdout, output
+    # and manifest are those of a run without it
+    monkeypatch.chdir(tmp_path)
+    _copy_climbs(dataset, Path("climbs"))
+
+    def run(out: str):
+        assert cli.main([command, "--climbs", "climbs", "--out", out,
+                         "--grid-points", "2", "--alpha-step", "1.0"]) == 0
+        return (capsys.readouterr(), Path(out).read_bytes(),
+                Path(f"{out}.manifest.json").read_bytes())
+
+    alone = run(f"alone/{name}")
+    if folder == "out":
+        runs = [run(f"climbs/out/{name}") for _ in range(2)]
+    else:
+        Path("climbs", folder).mkdir()
+        if folder == "models":
+            Path("climbs/models/model.json").write_bytes(Path(f"alone/{name}").read_bytes())
+        runs = [run(f"with/{name}")]
+    assert runs == [alone] * len(runs)
+
+
+@pytest.mark.parametrize("folder", ["detections", "misnamed"])
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_a_folder_of_csv_files_without_a_recording_exits_one(command, folder, dataset,
+                                                             model_path, tmp_path, capsys):
+    # a detect --out folder, or a climb whose files are misnamed, is refused by
+    # its name before the --out directory is made; no climb is skipped
+    climbs, out = tmp_path / "climbs", tmp_path / "out"
+    _copy_climbs(dataset, climbs)
+    if folder == "detections":
+        assert cli.main(["detect", "--model", str(model_path), "--climb",
+                         str(climbs / "climb01"), "--out", str(climbs / folder)]) == 0
+        capsys.readouterr()
+    else:
+        (climbs / folder).mkdir()
+        for src in (dataset / "climb02").glob("*.csv"):
+            (climbs / folder / src.name.replace("_", "-")).write_bytes(src.read_bytes())
+    assert cli.main([command, "--climbs", str(climbs), "--out", str(out / "result.json"),
+                     "--grid-points", "2", "--alpha-step", "1.0"]) == 1
+    assert capsys.readouterr().err == f"error: no recordings found in {climbs / folder}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_climbs_directory_without_a_climb_exits_one(command, tmp_path, capsys):
+    # only folders without CSV files: refused, and no --out directory is made
+    climbs, out = tmp_path / "climbs", tmp_path / "out"
+    (climbs / "empty").mkdir(parents=True)
+    (climbs / "models").mkdir()
+    (climbs / "models" / "model.json").write_text("{}\n")
+    assert cli.main([command, "--climbs", str(climbs), "--out", str(out / "result.json")]) == 1
+    assert capsys.readouterr().err == f"error: no climb subdirectories in {climbs}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["report", "fit", "classify", "sync"])
@@ -1597,9 +1666,11 @@ class TestColdStart:
             "--climbs", str(dataset), "--out", str(tmp_path / "model.json"),
             "--grid-points", "2", "--alpha-step", "1.0") == "False"
 
-    def test_recorded_version_is_the_package_version(self):
+    def test_recorded_version_is_the_package_version(self, tmp_path):
         from importlib.metadata import PackageNotFoundError, version
-        assert cli._manifest("fit", {})["version"] == climbdetect.__version__
+        io.write_manifest(tmp_path / "model.json", "fit", {})
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        assert manifest["version"] == climbdetect.__version__
         try:  # pyproject.toml takes the version from the same attribute
             assert version("climbdetect") == climbdetect.__version__
         except PackageNotFoundError:

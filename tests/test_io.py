@@ -196,6 +196,55 @@ class TestClimbRecordings:
         assert str(exc.value) == message.format(tmp_path)
 
 
+class TestClimbs:
+    @staticmethod
+    def climb(directory, climb_id, sites=(SensorSite.PELVIS,), annotated=True):
+        directory.mkdir(parents=True)
+        for site in sites:
+            io.recording_path(directory, climb_id, site).write_text("")
+        if annotated:
+            io.annotations_path(directory, climb_id).write_text("")
+
+    def test_climbs_in_name_order(self, tmp_path):
+        # by directory name, not climb id; folders without a CSV file, and files,
+        # are no climbs
+        self.climb(tmp_path / "b", "alpha", (SensorSite.LEFT_HAND, SensorSite.PELVIS))
+        self.climb(tmp_path / "a", "zeta")
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "models").mkdir()
+        (tmp_path / "models" / "model.json").write_text("{}")
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "eval.json.manifest.json").write_text("{}")
+        (tmp_path / "notes.csv").write_text("")
+        assert io.climbs(tmp_path) == [
+            ("zeta", {SensorSite.PELVIS: tmp_path / "a" / "zeta_pelvis.csv"},
+             tmp_path / "a" / "zeta_annotations.json"),
+            ("alpha", {SensorSite.LEFT_HAND: tmp_path / "b" / "alpha_lh.csv",
+                       SensorSite.PELVIS: tmp_path / "b" / "alpha_pelvis.csv"},
+             tmp_path / "b" / "alpha_annotations.json")]
+
+    @pytest.mark.parametrize("case", ["none", "no-csv", "no-recording", "no-annotations"])
+    def test_refusals(self, tmp_path, case):
+        # a folder holding a CSV file is a climb, refused by name if it is not one
+        message = {"none": "no climb subdirectories in {}",
+                   "no-csv": "no climb subdirectories in {}",
+                   "no-recording": "no recordings found in {}/det",
+                   "no-annotations": "missing annotation file {}/c1/c1_annotations.json"}[case]
+        if case == "no-csv":
+            (tmp_path / "empty").mkdir()
+            (tmp_path / "models").mkdir()
+            (tmp_path / "models" / "model.json").write_text("{}")
+        elif case == "no-recording":
+            self.climb(tmp_path / "c1", "c1")
+            (tmp_path / "det").mkdir()
+            (tmp_path / "det" / "c1_lh_detection.csv").write_text("")
+        elif case == "no-annotations":
+            self.climb(tmp_path / "c1", "c1", annotated=False)
+        with pytest.raises(ClimbDetectError) as exc:
+            io.climbs(tmp_path)
+        assert str(exc.value) == message.format(tmp_path)
+
+
 class TestAnnotationsJson:
     def test_roundtrip(self, tmp_path):
         annotations = {
