@@ -5,6 +5,11 @@ Climb data lives in one directory per climb (`io.climbs`), holding
 (`io.write_manifest`) traces outputs to their inputs and configuration: one per
 output directory of ``simulate`` and ``detect``, one beside the ``--out`` of the
 others but ``report``, whose output holds it. Re-runs write the same bytes.
+
+Every recording of ``fit``, ``evaluate``, ``detect`` and ``classify`` goes
+through one stage, `_norms`; ``sync`` reads its own, as it needs the vertical
+Earth acceleration, not a norm. ``--climbs`` defaults to
+``$CLIMBDETECT_DATA_DIR``, then ``.``.
 """
 
 from __future__ import annotations
@@ -37,32 +42,32 @@ def _make_parent(out) -> None:
             raise ClimbDetectError(f"cannot create output directory {parent}: {exc}") from None
 
 
-def _sizes(paths) -> list[int]:
-    """The `parallel.fork_map` weight of each recording, in rows."""
-    return [path.stat().st_size // io.RECORDING_ROW_BYTES for path in paths]
-
-
-def _channels(path: Path, site: SensorSite, beta: float) -> learning.SensorChannels:
-    """A recording's norms, the acceleration filtered with gain ``beta``; the
-    recording itself is dropped."""
+def _norms(path: Path, site: SensorSite, beta: float | None) -> tuple:
+    """The stage every recording goes through: its acceleration and angular
+    velocity norms, the first filtered with gain ``beta``, or None where ``beta``
+    is None; the recording itself is dropped."""
     rec = io.read_recording_csv(path, site)
-    return learning.SensorChannels(orientation.linear_acceleration(rec, beta),
-                                   orientation.angular_velocity_norm(rec))
+    acc = None if beta is None else orientation.linear_acceleration(rec, beta)
+    return acc, orientation.angular_velocity_norm(rec)
+
+
+def _map_recordings(fn, jobs: list[tuple]) -> list:
+    """``fn(*job)`` of each job, whose first item is the path of the recording it
+    reads, by `parallel.fork_map`; a job weighs its recording's rows."""
+    rows = [path.stat().st_size // io.RECORDING_ROW_BYTES for path, *_ in jobs]
+    return parallel.fork_map(fn, jobs, rows)
 
 
 def _load_climbs(args) -> list[learning.LabeledClimb]:
-    """The norms, filtered with gain ``--beta``, and annotations of the climbs in
-    ``--climbs`` (default ``$CLIMBDETECT_DATA_DIR``). `io.climbs` lists them before
-    the ``--out`` directory is made, so that an ``--out`` among them is no climb;
-    every annotation file is read before any recording, and the recordings are
-    read and filtered by `parallel.fork_map`."""
-    climbs = io.climbs(Path(os.environ.get("CLIMBDETECT_DATA_DIR", ".")
-                            if args.climbs is None else args.climbs))
+    """The norms (gain ``--beta``) and annotations of the climbs in ``--climbs``,
+    listed before the ``--out`` directory is made, so that an ``--out`` among them
+    is no climb; every annotation file is read before any recording."""
+    climbs = io.climbs(Path(args.climbs))
     _make_parent(args.out)
     files = [(climb_id, paths, io.read_annotations_json(ann_path))
              for climb_id, paths, ann_path in climbs]
     jobs = [(path, site, args.beta) for _, paths, _ in files for site, path in paths.items()]
-    channels = iter(parallel.fork_map(_channels, jobs, _sizes(path for path, *_ in jobs)))
+    channels = (learning.SensorChannels(*norms) for norms in _map_recordings(_norms, jobs))
     return [learning.LabeledClimb(climb_id, {site: next(channels) for site in paths}, annotations)
             for climb_id, paths, annotations in files]
 
@@ -71,9 +76,8 @@ def _detection(path: Path, site: SensorSite, beta: float | None,
                model: cusum.SensorModel) -> cusum.BinaryStateSeries:
     """The detection of one recording; its acceleration is filtered with gain
     ``beta`` only where the model gives it weight (alpha > 0)."""
-    rec = io.read_recording_csv(path, site)
-    acc = orientation.linear_acceleration(rec, beta) if model.config.alpha > 0 else None
-    ang = orientation.angular_velocity_norm(rec)
+    acc, ang = _norms(path, site, beta if model.config.alpha > 0 else None)
+    # not cusum.detect, whose tracer counts len(acc) (CHANGES.md, FOUND on `_samples("acc")`)
     return cusum.detect_from_increments(cusum.fused_increments(acc, ang, model),
                                         model.config.lambda0, model.config.lambda1,
                                         ang.t0, ang.dt)
@@ -81,15 +85,13 @@ def _detection(path: Path, site: SensorSite, beta: float | None,
 
 def _detect_climb(climb_dir: Path, models: dict[SensorSite, cusum.SensorModel],
                   beta: float | None):
-    """(climb id, detection of each modelled site present), each recording
-    detected by `parallel.fork_map` in the process that reads it."""
+    """(climb id, detection of each modelled site present, made where it was read)."""
     climb_id, paths = io.climb_recordings(climb_dir)
     sites = [site for site in paths if site in models]
     if not sites:
         raise ClimbDetectError(f"{climb_dir}: no recording of a site the model has "
                                f"({', '.join(sorted(site.value for site in models))})")
-    detections = parallel.fork_map(_detection, [(paths[s], s, beta, models[s]) for s in sites],
-                                   _sizes(paths[s] for s in sites))
+    detections = _map_recordings(_detection, [(paths[s], s, beta, models[s]) for s in sites])
     return climb_id, dict(zip(sites, detections))
 
 
@@ -160,7 +162,10 @@ def cmd_classify(args) -> int:
     _make_parent(args.out)
     models, beta = io.read_model_json(args.model)
     _, detections = _detect_climb(Path(args.climb), models, beta)
-    timeline = classifier.classify(detections, args.min_episode)
+    try:
+        timeline = classifier.classify(detections, args.min_episode)
+    except ClimbDetectError as exc:  # a refusal of the climb names it
+        raise ClimbDetectError(f"{args.climb}: {exc}") from None
     io.write_timeline_csv(args.out, timeline)
     io.write_manifest(args.out, "classify", {
         "model": str(args.model), "climb": str(args.climb), "beta": beta,
@@ -282,7 +287,10 @@ _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _step = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
-def _add_grid_options(p: argparse.ArgumentParser) -> None:
+def _add_learning_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--climbs", default=os.environ.get("CLIMBDETECT_DATA_DIR", "."),
+                   help="climbs directory (default $CLIMBDETECT_DATA_DIR, then .)")
+    p.add_argument("--beta", type=_beta, default=orientation.DEFAULT_BETA)
     p.add_argument("--grid-min", type=_positive, default=learning.DEFAULT_GRID_MIN,
                    help="smallest threshold candidate (default %(default)s)")
     p.add_argument("--grid-max", type=_positive, default=learning.DEFAULT_GRID_MAX,
@@ -308,12 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit models and calibrate thresholds on annotated climbs")
-    p.add_argument("--climbs", help="directory of climb subdirectories "
-                   "(default $CLIMBDETECT_DATA_DIR)")
     p.add_argument("--out", required=True)
-    p.add_argument("--beta", type=_beta, default=orientation.DEFAULT_BETA)
     p.add_argument("--mode", choices=learning.ALPHA_MODES, default="fused")
-    _add_grid_options(p)
+    _add_learning_options(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("detect", help="run detection on one climb")
@@ -337,10 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("evaluate", help="leave-one-climb-out cross-validation")
-    p.add_argument("--climbs")
-    p.add_argument("--beta", type=_beta, default=orientation.DEFAULT_BETA)
     p.add_argument("--out")
-    _add_grid_options(p)
+    _add_learning_options(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sync", help="estimate the video/sensor delay from a pelvis trajectory")

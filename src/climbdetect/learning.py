@@ -109,8 +109,8 @@ def fit_models(climbs: list[LabeledClimb], site: SensorSite,
             selected = values[labels == state]
             if len(selected) < MIN_FIT_SAMPLES:
                 raise MissingState(
-                    f"state H{state} has {len(selected)} samples at {site.value}; "
-                    f"need {MIN_FIT_SAMPLES}")
+                    f"state H{state} has {len(selected)} samples at {site.value}; need "
+                    f"{MIN_FIT_SAMPLES}, pooled over {', '.join(c.climb_id for c in climbs)}")
             params.append(fit_mle(selected))
         models.append(HypothesisModel(h0=params[0], h1=params[1]))
     return models[0], models[1]

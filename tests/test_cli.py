@@ -273,7 +273,7 @@ class TestDetectClassifyReport:
             model.write_text(json.dumps(doc))
         assert cli.main(["classify", "--model", str(model), "--climb", str(climb),
                          "--out", str(tmp_path / "timeline.csv")]) == 1
-        assert capsys.readouterr().err == "error: missing detections: ['pelvis']\n"
+        assert capsys.readouterr().err == f"error: {climb}: missing detections: ['pelvis']\n"
 
     def test_malformed_model_exits_one(self, dataset, model_path, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -493,6 +493,34 @@ class TestEvaluate:
                 c = learning.performance_coefficient(pred, truth)
                 assert c == results[f"{site.value}/{mode}"]["fold_scores"][0], (site, mode)
 
+    def test_climbs_from_the_env_var_are_recorded(self, dataset, tmp_path, monkeypatch,
+                                                  capsys):
+        # the env var is --climbs' default, so the manifest records the directory
+        # read and every byte is that of the run that names it
+        grid = ["--grid-points", "2", "--alpha-step", "1.0"]
+        runs = []
+        for given in (["--climbs", str(dataset)], []):
+            monkeypatch.setenv("CLIMBDETECT_DATA_DIR", str(dataset) if not given else "nowhere")
+            out = tmp_path / f"given{len(given)}" / "eval.json"
+            assert cli.main(["evaluate", *given, "--out", str(out), *grid]) == 0
+            manifest = out.with_name("eval.json.manifest.json")
+            runs.append((capsys.readouterr(), out.read_bytes(), manifest.read_bytes()))
+        assert json.loads(runs[1][2])["config"]["climbs"] == str(dataset)
+        assert runs[0] == runs[1]
+
+    def test_too_few_samples_name_the_climbs(self, dataset, tmp_path, capsys):
+        # a state with too few samples to fit names the climbs it pooled
+        climbs = tmp_path / "climbs"
+        _copy_climbs(dataset, climbs)
+        path = climbs / "climb02" / "climb02_rh.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:30]))
+        out = tmp_path / "out" / "eval.json"
+        assert cli.main(["evaluate", "--climbs", str(climbs), "--out", str(out),
+                         "--grid-points", "2", "--alpha-step", "1.0"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: state H0 has 29 samples at rh; need 30, pooled over climb02\n")
+        assert not out.exists()
+
     def test_single_climb_exits_one(self, dataset, tmp_path, capsys):
         (tmp_path / "one").mkdir()
         (tmp_path / "one" / "climb01").symlink_to(dataset / "climb01")
@@ -538,6 +566,47 @@ def test_path_that_cannot_be_opened_exits_one(case, dataset, model_path, tmp_pat
     assert str(path) in err and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
     assert blocker.read_text() == "" and not any(directory.iterdir())
+
+
+def test_every_recording_goes_through_the_stage(dataset, model_path, tmp_path, monkeypatch):
+    # fit and evaluate send each recording through the stage with their beta;
+    # detect and classify send each modelled site's, with no beta exactly where
+    # alpha = 0 weighs no acceleration; one CPU, so that every call is in this
+    # process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    stage, calls = cli._norms, []
+
+    def wrapped(path, site, beta):
+        calls.append((path, site, beta))
+        return stage(path, site, beta)
+
+    monkeypatch.setattr(cli, "_norms", wrapped)
+
+    def recordings(climb_ids, sites=ALL_SITES):
+        return [(io.recording_path(dataset / climb_id, climb_id, site), site)
+                for climb_id in climb_ids for site in sites]
+
+    for command in ("fit", "evaluate"):
+        assert cli.main([command, "--climbs", str(dataset), "--beta", "0.07",
+                         "--out", str(tmp_path / f"{command}.json"),
+                         "--grid-points", "2", "--alpha-step", "1.0"]) == 0
+        assert calls == [(path, site, 0.07)
+                         for path, site in recordings(["climb01", "climb02"])]
+        calls.clear()
+    model = _model_with_alphas(model_path, tmp_path / "model.json", {"rh": 0.5, "lf": 0.5})
+    _, beta = io.read_model_json(model)
+    doc = json.loads(model.read_text())
+    del doc["sensors"]["lh"]
+    (tmp_path / "model_lh.json").write_text(json.dumps(doc))
+    for command, model_file, sites in [
+            ("detect", "model_lh.json", [s for s in ALL_SITES if s != SensorSite.LEFT_HAND]),
+            ("classify", "model.json", ALL_SITES)]:
+        assert cli.main([command, "--model", str(tmp_path / model_file),
+                         "--climb", str(dataset / "climb01"),
+                         "--out", str(tmp_path / f"{command}.out")]) == 0
+        assert calls == [(path, site, beta if site.value in ("rh", "lf") else None)
+                         for path, site in recordings(["climb01"], sites)]
+        calls.clear()
 
 
 @pytest.mark.parametrize("load", ["_load_climbs", "_detect_climb"])
@@ -979,11 +1048,12 @@ def paper_climb(tmp_path_factory):
 
 @pytest.mark.parametrize("site, rows, span", [
     ("rh", slice(None, 11000), "0.000 to 109.990"),
-    ("lh", slice(1000, None), "10.000 to 119.990")], ids=["rh-cut", "lh-late"])
+    ("lh", slice(1000, None), "10.000 to 119.990"),
+    ("lf", slice(None, 835), "0.000 to 8.340")], ids=["rh-cut", "lh-late", "lf-short"])
 def test_sites_of_another_span_exit_one(site, rows, span, paper_climb, model_path, tmp_path,
                                         capsys):
-    # a site that ends early or starts late is refused, not clipped onto the
-    # pelvis's span
+    # a site that ends early or starts late is refused, by the climb's name, not
+    # clipped onto the pelvis's span
     climb = tmp_path / "climb01"
     climb.mkdir()
     for src in paper_climb.iterdir():
@@ -993,7 +1063,7 @@ def test_sites_of_another_span_exit_one(site, rows, span, paper_climb, model_pat
     path.write_text("\n".join([header, *lines[rows]]) + "\n")
     assert cli.main(["classify", "--model", str(model_path), "--climb", str(climb),
                      "--out", str(tmp_path / "timeline.csv")]) == 1
-    assert capsys.readouterr().err == (f"error: {site} spans {span} s, "
+    assert capsys.readouterr() == ("", f"error: {climb}: {site} spans {span} s, "
                                        "the pelvis 0.000 to 119.990 s\n")
     assert not (tmp_path / "timeline.csv").exists()
 
